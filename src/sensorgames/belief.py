@@ -19,12 +19,26 @@ Two nodes with the same belief are indistinguishable to the agent, so
 node-level analyses must treat each belief's nodes as one equivalence
 class.  Construction materializes every (s', B) with s' in B for each
 discovered belief, which keeps those classes whole.
+
+The boundary types are `BeliefNode` and frozenset beliefs; inside the
+expansion a belief is an int mask with bit s set for state s.  The game
+is read once into masks: the observation of each (state, query,
+attack) triple, through `get_observation`, the successor support of each
+enabled (state, action), and the states where each action is enabled.
+A belief's offered actions and their images are computed once per
+belief rather than once per node, and the successors a move gains by
+landing in s' depend only on (image, s', query), so each such triple
+is resolved once.  Nodes are interned: each (state, mask) pair has one
+`BeliefNode` and each mask one frozenset, so every successor key in
+``trans`` is the very object listed in ``nodes``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Mapping
 
 from .game import (
@@ -34,8 +48,6 @@ from .game import (
     QueryId,
     StateId,
     get_observation,
-    post_belief,
-    post_state,
 )
 
 
@@ -113,17 +125,32 @@ class BeliefMDP:
         return tuple(sorted(self.trans[node]))
 
     def predecessors(self) -> Mapping["BeliefNode | _Final", tuple[tuple[BeliefNode, ActionPair], ...]]:
-        """Reverse index: node -> (predecessor, move) pairs, canonical order."""
+        """Reverse index: node -> (predecessor, move) pairs, canonical order.
+
+        Predecessors are appended while scanning ``nodes`` in their
+        canonical order and each node's moves in sorted order, so every
+        list is already in (node_key, move) order.
+        """
         back: dict = {q: [] for q in self.nodes}
         back[FINAL] = []
         for q in self.nodes:
-            for pair, succs in self.trans[q].items():
-                for succ in succs:
+            moves = self.trans[q]
+            for pair in sorted(moves):
+                for succ in moves[pair]:
                     back[succ].append((q, pair))
-        return {
-            node: tuple(sorted(entries, key=lambda e: (node_key(e[0]), e[1])))
-            for node, entries in back.items()
-        }
+        return {node: tuple(entries) for node, entries in back.items()}
+
+
+def _states(mask: int) -> tuple[StateId, ...]:
+    """The states of a bit mask, ascending."""
+    out = []
+    s = 0
+    while mask:
+        if mask & 1:
+            out.append(s)
+        mask >>= 1
+        s += 1
+    return tuple(out)
 
 
 def build_belief_mdp(game: Game) -> BeliefMDP:
@@ -133,55 +160,88 @@ def build_belief_mdp(game: Game) -> BeliefMDP:
     belief appears, every (s', belief) node with s' in the belief is
     materialized and explored too, so equivalence classes are never
     split.  All iteration is in sorted order, making the result
-    reproducible node for node.
+    reproducible node for node.  The sweep runs on masks (see the module
+    notes); nodes and frozensets are made once, when a belief is found.
     """
-    start = BeliefNode(game.initial, frozenset({game.initial}))
-    seen: set[BeliefNode] = set()
-    seen_beliefs: set[frozenset[StateId]] = set()
-    queue: deque[BeliefNode] = deque()
+    n_actions = len(game.action_names)
+    n_queries = len(game.queries)
+    goal = sum(1 << s for s in game.goal)
+    support_of = {key: sum(1 << s2 for s2 in support)
+                  for key, support in game.trans.items()}
+    enabled_at = [sum(1 << s for s in range(game.n_states) if (s, a) in support_of)
+                  for a in range(n_actions)]
+    # views[s][q]: (attack, observation mask) for every attack enabled at s.
+    views = [
+        [tuple((att, sum(1 << s2 for s2 in get_observation(game, s, q, att)))
+               for att in sorted(game.enabled_attacks[s]))
+         for q in range(n_queries)]
+        for s in range(game.n_states)]
+
+    keys: dict[int, tuple[StateId, ...]] = {}  # mask -> sorted states
+    members: dict[int, dict[StateId, BeliefNode]] = {}  # mask -> its nodes
+    queue: deque[tuple[BeliefNode, int]] = deque()
+
+    def discover_belief(mask: int) -> None:
+        states = keys[mask] = _states(mask)
+        belief = frozenset(states)
+        nodes = members[mask] = {}
+        for s in states:
+            nodes[s] = node = BeliefNode(s, belief)
+            queue.append((node, mask))
+
+    # Successors a move gains when nature lands in s2 from a belief whose
+    # action image is ``image``: (image, s2, query) -> {node: attacks}.
+    landings: dict[tuple[int, StateId, QueryId], dict[BeliefNode, frozenset[AttackId]]] = {}
+
+    def landing(image: int, s2: StateId, query: QueryId) -> dict:
+        found = landings.get((image, s2, query))
+        if found is not None:
+            return found
+        by_belief: dict[int, list[AttackId]] = {}
+        for att, view in views[s2][query]:
+            b2 = image & view
+            if b2 not in by_belief:
+                by_belief[b2] = []
+                if b2 not in members:
+                    discover_belief(b2)
+            by_belief[b2].append(att)
+        out = landings[(image, s2, query)] = {
+            members[b2][s2]: frozenset(atts) for b2, atts in by_belief.items()}
+        return out
+
+    discover_belief(1 << game.initial)
+    start = queue[0][0]
+    # mask -> (action, image mask) for each action the belief offers
+    offered_at: dict[int, list[tuple[ActionId, int]]] = {}
     trans: dict[BeliefNode, dict[ActionPair, dict]] = {}
-
-    def discover_belief(belief: frozenset[StateId]) -> None:
-        if belief in seen_beliefs:
-            return
-        seen_beliefs.add(belief)
-        for s in sorted(belief):
-            node = BeliefNode(s, belief)
-            seen.add(node)
-            queue.append(node)
-
-    discover_belief(start.belief)
-
     while queue:
-        node = queue.popleft()
+        node, mask = queue.popleft()
+        offered = offered_at.get(mask)
+        if offered is None:
+            offered = offered_at[mask] = [
+                (a, reduce(or_, (support_of[(s, a)] for s in keys[mask])))
+                for a in range(n_actions) if (mask & ~enabled_at[a]) == 0]
         moves: dict[ActionPair, dict] = {}
         trans[node] = moves
-        for action in game.common_enabled_actions(node.belief):
-            support = post_state(game, node.state, action)
-            image = post_belief(game, node.belief, action)
-            outside = sorted(support - game.goal)
-            for query in range(len(game.queries)):
-                succs: dict = {}
-                if not outside or (support & game.goal):
-                    succs[FINAL] = frozenset()
+        for action, image in offered:
+            support = support_of[(node.state, action)]
+            outside = _states(support & ~goal)
+            to_final = not outside or (support & goal) != 0
+            for query in range(n_queries):
+                succs: dict = {FINAL: frozenset()} if to_final else {}
                 for s2 in outside:
-                    for attack in sorted(game.enabled_attacks[s2]):
-                        obs = get_observation(game, s2, query, attack)
-                        b2 = image & obs
-                        succ = BeliefNode(s2, b2)
-                        succs.setdefault(succ, set()).add(attack)
-                        discover_belief(b2)
-                moves[(action, query)] = {
-                    succ: (att if isinstance(att, frozenset) else frozenset(att))
-                    for succ, att in succs.items()
-                }
+                    succs.update(landing(image, s2, query))
+                moves[(action, query)] = succs
 
-    nodes = tuple(sorted(seen, key=node_key))
+    ranked = sorted((s, key, mask) for mask, key in keys.items() for s in key)
     classes: dict[frozenset[StateId], tuple[BeliefNode, ...]] = {}
-    for belief in sorted(seen_beliefs, key=belief_key):
-        classes[belief] = tuple(
-            BeliefNode(s, belief) for s in sorted(belief))
-    return BeliefMDP(game=game, initial=start, nodes=nodes, trans=trans, classes=classes)
+    for mask in sorted(keys, key=keys.__getitem__):
+        nodes = tuple(members[mask].values())
+        classes[nodes[0].belief] = nodes
+    return BeliefMDP(
+        game=game, initial=start,
+        nodes=tuple(members[mask][s] for s, _key, mask in ranked),
+        trans=trans, classes=classes)
 
 
 def equivalence_class(mdp: BeliefMDP, node: "BeliefNode | _Final") -> tuple[BeliefNode, ...]:

@@ -19,6 +19,18 @@ with the maximal permissive move sets, and every run of the induced
 chain from a winning node completes with probability one.
 
 Each withdrawal is logged, so the result can be audited move by move.
+
+Both phases run on one dense index of the perceived game, built once per
+solve (`_Graph`).  Node i is ``mdp.nodes[i]``, whose canonical order
+makes i the node's `node_key` rank, and `FINAL` is N.  Move k is the
+k-th distinct move in sorted order, and a node's move set is an int with
+bit k set for move k.  A single reverse adjacency serves the losing
+core, the elimination sweep and the stall check.  It is filled by
+scanning nodes in rank order and each node's moves in sorted order, so
+every predecessor list is already in (node_key, move) order and needs
+no sort.  Class peers are int lists and the doomed set a flag list;
+ints become `BeliefNode`, move pairs and `Removal` again only in the
+report.
 """
 
 from __future__ import annotations
@@ -88,18 +100,54 @@ class SolveReport:
         return self.mdp.initial in self.win
 
 
+class _Graph:
+    """The perceived game on dense ints (see the module notes).
+
+    ``offered[i]`` is node i's move set, ``back[j]`` the (predecessor,
+    move) pairs of node j in canonical order, and ``peers[i]`` the
+    members of node i's class in class order, one list per class.
+    """
+
+    def __init__(self, mdp: BeliefMDP):
+        nodes = mdp.nodes
+        self.n = n = len(nodes)
+        index: dict = {q: i for i, q in enumerate(nodes)}
+        index[FINAL] = n
+        self.moves = sorted({pair for q in nodes for pair in mdp.trans[q]})
+        move_id = {pair: k for k, pair in enumerate(self.moves)}
+        self.offered = offered = [0] * n
+        self.back: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+        for i, q in enumerate(nodes):
+            moves = mdp.trans[q]
+            for pair in sorted(moves):
+                k = move_id[pair]
+                offered[i] |= 1 << k
+                for succ in moves[pair]:
+                    self.back[index[succ]].append((i, k))
+        self.peers: list[list[int]] = [[]] * n
+        for members in mdp.classes.values():
+            ranks = [index[q] for q in members]
+            for i in ranks:
+                self.peers[i] = ranks
+
+    def reaching_final(self, live: list[int]) -> bytearray:
+        """Flags of the nodes that reach FINAL through moves whose bit is
+        set in ``live[pred]``."""
+        reached = bytearray(self.n)
+        queue = [self.n]
+        for node in queue:
+            for pred, k in self.back[node]:
+                if not reached[pred] and live[pred] >> k & 1:
+                    reached[pred] = 1
+                    queue.append(pred)
+        return reached
+
+
 def losing_core(mdp: BeliefMDP) -> frozenset[BeliefNode]:
     """Nodes from which the absorbing node is not graph-reachable."""
-    back = mdp.predecessors()
-    alive: set[BeliefNode] = set()
-    queue: deque = deque([FINAL])
-    while queue:
-        node = queue.popleft()
-        for pred, _move in back[node]:
-            if pred not in alive:
-                alive.add(pred)
-                queue.append(pred)
-    return frozenset(q for q in mdp.nodes if q not in alive)
+    graph = _Graph(mdp)
+    alive = graph.reaching_final(graph.offered)
+    return frozenset(q for i, q in enumerate(mdp.nodes) if not alive[i])
 
 
 def pre_image(
@@ -111,52 +159,31 @@ def pre_image(
 
 def solve_p1(mdp: BeliefMDP) -> SolveReport:
     """Maximal belief-uniform multi-strategy for almost-sure completion."""
-    back = mdp.predecessors()
-    core = losing_core(mdp)
-
-    allowed: dict[BeliefNode, set[ActionPair]] = {}
-    for q in mdp.nodes:
-        allowed[q] = set() if q in core else set(mdp.trans[q])
-
-    doomed: set[BeliefNode] = set(core)
-    levels: list[tuple[BeliefNode, ...]] = [tuple(sorted(core, key=node_key))]
-    trace: list[Removal] = []
+    graph = _Graph(mdp)
+    n, back, peers = graph.n, graph.back, graph.peers
+    alive = graph.reaching_final(graph.offered)
+    allowed = [graph.offered[i] if alive[i] else 0 for i in range(n)]
+    doomed = bytearray(1 - flag for flag in alive)
+    current = [i for i in range(n) if doomed[i]]
+    levels: list[list[int]] = [current]
+    trace: list[tuple[int, int, int, int]] = []  # (round, node, move, cause)
     iteration = 0
 
-    def connected_to_final() -> set[BeliefNode]:
-        """Nodes that can still reach FINAL through surviving moves."""
-        rev: dict = {}
-        for q in mdp.nodes:
-            if q in doomed:
-                continue
-            for move in allowed[q]:
-                for succ in mdp.trans[q][move]:
-                    rev.setdefault(succ, []).append(q)
-        alive: set[BeliefNode] = set()
-        queue: deque = deque([FINAL])
-        while queue:
-            node = queue.popleft()
-            for pred in rev.get(node, ()):
-                if pred not in alive:
-                    alive.add(pred)
-                    queue.append(pred)
-        return alive
-
-    current = levels[0]
     while True:
         if current:
-            next_level: list[BeliefNode] = []
+            next_level: list[int] = []
             for cause in current:
-                for source, move in back[cause]:
-                    for peer in mdp.classes[source.belief]:
-                        if move in allowed[peer]:
-                            allowed[peer].discard(move)
-                            trace.append(Removal(iteration, peer, move, cause))
-                            if not allowed[peer] and peer not in doomed:
-                                doomed.add(peer)
+                for source, k in back[cause]:
+                    bit = 1 << k
+                    for peer in peers[source]:
+                        if allowed[peer] & bit:
+                            allowed[peer] ^= bit
+                            trace.append((iteration, peer, k, cause))
+                            if not allowed[peer] and not doomed[peer]:
+                                doomed[peer] = 1
                                 next_level.append(peer)
             iteration += 1
-            current = tuple(sorted(set(next_level), key=node_key))
+            current = sorted(next_level)
             if current:
                 levels.append(current)
             continue
@@ -164,32 +191,41 @@ def solve_p1(mdp: BeliefMDP) -> SolveReport:
         # route to FINAL (only loops remain); playing there never
         # completes, so the node -- and, since the agent cannot tell the
         # members apart, its whole class -- is doomed as well.
-        alive = connected_to_final()
-        stranded = [q for q in mdp.nodes
-                    if q not in doomed and q not in alive]
+        alive = graph.reaching_final(allowed)
+        stranded = [i for i in range(n) if not doomed[i] and not alive[i]]
         if not stranded:
             break
-        fresh: list[BeliefNode] = []
-        for node in sorted(stranded, key=node_key):
-            for member in mdp.classes[node.belief]:
-                if member in doomed:
+        fresh: list[int] = []
+        for node in stranded:
+            for member in peers[node]:
+                if doomed[member]:
                     continue
-                for move in sorted(allowed[member]):
-                    allowed[member].discard(move)
-                    trace.append(Removal(iteration, member, move, node))
-                doomed.add(member)
+                kept = allowed[member]
+                for k in range(kept.bit_length()):
+                    if kept >> k & 1:
+                        trace.append((iteration, member, k, node))
+                allowed[member] = 0
+                doomed[member] = 1
                 fresh.append(member)
         iteration += 1
-        current = tuple(sorted(set(fresh), key=node_key))
+        current = sorted(fresh)
         levels.append(current)
 
-    win = frozenset(q for q in mdp.nodes if q not in doomed)
+    nodes, moves = mdp.nodes, graph.moves
+    move_sets: dict[int, frozenset[ActionPair]] = {}
+    for mask in allowed:
+        if mask not in move_sets:
+            move_sets[mask] = frozenset(
+                pair for k, pair in enumerate(moves) if mask >> k & 1)
     strategy = MultiStrategy(
-        allowed={q: frozenset(moves) for q, moves in allowed.items()})
+        allowed={q: move_sets[allowed[i]] for i, q in enumerate(nodes)})
     return SolveReport(
-        mdp=mdp, win=win, strategy=strategy,
-        levels=tuple(levels),
-        trace=tuple(trace))
+        mdp=mdp,
+        win=frozenset(q for i, q in enumerate(nodes) if not doomed[i]),
+        strategy=strategy,
+        levels=tuple(tuple(nodes[i] for i in level) for level in levels),
+        trace=tuple(Removal(r, nodes[i], moves[k], nodes[c])
+                    for r, i, k, c in trace))
 
 
 @dataclass(frozen=True)

@@ -132,6 +132,42 @@ def test_predecessors_invert_transitions(fig1):
     assert count == sum(len(v) for v in back.values())
 
 
+def assert_interned(mdp):
+    """Every node reference in ``mdp`` is the object listed in ``nodes``."""
+    listed = {q: q for q in mdp.nodes}
+    assert listed[mdp.initial] is mdp.initial
+    for q, moves in mdp.trans.items():
+        assert listed[q] is q
+        for succs in moves.values():
+            for succ in succs:
+                assert succ is FINAL or succ is listed[succ]
+    for members in mdp.classes.values():
+        assert all(listed[q] is q for q in members)
+
+
+def assert_predecessors_canonical(mdp):
+    for entries in mdp.predecessors().values():
+        keys = [(node_key(q), move) for q, move in entries]
+        assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("fixture", ["fig1", "fig1_noattack", "fig1_nosense", "fig4"])
+def test_successor_keys_are_the_listed_nodes(fixture, request):
+    assert_interned(request.getfixturevalue(fixture).mdp)
+
+
+def test_predecessors_in_canonical_order(fig1):
+    assert_predecessors_canonical(fig1.mdp)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_games())
+def test_interning_and_predecessor_order_random(game):
+    mdp = build_belief_mdp(game)
+    assert_interned(mdp)
+    assert_predecessors_canonical(mdp)
+
+
 def test_final_identity():
     assert type(FINAL)() is FINAL
     assert repr(FINAL) == "FINAL"

@@ -13,7 +13,7 @@ from sensorgames import (
     restricted,
     solve_p1,
 )
-from sensorgames.belief import FINAL, node_key, node_label
+from sensorgames.belief import FINAL, BeliefMDP, BeliefNode, node_key, node_label
 from sensorgames.oracle import GeneratorParams, generate_game
 from sensorgames.planner import certify_almost_sure_reach
 
@@ -228,3 +228,57 @@ def test_solver_invariants_random(seed):
         assert len({rep.strategy.allowed[q] for q in members}) == 1
     again = solve_p1(restricted(mdp, rep.win))
     assert again.trace == () and again.win == rep.win
+
+
+# --- identity ----------------------------------------------------------------
+
+def uninterned(mdp):
+    """An equal copy of ``mdp`` in which every node reference, and every
+    belief, is a fresh object."""
+    def fresh(node):
+        if node is FINAL:
+            return node
+        return BeliefNode(node.state, frozenset(set(node.belief)))
+
+    return BeliefMDP(
+        game=mdp.game,
+        initial=fresh(mdp.initial),
+        nodes=tuple(fresh(q) for q in mdp.nodes),
+        trans={fresh(q): {move: {fresh(s): atts for s, atts in succs.items()}
+                          for move, succs in moves.items()}
+               for q, moves in mdp.trans.items()},
+        classes={frozenset(set(belief)): tuple(fresh(q) for q in members)
+                 for belief, members in mdp.classes.items()})
+
+
+@pytest.mark.parametrize("fixture", ["fig1", "fig1_noattack", "fig1_nosense", "fig4"])
+def test_solve_does_not_depend_on_node_identity(fixture, request):
+    mdp = request.getfixturevalue(fixture).mdp
+    copy = uninterned(mdp)
+    assert copy == mdp and copy.nodes[0] is not mdp.nodes[0]
+    assert solve_p1(copy) == solve_p1(mdp)
+    assert losing_core(copy) == losing_core(mdp)
+
+
+def test_solve_restricted_does_not_depend_on_node_identity(fig1):
+    mdp, win = fig1.mdp, fig1.report.win
+    # Dropping a winning node forces eliminations inside the sub-MDP.
+    dropped = bnode(fig1.game, "s4", ["s2", "s4"])
+    assert dropped in win
+    keep = [q for q in mdp.nodes if q != dropped]
+    sub = restricted(mdp, keep)
+    mixed = restricted(uninterned(mdp), [BeliefNode(q.state, q.belief) for q in keep])
+    assert mixed == sub
+    expected = solve_p1(sub)
+    assert expected.trace
+    assert solve_p1(mixed) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_solve_does_not_depend_on_node_identity_random(seed):
+    game = generate_game(GeneratorParams(
+        n_states=5, n_actions=2, n_sensors=2, n_queries=2, n_attacks=3,
+        max_support=2, goal_fraction=0.25, seed=seed))
+    mdp = build_belief_mdp(game)
+    assert solve_p1(uninterned(mdp)) == solve_p1(mdp)
