@@ -130,6 +130,7 @@ def test_predecessors_invert_transitions(fig1):
             assert node in mdp.trans[src][move]
     count = sum(len(succs) for q in mdp.nodes for succs in mdp.trans[q].values())
     assert count == sum(len(v) for v in back.values())
+    assert_predecessors_canonical(mdp)
 
 
 def assert_interned(mdp):
@@ -154,18 +155,6 @@ def assert_predecessors_canonical(mdp):
 @pytest.mark.parametrize("fixture", ["fig1", "fig1_noattack", "fig1_nosense", "fig4"])
 def test_successor_keys_are_the_listed_nodes(fixture, request):
     assert_interned(request.getfixturevalue(fixture).mdp)
-
-
-def test_predecessors_in_canonical_order(fig1):
-    assert_predecessors_canonical(fig1.mdp)
-
-
-@settings(max_examples=25, deadline=None)
-@given(small_games())
-def test_interning_and_predecessor_order_random(game):
-    mdp = build_belief_mdp(game)
-    assert_interned(mdp)
-    assert_predecessors_canonical(mdp)
 
 
 def test_final_identity():
@@ -222,3 +211,5 @@ def test_expansion_invariants_random(game):
                 # The whole class of the successor belief exists.
                 for peer in mdp.classes[succ.belief]:
                     assert peer in mdp.trans
+    assert_interned(mdp)
+    assert_predecessors_canonical(mdp)
