@@ -179,15 +179,18 @@ def build_belief_mdp(game: Game) -> BeliefMDP:
 
     keys: dict[int, tuple[StateId, ...]] = {}  # mask -> sorted states
     members: dict[int, dict[StateId, BeliefNode]] = {}  # mask -> its nodes
-    queue: deque[tuple[BeliefNode, int]] = deque()
+    # Each queued node carries its belief's offered (action, image mask)s.
+    queue: deque[tuple[BeliefNode, list[tuple[ActionId, int]]]] = deque()
 
     def discover_belief(mask: int) -> None:
         states = keys[mask] = _states(mask)
+        offered = [(a, reduce(or_, (support_of[(s, a)] for s in states)))
+                   for a in range(n_actions) if (mask & ~enabled_at[a]) == 0]
         belief = frozenset(states)
         nodes = members[mask] = {}
         for s in states:
             nodes[s] = node = BeliefNode(s, belief)
-            queue.append((node, mask))
+            queue.append((node, offered))
 
     # Successors a move gains when nature lands in s2 from a belief whose
     # action image is ``image``: (image, s2, query) -> {node: attacks}.
@@ -211,16 +214,9 @@ def build_belief_mdp(game: Game) -> BeliefMDP:
 
     discover_belief(1 << game.initial)
     start = queue[0][0]
-    # mask -> (action, image mask) for each action the belief offers
-    offered_at: dict[int, list[tuple[ActionId, int]]] = {}
     trans: dict[BeliefNode, dict[ActionPair, dict]] = {}
     while queue:
-        node, mask = queue.popleft()
-        offered = offered_at.get(mask)
-        if offered is None:
-            offered = offered_at[mask] = [
-                (a, reduce(or_, (support_of[(s, a)] for s in keys[mask])))
-                for a in range(n_actions) if (mask & ~enabled_at[a]) == 0]
+        node, offered = queue.popleft()
         moves: dict[ActionPair, dict] = {}
         trans[node] = moves
         for action, image in offered:
