@@ -163,19 +163,20 @@ def build_belief_mdp(game: Game) -> BeliefMDP:
     reproducible node for node.  The sweep runs on masks (see the module
     notes); nodes and frozensets are made once, when a belief is found.
     """
+    n_states = game.n_states
     n_actions = len(game.action_names)
     n_queries = len(game.queries)
     goal = sum(1 << s for s in game.goal)
     support_of = {key: sum(1 << s2 for s2 in support)
                   for key, support in game.trans.items()}
-    enabled_at = [sum(1 << s for s in range(game.n_states) if (s, a) in support_of)
+    enabled_at = [sum(1 << s for s in range(n_states) if (s, a) in support_of)
                   for a in range(n_actions)]
     # views[s][q]: (attack, observation mask) for every attack enabled at s.
     views = [
         [tuple((att, sum(1 << s2 for s2 in get_observation(game, s, q, att)))
                for att in sorted(game.enabled_attacks[s]))
          for q in range(n_queries)]
-        for s in range(game.n_states)]
+        for s in range(n_states)]
 
     keys: dict[int, tuple[StateId, ...]] = {}  # mask -> sorted states
     members: dict[int, dict[StateId, BeliefNode]] = {}  # mask -> its nodes
@@ -193,11 +194,13 @@ def build_belief_mdp(game: Game) -> BeliefMDP:
             queue.append((node, offered))
 
     # Successors a move gains when nature lands in s2 from a belief whose
-    # action image is ``image``: (image, s2, query) -> {node: attacks}.
-    landings: dict[tuple[int, StateId, QueryId], dict[BeliefNode, frozenset[AttackId]]] = {}
+    # action image is ``image``, as {node: attacks}, keyed by (image, s2,
+    # query) packed into one int.
+    landings: dict[int, dict[BeliefNode, frozenset[AttackId]]] = {}
 
     def landing(image: int, s2: StateId, query: QueryId) -> dict:
-        found = landings.get((image, s2, query))
+        key = (image * n_states + s2) * n_queries + query
+        found = landings.get(key)
         if found is not None:
             return found
         by_belief: dict[int, list[AttackId]] = {}
@@ -208,10 +211,16 @@ def build_belief_mdp(game: Game) -> BeliefMDP:
                 if b2 not in members:
                     discover_belief(b2)
             by_belief[b2].append(att)
-        out = landings[(image, s2, query)] = {
+        out = landings[key] = {
             members[b2][s2]: frozenset(atts) for b2, atts in by_belief.items()}
         return out
 
+    # The move pairs and FINAL's empty attack set are made once and
+    # shared, as the keys above are ints: a fresh tuple or set per move or
+    # per lookup would be tracked by the cyclic garbage collector and
+    # walked by its passes.
+    pairs = [[(a, q) for q in range(n_queries)] for a in range(n_actions)]
+    no_attacks: frozenset[AttackId] = frozenset()
     discover_belief(1 << game.initial)
     start = queue[0][0]
     trans: dict[BeliefNode, dict[ActionPair, dict]] = {}
@@ -223,11 +232,11 @@ def build_belief_mdp(game: Game) -> BeliefMDP:
             support = support_of[(node.state, action)]
             outside = _states(support & ~goal)
             to_final = not outside or (support & goal) != 0
-            for query in range(n_queries):
-                succs: dict = {FINAL: frozenset()} if to_final else {}
+            for query, pair in enumerate(pairs[action]):
+                succs: dict = {FINAL: no_attacks} if to_final else {}
                 for s2 in outside:
                     succs.update(landing(image, s2, query))
-                moves[(action, query)] = succs
+                moves[pair] = succs
 
     ranked = sorted((s, key, mask) for mask, key in keys.items() for s in key)
     classes: dict[frozenset[StateId], tuple[BeliefNode, ...]] = {}

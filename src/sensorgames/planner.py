@@ -106,6 +106,11 @@ class _Graph:
     ``offered[i]`` is node i's move set, ``back[j]`` the (predecessor,
     move) pairs of node j in canonical order, and ``peers[i]`` the
     members of node i's class in class order, one list per class.
+
+    A pair (i, k) is stored as the int ``i << shift | k``, which ``low``
+    masks back to k.  Ints, unlike tuples, are not tracked by the cyclic
+    garbage collector, so the tens of thousands of edges of a large
+    game add nothing to its passes.
     """
 
     def __init__(self, mdp: BeliefMDP):
@@ -116,14 +121,17 @@ class _Graph:
         self.moves = sorted({pair for q in nodes for pair in mdp.trans[q]})
         move_id = {pair: k for k, pair in enumerate(self.moves)}
         self.offered = offered = [0] * n
-        self.back: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+        self.shift = shift = len(self.moves).bit_length()
+        self.low = (1 << shift) - 1
+        self.back: list[list[int]] = [[] for _ in range(n + 1)]
         for i, q in enumerate(nodes):
             moves = mdp.trans[q]
             for pair in sorted(moves):
                 k = move_id[pair]
                 offered[i] |= 1 << k
+                entry = i << shift | k
                 for succ in moves[pair]:
-                    self.back[index[succ]].append((i, k))
+                    self.back[index[succ]].append(entry)
         self.peers: list[list[int]] = [[]] * n
         for members in mdp.classes.values():
             ranks = [index[q] for q in members]
@@ -135,9 +143,11 @@ class _Graph:
         set in ``live[pred]``."""
         reached = bytearray(self.n)
         queue = [self.n]
+        shift, low = self.shift, self.low
         for node in queue:
-            for pred, k in self.back[node]:
-                if not reached[pred] and live[pred] >> k & 1:
+            for entry in self.back[node]:
+                pred = entry >> shift
+                if not reached[pred] and live[pred] >> (entry & low) & 1:
                     reached[pred] = 1
                     queue.append(pred)
         return reached
@@ -161,6 +171,7 @@ def solve_p1(mdp: BeliefMDP) -> SolveReport:
     """Maximal belief-uniform multi-strategy for almost-sure completion."""
     graph = _Graph(mdp)
     n, back, peers = graph.n, graph.back, graph.peers
+    shift, low = graph.shift, graph.low
     alive = graph.reaching_final(graph.offered)
     allowed = [graph.offered[i] if alive[i] else 0 for i in range(n)]
     doomed = bytearray(1 - flag for flag in alive)
@@ -173,7 +184,8 @@ def solve_p1(mdp: BeliefMDP) -> SolveReport:
         if current:
             next_level: list[int] = []
             for cause in current:
-                for source, k in back[cause]:
+                for entry in back[cause]:
+                    source, k = entry >> shift, entry & low
                     bit = 1 << k
                     for peer in peers[source]:
                         if allowed[peer] & bit:
