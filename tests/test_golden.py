@@ -1,16 +1,27 @@
-"""Frozen result documents: any change of representation must keep them.
+"""Frozen outputs: any change of representation must keep them.
 
 Each case pins the full sha256 of the canonical JSON document, trace
 included, so the elimination order is covered as well as the verdicts
 and the strategy.  The ladder rungs are seeded random games large enough
 to exercise every phase of the agent solver and the jammer.
+
+The DOT cases pin both Graphviz renderings.  They are the only output
+that lists the jammer's game edge by edge: every offered attack and its
+whole successor set, which the result document does not show.
 """
 
 import hashlib
 
 import pytest
 
-from sensorgames import bundled_game_text, run_pipeline, serialize_spec
+from sensorgames import (
+    bundled_game_text,
+    export_attacker_dot,
+    export_belief_dot,
+    run_pipeline,
+    run_stages,
+    serialize_spec,
+)
 from sensorgames.oracle import GeneratorParams, generate_spec
 
 FIGURES = {
@@ -25,12 +36,44 @@ LADDER = {
     (10, 4, 9): "a5bc146b2e7a547d0a03a2921c5153cd0101e503fb97de418e296b0d6a4590fe",
     (16, 5, 4): "b6d8c521b126c43b4602c0fdc5b33e2ea15f1ed24c7a89718e6c49495b55dccf",
     (17, 5, 7): "0f0de54142f38b5a2c980d5a32d44eee04dc38e0bc7a5fd68b00e37e6400a4ec",
+    (16, 5, 7): "ba9aee7b804f063e4b6658d9695153035eb87afd47624cf9e0698563f7d28c8a",
+}
+
+# figure name or ladder rung -> (belief DOT digest, jammer DOT digest);
+# the jammer digest is None where the agent wins nowhere.
+DOT = {
+    "fig1": ("c17dc439eeb57d4f8827a71bbaceef264db9669dcb02077eb046c1d1e67b48fc",
+             "d9e97722b1919dbe69efa8ca5706e7cee7f89d3d73e3e1ff779aa8a6bff3bbab"),
+    "fig1_noattack": ("08d370e1dc66c19ab555b391b01d19ed502e3bdfa060673b4d0732e5148afa33",
+                      "9e9692fc63ccf9db1065b88d12a31f2edbd76a81785ce3ad0c425b4e882c1fe4"),
+    "fig1_nosense": ("a426e411ed4dc5032a0988b11ee748a9c693b39a6f95a6743962892a2c0f88f1",
+                     None),
+    "fig4": ("a1c18f570e2ee9ef82e6b919e94a1a3949bda6d5b0214e814abe31d3f989b38e",
+             "2239d3ff7d7ef8a72f3df17852486e73246e3e9fe6afbec63254f324ca474460"),
+    (10, 4, 9): ("f08129f9a88fc888627132266d8f18ba34074a5cb2123c30e5021355970fcd71",
+                 "4add37ad817a2a5205ff41743b163a0988dda36e9f05c6b3ccd2d2757a577391"),
+    (16, 5, 4): ("14b48a6d2afce129af3ff463b659c4235f6851876192e275edd5d4972bb18aec",
+                 "0def0117d82daad1831ecc5701a7dfed50dc7fe1066c2a488d632fcd09065c19"),
+    (17, 5, 7): ("9462537df3506df1ad56cf9ec3769bf7282e9959db7320f2b2e4e0b3a36b694e",
+                 "8a28b60f4c6105c64c536348e01571684c619b3181452d68b8070b39ee725d5e"),
 }
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def document_digest(text: str) -> str:
-    doc = run_pipeline(text, include_trace=True).to_json()
-    return hashlib.sha256(doc.encode()).hexdigest()
+    return sha256(run_pipeline(text, include_trace=True).to_json())
+
+
+def dot_digests(text: str) -> tuple[str, str | None]:
+    run = run_stages(text)
+    belief = sha256(export_belief_dot(run.mdp, shade=run.report.win))
+    if run.attacker is None:
+        return belief, None
+    return belief, sha256(export_attacker_dot(
+        run.attacker, shade=run.win2, strategy=run.attack_strategy))
 
 
 def ladder_text(n_states: int, n_sensors: int, seed: int) -> str:
@@ -47,3 +90,9 @@ def test_figure_document_frozen(name):
 @pytest.mark.parametrize("rung", sorted(LADDER), ids=lambda r: "%d-%d-%d" % r)
 def test_ladder_document_frozen(rung):
     assert document_digest(ladder_text(*rung)) == LADDER[rung]
+
+
+@pytest.mark.parametrize("case", list(DOT), ids=lambda c: c if isinstance(c, str) else "%d-%d-%d" % c)
+def test_dot_frozen(case):
+    text = bundled_game_text(case) if isinstance(case, str) else ladder_text(*case)
+    assert dot_digests(text) == DOT[case]
