@@ -18,7 +18,6 @@ from .game import (
     Sensor,
     SensorSelection,
     ValidationIssue,
-    enumerate_observations,
     get_observation,
     observation_for_sensors,
     post_belief,
@@ -29,9 +28,8 @@ from .belief import (
     FINAL,
     BeliefMDP,
     BeliefNode,
-    FinalHasNoClassError,
     build_belief_mdp,
-    equivalence_class,
+    move_label,
     node_key,
     node_label,
     restricted,
@@ -43,11 +41,9 @@ from .planner import (
     SoundnessVerdict,
     check_soundness,
     losing_core,
-    pre_image,
     solve_p1,
 )
 from .attacker import (
-    TASK_COMPLETE,
     AttackStrategy,
     AttackerMDP,
     EmptyWin1Error,
@@ -81,7 +77,7 @@ from .specfile import (
     parse_spec,
     serialize_spec,
 )
-from .dot import export_attacker_dot, export_belief_dot, export_dot
+from .dot import export_attacker_dot, export_belief_dot
 from .pipeline import PipelineError, PipelineRun, ResultDocument, run_pipeline, run_stages
 
 __version__ = "0.1.0"
@@ -94,7 +90,3 @@ def bundled_game_text(name: str) -> str:
     from importlib.resources import files
 
     return files(__name__).joinpath("specs", f"{name}.game").read_text(encoding="utf-8")
-
-
-def load_bundled_game(name: str) -> Game:
-    return validate_game(parse_spec(bundled_game_text(name)))

@@ -11,8 +11,14 @@ The jammer wants to keep the play away from task completion forever.
 That is a safety objective, and almost-sure safety against stochastic
 opposition coincides with sure safety on supports, so a greatest
 fixpoint over one-step support containment settles it.  Any kept move
-that can surely or possibly finish the task contributes a special
-``TASK_COMPLETE`` successor, which no safe attack may allow.
+that can surely or possibly finish the task contributes the absorbing
+`FINAL` successor, which no safe attack may allow.
+
+The game is read off the perceived game rather than recomputed: each
+successor in ``BeliefMDP.trans`` already carries the attacks that
+produce it, so the jammer's successors under one attack are those of
+the kept moves annotated with it.  The observation rule thus has one
+home, game.py, reached only through the belief expansion.
 
 The *deception gap* is the outcome: nodes where the agent believes she
 is sure to finish while the jammer is sure she never will.
@@ -23,35 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .belief import (
-    ActionPair,
-    BeliefMDP,
-    BeliefNode,
-    node_key,
-)
-from .game import AttackId, Game, StateId, get_observation, post_belief, post_state
+from .belief import FINAL, BeliefMDP, BeliefNode, node_key
+from .game import AttackId, Game
 from .planner import SolveReport
-
-
-class _TaskComplete:
-    """Pseudo-successor: the agent's task just finished."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "TASK_COMPLETE"
-
-
-TASK_COMPLETE = _TaskComplete()
-
-# Successor annotations: the (action, query, successor-state) triples
-# that produce the edge; the state is None on TASK_COMPLETE edges.
-Inducers = frozenset[tuple[int, int, StateId | None]]
 
 
 class EmptyWin1Error(Exception):
@@ -63,7 +43,8 @@ class AttackerMDP:
     game: Game
     mdp: BeliefMDP
     nodes: tuple[BeliefNode, ...]
-    trans: Mapping[BeliefNode, Mapping[AttackId, Mapping["BeliefNode | _TaskComplete", Inducers]]]
+    # trans[q][att]: the successor set, `FINAL` included, of attack att at q.
+    trans: Mapping[BeliefNode, Mapping[AttackId, frozenset]]
     safe: frozenset[BeliefNode]  # nodes whose true state is not a goal
 
     def available(self, node: BeliefNode) -> tuple[AttackId, ...]:
@@ -77,47 +58,40 @@ class AttackStrategy:
     choice: Mapping[BeliefNode, AttackId]
 
 
-def build_attacker_mdp(game: Game, mdp: BeliefMDP, report: SolveReport) -> AttackerMDP:
+def build_attacker_mdp(report: SolveReport) -> AttackerMDP:
     """The jammer's one-player game over the agent's winning region.
 
-    At node (s, B) an attack is offered only if it is enabled at every
-    non-goal state the kept moves can reach, so the jammer never commits
-    to an attack the arena forbids where the play actually lands.
-    Successor beliefs are recomputed from the observation rule; by the
-    closure property of the agent's solution they all lie back inside
-    the winning region.
+    At each winning node the kept moves' successor maps are read from
+    ``report.mdp``.  The landing states are the true states of their
+    non-`FINAL` successors: every state has an enabled attack, so each
+    non-goal state a kept move can reach yields at least one successor.
+    An attack is offered only if it is enabled at every landing state,
+    so the jammer never commits to an attack the arena forbids where
+    the play actually lands.  Its successors are `FINAL`, when some kept
+    move can finish the task, and every successor annotated with it.
+    By the closure property of the agent's solution they all lie back
+    inside the winning region.
     """
-    win = report.win
-    if not win:
+    if not report.win:
         raise EmptyWin1Error("the agent has no winning node to be deceived at")
-
-    all_attacks = range(len(game.attacks))
-    trans: dict[BeliefNode, dict[AttackId, dict]] = {}
-    for node in sorted(win, key=node_key):
-        moves = sorted(report.strategy.allowed[node])
-        landing: set[StateId] = set()
-        for action, _query in moves:
-            landing |= post_state(game, node.state, action) - game.goal
-        offered = [
-            att for att in all_attacks
-            if all(att in game.enabled_attacks[s] for s in landing)
-        ]
-        per_attack: dict[AttackId, dict] = {}
-        for att in offered:
-            succs: dict = {}
-            for action, query in moves:
-                support = post_state(game, node.state, action)
-                image = post_belief(game, node.belief, action)
-                if support & game.goal:
-                    succs.setdefault(TASK_COMPLETE, set()).add((action, query, None))
-                for s2 in sorted(support - game.goal):
-                    obs = get_observation(game, s2, query, att)
-                    succ = BeliefNode(s2, image & obs)
-                    succs.setdefault(succ, set()).add((action, query, s2))
-            per_attack[att] = {s: frozenset(v) for s, v in succs.items()}
+    mdp = report.mdp
+    game = mdp.game
+    nodes = tuple(sorted(report.win, key=node_key))
+    trans: dict[BeliefNode, dict[AttackId, frozenset]] = {}
+    for node in nodes:
+        moves = mdp.trans[node]
+        succ_maps = [moves[move] for move in sorted(report.strategy.allowed[node])]
+        landing = {s.state for succs in succ_maps for s in succs if s is not FINAL}
+        completes = any(FINAL in succs for succs in succ_maps)
+        per_attack: dict[AttackId, frozenset] = {}
+        for att in range(len(game.attacks)):
+            if all(att in game.enabled_attacks[s] for s in landing):
+                reached = {FINAL} if completes else set()
+                for succs in succ_maps:
+                    reached.update(s for s, atts in succs.items() if att in atts)
+                per_attack[att] = frozenset(reached)
         trans[node] = per_attack
 
-    nodes = tuple(sorted(win, key=node_key))
     safe = frozenset(q for q in nodes if q.state not in game.goal)
     return AttackerMDP(game=game, mdp=mdp, nodes=nodes, trans=trans, safe=safe)
 
@@ -128,7 +102,7 @@ def solve_p2_safety(attacker: AttackerMDP) -> tuple[frozenset[BeliefNode], Attac
     Start from all nodes whose true state is outside the goal and shrink:
     a node survives a round only if some offered attack keeps the whole
     successor support inside the surviving set and fires no
-    TASK_COMPLETE edge.  The witness attack (lowest id) at each
+    `FINAL` edge.  The witness attack (lowest id) at each
     surviving node forms the jammer's stationary strategy.
     """
     safe = set(attacker.safe)
@@ -137,7 +111,7 @@ def solve_p2_safety(attacker: AttackerMDP) -> tuple[frozenset[BeliefNode], Attac
         for node in safe:
             for att in attacker.available(node):
                 succs = attacker.trans[node][att]
-                if TASK_COMPLETE in succs:
+                if FINAL in succs:
                     continue
                 if all(s in safe for s in succs):
                     keep.add(node)
@@ -150,7 +124,7 @@ def solve_p2_safety(attacker: AttackerMDP) -> tuple[frozenset[BeliefNode], Attac
     for node in sorted(safe, key=node_key):
         for att in attacker.available(node):
             succs = attacker.trans[node][att]
-            if TASK_COMPLETE not in succs and all(s in safe for s in succs):
+            if FINAL not in succs and all(s in safe for s in succs):
                 choice[node] = att
                 break
     return frozenset(safe), AttackStrategy(choice=choice)

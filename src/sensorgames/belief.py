@@ -82,10 +82,6 @@ ActionPair = tuple[ActionId, QueryId]
 SuccessorMap = Mapping["BeliefNode | _Final", frozenset[AttackId]]
 
 
-class FinalHasNoClassError(Exception):
-    """The absorbing node carries no belief, hence no equivalence class."""
-
-
 def belief_key(belief: frozenset[StateId]) -> tuple[StateId, ...]:
     return tuple(sorted(belief))
 
@@ -98,6 +94,11 @@ def node_key(node: BeliefNode) -> tuple[StateId, tuple[StateId, ...]]:
 def node_label(game: Game, node: BeliefNode) -> str:
     inner = ",".join(game.state_names[s] for s in sorted(node.belief))
     return f"({game.state_names[node.state]},{{{inner}}})"
+
+
+def move_label(game: Game, move: ActionPair) -> str:
+    action, query = move
+    return f"({game.action_names[action]},{game.queries[query].name})"
 
 
 @dataclass(frozen=True)
@@ -249,13 +250,6 @@ def build_belief_mdp(game: Game) -> BeliefMDP:
         trans=trans, classes=classes)
 
 
-def equivalence_class(mdp: BeliefMDP, node: "BeliefNode | _Final") -> tuple[BeliefNode, ...]:
-    """All nodes the agent cannot tell apart from this one."""
-    if isinstance(node, _Final):
-        raise FinalHasNoClassError("the absorbing node has no equivalence class")
-    return mdp.classes[node.belief]
-
-
 def restricted(mdp: BeliefMDP, keep: Iterable[BeliefNode]) -> BeliefMDP:
     """Sub-MDP on ``keep``: moves whose successors all stay inside.
 
@@ -267,7 +261,7 @@ def restricted(mdp: BeliefMDP, keep: Iterable[BeliefNode]) -> BeliefMDP:
     for node in sorted(kept, key=node_key):
         moves = {}
         for pair, succs in mdp.trans[node].items():
-            if all(isinstance(s, _Final) or s in kept for s in succs):
+            if all(s is FINAL or s in kept for s in succs):
                 moves[pair] = succs
         trans[node] = moves
     classes: dict[frozenset[StateId], tuple[BeliefNode, ...]] = {}

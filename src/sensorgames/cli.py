@@ -8,7 +8,7 @@ and export Graphviz views.
 Exit codes: 0 on success, 1 when a verdict requested through --expect
 does not hold, 2 on bad input (syntax, validation, missing file,
 oversize oracle enumeration, or a simulated play falling off the
-strategy).
+strategy or meeting an attack the arena does not enable).
 """
 
 from __future__ import annotations
@@ -42,20 +42,9 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _move_str(game, move) -> str:
-    action, query = move
-    return f"({game.action_names[action]},{game.queries[query].name})"
-
-
 def _cmd_validate(args) -> int:
     game = validate_game(parse_spec(_read(args.spec)))
-    counts = {
-        "states": game.n_states,
-        "actions": len(game.action_names),
-        "sensors": len(game.sensors),
-        "queries": len(game.queries),
-        "attacks": len(game.attacks),
-    }
+    counts = game.counts()
     if args.format == "structured":
         _print_json({"ok": True, "counts": counts, "warnings": list(game.warnings)})
     else:

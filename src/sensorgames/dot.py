@@ -7,8 +7,8 @@ same bytes.
 
 from __future__ import annotations
 
-from .attacker import TASK_COMPLETE, AttackerMDP, AttackStrategy, _TaskComplete
-from .belief import FINAL, BeliefMDP, BeliefNode, _Final, node_key, node_label
+from .attacker import AttackerMDP, AttackStrategy
+from .belief import FINAL, BeliefMDP, BeliefNode, move_label, node_key, node_label
 from .game import Game
 
 
@@ -18,9 +18,9 @@ def _attack_set_label(game: Game, attacks: frozenset[int]) -> str:
     return "{" + ",".join(game.attacks[a].name for a in sorted(attacks)) + "}"
 
 
-def _move_label(game: Game, move: tuple[int, int]) -> str:
-    action, query = move
-    return f"({game.action_names[action]},{game.queries[query].name})"
+def _successor_key(succ) -> tuple:
+    """Canonical successor order: nodes by `node_key`, then `FINAL`."""
+    return (1, ()) if succ is FINAL else (0, node_key(succ))
 
 
 def export_belief_dot(mdp: BeliefMDP, shade: frozenset[BeliefNode] = frozenset()) -> str:
@@ -42,11 +42,9 @@ def export_belief_dot(mdp: BeliefMDP, shade: frozenset[BeliefNode] = frozenset()
     for node in mdp.nodes:
         for move in sorted(mdp.trans[node]):
             succs = mdp.trans[node][move]
-            ordered = sorted(
-                succs, key=lambda s: (1, ()) if isinstance(s, _Final) else (0, node_key(s)))
-            for succ in ordered:
-                target = "final" if isinstance(succ, _Final) else ids[succ]
-                label = (f"{_move_label(mdp.game, move)}, "
+            for succ in sorted(succs, key=_successor_key):
+                target = "final" if succ is FINAL else ids[succ]
+                label = (f"{move_label(mdp.game, move)}, "
                          f"{_attack_set_label(mdp.game, succs[succ])}")
                 lines.append(f'  {ids[node]} -> {target} [label="{label}"];')
     lines.append("}")
@@ -63,7 +61,7 @@ def export_attacker_dot(
     ids = {node: f"n{i}" for i, node in enumerate(attacker.nodes)}
     lines = ["digraph jammer {", "  rankdir=LR;", '  node [shape=ellipse];']
     uses_complete = any(
-        any(TASK_COMPLETE in succs for succs in atts.values())
+        any(FINAL in succs for succs in atts.values())
         for atts in attacker.trans.values())
     for node in attacker.nodes:
         attrs = [f'label="{node_label(attacker.game, node)}"']
@@ -74,25 +72,12 @@ def export_attacker_dot(
         lines.append('  complete [label="task complete" shape=doublecircle];')
     for node in attacker.nodes:
         for att in attacker.available(node):
-            succs = attacker.trans[node][att]
-            ordered = sorted(
-                succs,
-                key=lambda s: (1, ()) if isinstance(s, _TaskComplete) else (0, node_key(s)))
             chosen = strategy is not None and strategy.choice.get(node) == att
-            for succ in ordered:
-                target = "complete" if isinstance(succ, _TaskComplete) else ids[succ]
+            for succ in sorted(attacker.trans[node][att], key=_successor_key):
+                target = "complete" if succ is FINAL else ids[succ]
                 attrs = [f'label="{attacker.game.attacks[att].name}"']
                 if chosen:
                     attrs.append("penwidth=2")
                 lines.append(f'  {ids[node]} -> {target} [{" ".join(attrs)}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def export_dot(model, **style) -> str:
-    """Dispatch on the model kind; see the two renderers above."""
-    if isinstance(model, BeliefMDP):
-        return export_belief_dot(model, **style)
-    if isinstance(model, AttackerMDP):
-        return export_attacker_dot(model, **style)
-    raise TypeError(f"cannot render {type(model).__name__} as DOT")

@@ -115,13 +115,15 @@ class Game:
     def enabled_actions(self, state: StateId) -> tuple[ActionId, ...]:
         return tuple(a for a in range(len(self.action_names)) if (state, a) in self.trans)
 
-    def common_enabled_actions(self, belief: Iterable[StateId]) -> tuple[ActionId, ...]:
-        """Actions enabled at every state of the belief."""
-        states = list(belief)
-        return tuple(
-            a for a in range(len(self.action_names))
-            if all((s, a) in self.trans for s in states)
-        )
+    def counts(self) -> dict[str, int]:
+        """How many of each declaration the arena has, in file order."""
+        return {
+            "states": self.n_states,
+            "actions": len(self.action_names),
+            "sensors": len(self.sensors),
+            "queries": len(self.queries),
+            "attacks": len(self.attacks),
+        }
 
     # Name lookups, mostly for tests and the command line.
     def state(self, name: str) -> StateId:
@@ -207,20 +209,6 @@ def get_observation(
         raise ValueError(f"unknown attack id {attack}")
     readable = game.queries[query].sensors - game.attacks[attack].sensors
     return observation_for_sensors(game, state, readable)
-
-
-def enumerate_observations(game: Game) -> frozenset[Observation]:
-    """Every observation the channel can produce.
-
-    Sweeps all (state, query, attack) combinations and adds the initial
-    observation, which pins the known start state exactly.
-    """
-    out: set[Observation] = {frozenset({game.initial})}
-    for s in range(game.n_states):
-        for q in range(len(game.queries)):
-            for a in range(len(game.attacks)):
-                out.add(get_observation(game, s, q, a))
-    return frozenset(out)
 
 
 def _resolve(

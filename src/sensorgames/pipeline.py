@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 
 from . import attacker as attacker_mod
-from .belief import BeliefMDP, build_belief_mdp, node_key, node_label
+from .belief import BeliefMDP, build_belief_mdp, move_label, node_key, node_label
 from .game import Game, validate_game
 from .planner import SolveReport, solve_p1
 from .specfile import parse_spec, serialize_spec
@@ -87,11 +87,6 @@ class ResultDocument:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _move_label(game: Game, move: tuple[int, int]) -> str:
-    action, query = move
-    return f"({game.action_names[action]},{game.queries[query].name})"
-
-
 def run_stages(text: str) -> PipelineRun:
     """Run the analysis and keep the intermediate objects."""
     try:
@@ -117,7 +112,7 @@ def run_stages(text: str) -> PipelineRun:
     gap = None
     if report.win:
         try:
-            adversary = attacker_mod.build_attacker_mdp(game, mdp, report)
+            adversary = attacker_mod.build_attacker_mdp(report)
             win2, strategy = attacker_mod.solve_p2_safety(adversary)
             gap = attacker_mod.deception_gap(report, win2, strategy)
         except Exception as e:
@@ -141,7 +136,7 @@ def run_pipeline(
     game, report = run.game, run.report
     win1_sorted = sorted(report.win, key=node_key)
     strategy = {
-        node_label(game, q): [_move_label(game, m)
+        node_label(game, q): [move_label(game, m)
                               for m in sorted(report.strategy.allowed[q])]
         for q in win1_sorted
     }
@@ -151,7 +146,7 @@ def run_pipeline(
             {
                 "round": r.iteration,
                 "node": node_label(game, r.node),
-                "move": _move_label(game, r.move),
+                "move": move_label(game, r.move),
                 "cause": node_label(game, r.cause),
             }
             for r in report.trace
@@ -173,11 +168,7 @@ def run_pipeline(
         ]
 
     counts = {
-        "states": game.n_states,
-        "actions": len(game.action_names),
-        "sensors": len(game.sensors),
-        "queries": len(game.queries),
-        "attacks": len(game.attacks),
+        **game.counts(),
         "belief_nodes": len(run.mdp.nodes),
         "belief_classes": len(run.mdp.classes),
         "win1": len(report.win),

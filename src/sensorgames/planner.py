@@ -44,7 +44,6 @@ from .belief import (
     ActionPair,
     BeliefMDP,
     BeliefNode,
-    _Final,
     node_key,
 )
 
@@ -158,13 +157,6 @@ def losing_core(mdp: BeliefMDP) -> frozenset[BeliefNode]:
     graph = _Graph(mdp)
     alive = graph.reaching_final(graph.offered)
     return frozenset(q for i, q in enumerate(mdp.nodes) if not alive[i])
-
-
-def pre_image(
-    mdp: BeliefMDP, target: "BeliefNode | _Final"
-) -> frozenset[tuple[BeliefNode, ActionPair]]:
-    """All (node, move) pairs whose successor support contains ``target``."""
-    return frozenset(mdp.predecessors()[target])
 
 
 def solve_p1(mdp: BeliefMDP) -> SolveReport:
@@ -314,7 +306,7 @@ def check_soundness(mdp: BeliefMDP, strategy: MultiStrategy) -> SoundnessVerdict
                     False, f"move {move} kept at {q} but never offered there",
                     witness=(q, move, None))
             for succ in mdp.trans[q][move]:
-                if not isinstance(succ, _Final) and succ not in win:
+                if succ is not FINAL and succ not in win:
                     return SoundnessVerdict(
                         False,
                         f"kept move {move} at {q} can land outside the "
@@ -323,7 +315,7 @@ def check_soundness(mdp: BeliefMDP, strategy: MultiStrategy) -> SoundnessVerdict
 
     if mdp.initial in win:
         def induced(node):
-            if isinstance(node, _Final):
+            if node is FINAL:
                 return ()
             return [s for move in strategy.allowed[node]
                     for s in mdp.trans[node][move]]

@@ -11,7 +11,8 @@ A play ends when the agent *knows* the task is complete -- her belief
 sits entirely inside the goal -- or when the step budget runs out.  If
 the play wanders to a belief her strategy never covered, that is a
 strategy gap: a hard error carrying the offending node, never a silent
-default move.
+default move.  Likewise an attack policy that picks an attack the arena
+does not enable at the successor stops the play with an error.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ class StrategyGapError(Exception):
 
 
 class FixedAttack:
-    """Always launch the same attack (it must be enabled where used)."""
+    """Always launch the same attack; a play that reaches a state where
+    it is not enabled is refused."""
 
     def __init__(self, attack: AttackId):
         self.attack = attack
@@ -125,7 +127,11 @@ def simulate(
     max_steps: int,
     seed: int,
 ) -> PlayTrace:
-    """Run one play.  Same inputs and seed, same trace, step for step."""
+    """Run one play.  Same inputs and seed, same trace, step for step.
+
+    Raises `StrategyGapError` when the agent has no move, and ValueError
+    when ``p2`` picks an attack not enabled at the successor state.
+    """
     rng = random.Random(seed)
     state = game.initial
     belief: frozenset[StateId] = frozenset({state})
@@ -142,6 +148,10 @@ def simulate(
         action, query = sorted(moves)[rng.randrange(len(moves))]
         next_state = _sample_successor(rng, game, state, action)
         attack = p2.choose(rng, game, node, (action, query), next_state)
+        if attack not in game.enabled_attacks[next_state]:
+            raise ValueError(
+                f"attack '{game.attacks[attack].name}' is not enabled at "
+                f"state '{game.state_names[next_state]}'")
         obs = get_observation(game, next_state, query, attack)
         belief = post_belief(game, belief, action) & obs
         steps.append(Step(state, action, query, attack, obs, belief))

@@ -28,8 +28,7 @@ from sensorgames import (
     solve_p1,
     solve_p2_safety,
 )
-from sensorgames.attacker import TASK_COMPLETE
-from sensorgames.belief import node_key, node_label
+from sensorgames.belief import FINAL, node_key, node_label
 from sensorgames.oracle import GeneratorParams, generate_game
 
 from .conftest import load_corpus
@@ -124,17 +123,17 @@ def test_criterion_5_soundness_sweep():
             if not rep.win:
                 continue
             win1_nonempty += 1
-            adv = build_attacker_mdp(game, mdp, rep)
+            adv = build_attacker_mdp(rep)
             inside = set(adv.nodes)
             for node in adv.nodes:
                 for att in adv.available(node):
                     for succ in adv.trans[node][att]:
-                        assert succ is TASK_COMPLETE or succ in inside, (
+                        assert succ is FINAL or succ in inside, (
                             f"seed {seed}: attacker game leaks out of Win1")
             win2, strategy = solve_p2_safety(adv)
             for node in win2:
                 succs = adv.trans[node][strategy.choice[node]]
-                assert TASK_COMPLETE not in succs, f"seed {seed}"
+                assert FINAL not in succs, f"seed {seed}"
                 assert all(s in win2 for s in succs), f"seed {seed}"
             if deception_gap(rep, win2, strategy):
                 gap_nonempty += 1

@@ -12,11 +12,41 @@ from sensorgames import (
     solve_p1,
     solve_p2_safety,
 )
-from sensorgames.attacker import TASK_COMPLETE
-from sensorgames.belief import node_key, node_label
+from sensorgames.belief import FINAL, BeliefNode, node_key, node_label
+from sensorgames.game import get_observation, post_belief, post_state
 from sensorgames.oracle import GeneratorParams, generate_game
 
 from .conftest import bnode
+
+
+def reference_successors(game, report, node, attack):
+    """The jammer's successors recomputed from the observation rule.
+
+    Each kept move either finishes the task (the support touches the
+    goal) or lands in a non-goal successor state, where the jammed
+    observation filters the action image of the belief.
+    """
+    out = set()
+    for action, query in report.strategy.allowed[node]:
+        support = post_state(game, node.state, action)
+        image = post_belief(game, node.belief, action)
+        if support & game.goal:
+            out.add(FINAL)
+        for s2 in support - game.goal:
+            out.add(BeliefNode(s2, image & get_observation(game, s2, query, attack)))
+    return out
+
+
+def assert_matches_reference(game, report, adv):
+    for node in adv.nodes:
+        landing = set()
+        for action, _query in report.strategy.allowed[node]:
+            landing |= post_state(game, node.state, action) - game.goal
+        offered = tuple(att for att in range(len(game.attacks))
+                        if all(att in game.enabled_attacks[s] for s in landing))
+        assert adv.available(node) == offered
+        for att in offered:
+            assert adv.trans[node][att] == reference_successors(game, report, node, att)
 
 
 def test_fig4_attacker_nodes_are_win1(fig4):
@@ -32,7 +62,7 @@ def test_fig4_attacker_moves_exact(fig4):
         node = bnode(g, state, belief)
         succs = adv.trans[node][g.attack(attack)]
         return sorted(
-            "COMPLETE" if s is TASK_COMPLETE else node_label(g, s)
+            "COMPLETE" if s is FINAL else node_label(g, s)
             for s in succs)
 
     # Jamming the s1-detector keeps the belief merged.
@@ -46,6 +76,7 @@ def test_fig4_attacker_moves_exact(fig4):
     # At (s1,{s0,s1}) only the shuffle is kept, so landing is s0 alone.
     assert succ_labels("s1", ["s0", "s1"], "beta0") == ["(s0,{s0,s1})"]
     assert succ_labels("s1", ["s0", "s1"], "none") == ["(s0,{s0})"]
+    assert_matches_reference(g, fig4.report, adv)
 
 
 def test_fig4_win2_and_gap(fig4):
@@ -94,7 +125,7 @@ def test_attacker_game_closed_over_win1(fig4):
     for node in adv.nodes:
         for att in adv.available(node):
             for succ in adv.trans[node][att]:
-                assert succ is TASK_COMPLETE or succ in inside
+                assert succ is FINAL or succ in inside
 
 
 def test_win2_one_step_verification(fig4):
@@ -102,7 +133,7 @@ def test_win2_one_step_verification(fig4):
     for node in win2:
         att = strategy.choice[node]
         succs = adv.trans[node][att]
-        assert TASK_COMPLETE not in succs
+        assert FINAL not in succs
         assert all(s in win2 for s in succs)
 
 
@@ -112,7 +143,7 @@ def test_win2_is_the_greatest_fixpoint(fig4):
     for node in set(adv.nodes) - win2:
         for att in adv.available(node):
             succs = adv.trans[node][att]
-            assert TASK_COMPLETE in succs or any(s not in win2 for s in succs)
+            assert FINAL in succs or any(s not in win2 for s in succs)
 
 
 def test_witness_attack_is_lowest_id(fig4):
@@ -123,13 +154,12 @@ def test_witness_attack_is_lowest_id(fig4):
             if att >= chosen:
                 break
             succs = adv.trans[node][att]
-            assert TASK_COMPLETE in succs or any(s not in win2 for s in succs)
+            assert FINAL in succs or any(s not in win2 for s in succs)
 
 
 def test_empty_win1_refused(fig1_nosense):
     with pytest.raises(EmptyWin1Error):
-        build_attacker_mdp(
-            fig1_nosense.game, fig1_nosense.mdp, fig1_nosense.report)
+        build_attacker_mdp(fig1_nosense.report)
     assert fig1_nosense.attacker is None
     assert fig1_nosense.win2 is None and fig1_nosense.gap is None
 
@@ -150,19 +180,20 @@ def test_attacker_invariants_random(seed):
     rep = solve_p1(mdp)
     if not rep.win:
         return
-    adv = build_attacker_mdp(game, mdp, rep)
+    adv = build_attacker_mdp(rep)
+    assert_matches_reference(game, rep, adv)
     win2, strategy = solve_p2_safety(adv)
     inside = set(adv.nodes)
     for node in adv.nodes:
         for att in adv.available(node):
             for succ in adv.trans[node][att]:
-                assert succ is TASK_COMPLETE or succ in inside
+                assert succ is FINAL or succ in inside
     for node in win2:
         succs = adv.trans[node][strategy.choice[node]]
-        assert TASK_COMPLETE not in succs and all(s in win2 for s in succs)
+        assert FINAL not in succs and all(s in win2 for s in succs)
     for node in inside - win2:
         for att in adv.available(node):
             succs = adv.trans[node][att]
-            assert TASK_COMPLETE in succs or any(s not in win2 for s in succs)
+            assert FINAL in succs or any(s not in win2 for s in succs)
     gap = deception_gap(rep, win2, strategy)
     assert set(gap) == set(rep.win & win2)

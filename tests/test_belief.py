@@ -7,8 +7,6 @@ from sensorgames import build_belief_mdp
 from sensorgames.belief import (
     FINAL,
     BeliefNode,
-    FinalHasNoClassError,
-    equivalence_class,
     node_key,
     node_label,
     restricted,
@@ -115,7 +113,7 @@ def test_closure_under_equivalence(fig1):
                 if succ is FINAL:
                     continue
                 assert succ in mdp.trans
-                for peer in equivalence_class(mdp, succ):
+                for peer in mdp.classes[succ.belief]:
                     assert peer in mdp.trans
 
 
@@ -160,11 +158,6 @@ def test_successor_keys_are_the_listed_nodes(fixture, request):
 def test_final_identity():
     assert type(FINAL)() is FINAL
     assert repr(FINAL) == "FINAL"
-
-
-def test_final_has_no_class(fig1):
-    with pytest.raises(FinalHasNoClassError):
-        equivalence_class(fig1.mdp, FINAL)
 
 
 def test_construction_deterministic(fig1):

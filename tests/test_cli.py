@@ -7,6 +7,7 @@ import pytest
 from sensorgames import bundled_game_text
 from sensorgames.cli import main
 
+from .test_sim import FORBIDDEN_AT_S1
 from .test_specfile import MINI
 
 
@@ -16,6 +17,7 @@ def spec_dir(tmp_path_factory):
     for name in ("fig1", "fig1_nosense", "fig1_noattack", "fig4"):
         (root / f"{name}.game").write_text(bundled_game_text(name))
     (root / "mini.game").write_text(MINI)
+    (root / "forbidden.game").write_text(FORBIDDEN_AT_S1)
     (root / "broken.game").write_text("[actions]\na0\n")
     (root / "invalid.game").write_text(
         MINI.replace("s1 a0 -> s1", "s1 a0 -> ghost"))
@@ -195,6 +197,13 @@ def test_simulate_strategy_gap(spec_dir, capsys):
     code, _, err = run(capsys, "simulate", spec_dir / "fig1_nosense.game",
                        "--runs", "1", "--p2", "random")
     assert code == 2 and "no move available" in err
+
+
+def test_simulate_disabled_attack(spec_dir, capsys):
+    code, out, err = run(capsys, "simulate", spec_dir / "forbidden.game",
+                         "--p2", "fixed:jam", "--trace")
+    assert code == 2 and out == ""
+    assert "attack 'jam' is not enabled at state 's1'" in err
 
 
 def test_simulate_table_needs_jammer_strategy(spec_dir, capsys):

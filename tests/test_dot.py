@@ -1,8 +1,6 @@
 """Graphviz rendering."""
 
-import pytest
-
-from sensorgames import export_attacker_dot, export_belief_dot, export_dot
+from sensorgames import export_attacker_dot, export_belief_dot
 from sensorgames.belief import BeliefMDP
 
 
@@ -23,13 +21,6 @@ def test_attacker_dot_structure(fig4):
     assert 'complete [label="task complete" shape=doublecircle];' in out
     # Chosen-attack edges are drawn bold.
     assert "penwidth=2" in out
-
-
-def test_dispatch(fig4):
-    assert export_dot(fig4.mdp) == export_belief_dot(fig4.mdp)
-    assert export_dot(fig4.attacker) == export_attacker_dot(fig4.attacker)
-    with pytest.raises(TypeError):
-        export_dot("not a model")
 
 
 def test_empty_model_renders_header_only(fig4):

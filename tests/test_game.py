@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from sensorgames import (
     DisabledActionError,
     GameValidationError,
-    enumerate_observations,
     get_observation,
     observation_for_sensors,
     parse_spec,
@@ -17,6 +16,7 @@ from sensorgames import (
     post_state,
     validate_game,
 )
+from sensorgames.belief import BeliefNode
 from sensorgames.oracle import GeneratorParams, generate_game
 
 from .test_specfile import MINI
@@ -122,8 +122,9 @@ def test_lookups_and_enabled_actions(fig1):
     assert g.state("s4") == 4 and g.action("a2") == 2
     assert g.query("sigma1") == 1 and g.attack("none") == 3
     assert g.enabled_actions(g.state("s0")) == (0, 1, 2)
-    assert g.common_enabled_actions(g.state_set(["s1", "s2"])) == (0, 1)
-    assert g.common_enabled_actions(g.state_set(["s0", "s1"])) == (0, 1)
+    # A belief is offered the actions enabled at every state in it.
+    s1_s2 = fig1.mdp.offered(BeliefNode(g.state("s1"), g.state_set(["s1", "s2"])))
+    assert sorted({action for action, _query in s1_s2}) == [0, 1]
 
 
 def test_post_state(fig1):
@@ -156,7 +157,7 @@ def test_post_belief(fig1):
 def test_post_belief_distributes_over_union(fig1):
     g = fig1.game
     belief = g.state_set(["s0", "s1", "s2"])
-    for a in g.common_enabled_actions(belief):
+    for a in set.intersection(*(set(g.enabled_actions(s)) for s in belief)):
         whole = post_belief(g, belief, a)
         pieces = frozenset().union(*(post_state(g, s, a) for s in belief))
         assert whole == pieces
@@ -192,15 +193,6 @@ def test_observation_bad_ids(fig1):
         get_observation(g, 0, 99, 0)
     with pytest.raises(ValueError):
         get_observation(g, 0, 0, 99)
-
-
-def test_enumerate_observations(fig4):
-    g = fig4.game
-    obs = enumerate_observations(g)
-    assert frozenset({g.initial}) in obs
-    assert all(isinstance(o, frozenset) for o in obs)
-    union = frozenset().union(*obs)
-    assert union == g.all_states
 
 
 @settings(max_examples=60, deadline=None)

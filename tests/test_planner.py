@@ -9,7 +9,6 @@ from sensorgames import (
     build_belief_mdp,
     check_soundness,
     losing_core,
-    pre_image,
     restricted,
     solve_p1,
 )
@@ -81,14 +80,6 @@ def test_losing_core_fig1(fig1):
     assert bnode(g, "s5", ["s4", "s5"]) in core
     # s3 only ever falls into s5, so its nodes are just as stuck.
     assert bnode(g, "s3", ["s2", "s3"]) in core
-
-
-def test_pre_image(fig1):
-    g = fig1.mdp.game
-    pre = pre_image(fig1.mdp, bnode(g, "s5", ["s4", "s5"]))
-    assert (bnode(g, "s1", ["s1", "s2"]), (g.action("a1"), g.query("sigma0"))) in pre
-    for src, move in pre:
-        assert bnode(g, "s5", ["s4", "s5"]) in fig1.mdp.trans[src][move]
 
 
 def test_strategy_is_class_uniform(fig1):

@@ -9,10 +9,12 @@ from sensorgames import (
     StrategyGapError,
     TableAttack,
     UniformRandomAttack,
+    build_belief_mdp,
     get_observation,
     parse_spec,
     post_belief,
     simulate,
+    solve_p1,
     validate_game,
 )
 from sensorgames.belief import BeliefNode
@@ -35,6 +37,36 @@ q0: g0
 
 [attacks]
 none:
+"""
+
+
+# A three-state line whose jammer may not launch 'jam' at s1.
+FORBIDDEN_AT_S1 = """\
+[states]
+s0 initial
+s1
+s2 goal
+
+[actions]
+a0
+
+[transitions]
+s0 a0 -> s1
+s1 a0 -> s2
+s2 a0 -> s2
+
+[sensors]
+g0: s1
+
+[queries]
+q0: g0
+
+[attacks]
+none:
+jam: g0
+
+[enabled-attacks]
+s1: none
 """
 
 
@@ -114,6 +146,14 @@ def test_strategy_gap_is_loud(fig1_nosense):
     assert err.value.node == BeliefNode(g.initial, frozenset({g.initial}))
 
 
+def test_disabled_attack_is_refused():
+    game = validate_game(parse_spec(FORBIDDEN_AT_S1))
+    rep = solve_p1(build_belief_mdp(game))
+    with pytest.raises(ValueError, match="'jam' is not enabled at state 's1'"):
+        simulate(game, rep.strategy, FixedAttack(game.attack("jam")),
+                 max_steps=10, seed=0)
+
+
 def test_start_inside_goal_ends_immediately():
     game = validate_game(parse_spec(TRIVIAL))
     trace = simulate(game, None, None, max_steps=10, seed=3)
@@ -145,8 +185,6 @@ def test_weighted_arena_respects_weights():
         "s0 a0 -> s0", "s0 a0 -> s0:0.999 sink:0.001\nsink a0 -> sink")
     game = validate_game(parse_spec(text))
     assert game.has_weights
-    from sensorgames import build_belief_mdp, solve_p1
-
     rep = solve_p1(build_belief_mdp(game))
     hits = sum(
         simulate(game, rep.strategy, UniformRandomAttack(),
