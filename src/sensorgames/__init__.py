@@ -40,7 +40,6 @@ from .planner import (
     SolveReport,
     SoundnessVerdict,
     check_soundness,
-    losing_core,
     solve_p1,
 )
 from .attacker import (

@@ -101,33 +101,24 @@ def solve_p2_safety(attacker: AttackerMDP) -> tuple[frozenset[BeliefNode], Attac
 
     Start from all nodes whose true state is outside the goal and shrink:
     a node survives a round only if some offered attack keeps the whole
-    successor support inside the surviving set and fires no
-    `FINAL` edge.  The witness attack (lowest id) at each
-    surviving node forms the jammer's stationary strategy.
+    successor support inside the surviving set, which never holds
+    `FINAL`.  Each round records the lowest such attack at every
+    surviving node; once a round removes nothing, its record is the
+    jammer's stationary strategy.
     """
     safe = set(attacker.safe)
     while True:
-        keep = set()
-        for node in safe:
-            for att in attacker.available(node):
-                succs = attacker.trans[node][att]
-                if FINAL in succs:
-                    continue
-                if all(s in safe for s in succs):
-                    keep.add(node)
-                    break
-        if keep == safe:
-            break
-        safe = keep
-
-    choice: dict[BeliefNode, AttackId] = {}
-    for node in sorted(safe, key=node_key):
-        for att in attacker.available(node):
-            succs = attacker.trans[node][att]
-            if FINAL not in succs and all(s in safe for s in succs):
-                choice[node] = att
-                break
-    return frozenset(safe), AttackStrategy(choice=choice)
+        choice: dict[BeliefNode, AttackId] = {}
+        for node in attacker.nodes:
+            if node in safe:
+                succ_sets = attacker.trans[node]
+                for att in attacker.available(node):
+                    if succ_sets[att] <= safe:
+                        choice[node] = att
+                        break
+        if len(choice) == len(safe):
+            return frozenset(safe), AttackStrategy(choice=choice)
+        safe = set(choice)
 
 
 def deception_gap(

@@ -125,22 +125,6 @@ class BeliefMDP:
         """
         return tuple(sorted(self.trans[node]))
 
-    def predecessors(self) -> Mapping["BeliefNode | _Final", tuple[tuple[BeliefNode, ActionPair], ...]]:
-        """Reverse index: node -> (predecessor, move) pairs, canonical order.
-
-        Predecessors are appended while scanning ``nodes`` in their
-        canonical order and each node's moves in sorted order, so every
-        list is already in (node_key, move) order.
-        """
-        back: dict = {q: [] for q in self.nodes}
-        back[FINAL] = []
-        for q in self.nodes:
-            moves = self.trans[q]
-            for pair in sorted(moves):
-                for succ in moves[pair]:
-                    back[succ].append((q, pair))
-        return {node: tuple(entries) for node, entries in back.items()}
-
 
 def _states(mask: int) -> tuple[StateId, ...]:
     """The states of a bit mask, ascending."""

@@ -7,8 +7,9 @@ and export Graphviz views.
 
 Exit codes: 0 on success, 1 when a verdict requested through --expect
 does not hold, 2 on bad input (syntax, validation, missing file,
-oversize oracle enumeration, or a simulated play falling off the
-strategy or meeting an attack the arena does not enable).
+oversize oracle enumeration, a simulated play falling off the
+strategy or meeting an attack the arena does not enable, or standard
+input closing while a prompt waits for an attack).
 """
 
 from __future__ import annotations
@@ -303,33 +304,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SpecParseError as e:
-        for diag in e.diagnostics:
-            print(f"error: {diag}", file=sys.stderr)
-        return 2
-    except GameValidationError as e:
-        for issue in e.issues:
-            print(f"error: {issue}", file=sys.stderr)
-        return 2
-    except PipelineError as e:
-        cause = e.cause
-        if isinstance(cause, SpecParseError):
-            for diag in cause.diagnostics:
-                print(f"error [{e.stage}]: {diag}", file=sys.stderr)
-        elif isinstance(cause, GameValidationError):
-            for issue in cause.issues:
-                print(f"error [{e.stage}]: {issue}", file=sys.stderr)
-        else:
-            print(f"error [{e.stage}]: {cause}", file=sys.stderr)
-        return 2
-    except CapExceededError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except StrategyGapError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (PipelineError, SpecParseError, GameValidationError, CapExceededError,
+            StrategyGapError, EOFError, OSError, ValueError) as e:
+        prefix, cause = "error", e
+        if isinstance(e, PipelineError):
+            prefix, cause = f"error [{e.stage}]", e.cause
+        for line in getattr(cause, "diagnostics", getattr(cause, "issues", (cause,))):
+            print(f"{prefix}: {line}", file=sys.stderr)
         return 2
 
 

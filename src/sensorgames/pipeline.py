@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import attacker as attacker_mod
 from .belief import BeliefMDP, build_belief_mdp, move_label, node_key, node_label
@@ -68,55 +68,34 @@ class ResultDocument:
     version: int = 1
 
     def to_json(self) -> str:
-        payload = {
-            "version": self.version,
-            "source": self.source,
-            "digest": self.digest,
-            "counts": self.counts,
-            "weighted": self.weighted,
-            "warnings": self.warnings,
-            "initial_winning": self.initial_winning,
-            "win1": self.win1,
-            "strategy": self.strategy,
-            "win2": self.win2,
-            "attack_strategy": self.attack_strategy,
-            "gap": self.gap,
-            "trace": self.trace,
-            "timings_ms": self.timings_ms,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def run_stages(text: str) -> PipelineRun:
-    """Run the analysis and keep the intermediate objects."""
+def _stage(name: str, step, *args):
+    """``step(*args)``, with any failure raised as a `PipelineError` of
+    stage ``name``."""
     try:
-        doc = parse_spec(text)
+        return step(*args)
     except Exception as e:
-        raise PipelineError("parse", e) from e
-    try:
-        game = validate_game(doc)
-    except Exception as e:
-        raise PipelineError("validate", e) from e
-    try:
-        mdp = build_belief_mdp(game)
-    except Exception as e:
-        raise PipelineError("expand", e) from e
-    try:
-        report = solve_p1(mdp)
-    except Exception as e:
-        raise PipelineError("solve-agent", e) from e
+        raise PipelineError(name, e) from e
 
-    adversary = None
-    win2 = None
-    strategy = None
-    gap = None
+
+def run_stages(text: str) -> PipelineRun:
+    """Run the analysis and keep the intermediate objects.
+
+    The stage functions are looked up at call time, in this module and
+    in `attacker_mod`, so a caller may swap them to observe each stage.
+    """
+    doc = _stage("parse", parse_spec, text)
+    game = _stage("validate", validate_game, doc)
+    mdp = _stage("expand", build_belief_mdp, game)
+    report = _stage("solve-agent", solve_p1, mdp)
+    adversary = win2 = strategy = gap = None
     if report.win:
-        try:
-            adversary = attacker_mod.build_attacker_mdp(report)
-            win2, strategy = attacker_mod.solve_p2_safety(adversary)
-            gap = attacker_mod.deception_gap(report, win2, strategy)
-        except Exception as e:
-            raise PipelineError("solve-jammer", e) from e
+        adversary = _stage("solve-jammer", attacker_mod.build_attacker_mdp, report)
+        win2, strategy = _stage("solve-jammer", attacker_mod.solve_p2_safety, adversary)
+        gap = _stage("solve-jammer", attacker_mod.deception_gap, report, win2, strategy)
     return PipelineRun(
         doc=doc, game=game, mdp=mdp, report=report,
         attacker=adversary, win2=win2, attack_strategy=strategy, gap=gap)

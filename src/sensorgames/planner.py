@@ -35,7 +35,6 @@ report.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping
 
@@ -59,9 +58,6 @@ class MultiStrategy:
     """
 
     allowed: Mapping[BeliefNode, frozenset[ActionPair]]
-
-    def winning(self) -> frozenset[BeliefNode]:
-        return frozenset(q for q, moves in self.allowed.items() if moves)
 
     def for_belief(self, belief: frozenset[int]) -> frozenset[ActionPair] | None:
         for node in sorted(belief):
@@ -152,13 +148,6 @@ class _Graph:
         return reached
 
 
-def losing_core(mdp: BeliefMDP) -> frozenset[BeliefNode]:
-    """Nodes from which the absorbing node is not graph-reachable."""
-    graph = _Graph(mdp)
-    alive = graph.reaching_final(graph.offered)
-    return frozenset(q for i, q in enumerate(mdp.nodes) if not alive[i])
-
-
 def solve_p1(mdp: BeliefMDP) -> SolveReport:
     """Maximal belief-uniform multi-strategy for almost-sure completion."""
     graph = _Graph(mdp)
@@ -242,6 +231,13 @@ class SoundnessVerdict:
         return self.ok
 
 
+def _stable(node) -> tuple:
+    """Total order on chain nodes: `BeliefNode`s by `node_key`, others by repr."""
+    if isinstance(node, BeliefNode):
+        return (0, node_key(node))
+    return (1, repr(node))
+
+
 def certify_almost_sure_reach(
     start: Hashable,
     successors: Callable[[Hashable], Iterable[Hashable]],
@@ -249,44 +245,35 @@ def certify_almost_sure_reach(
 ) -> tuple[bool, Hashable | None]:
     """Certificate that a finite chain from ``start`` reaches ``target``
     with probability one: the target must stay graph-reachable from
-    every node the chain can visit.  Returns (ok, offending node).
+    every node the chain can visit.  Returns (ok, offending node), the
+    offending node being the least stuck one under `_stable`.
+
+    The forward walk calls ``successors`` once per reached non-target
+    node and files each edge under its successor; the backward sweep
+    from the target then runs on those lists alone.
     """
-    reach: set = {start}
-    queue: deque = deque([start])
-    while queue:
-        node = queue.popleft()
+    preds: dict = {start: []}
+    queue = [start]
+    for node in queue:
         if node == target:
             continue
         for succ in successors(node):
-            if succ not in reach:
-                reach.add(succ)
+            if succ in preds:
+                preds[succ].append(node)
+            else:
+                preds[succ] = [node]
                 queue.append(succ)
 
-    # Backward sweep from the target, restricted to the reachable part.
-    back: dict = {node: [] for node in reach}
-    for node in reach:
-        if node == target:
-            continue
-        for succ in successors(node):
-            back[succ].append(node)
-    can_finish: set = {target} if target in reach else set()
-    queue = deque(can_finish)
-    while queue:
-        node = queue.popleft()
-        for pred in back[node]:
+    can_finish: set = {target} if target in preds else set()
+    queue = list(can_finish)
+    for node in queue:
+        for pred in preds[node]:
             if pred not in can_finish:
                 can_finish.add(pred)
                 queue.append(pred)
-
-    def stable(node) -> tuple:
-        if isinstance(node, BeliefNode):
-            return (0, node_key(node))
-        return (1, repr(node))
-
-    for node in sorted(reach, key=stable):
-        if node not in can_finish:
-            return False, node
-    return True, None
+    if len(can_finish) == len(preds):
+        return True, None
+    return False, min((node for node in preds if node not in can_finish), key=_stable)
 
 
 def check_soundness(mdp: BeliefMDP, strategy: MultiStrategy) -> SoundnessVerdict:

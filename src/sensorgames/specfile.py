@@ -130,6 +130,7 @@ class GameSpecDocument:
 
 
 _TOKEN = re.compile(r"\S+")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _tokens(text: str) -> list[tuple[str, int]]:
@@ -154,6 +155,12 @@ class _Scan:
     def issue(self, line: int, column: int, kind: str, message: str) -> None:
         self.diagnostics.append(Diagnostic(line, column, kind, message))
 
+    def check_name(self, line: int, column: int, name: str, what: str) -> None:
+        """Flag a declared name outside ``[A-Za-z_][A-Za-z0-9_]*``."""
+        if not _NAME.fullmatch(name):
+            self.issue(line, column, "syntax",
+                       f"bad {what} name '{name}' (expected {_NAME.pattern})")
+
 
 def _split_named_list(
     scan: _Scan, lineno: int, raw: str, what: str
@@ -174,7 +181,8 @@ def _split_named_list(
 
 def _parse_state_line(scan: _Scan, lineno: int, raw: str) -> None:
     toks = _tokens(raw)
-    name, _ = toks[0]
+    name, column = toks[0]
+    scan.check_name(lineno, column, name, "state")
     initial = goal = False
     for tok, col in toks[1:]:
         if tok == "initial":
@@ -185,7 +193,7 @@ def _parse_state_line(scan: _Scan, lineno: int, raw: str) -> None:
             scan.issue(lineno, col, "unknown-field",
                        f"unknown state flag '{tok}' (expected 'initial' or 'goal')")
     if any(s.name == name for s in scan.states):
-        scan.issue(lineno, toks[0][1], "duplicate-definition",
+        scan.issue(lineno, column, "duplicate-definition",
                    f"state '{name}' declared twice")
         return
     scan.states.append(StateDecl(name, initial, goal, lineno))
@@ -197,6 +205,7 @@ def _parse_action_line(scan: _Scan, lineno: int, raw: str) -> None:
         scan.issue(lineno, toks[1][1], "syntax", "one action name per line")
         return
     name, col = toks[0]
+    scan.check_name(lineno, col, name, "action")
     if any(a.name == name for a in scan.actions):
         scan.issue(lineno, col, "duplicate-definition", f"action '{name}' declared twice")
         return
@@ -262,6 +271,7 @@ def _parse_selection_line(
     if parsed is None:
         return
     name, members, column = parsed
+    scan.check_name(lineno, column, name, what)
     if any(d.name == name for d in bucket):
         scan.issue(lineno, column, "duplicate-definition", f"{what} '{name}' declared twice")
         return

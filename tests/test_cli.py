@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output formats, error paths."""
 
+import io
 import json
 
 import pytest
@@ -21,6 +22,7 @@ def spec_dir(tmp_path_factory):
     (root / "broken.game").write_text("[actions]\na0\n")
     (root / "invalid.game").write_text(
         MINI.replace("s1 a0 -> s1", "s1 a0 -> ghost"))
+    (root / "badname.game").write_text(MINI.replace("s1 goal", "s1 goal\ns,1"))
     return root
 
 
@@ -56,6 +58,13 @@ def test_validate_semantic_error(spec_dir, capsys):
     code, _, err = run(capsys, "validate", spec_dir / "invalid.game")
     assert code == 2
     assert "ghost" in err
+
+
+def test_validate_bad_name(spec_dir, capsys):
+    code, out, err = run(capsys, "validate", spec_dir / "badname.game")
+    assert code == 2 and out == ""
+    assert err == "error: line 4, col 1: bad state name 's,1' " \
+        "(expected [A-Za-z_][A-Za-z0-9_]*)\n"
 
 
 def test_missing_file(capsys):
@@ -191,6 +200,14 @@ def test_simulate_prompt_policy(spec_dir, capsys, monkeypatch):
                        "--runs", "1", "--max-steps", "20", "--p2", "prompt")
     assert code == 0
     assert "hit the step limit" in out
+
+
+def test_simulate_prompt_on_closed_stdin(spec_dir, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    code, _, err = run(capsys, "simulate", spec_dir / "fig4.game",
+                       "--runs", "1", "--p2", "prompt")
+    assert code == 2
+    assert err == "error: EOF when reading a line\n"
 
 
 def test_simulate_strategy_gap(spec_dir, capsys):

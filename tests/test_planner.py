@@ -8,7 +8,6 @@ from sensorgames import (
     MultiStrategy,
     build_belief_mdp,
     check_soundness,
-    losing_core,
     restricted,
     solve_p1,
 )
@@ -49,7 +48,7 @@ def test_fig1_nosense_verdict(fig1_nosense):
     rep = fig1_nosense.report
     assert not rep.initial_winning
     assert rep.win == frozenset()
-    assert rep.strategy.winning() == frozenset()
+    assert not any(rep.strategy.allowed.values())
 
 
 def test_fig1_noattack_verdict(fig1_noattack):
@@ -73,7 +72,7 @@ def test_fig4_verdict(fig4):
 
 def test_losing_core_fig1(fig1):
     g = fig1.game
-    core = losing_core(fig1.mdp)
+    core = fig1.report.levels[0]
     assert len(core) == 12
     trapped = {g.state("s3"), g.state("s5")}
     assert all(q.state in trapped for q in core)
@@ -91,7 +90,6 @@ def test_strategy_is_class_uniform(fig1):
 def test_strategy_covers_all_nodes(fig1):
     rep = fig1.report
     assert set(rep.strategy.allowed) == set(fig1.mdp.nodes)
-    assert rep.strategy.winning() == rep.win
     for q in fig1.mdp.nodes:
         assert bool(rep.strategy.allowed[q]) == (q in rep.win)
 
@@ -105,8 +103,11 @@ def test_for_belief(fig1):
 
 def test_levels_start_at_core_and_partition(fig1):
     rep = fig1.report
-    core = losing_core(fig1.mdp)
-    assert rep.levels[0] == tuple(sorted(core, key=node_key))
+    core = rep.levels[0]
+    assert core == tuple(sorted(core, key=node_key))
+    # No move leads out of the core, so FINAL is unreachable from it.
+    assert all(succ in core for q in core
+               for succs in fig1.mdp.trans[q].values() for succ in succs)
     doomed = [q for level in rep.levels for q in level]
     assert len(doomed) == len(set(doomed))
     assert set(doomed) == set(fig1.mdp.nodes) - rep.win
@@ -114,7 +115,7 @@ def test_levels_start_at_core_and_partition(fig1):
 
 def test_trace_replay_reproduces_strategy(fig1):
     mdp, rep = fig1.mdp, fig1.report
-    core = losing_core(mdp)
+    core = set(rep.levels[0])
     allowed = {q: (set() if q in core else set(mdp.trans[q])) for q in mdp.nodes}
     rounds = [r.iteration for r in rep.trace]
     assert rounds == sorted(rounds)
@@ -136,9 +137,24 @@ def test_certify_accepts_fair_cycle():
 
 
 def test_certify_rejects_absorbing_detour():
-    graph = {"a": ["b", "c"], "b": [], "c": ["c"]}
+    # The walk meets the trap "d" before "c"; the witness is the least
+    # stuck node, not the first one found.
+    graph = {"a": ["b", "d", "c"], "b": [], "c": ["c"], "d": ["d"]}
     ok, stuck = certify(graph, "a", "b")
     assert not ok and stuck == "c"
+
+
+def test_certify_asks_each_node_once():
+    graph = {"a": ["b", "c"], "b": ["a", "t"], "c": ["c", "b"], "t": ["a"],
+             "z": ["t"]}
+    calls = []
+
+    def successors(node):
+        calls.append(node)
+        return graph[node]
+
+    assert certify_almost_sure_reach("a", successors, "t") == (True, None)
+    assert sorted(calls) == ["a", "b", "c"]
 
 
 def test_certify_ignores_unreachable_traps():
@@ -249,7 +265,6 @@ def test_solve_does_not_depend_on_node_identity(fixture, request):
     copy = uninterned(mdp)
     assert copy == mdp and copy.nodes[0] is not mdp.nodes[0]
     assert solve_p1(copy) == solve_p1(mdp)
-    assert losing_core(copy) == losing_core(mdp)
 
 
 def test_solve_restricted_does_not_depend_on_node_identity(fig1):

@@ -114,6 +114,31 @@ def test_unknown_section_and_orphan_content():
     assert any("content outside any known section" in x.message for x in d)
 
 
+def test_names_outside_the_grammar_rejected():
+    text = (MINI
+            .replace("s1 goal", 's1 goal\ns"0\n  s,1 goal')
+            .replace("a0\n\n", "a0\na(0\n\n")
+            .replace("g0: s1", "g0: s1\n9g: s0")
+            .replace("q0: g0", "q0: g0\nq-0:")
+            .replace("none:", "none:\n jam!: g0"))
+    lines = text.splitlines()
+    expected = [
+        (lines.index('s"0') + 1, 1, "state", 's"0'),
+        (lines.index("  s,1 goal") + 1, 3, "state", "s,1"),
+        (lines.index("a(0") + 1, 1, "action", "a(0"),
+        (lines.index("9g: s0") + 1, 1, "sensor", "9g"),
+        (lines.index("q-0:") + 1, 1, "query", "q-0"),
+        (lines.index(" jam!: g0") + 1, 2, "attack", "jam!"),
+    ]
+    d = diags(text)
+    assert [(x.line, x.column, x.kind) for x in d] == \
+        [(line, col, "syntax") for line, col, _, _ in expected]
+    for x, (_, _, what, name) in zip(d, expected):
+        assert x.message.startswith(f"bad {what} name '{name}'")
+    # Underscores and inner digits are fine.
+    parse_spec(MINI.replace("s1 goal", "s1 goal\n_s_2"))
+
+
 def test_zero_weight_rejected():
     d = diags(MINI.replace("s0 a0 -> s0 s1", "s0 a0 -> s0:0 s1"))
     assert d[0].kind == "syntax"
