@@ -12,8 +12,10 @@ from sensorgames import (
     solve_p1,
     validate_game,
 )
-from sensorgames.oracle import GeneratorParams, generate_game, generate_spec
+from sensorgames.oracle import GeneratorParams, OracleResult, generate_game, generate_spec
 from sensorgames.specfile import SensorDecl
+
+from .conftest import uninterned
 
 SMALL = dict(n_states=4, n_actions=2, n_sensors=2, n_queries=2, n_attacks=3,
              max_support=2, goal_fraction=0.25)
@@ -102,10 +104,18 @@ def test_early_exit_counts(fig4):
     assert result.assignments_checked == 270001
 
 
+# (initial_winning, assignments_checked, class_count) for the first eight
+# corpus seeds within the cap; the counts pin the enumeration order.
+MANIFEST_SLICE = {
+    0: (False, 405, 4), 1: (False, 243, 5), 2: (True, 1, 1), 4: (True, 1, 2),
+    5: (False, 135, 3), 6: (True, 1, 1), 7: (False, 3, 1), 8: (True, 1, 1),
+}
+
+
 def test_manifest_slice_agrees(corpus):
     block = corpus["differential"]
     p = block["params"]
-    done = 0
+    seen = {}
     for entry in block["seeds"]:
         if not entry["within_cap"]:
             continue
@@ -116,10 +126,24 @@ def test_manifest_slice_agrees(corpus):
         result = brute_force_win1(mdp, cap=block["cap"])
         assert result.initial_winning == entry["oracle_winning"]
         assert rep.initial_winning == result.initial_winning
-        done += 1
-        if done == 8:
+        seen[entry["seed"]] = (
+            result.initial_winning, result.assignments_checked, result.class_count)
+        if len(seen) == 8:
             break
-    assert done == 8
+    assert seen == MANIFEST_SLICE
+
+
+def test_full_losing_enumeration(fig1_nosense):
+    # Every one of the 1701 assignments is certified and fails.
+    assert brute_force_win1(fig1_nosense.mdp) == OracleResult(False, 1701, 6)
+
+
+@pytest.mark.parametrize("fixture", ["fig4", "fig1_nosense"])
+def test_oracle_does_not_depend_on_node_identity(fixture, request):
+    mdp = request.getfixturevalue(fixture).mdp
+    copy = uninterned(mdp)
+    assert copy.initial is not mdp.initial
+    assert brute_force_win1(copy) == brute_force_win1(mdp)
 
 
 def with_isolating_sensors(doc):

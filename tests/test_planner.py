@@ -11,11 +11,11 @@ from sensorgames import (
     restricted,
     solve_p1,
 )
-from sensorgames.belief import FINAL, BeliefMDP, BeliefNode, node_key, node_label
+from sensorgames.belief import FINAL, BeliefNode, node_key, node_label
 from sensorgames.oracle import GeneratorParams, generate_game
 from sensorgames.planner import certify_almost_sure_reach
 
-from .conftest import bnode
+from .conftest import bnode, uninterned
 
 FIG1_WIN = [
     "(s0,{s0})", "(s0,{s0,s1})", "(s0,{s0,s2})", "(s0,{s0,s4})",
@@ -239,25 +239,6 @@ def test_solver_invariants_random(seed):
 
 
 # --- identity ----------------------------------------------------------------
-
-def uninterned(mdp):
-    """An equal copy of ``mdp`` in which every node reference, and every
-    belief, is a fresh object."""
-    def fresh(node):
-        if node is FINAL:
-            return node
-        return BeliefNode(node.state, frozenset(set(node.belief)))
-
-    return BeliefMDP(
-        game=mdp.game,
-        initial=fresh(mdp.initial),
-        nodes=tuple(fresh(q) for q in mdp.nodes),
-        trans={fresh(q): {move: {fresh(s): atts for s, atts in succs.items()}
-                          for move, succs in moves.items()}
-               for q, moves in mdp.trans.items()},
-        classes={frozenset(set(belief)): tuple(fresh(q) for q in members)
-                 for belief, members in mdp.classes.items()})
-
 
 @pytest.mark.parametrize("fixture", ["fig1", "fig1_noattack", "fig1_nosense", "fig4"])
 def test_solve_does_not_depend_on_node_identity(fixture, request):
