@@ -16,7 +16,7 @@ consumes the immutable `Game` built here by `validate_game`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .specfile import GameSpecDocument
 
@@ -127,19 +127,28 @@ class Game:
 
     # Name lookups, mostly for tests and the command line.
     def state(self, name: str) -> StateId:
-        return self.state_names.index(name)
+        return _lookup("state", self.state_names, name)
 
     def action(self, name: str) -> ActionId:
-        return self.action_names.index(name)
+        return _lookup("action", self.action_names, name)
 
     def query(self, name: str) -> QueryId:
-        return [q.name for q in self.queries].index(name)
+        return _lookup("query", [q.name for q in self.queries], name)
 
     def attack(self, name: str) -> AttackId:
-        return [a.name for a in self.attacks].index(name)
+        return _lookup("attack", [a.name for a in self.attacks], name)
 
     def state_set(self, names: Iterable[str]) -> frozenset[StateId]:
         return frozenset(self.state(n) for n in names)
+
+
+def _lookup(kind: str, names: Sequence[str], name: str) -> int:
+    """Position of ``name`` among ``names``; an unknown name is a ValueError
+    that says what kind of name was asked for."""
+    try:
+        return names.index(name)
+    except ValueError:
+        raise ValueError(f"unknown {kind} {name!r}") from None
 
 
 def post_state(game: Game, state: StateId, action: ActionId) -> frozenset[StateId]:

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .belief import FINAL, BeliefMDP, BeliefNode, belief_key
+from .belief import FINAL, BeliefMDP, belief_key
 from .game import Game, validate_game
 from .planner import certify_almost_sure_reach
 from .specfile import (
@@ -138,19 +138,24 @@ def brute_force_win1(mdp: BeliefMDP, cap: int = 1_000_000) -> OracleResult:
     enumerated; whatever is assigned elsewhere can never alter the chain
     the start node sees.  Classes offering no move at all are kept as
     dead ends and fail the certificate if the chain can touch them.
+
+    Each reached node gets a dense id, and its successor ids under every
+    move subset of its class are listed once, so the certificate runs on
+    ints for every assignment.
     """
+    # Dense ids in discovery order: the start node is 0, FINAL comes last.
     start = mdp.initial
-    reach: set[BeliefNode] = {start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
+    ids: dict = {start: 0}
+    order = [start]
+    for node in order:
         for succs in mdp.trans[node].values():
             for succ in succs:
-                if succ is not FINAL and succ not in reach:
-                    reach.add(succ)
-                    stack.append(succ)
+                if succ is not FINAL and succ not in ids:
+                    ids[succ] = len(order)
+                    order.append(succ)
+    final = ids[FINAL] = len(order)
 
-    beliefs = sorted({q.belief for q in reach}, key=belief_key)
+    beliefs = sorted({q.belief for q in order}, key=belief_key)
     per_class: list[list[tuple]] = []
     estimate = 1
     for belief in beliefs:
@@ -168,18 +173,20 @@ def brute_force_win1(mdp: BeliefMDP, cap: int = 1_000_000) -> OracleResult:
             raise CapExceededError(estimate, cap)
         per_class.append(subsets)
 
+    # succ[i][j]: successor ids of node i under the j-th subset of its class.
     class_of = {belief: idx for idx, belief in enumerate(beliefs)}
+    cls = [class_of[q.belief] for q in order]
+    succ = []
+    for node, c in zip(order, cls):
+        moves = mdp.trans[node]
+        succ.append([[ids[s] for move in subset for s in moves[move]]
+                     for subset in per_class[c]])
+
     checked = 0
-    for assignment in product(*per_class):
+    for choice in product(*(range(len(subsets)) for subsets in per_class)):
         checked += 1
-
-        def induced(node):
-            if node is FINAL:
-                return ()
-            moves = assignment[class_of[node.belief]]
-            return [s for move in moves for s in mdp.trans[node][move]]
-
-        ok, _ = certify_almost_sure_reach(start, induced, FINAL)
+        ok, _ = certify_almost_sure_reach(
+            0, lambda i: succ[i][choice[cls[i]]], final)
         if ok:
             return OracleResult(True, checked, len(beliefs))
     return OracleResult(False, checked, len(beliefs))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import random
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -95,6 +96,14 @@ class TableAttack:
         return min(game.enabled_attacks[next_state])
 
 
+def _ask_on_stderr(prompt: str) -> str:
+    """Read an answer from standard input, prompting on standard error so
+    that standard output carries only the simulation's report."""
+    sys.stderr.write(prompt)
+    sys.stderr.flush()
+    return input()
+
+
 class PromptAttack:
     """Ask a callable (by default, standard input) for the attack name."""
 
@@ -103,7 +112,7 @@ class PromptAttack:
         self.ask = ask
 
     def choose(self, rng, game, node, move, next_state) -> AttackId:
-        ask = self.ask if self.ask is not None else input
+        ask = self.ask if self.ask is not None else _ask_on_stderr
         names = sorted(game.attacks[a].name for a in game.enabled_attacks[next_state])
         while True:
             answer = ask(f"attack ({'/'.join(names)}): ").strip()

@@ -207,7 +207,23 @@ def test_simulate_prompt_on_closed_stdin(spec_dir, capsys, monkeypatch):
     code, _, err = run(capsys, "simulate", spec_dir / "fig4.game",
                        "--runs", "1", "--p2", "prompt")
     assert code == 2
-    assert err == "error: EOF when reading a line\n"
+    assert err == "attack (beta0/beta1/beta2/none): error: EOF when reading a line\n"
+
+
+def test_simulate_prompt_structured_output_is_json(spec_dir, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("beta0\n" * 40))
+    code, out, err = run(capsys, "simulate", spec_dir / "fig4.game", "--runs", "1",
+                         "--max-steps", "20", "--p2", "prompt", "--format", "structured")
+    assert code == 0
+    json.loads(out)
+    assert err.startswith("attack (beta0/beta1/beta2/none): ")
+    assert err == err.count("attack (") * "attack (beta0/beta1/beta2/none): "
+
+
+def test_simulate_unknown_attack(spec_dir, capsys):
+    code, out, err = run(capsys, "simulate", spec_dir / "fig4.game", "--p2", "fixed:nosuch")
+    assert code == 2 and out == ""
+    assert err == "error: unknown attack 'nosuch'\n"
 
 
 def test_simulate_strategy_gap(spec_dir, capsys):

@@ -127,6 +127,13 @@ def test_lookups_and_enabled_actions(fig1):
     assert sorted({action for action, _query in s1_s2}) == [0, 1]
 
 
+@pytest.mark.parametrize("kind", ["state", "action", "query", "attack"])
+def test_unknown_name_is_named(fig1, kind):
+    with pytest.raises(ValueError) as err:
+        getattr(fig1.game, kind)("nosuch")
+    assert str(err.value) == f"unknown {kind} 'nosuch'"
+
+
 def test_post_state(fig1):
     g = fig1.game
     assert post_state(g, g.state("s0"), g.action("a2")) == g.state_set(["s2", "s3"])
