@@ -216,8 +216,8 @@ def test_simulate_prompt_structured_output_is_json(spec_dir, capsys, monkeypatch
                          "--max-steps", "20", "--p2", "prompt", "--format", "structured")
     assert code == 0
     json.loads(out)
-    assert err.startswith("attack (beta0/beta1/beta2/none): ")
-    assert err == err.count("attack (") * "attack (beta0/beta1/beta2/none): "
+    prompt = "attack (beta0/beta1/beta2/none): "
+    assert err.startswith(prompt) and err == prompt * err.count(prompt)
 
 
 def test_simulate_unknown_attack(spec_dir, capsys):
