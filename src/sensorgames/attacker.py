@@ -124,12 +124,10 @@ def solve_p2_safety(attacker: AttackerMDP) -> tuple[frozenset[BeliefNode], Attac
 def deception_gap(
     report: SolveReport,
     win2: frozenset[BeliefNode],
-    strategy: AttackStrategy | None = None,
-) -> dict[BeliefNode, AttackId | None]:
+    strategy: AttackStrategy,
+) -> dict[BeliefNode, AttackId]:
     """Nodes where the agent is sure she wins and the jammer is sure she
-    does not, each mapped to the jammer's chosen attack there."""
-    gap = report.win & win2
-    out: dict[BeliefNode, AttackId | None] = {}
-    for node in sorted(gap, key=node_key):
-        out[node] = strategy.choice.get(node) if strategy is not None else None
-    return out
+    does not, each mapped to the jammer's chosen attack there.  The gap
+    lies inside ``win2``, the strategy's domain."""
+    return {node: strategy.choice[node]
+            for node in sorted(report.win & win2, key=node_key)}

@@ -31,13 +31,22 @@ landing in s' depend only on (image, s', query), so each such triple
 is resolved once.  Nodes are interned: each (state, mask) pair has one
 `BeliefNode` and each mask one frozenset, so every successor key in
 ``trans`` is the very object listed in ``nodes``.
+
+This module is also the one place where nodes become ints.
+`BeliefMDP.dense` derives the perceived game on ints from ``trans``,
+once per MDP: node i is ``nodes[i]``, `FINAL` is N, and move k is the
+k-th distinct move in sorted order.  The agent solver, its soundness
+audit and the brute-force referee all read that one numbering, and only
+turn ints back into nodes and moves for what they report.  It is derived
+from ``trans`` rather than emitted by the expansion, so a hand-built
+MDP, such as a `restricted` one, gets it the same way.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, Mapping
 
@@ -51,7 +60,7 @@ from .game import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BeliefNode:
     """A perceived-game node: true state plus the agent's belief."""
 
@@ -107,8 +116,8 @@ class BeliefMDP:
 
     ``nodes`` lists every (state, belief) node in canonical order; the
     absorbing `FINAL` node is kept separate.  ``trans[q][(a, qr)]`` maps
-    each successor to the set of attacks that produce it.  ``classes``
-    groups nodes by belief.
+    each successor to the set of attacks that produce it, with each
+    node's moves in sorted order.  ``classes`` groups nodes by belief.
     """
 
     game: Game
@@ -117,13 +126,43 @@ class BeliefMDP:
     trans: Mapping[BeliefNode, Mapping[ActionPair, SuccessorMap]]
     classes: Mapping[frozenset[StateId], tuple[BeliefNode, ...]]
 
-    def offered(self, node: BeliefNode) -> tuple[ActionPair, ...]:
-        """Moves available at a node, in canonical order.
+    @cached_property
+    def dense(self) -> DenseMDP:
+        """This MDP on ints (see the module notes), derived on first use."""
+        index: dict = {q: i for i, q in enumerate(self.nodes)}
+        index[FINAL] = len(self.nodes)
+        per_node = [self.trans[q] for q in self.nodes]
+        moves = sorted({pair for node_moves in per_node for pair in node_moves})
+        move_id = {pair: k for k, pair in enumerate(moves)}
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per move set
+        ids = (tuple([move_id[pair] for pair in node_moves]) for node_moves in per_node)
+        return DenseMDP(
+            moves=tuple(moves),
+            node_moves=tuple(shared.setdefault(ks, ks) for ks in ids),
+            succs=tuple(tuple(tuple([index[s] for s in succs]) for succs in node_moves.values())
+                        for node_moves in per_node),
+            classes=tuple(tuple(index[q] for q in members) for members in self.classes.values()),
+            initial=index.get(self.initial))
 
-        Availability depends only on the belief: the control action must
-        be enabled at every state the agent considers possible.
-        """
-        return tuple(sorted(self.trans[node]))
+
+@dataclass(frozen=True, slots=True)
+class DenseMDP:
+    """The perceived game on ints.
+
+    Node i is ``BeliefMDP.nodes[i]`` and `FINAL` is ``len(succs)``.
+    ``node_moves[i]`` holds the ids of node i's moves in ``trans`` order,
+    where id k stands for ``moves[k]``; nodes with the same moves share
+    one tuple.  ``succs[i][t]`` holds the successor ids of node i's t-th
+    move, in ``trans`` order too.  ``classes`` holds each class's member
+    ids, in ``BeliefMDP.classes`` order.  ``initial`` is the start node's
+    id, or None where a `restricted` MDP left the start node out.
+    """
+
+    moves: tuple[ActionPair, ...]
+    node_moves: tuple[tuple[int, ...], ...]
+    succs: tuple[tuple[tuple[int, ...], ...], ...]
+    classes: tuple[tuple[int, ...], ...]
+    initial: int | None
 
 
 def _states(mask: int) -> tuple[StateId, ...]:
@@ -241,23 +280,13 @@ def restricted(mdp: BeliefMDP, keep: Iterable[BeliefNode]) -> BeliefMDP:
     restriction keep only the surviving members.
     """
     kept = set(keep)
-    trans: dict[BeliefNode, dict[ActionPair, SuccessorMap]] = {}
-    for node in sorted(kept, key=node_key):
-        moves = {}
-        for pair, succs in mdp.trans[node].items():
-            if all(s is FINAL or s in kept for s in succs):
-                moves[pair] = succs
-        trans[node] = moves
+    nodes = tuple(sorted(kept, key=node_key))
+    trans = {q: {pair: succs for pair, succs in mdp.trans[q].items()
+                 if all(s is FINAL or s in kept for s in succs)}
+             for q in nodes}
     classes: dict[frozenset[StateId], tuple[BeliefNode, ...]] = {}
-    for node in sorted(kept, key=node_key):
-        classes.setdefault(node.belief, ())
-    for belief in classes:
-        classes[belief] = tuple(
-            n for n in mdp.classes[belief] if n in kept)
-    return BeliefMDP(
-        game=mdp.game,
-        initial=mdp.initial,
-        nodes=tuple(sorted(kept, key=node_key)),
-        trans=trans,
-        classes=classes,
-    )
+    for q in nodes:
+        if q.belief not in classes:
+            classes[q.belief] = tuple(n for n in mdp.classes[q.belief] if n in kept)
+    return BeliefMDP(game=mdp.game, initial=mdp.initial, nodes=nodes,
+                     trans=trans, classes=classes)

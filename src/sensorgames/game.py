@@ -105,10 +105,6 @@ class Game:
         return len(self.state_names)
 
     @property
-    def all_states(self) -> frozenset[StateId]:
-        return frozenset(range(self.n_states))
-
-    @property
     def has_weights(self) -> bool:
         return any(w is not None for support in self.trans.values() for w in support.values())
 

@@ -12,7 +12,9 @@ Markov-chain certificate (completion stays reachable everywhere the
 chain can go) to each induced chain.  Classes no move sequence can reach
 from the start are skipped: their assignment cannot touch the chain.
 The combination count is checked against a hard cap first, so a blow-up
-is an explicit refusal rather than a silent week of CPU time.
+is an explicit refusal rather than a silent week of CPU time.  The
+referee reads the perceived game's own numbering, `BeliefMDP.dense`, and
+nothing of the solver's.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .belief import FINAL, BeliefMDP, belief_key
+from .belief import BeliefMDP, belief_key
 from .game import Game, validate_game
 from .planner import certify_almost_sure_reach
 from .specfile import (
@@ -139,27 +141,25 @@ def brute_force_win1(mdp: BeliefMDP, cap: int = 1_000_000) -> OracleResult:
     the start node sees.  Classes offering no move at all are kept as
     dead ends and fail the certificate if the chain can touch them.
 
-    Each reached node gets a dense id, and its successor ids under every
-    move subset of its class are listed once, so the certificate runs on
-    ints for every assignment.
+    The reached nodes are found by walking `BeliefMDP.dense`, and each
+    one's successor ids under every move subset of its class are listed
+    once, so the certificate runs on ints for every assignment.
     """
-    # Dense ids in discovery order: the start node is 0, FINAL comes last.
-    start = mdp.initial
-    ids: dict = {start: 0}
-    order = [start]
-    for node in order:
-        for succs in mdp.trans[node].values():
-            for succ in succs:
-                if succ is not FINAL and succ not in ids:
-                    ids[succ] = len(order)
-                    order.append(succ)
-    final = ids[FINAL] = len(order)
+    dense = mdp.dense
+    nodes, node_moves = mdp.nodes, dense.node_moves
+    final = len(nodes)
+    reached, seen = [dense.initial], {dense.initial, final}
+    for i in reached:
+        fresh = {j for targets in dense.succs[i] for j in targets} - seen
+        seen |= fresh
+        reached += fresh
 
-    beliefs = sorted({q.belief for q in order}, key=belief_key)
+    beliefs = sorted({nodes[i].belief for i in reached}, key=belief_key)
+    members = dict(zip(mdp.classes, dense.classes))
     per_class: list[list[tuple]] = []
     estimate = 1
     for belief in beliefs:
-        offered = sorted(mdp.trans[mdp.classes[belief][0]])
+        offered = node_moves[members[belief][0]]
         if not offered:
             per_class.append([()])
             continue
@@ -175,18 +175,18 @@ def brute_force_win1(mdp: BeliefMDP, cap: int = 1_000_000) -> OracleResult:
 
     # succ[i][j]: successor ids of node i under the j-th subset of its class.
     class_of = {belief: idx for idx, belief in enumerate(beliefs)}
-    cls = [class_of[q.belief] for q in order]
-    succ = []
-    for node, c in zip(order, cls):
-        moves = mdp.trans[node]
-        succ.append([[ids[s] for move in subset for s in moves[move]]
-                     for subset in per_class[c]])
+    cls: list[int] = [0] * final
+    succ: list = [None] * final
+    for i in reached:
+        cls[i] = c = class_of[nodes[i].belief]
+        moves = dict(zip(node_moves[i], dense.succs[i]))
+        succ[i] = [[j for k in subset for j in moves[k]] for subset in per_class[c]]
 
     checked = 0
     for choice in product(*(range(len(subsets)) for subsets in per_class)):
         checked += 1
         ok, _ = certify_almost_sure_reach(
-            0, lambda i: succ[i][choice[cls[i]]], final)
+            dense.initial, lambda i: succ[i][choice[cls[i]]], final)
         if ok:
             return OracleResult(True, checked, len(beliefs))
     return OracleResult(False, checked, len(beliefs))

@@ -140,11 +140,8 @@ def run_pipeline(
             for q, a in sorted(run.attack_strategy.choice.items(),
                                key=lambda kv: node_key(kv[0]))
         }
-        gap = [
-            {"node": node_label(game, q),
-             "attack": None if a is None else game.attacks[a].name}
-            for q, a in run.gap.items()
-        ]
+        gap = [{"node": node_label(game, q), "attack": game.attacks[a].name}
+               for q, a in run.gap.items()]
 
     counts = {
         **game.counts(),

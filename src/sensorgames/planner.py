@@ -20,17 +20,18 @@ chain from a winning node completes with probability one.
 
 Each withdrawal is logged, so the result can be audited move by move.
 
-Both phases run on one dense index of the perceived game, built once per
-solve (`_Graph`).  Node i is ``mdp.nodes[i]``, whose canonical order
-makes i the node's `node_key` rank, and `FINAL` is N.  Move k is the
-k-th distinct move in sorted order, and a node's move set is an int with
-bit k set for move k.  A single reverse adjacency serves the losing
-core, the elimination sweep and the stall check.  It is filled by
-scanning nodes in rank order and each node's moves in sorted order, so
-every predecessor list is already in (node_key, move) order and needs
-no sort.  Class peers are int lists and the doomed set a flag list;
-ints become `BeliefNode`, move pairs and `Removal` again only in the
-report.
+Both phases, and the soundness audit, run on the perceived game's one
+numbering, `BeliefMDP.dense`.  Node i is ``mdp.nodes[i]``, whose
+canonical order makes i the node's `node_key` rank, and `FINAL` is N.
+Move k is the k-th distinct move in sorted order, and a node's move set
+is an int with bit k set for move k.  A single reverse adjacency
+(`_Graph`, built once per solve) serves the losing core, the
+elimination sweep and the stall check.  It is filled by scanning nodes
+in rank order and each node's moves in sorted order, so every
+predecessor list is already in (node_key, move) order and needs no
+sort.  Class peers are int tuples and the doomed set a flag list; ints
+become `BeliefNode` and move pairs again only in the report, and the
+trace's `Removal`s only when it is read.
 """
 
 from __future__ import annotations
@@ -38,13 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping
 
-from .belief import (
-    FINAL,
-    ActionPair,
-    BeliefMDP,
-    BeliefNode,
-    node_key,
-)
+from .belief import ActionPair, BeliefMDP, BeliefNode, DenseMDP
 
 
 @dataclass(frozen=True)
@@ -67,7 +62,7 @@ class MultiStrategy:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Removal:
     """One elimination event in round ``iteration``: ``move`` withdrawn
     at ``node`` on account of ``cause`` -- either a doomed node the move
@@ -86,7 +81,17 @@ class SolveReport:
     win: frozenset[BeliefNode]
     strategy: MultiStrategy
     levels: tuple[tuple[BeliefNode, ...], ...]  # doomed nodes, by round found
-    trace: tuple[Removal, ...]
+    # (round, node, move, cause) of each withdrawal in order, on the
+    # dense ids, run together into one flat tuple of ints.
+    _removals: tuple[int, ...]
+
+    @property
+    def trace(self) -> tuple[Removal, ...]:
+        """Every withdrawal, in order, built from the ints on each read."""
+        nodes, moves = self.mdp.nodes, self.mdp.dense.moves
+        ints = iter(self._removals)
+        return tuple(Removal(r, nodes[i], moves[k], nodes[c])
+                     for r, i, k, c in zip(ints, ints, ints, ints))
 
     @property
     def initial_winning(self) -> bool:
@@ -96,11 +101,12 @@ class SolveReport:
 
 
 class _Graph:
-    """The perceived game on dense ints (see the module notes).
+    """Reverse adjacency and class peers of the dense perceived game
+    (see the module notes).
 
     ``offered[i]`` is node i's move set, ``back[j]`` the (predecessor,
     move) pairs of node j in canonical order, and ``peers[i]`` the
-    members of node i's class in class order, one list per class.
+    members of node i's class in class order, one tuple per class.
 
     A pair (i, k) is stored as the int ``i << shift | k``, which ``low``
     masks back to k.  Ints, unlike tuples, are not tracked by the cyclic
@@ -108,30 +114,22 @@ class _Graph:
     game add nothing to its passes.
     """
 
-    def __init__(self, mdp: BeliefMDP):
-        nodes = mdp.nodes
-        self.n = n = len(nodes)
-        index: dict = {q: i for i, q in enumerate(nodes)}
-        index[FINAL] = n
-        self.moves = sorted({pair for q in nodes for pair in mdp.trans[q]})
-        move_id = {pair: k for k, pair in enumerate(self.moves)}
+    def __init__(self, dense: DenseMDP):
+        self.n = n = len(dense.succs)
         self.offered = offered = [0] * n
-        self.shift = shift = len(self.moves).bit_length()
+        self.shift = shift = len(dense.moves).bit_length()
         self.low = (1 << shift) - 1
         self.back: list[list[int]] = [[] for _ in range(n + 1)]
-        for i, q in enumerate(nodes):
-            moves = mdp.trans[q]
-            for pair in sorted(moves):
-                k = move_id[pair]
+        for i, (ks, succs) in enumerate(zip(dense.node_moves, dense.succs)):
+            for k, targets in zip(ks, succs):
                 offered[i] |= 1 << k
                 entry = i << shift | k
-                for succ in moves[pair]:
-                    self.back[index[succ]].append(entry)
-        self.peers: list[list[int]] = [[]] * n
-        for members in mdp.classes.values():
-            ranks = [index[q] for q in members]
-            for i in ranks:
-                self.peers[i] = ranks
+                for j in targets:
+                    self.back[j].append(entry)
+        self.peers: list[tuple[int, ...]] = [()] * n
+        for members in dense.classes:
+            for i in members:
+                self.peers[i] = members
 
     def reaching_final(self, live: list[int]) -> bytearray:
         """Flags of the nodes that reach FINAL through moves whose bit is
@@ -150,7 +148,8 @@ class _Graph:
 
 def solve_p1(mdp: BeliefMDP) -> SolveReport:
     """Maximal belief-uniform multi-strategy for almost-sure completion."""
-    graph = _Graph(mdp)
+    dense = mdp.dense
+    graph = _Graph(dense)
     n, back, peers = graph.n, graph.back, graph.peers
     shift, low = graph.shift, graph.low
     alive = graph.reaching_final(graph.offered)
@@ -158,7 +157,7 @@ def solve_p1(mdp: BeliefMDP) -> SolveReport:
     doomed = bytearray(1 - flag for flag in alive)
     current = [i for i in range(n) if doomed[i]]
     levels: list[list[int]] = [current]
-    trace: list[tuple[int, int, int, int]] = []  # (round, node, move, cause)
+    trace: list[int] = []  # flat, as in `SolveReport._removals`
     iteration = 0
 
     while True:
@@ -171,7 +170,7 @@ def solve_p1(mdp: BeliefMDP) -> SolveReport:
                     for peer in peers[source]:
                         if allowed[peer] & bit:
                             allowed[peer] ^= bit
-                            trace.append((iteration, peer, k, cause))
+                            trace += (iteration, peer, k, cause)
                             if not allowed[peer] and not doomed[peer]:
                                 doomed[peer] = 1
                                 next_level.append(peer)
@@ -196,7 +195,7 @@ def solve_p1(mdp: BeliefMDP) -> SolveReport:
                 kept = allowed[member]
                 for k in range(kept.bit_length()):
                     if kept >> k & 1:
-                        trace.append((iteration, member, k, node))
+                        trace += (iteration, member, k, node)
                 allowed[member] = 0
                 doomed[member] = 1
                 fresh.append(member)
@@ -204,7 +203,7 @@ def solve_p1(mdp: BeliefMDP) -> SolveReport:
         current = sorted(fresh)
         levels.append(current)
 
-    nodes, moves = mdp.nodes, graph.moves
+    nodes, moves = mdp.nodes, dense.moves
     move_sets: dict[int, frozenset[ActionPair]] = {}
     for mask in allowed:
         if mask not in move_sets:
@@ -217,8 +216,7 @@ def solve_p1(mdp: BeliefMDP) -> SolveReport:
         win=frozenset(q for i, q in enumerate(nodes) if not doomed[i]),
         strategy=strategy,
         levels=tuple(tuple(nodes[i] for i in level) for level in levels),
-        trace=tuple(Removal(r, nodes[i], moves[k], nodes[c])
-                    for r, i, k, c in trace))
+        _removals=tuple(trace))
 
 
 @dataclass(frozen=True)
@@ -231,13 +229,6 @@ class SoundnessVerdict:
         return self.ok
 
 
-def _stable(node) -> tuple:
-    """Total order on chain nodes: `BeliefNode`s by `node_key`, others by repr."""
-    if isinstance(node, BeliefNode):
-        return (0, node_key(node))
-    return (1, repr(node))
-
-
 def certify_almost_sure_reach(
     start: Hashable,
     successors: Callable[[Hashable], Iterable[Hashable]],
@@ -246,7 +237,8 @@ def certify_almost_sure_reach(
     """Certificate that a finite chain from ``start`` reaches ``target``
     with probability one: the target must stay graph-reachable from
     every node the chain can visit.  Returns (ok, offending node), the
-    offending node being the least stuck one under `_stable`.
+    offending node being the least stuck one, so nodes must be mutually
+    ordered (both referees pass dense ids).
 
     The forward walk calls ``successors`` once per reached non-target
     node and files each edge under its successor; the backward sweep
@@ -273,7 +265,7 @@ def certify_almost_sure_reach(
                 queue.append(pred)
     if len(can_finish) == len(preds):
         return True, None
-    return False, min((node for node in preds if node not in can_finish), key=_stable)
+    return False, min(node for node in preds if node not in can_finish)
 
 
 def check_soundness(mdp: BeliefMDP, strategy: MultiStrategy) -> SoundnessVerdict:
@@ -284,34 +276,43 @@ def check_soundness(mdp: BeliefMDP, strategy: MultiStrategy) -> SoundnessVerdict
     node.  Completion: from the start node (when it has moves), the
     absorbing node stays reachable everywhere the induced chain can go.
     A failed verdict carries a concrete witness.
+
+    Both run on `BeliefMDP.dense`, nodes in `node_key` order and each
+    node's kept moves in sorted order; only a witness is turned back
+    into nodes.
     """
-    win = {q for q, moves in strategy.allowed.items() if moves}
-    for q in sorted(win, key=node_key):
-        for move in sorted(strategy.allowed[q]):
-            if move not in mdp.trans[q]:
+    nodes, dense = mdp.nodes, mdp.dense
+    final = len(nodes)
+    kept = [strategy.allowed.get(q) for q in nodes]
+    win = bytearray(bool(moves) for moves in kept) + b"\x01"  # FINAL is fine
+    chain: list = [()] * final  # successor ids under the kept moves
+    for i, q in enumerate(nodes):
+        if not win[i]:
+            continue
+        offered = {dense.moves[k]: succs
+                   for k, succs in zip(dense.node_moves[i], dense.succs[i])}
+        chain[i] = []
+        for move in sorted(kept[i]):
+            if move not in offered:
                 return SoundnessVerdict(
                     False, f"move {move} kept at {q} but never offered there",
                     witness=(q, move, None))
-            for succ in mdp.trans[q][move]:
-                if succ is not FINAL and succ not in win:
+            for j in offered[move]:
+                if not win[j]:
                     return SoundnessVerdict(
                         False,
                         f"kept move {move} at {q} can land outside the "
-                        f"winning region, at {succ}",
-                        witness=(q, move, succ))
+                        f"winning region, at {nodes[j]}",
+                        witness=(q, move, nodes[j]))
+            chain[i] += offered[move]
 
-    if mdp.initial in win:
-        def induced(node):
-            if node is FINAL:
-                return ()
-            return [s for move in strategy.allowed[node]
-                    for s in mdp.trans[node][move]]
-
-        ok, stuck = certify_almost_sure_reach(mdp.initial, induced, FINAL)
+    start = dense.initial
+    if start is not None and win[start]:
+        ok, stuck = certify_almost_sure_reach(start, chain.__getitem__, final)
         if not ok:
             return SoundnessVerdict(
                 False,
-                f"induced chain can reach {stuck}, from which completion "
+                f"induced chain can reach {nodes[stuck]}, from which completion "
                 f"is impossible",
-                witness=(stuck,))
+                witness=(nodes[stuck],))
     return SoundnessVerdict(True, "closure and completion certificates hold")

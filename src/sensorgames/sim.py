@@ -98,10 +98,16 @@ class TableAttack:
 
 def _ask_on_stderr(prompt: str) -> str:
     """Read an answer from standard input, prompting on standard error so
-    that standard output carries only the simulation's report."""
+    that standard output carries only the simulation's report.  At end
+    of input the unanswered prompt's line is ended before `EOFError`
+    propagates."""
     sys.stderr.write(prompt)
     sys.stderr.flush()
-    return input()
+    try:
+        return input()
+    except EOFError:
+        sys.stderr.write("\n")
+        raise
 
 
 class PromptAttack:

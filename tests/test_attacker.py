@@ -164,12 +164,6 @@ def test_empty_win1_refused(fig1_nosense):
     assert fig1_nosense.win2 is None and fig1_nosense.gap is None
 
 
-def test_gap_without_strategy_maps_to_none(fig4):
-    gap = deception_gap(fig4.report, fig4.win2)
-    assert set(gap) == set(fig4.gap)
-    assert all(a is None for a in gap.values())
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_attacker_invariants_random(seed):

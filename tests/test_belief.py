@@ -12,7 +12,7 @@ from sensorgames.belief import (
     restricted,
 )
 
-from .conftest import bnode
+from .conftest import bnode, uninterned
 from .test_game import small_games
 
 
@@ -81,14 +81,14 @@ def test_mixed_support_offers_final_alongside():
 def test_offered_depends_only_on_belief(fig1):
     mdp = fig1.mdp
     for belief, members in mdp.classes.items():
-        offers = {mdp.offered(q) for q in members}
+        offers = {tuple(mdp.trans[q]) for q in members}
         assert len(offers) == 1
 
 
 def test_offered_sorted(fig1):
     mdp = fig1.mdp
     for q in mdp.nodes:
-        assert mdp.offered(q) == tuple(sorted(mdp.trans[q]))
+        assert list(mdp.trans[q]) == sorted(mdp.trans[q])
 
 
 def test_classes_partition_nodes(fig1):
@@ -172,6 +172,51 @@ def test_restricted_splits_classes(fig1):
     keep = [q for q in mdp.nodes if q != full[0]]
     sub = restricted(mdp, keep)
     assert sub.classes[g.state_set(["s1", "s2"])] == (full[1],)
+
+
+# --- the dense form ----------------------------------------------------------
+
+def assert_dense_matches(mdp):
+    """``mdp.dense`` is ``trans`` on ints, successor by successor and in
+    dict order, with each node's moves ascending."""
+    dense = mdp.dense
+    assert mdp.dense is dense
+    node_of = mdp.nodes + (FINAL,)
+    assert list(dense.moves) == sorted({m for q in mdp.nodes for m in mdp.trans[q]})
+    assert len(dense.node_moves) == len(dense.succs) == len(mdp.nodes)
+    for q, ks, succs in zip(mdp.nodes, dense.node_moves, dense.succs):
+        assert [(dense.moves[k], [node_of[j] for j in targets])
+                for k, targets in zip(ks, succs, strict=True)] == [
+            (move, list(targets)) for move, targets in mdp.trans[q].items()]
+        assert list(ks) == sorted(set(ks))
+    assert [[node_of[i] for i in members] for members in dense.classes] == [
+        list(members) for members in mdp.classes.values()]
+    assert node_of[dense.initial] == mdp.initial
+
+
+@pytest.mark.parametrize("fixture", ["fig1", "fig1_noattack", "fig1_nosense", "fig4"])
+def test_dense_matches_trans(fixture, request):
+    assert_dense_matches(request.getfixturevalue(fixture).mdp)
+
+
+def test_dense_matches_trans_uninterned(fig4):
+    copy = uninterned(fig4.mdp)
+    assert_dense_matches(copy)
+    assert copy.dense == fig4.mdp.dense
+
+
+def test_dense_matches_trans_restricted(fig1):
+    g, mdp = fig1.game, fig1.mdp
+    full = mdp.classes[g.state_set(["s1", "s2"])]
+    sub = restricted(mdp, [q for q in mdp.nodes if q != full[0]])
+    assert len(sub.classes[full[0].belief]) == 1
+    assert_dense_matches(sub)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_games())
+def test_dense_matches_trans_random(game):
+    assert_dense_matches(build_belief_mdp(game))
 
 
 @settings(max_examples=40, deadline=None)

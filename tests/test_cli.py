@@ -207,7 +207,7 @@ def test_simulate_prompt_on_closed_stdin(spec_dir, capsys, monkeypatch):
     code, _, err = run(capsys, "simulate", spec_dir / "fig4.game",
                        "--runs", "1", "--p2", "prompt")
     assert code == 2
-    assert err == "attack (beta0/beta1/beta2/none): error: EOF when reading a line\n"
+    assert err == "attack (beta0/beta1/beta2/none): \nerror: EOF when reading a line\n"
 
 
 def test_simulate_prompt_structured_output_is_json(spec_dir, capsys, monkeypatch):

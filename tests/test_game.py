@@ -123,7 +123,7 @@ def test_lookups_and_enabled_actions(fig1):
     assert g.query("sigma1") == 1 and g.attack("none") == 3
     assert g.enabled_actions(g.state("s0")) == (0, 1, 2)
     # A belief is offered the actions enabled at every state in it.
-    s1_s2 = fig1.mdp.offered(BeliefNode(g.state("s1"), g.state_set(["s1", "s2"])))
+    s1_s2 = fig1.mdp.trans[BeliefNode(g.state("s1"), g.state_set(["s1", "s2"]))]
     assert sorted({action for action, _query in s1_s2}) == [0, 1]
 
 
@@ -183,7 +183,7 @@ def test_observation_frozen_facts(fig1):
     assert observation_for_sensors(g, s1, range(len(g.sensors))) == \
         g.state_set(["s1"])
     # Reading nothing reveals nothing.
-    assert observation_for_sensors(g, s1, ()) == g.all_states
+    assert observation_for_sensors(g, s1, ()) == frozenset(range(g.n_states))
 
 
 def test_observation_contains_true_state(fig1):

@@ -8,14 +8,17 @@ from sensorgames import (
     MultiStrategy,
     build_belief_mdp,
     check_soundness,
+    parse_spec,
     restricted,
     solve_p1,
+    validate_game,
 )
 from sensorgames.belief import FINAL, BeliefNode, node_key, node_label
 from sensorgames.oracle import GeneratorParams, generate_game
 from sensorgames.planner import certify_almost_sure_reach
 
 from .conftest import bnode, uninterned
+from .test_golden import ladder_text
 
 FIG1_WIN = [
     "(s0,{s0})", "(s0,{s0,s1})", "(s0,{s0,s2})", "(s0,{s0,s4})",
@@ -260,3 +263,70 @@ def test_solve_restricted_does_not_depend_on_node_identity(fig1):
     expected = solve_p1(sub)
     assert expected.trace
     assert solve_p1(mixed) == expected
+
+
+# --- a second Win1 referee ---------------------------------------------------
+
+def nested_fixpoint_win1(mdp):
+    """Almost-sure reachability of FINAL over the belief-support game, as
+    the textbook nested fixpoint (Chatterjee, Doyen & Henzinger, MFCS
+    2010).  It reads only ``mdp.trans`` and ``mdp.classes``: no dense
+    form, no solver state.
+
+    Y starts as every node.  A move is allowed at a class if, from every
+    member, its successors stay in Y or are FINAL.  X is the least set of
+    nodes that reach FINAL through allowed moves, and Y becomes the
+    union of the classes wholly inside X, until Y stops changing.
+    """
+    preds = {}
+    for q in mdp.nodes:
+        for move, succs in mdp.trans[q].items():
+            for succ in succs:
+                preds.setdefault(succ, []).append((q, move))
+    y = set(mdp.nodes)
+    while True:
+        allowed = {}
+        for members in mdp.classes.values():
+            if all(q in y for q in members):
+                safe = [{move for move, succs in mdp.trans[q].items()
+                         if all(s is FINAL or s in y for s in succs)} for q in members]
+                for q in members:
+                    allowed[q] = set.intersection(*safe)
+        x, queue = set(), [FINAL]
+        for node in queue:
+            for q, move in preds.get(node, ()):
+                if q not in x and move in allowed.get(q, ()):
+                    x.add(q)
+                    queue.append(q)
+        kept = {q for members in mdp.classes.values()
+                if all(q in x for q in members) for q in members}
+        if kept == y:
+            return frozenset(y)
+        y = kept
+
+
+def test_nested_fixpoint_agrees_on_corpus(corpus):
+    checked = 0
+    for block in corpus.values():
+        for entry in block["seeds"]:
+            seed = entry["seed"] if isinstance(entry, dict) else entry
+            mdp = build_belief_mdp(generate_game(GeneratorParams(**block["params"], seed=seed)))
+            assert nested_fixpoint_win1(mdp) == solve_p1(mdp).win, seed
+            checked += 1
+    assert checked == 350
+
+
+@pytest.mark.parametrize("fixture", ["fig1", "fig1_noattack", "fig1_nosense", "fig4"])
+def test_nested_fixpoint_agrees_on_figures(fixture, request):
+    run = request.getfixturevalue(fixture)
+    assert nested_fixpoint_win1(run.mdp) == run.report.win
+
+
+# The 17/5/7 rung is the 17:7 arena of the benchmark's arena-elim workload.
+@pytest.mark.parametrize("rung", [(10, 4, 9), (16, 5, 4), (17, 5, 7)],
+                         ids=lambda r: "%d-%d-%d" % r)
+def test_nested_fixpoint_agrees_on_rungs(rung):
+    mdp = build_belief_mdp(validate_game(parse_spec(ladder_text(*rung))))
+    win = solve_p1(mdp).win
+    assert win and len(win) < len(mdp.nodes)
+    assert nested_fixpoint_win1(mdp) == win
