@@ -3,7 +3,8 @@
 Each case pins the full sha256 of the canonical JSON document, trace
 included, so the elimination order is covered as well as the verdicts
 and the strategy.  The ladder rungs are seeded random games large enough
-to exercise every phase of the agent solver and the jammer.
+to exercise every phase of the agent solver and the jammer; 14/5/7 (the
+14:7 benchmark arena) is the one whose jammer wins somewhere.
 
 The DOT cases pin both Graphviz renderings.  They are the only output
 that lists the jammer's game edge by edge: every offered attack and its
@@ -37,6 +38,7 @@ LADDER = {
     (16, 5, 4): "b6d8c521b126c43b4602c0fdc5b33e2ea15f1ed24c7a89718e6c49495b55dccf",
     (17, 5, 7): "0f0de54142f38b5a2c980d5a32d44eee04dc38e0bc7a5fd68b00e37e6400a4ec",
     (16, 5, 7): "ba9aee7b804f063e4b6658d9695153035eb87afd47624cf9e0698563f7d28c8a",
+    (14, 5, 7): "e034c77cd77e85770cb1a633ba4825e0bb04f1ae3cb48ff5a04a79e0775796ee",
 }
 
 # figure name or ladder rung -> (belief DOT digest, jammer DOT digest);
@@ -56,6 +58,8 @@ DOT = {
                  "0def0117d82daad1831ecc5701a7dfed50dc7fe1066c2a488d632fcd09065c19"),
     (17, 5, 7): ("9462537df3506df1ad56cf9ec3769bf7282e9959db7320f2b2e4e0b3a36b694e",
                  "8a28b60f4c6105c64c536348e01571684c619b3181452d68b8070b39ee725d5e"),
+    (14, 5, 7): ("53fb40288b70de7dd6f71d611b0929da7b621cf530bc2c6ade58aaeccdc01a94",
+                 "63f4c7b42ef644285d70acfef46916dfc76eff4a508f454b99e2d6be93bb949a"),
 }
 
 
