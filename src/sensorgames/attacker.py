@@ -17,8 +17,12 @@ that can surely or possibly finish the task contributes the absorbing
 The game is read off the perceived game rather than recomputed: each
 successor in ``BeliefMDP.trans`` already carries the attacks that
 produce it, so the jammer's successors under one attack are those of
-the kept moves annotated with it.  The observation rule thus has one
-home, game.py, reached only through the belief expansion.
+the kept moves annotated with it.  The build reads each kept move's
+successor map once and files every successor under its attacks.  The
+observation rule thus has one home, game.py, reached only through the
+belief expansion.  Nodes come in the perceived game's canonical order
+and each node's attacks in ascending order, so the solver and the gap
+walk them as they are.
 
 The *deception gap* is the outcome: nodes where the agent believes she
 is sure to finish while the jammer is sure she never will.
@@ -29,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .belief import FINAL, BeliefMDP, BeliefNode, node_key
+from .belief import FINAL, BeliefNode
 from .game import AttackId, Game
 from .planner import SolveReport
 
@@ -41,59 +45,59 @@ class EmptyWin1Error(Exception):
 @dataclass(frozen=True)
 class AttackerMDP:
     game: Game
-    mdp: BeliefMDP
-    nodes: tuple[BeliefNode, ...]
-    # trans[q][att]: the successor set, `FINAL` included, of attack att at q.
+    nodes: tuple[BeliefNode, ...]  # in the perceived game's canonical order
+    # trans[q][att]: the successor set, `FINAL` included, of attack att at
+    # q, for each offered attack in ascending order.
     trans: Mapping[BeliefNode, Mapping[AttackId, frozenset]]
     safe: frozenset[BeliefNode]  # nodes whose true state is not a goal
-
-    def available(self, node: BeliefNode) -> tuple[AttackId, ...]:
-        return tuple(sorted(self.trans[node]))
 
 
 @dataclass(frozen=True)
 class AttackStrategy:
     """One attack per node of the jammer's winning region."""
 
-    choice: Mapping[BeliefNode, AttackId]
+    choice: Mapping[BeliefNode, AttackId]  # in the jammer game's node order
 
 
 def build_attacker_mdp(report: SolveReport) -> AttackerMDP:
     """The jammer's one-player game over the agent's winning region.
 
-    At each winning node the kept moves' successor maps are read from
-    ``report.mdp``.  The landing states are the true states of their
-    non-`FINAL` successors: every state has an enabled attack, so each
-    non-goal state a kept move can reach yields at least one successor.
-    An attack is offered only if it is enabled at every landing state,
-    so the jammer never commits to an attack the arena forbids where
-    the play actually lands.  Its successors are `FINAL`, when some kept
-    move can finish the task, and every successor annotated with it.
-    By the closure property of the agent's solution they all lie back
-    inside the winning region.
+    The winning nodes are taken in ``report.mdp.nodes`` order.  At each
+    one, every kept move's successor map is read once, and each
+    successor is filed under the attacks it is annotated with; `FINAL`,
+    which some kept move may reach, is filed under every attack.  The
+    landing states are the true states of the non-`FINAL` successors:
+    every state has an enabled attack, so each non-goal state a kept
+    move can reach yields at least one successor.  An attack is offered
+    only if it is enabled at every landing state, so the jammer never
+    commits to an attack the arena forbids where the play actually
+    lands.  By the closure property of the agent's solution the
+    successors all lie back inside the winning region.
     """
     if not report.win:
         raise EmptyWin1Error("the agent has no winning node to be deceived at")
     mdp = report.mdp
     game = mdp.game
-    nodes = tuple(sorted(report.win, key=node_key))
+    every = frozenset(range(len(game.attacks)))
+    nodes = tuple(q for q in mdp.nodes if q in report.win)
     trans: dict[BeliefNode, dict[AttackId, frozenset]] = {}
     for node in nodes:
         moves = mdp.trans[node]
-        succ_maps = [moves[move] for move in sorted(report.strategy.allowed[node])]
-        landing = {s.state for succs in succ_maps for s in succs if s is not FINAL}
-        completes = any(FINAL in succs for succs in succ_maps)
-        per_attack: dict[AttackId, frozenset] = {}
-        for att in range(len(game.attacks)):
-            if all(att in game.enabled_attacks[s] for s in landing):
-                reached = {FINAL} if completes else set()
-                for succs in succ_maps:
-                    reached.update(s for s, atts in succs.items() if att in atts)
-                per_attack[att] = frozenset(reached)
-        trans[node] = per_attack
+        reached: dict[AttackId, set] = {att: set() for att in every}
+        landing: set = set()
+        for move in report.strategy.allowed[node]:
+            for succ, atts in moves[move].items():
+                if succ is FINAL:
+                    atts = every  # completion happens under any attack
+                else:
+                    landing.add(succ.state)
+                for att in atts:
+                    reached[att].add(succ)
+        offered = every.intersection(*(game.enabled_attacks[s] for s in landing))
+        trans[node] = {att: frozenset(reached[att]) for att in sorted(offered)}
 
     safe = frozenset(q for q in nodes if q.state not in game.goal)
-    return AttackerMDP(game=game, mdp=mdp, nodes=nodes, trans=trans, safe=safe)
+    return AttackerMDP(game=game, nodes=nodes, trans=trans, safe=safe)
 
 
 def solve_p2_safety(attacker: AttackerMDP) -> tuple[frozenset[BeliefNode], AttackStrategy]:
@@ -111,9 +115,8 @@ def solve_p2_safety(attacker: AttackerMDP) -> tuple[frozenset[BeliefNode], Attac
         choice: dict[BeliefNode, AttackId] = {}
         for node in attacker.nodes:
             if node in safe:
-                succ_sets = attacker.trans[node]
-                for att in attacker.available(node):
-                    if succ_sets[att] <= safe:
+                for att, succs in attacker.trans[node].items():
+                    if succs <= safe:
                         choice[node] = att
                         break
         if len(choice) == len(safe):
@@ -128,6 +131,6 @@ def deception_gap(
 ) -> dict[BeliefNode, AttackId]:
     """Nodes where the agent is sure she wins and the jammer is sure she
     does not, each mapped to the jammer's chosen attack there.  The gap
-    lies inside ``win2``, the strategy's domain."""
-    return {node: strategy.choice[node]
-            for node in sorted(report.win & win2, key=node_key)}
+    lies inside ``win2``, the strategy's domain, and keeps its order."""
+    return {node: att for node, att in strategy.choice.items()
+            if node in win2 and node in report.win}

@@ -32,14 +32,17 @@ is resolved once.  Nodes are interned: each (state, mask) pair has one
 `BeliefNode` and each mask one frozenset, so every successor key in
 ``trans`` is the very object listed in ``nodes``.
 
-This module is also the one place where nodes become ints.
-`BeliefMDP.dense` derives the perceived game on ints from ``trans``,
-once per MDP: node i is ``nodes[i]``, `FINAL` is N, and move k is the
-k-th distinct move in sorted order.  The agent solver, its soundness
-audit and the brute-force referee all read that one numbering, and only
-turn ints back into nodes and moves for what they report.  It is derived
-from ``trans`` rather than emitted by the expansion, so a hand-built
-MDP, such as a `restricted` one, gets it the same way.
+This module is the one home of the canonical order: `BeliefMDP.nodes`
+lists nodes by `node_key` and `BeliefMDP.classes` lists beliefs sorted,
+and later stages walk those two rather than sort again.  It is also the
+one place where nodes become ints.  `BeliefMDP.dense` derives the
+perceived game on ints from ``trans``, once per MDP: node i is
+``nodes[i]``, `FINAL` is N, and move k is the k-th distinct move in
+sorted order.  The agent solver, its soundness audit and the
+brute-force referee all read that one numbering, and only turn ints
+back into nodes and moves for what they report.  It is derived from
+``trans`` rather than emitted by the expansion, so a hand-built MDP,
+such as a `restricted` one, gets it the same way.
 """
 
 from __future__ import annotations
@@ -91,13 +94,11 @@ ActionPair = tuple[ActionId, QueryId]
 SuccessorMap = Mapping["BeliefNode | _Final", frozenset[AttackId]]
 
 
-def belief_key(belief: frozenset[StateId]) -> tuple[StateId, ...]:
-    return tuple(sorted(belief))
-
-
 def node_key(node: BeliefNode) -> tuple[StateId, tuple[StateId, ...]]:
-    """Canonical ordering key: state id first, then the sorted belief."""
-    return (node.state, belief_key(node.belief))
+    """The key of the canonical order: state id first, then the sorted
+    belief.  `BeliefMDP.nodes` and `BeliefMDP.classes` hold that order,
+    so consumers walk them instead of sorting by this key."""
+    return (node.state, tuple(sorted(node.belief)))
 
 
 def node_label(game: Game, node: BeliefNode) -> str:
@@ -114,10 +115,13 @@ def move_label(game: Game, move: ActionPair) -> str:
 class BeliefMDP:
     """The perceived game, fully expanded and immutable.
 
-    ``nodes`` lists every (state, belief) node in canonical order; the
-    absorbing `FINAL` node is kept separate.  ``trans[q][(a, qr)]`` maps
-    each successor to the set of attacks that produce it, with each
-    node's moves in sorted order.  ``classes`` groups nodes by belief.
+    ``nodes`` lists every (state, belief) node in canonical order, the
+    order of `node_key`; the absorbing `FINAL` node is kept separate.
+    ``trans[q][(a, qr)]`` maps each successor to the set of attacks that
+    produce it, with each node's moves in sorted order.  ``classes``
+    groups nodes by belief, beliefs in sorted order and each class's
+    members in ``nodes`` order.  These two fields are the one home of
+    the canonical order: every consumer walks them rather than sorting.
     """
 
     game: Game
@@ -277,16 +281,18 @@ def restricted(mdp: BeliefMDP, keep: Iterable[BeliefNode]) -> BeliefMDP:
     """Sub-MDP on ``keep``: moves whose successors all stay inside.
 
     `FINAL` is always retained.  Beliefs whose class gets split by the
-    restriction keep only the surviving members.
+    restriction keep only the surviving members.  Nodes and classes keep
+    ``mdp``'s order.
     """
     kept = set(keep)
-    nodes = tuple(sorted(kept, key=node_key))
+    nodes = tuple(q for q in mdp.nodes if q in kept)
     trans = {q: {pair: succs for pair, succs in mdp.trans[q].items()
                  if all(s is FINAL or s in kept for s in succs)}
              for q in nodes}
     classes: dict[frozenset[StateId], tuple[BeliefNode, ...]] = {}
-    for q in nodes:
-        if q.belief not in classes:
-            classes[q.belief] = tuple(n for n in mdp.classes[q.belief] if n in kept)
+    for belief, members in mdp.classes.items():
+        inside = tuple(q for q in members if q in kept)
+        if inside:
+            classes[belief] = inside
     return BeliefMDP(game=mdp.game, initial=mdp.initial, nodes=nodes,
                      trans=trans, classes=classes)

@@ -14,7 +14,8 @@ from the start are skipped: their assignment cannot touch the chain.
 The combination count is checked against a hard cap first, so a blow-up
 is an explicit refusal rather than a silent week of CPU time.  The
 referee reads the perceived game's own numbering, `BeliefMDP.dense`, and
-nothing of the solver's.
+nothing of the solver's; it enumerates classes in the order
+`BeliefMDP.classes` holds them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .belief import BeliefMDP, belief_key
+from .belief import BeliefMDP
 from .game import Game, validate_game
 from .planner import certify_almost_sure_reach
 from .specfile import (
@@ -140,26 +141,32 @@ def brute_force_win1(mdp: BeliefMDP, cap: int = 1_000_000) -> OracleResult:
     enumerated; whatever is assigned elsewhere can never alter the chain
     the start node sees.  Classes offering no move at all are kept as
     dead ends and fail the certificate if the chain can touch them.
+    Where the start node is not among the MDP's nodes, which only a
+    `restricted` MDP can leave out, no chain runs and the answer is no.
 
-    The reached nodes are found by walking `BeliefMDP.dense`, and each
-    one's successor ids under every move subset of its class are listed
-    once, so the certificate runs on ints for every assignment.
+    The reached nodes are found by walking `BeliefMDP.dense`, and the
+    classes they touch are enumerated in ``classes`` order, the first
+    class varying slowest and each class's subsets largest first.  Each
+    reached node's successor ids under every move subset of its class
+    are listed once, so the certificate runs on ints for every
+    assignment.
     """
     dense = mdp.dense
-    nodes, node_moves = mdp.nodes, dense.node_moves
-    final = len(nodes)
+    if dense.initial is None:  # a `restricted` MDP without the start node
+        return OracleResult(False, 0, 0)
+    node_moves = dense.node_moves
+    final = len(dense.succs)
     reached, seen = [dense.initial], {dense.initial, final}
     for i in reached:
         fresh = {j for targets in dense.succs[i] for j in targets} - seen
         seen |= fresh
         reached += fresh
 
-    beliefs = sorted({nodes[i].belief for i in reached}, key=belief_key)
-    members = dict(zip(mdp.classes, dense.classes))
+    classes = [members for members in dense.classes if not seen.isdisjoint(members)]
     per_class: list[list[tuple]] = []
     estimate = 1
-    for belief in beliefs:
-        offered = node_moves[members[belief][0]]
+    for members in classes:
+        offered = node_moves[members[0]]
         if not offered:
             per_class.append([()])
             continue
@@ -173,14 +180,15 @@ def brute_force_win1(mdp: BeliefMDP, cap: int = 1_000_000) -> OracleResult:
             raise CapExceededError(estimate, cap)
         per_class.append(subsets)
 
+    cls: list[int] = [0] * final  # each node's index in ``classes``
+    for c, members in enumerate(classes):
+        for i in members:
+            cls[i] = c
     # succ[i][j]: successor ids of node i under the j-th subset of its class.
-    class_of = {belief: idx for idx, belief in enumerate(beliefs)}
-    cls: list[int] = [0] * final
     succ: list = [None] * final
     for i in reached:
-        cls[i] = c = class_of[nodes[i].belief]
         moves = dict(zip(node_moves[i], dense.succs[i]))
-        succ[i] = [[j for k in subset for j in moves[k]] for subset in per_class[c]]
+        succ[i] = [[j for k in subset for j in moves[k]] for subset in per_class[cls[i]]]
 
     checked = 0
     for choice in product(*(range(len(subsets)) for subsets in per_class)):
@@ -188,5 +196,5 @@ def brute_force_win1(mdp: BeliefMDP, cap: int = 1_000_000) -> OracleResult:
         ok, _ = certify_almost_sure_reach(
             dense.initial, lambda i: succ[i][choice[cls[i]]], final)
         if ok:
-            return OracleResult(True, checked, len(beliefs))
-    return OracleResult(False, checked, len(beliefs))
+            return OracleResult(True, checked, len(classes))
+    return OracleResult(False, checked, len(classes))

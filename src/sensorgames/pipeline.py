@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, fields
 
 from . import attacker as attacker_mod
-from .belief import BeliefMDP, build_belief_mdp, move_label, node_key, node_label
+from .belief import BeliefMDP, build_belief_mdp, move_label, node_label
 from .game import Game, validate_game
 from .planner import SolveReport, solve_p1
 from .specfile import parse_spec, serialize_spec
@@ -113,11 +113,11 @@ def run_pipeline(
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     game, report = run.game, run.report
-    win1_sorted = sorted(report.win, key=node_key)
+    win1 = [q for q in run.mdp.nodes if q in report.win]
     strategy = {
         node_label(game, q): [move_label(game, m)
                               for m in sorted(report.strategy.allowed[q])]
-        for q in win1_sorted
+        for q in win1
     }
     trace = None
     if include_trace:
@@ -134,11 +134,10 @@ def run_pipeline(
     attack_strategy = None
     gap = None
     if run.win2 is not None:
-        win2 = [node_label(game, q) for q in sorted(run.win2, key=node_key)]
+        win2 = [node_label(game, q) for q in win1 if q in run.win2]
         attack_strategy = {
             node_label(game, q): game.attacks[a].name
-            for q, a in sorted(run.attack_strategy.choice.items(),
-                               key=lambda kv: node_key(kv[0]))
+            for q, a in run.attack_strategy.choice.items()
         }
         gap = [{"node": node_label(game, q), "attack": game.attacks[a].name}
                for q, a in run.gap.items()]
@@ -158,7 +157,7 @@ def run_pipeline(
         weighted=game.has_weights,
         warnings=list(game.warnings),
         initial_winning=report.initial_winning,
-        win1=[node_label(game, q) for q in win1_sorted],
+        win1=[node_label(game, q) for q in win1],
         strategy=strategy,
         win2=win2,
         attack_strategy=attack_strategy,

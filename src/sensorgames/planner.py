@@ -24,14 +24,15 @@ Both phases, and the soundness audit, run on the perceived game's one
 numbering, `BeliefMDP.dense`.  Node i is ``mdp.nodes[i]``, whose
 canonical order makes i the node's `node_key` rank, and `FINAL` is N.
 Move k is the k-th distinct move in sorted order, and a node's move set
-is an int with bit k set for move k.  A single reverse adjacency
-(`_Graph`, built once per solve) serves the losing core, the
-elimination sweep and the stall check.  It is filled by scanning nodes
-in rank order and each node's moves in sorted order, so every
-predecessor list is already in (node_key, move) order and needs no
-sort.  Class peers are int tuples and the doomed set a flag list; ints
-become `BeliefNode` and move pairs again only in the report, and the
-trace's `Removal`s only when it is read.
+is an int with bit k set for move k.  `solve_p1` builds a single
+reverse adjacency once per solve, and it serves the losing core, the
+elimination sweep and the stall check (`reaching_final`, nested in the
+solver).  It is filled by scanning nodes in rank order and each node's
+moves in sorted order, so every predecessor list is already in
+(node_key, move) order and needs no sort.  Class peers are int tuples
+and the doomed set a flag list; ints become `BeliefNode` and move pairs
+again only in the report, and the trace's `Removal`s only when it is
+read.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping
 
-from .belief import ActionPair, BeliefMDP, BeliefNode, DenseMDP
+from .belief import ActionPair, BeliefMDP, BeliefNode
 
 
 @dataclass(frozen=True)
@@ -100,60 +101,45 @@ class SolveReport:
         return self.mdp.initial in self.win
 
 
-class _Graph:
-    """Reverse adjacency and class peers of the dense perceived game
-    (see the module notes).
+def solve_p1(mdp: BeliefMDP) -> SolveReport:
+    """Maximal belief-uniform multi-strategy for almost-sure completion."""
+    dense = mdp.dense
+    n = len(dense.succs)
+    # offered[i]: node i's move set.  back[j]: the (predecessor, move)
+    # pairs of node j in canonical order, each stored as the int
+    # ``i << shift | k``, which ``low`` masks back to k.  Ints, unlike
+    # tuples, are not tracked by the cyclic garbage collector, and each
+    # pair is one int shared by the lists of all its successors.
+    offered = [0] * n
+    shift = len(dense.moves).bit_length()
+    low = (1 << shift) - 1
+    back: list[list[int]] = [[] for _ in range(n + 1)]
+    for i, (ks, succs) in enumerate(zip(dense.node_moves, dense.succs)):
+        for k, targets in zip(ks, succs):
+            offered[i] |= 1 << k
+            entry = i << shift | k
+            for j in targets:
+                back[j].append(entry)
+    peers: list[tuple[int, ...]] = [()] * n  # each node's class, one tuple per class
+    for members in dense.classes:
+        for i in members:
+            peers[i] = members
 
-    ``offered[i]`` is node i's move set, ``back[j]`` the (predecessor,
-    move) pairs of node j in canonical order, and ``peers[i]`` the
-    members of node i's class in class order, one tuple per class.
-
-    A pair (i, k) is stored as the int ``i << shift | k``, which ``low``
-    masks back to k.  Ints, unlike tuples, are not tracked by the cyclic
-    garbage collector, so the tens of thousands of edges of a large
-    game add nothing to its passes.
-    """
-
-    def __init__(self, dense: DenseMDP):
-        self.n = n = len(dense.succs)
-        self.offered = offered = [0] * n
-        self.shift = shift = len(dense.moves).bit_length()
-        self.low = (1 << shift) - 1
-        self.back: list[list[int]] = [[] for _ in range(n + 1)]
-        for i, (ks, succs) in enumerate(zip(dense.node_moves, dense.succs)):
-            for k, targets in zip(ks, succs):
-                offered[i] |= 1 << k
-                entry = i << shift | k
-                for j in targets:
-                    self.back[j].append(entry)
-        self.peers: list[tuple[int, ...]] = [()] * n
-        for members in dense.classes:
-            for i in members:
-                self.peers[i] = members
-
-    def reaching_final(self, live: list[int]) -> bytearray:
+    def reaching_final(live: list[int]) -> bytearray:
         """Flags of the nodes that reach FINAL through moves whose bit is
         set in ``live[pred]``."""
-        reached = bytearray(self.n)
-        queue = [self.n]
-        shift, low = self.shift, self.low
+        reached = bytearray(n)
+        queue = [n]
         for node in queue:
-            for entry in self.back[node]:
+            for entry in back[node]:
                 pred = entry >> shift
                 if not reached[pred] and live[pred] >> (entry & low) & 1:
                     reached[pred] = 1
                     queue.append(pred)
         return reached
 
-
-def solve_p1(mdp: BeliefMDP) -> SolveReport:
-    """Maximal belief-uniform multi-strategy for almost-sure completion."""
-    dense = mdp.dense
-    graph = _Graph(dense)
-    n, back, peers = graph.n, graph.back, graph.peers
-    shift, low = graph.shift, graph.low
-    alive = graph.reaching_final(graph.offered)
-    allowed = [graph.offered[i] if alive[i] else 0 for i in range(n)]
+    alive = reaching_final(offered)
+    allowed = [offered[i] if alive[i] else 0 for i in range(n)]
     doomed = bytearray(1 - flag for flag in alive)
     current = [i for i in range(n) if doomed[i]]
     levels: list[list[int]] = [current]
@@ -183,7 +169,7 @@ def solve_p1(mdp: BeliefMDP) -> SolveReport:
         # route to FINAL (only loops remain); playing there never
         # completes, so the node -- and, since the agent cannot tell the
         # members apart, its whole class -- is doomed as well.
-        alive = graph.reaching_final(allowed)
+        alive = reaching_final(allowed)
         stranded = [i for i in range(n) if not doomed[i] and not alive[i]]
         if not stranded:
             break
@@ -223,7 +209,8 @@ def solve_p1(mdp: BeliefMDP) -> SolveReport:
 class SoundnessVerdict:
     ok: bool
     reason: str
-    witness: tuple | None = None  # offending (node, move, successor) or node
+    # offending (node, move, successor), stuck (node,), or (class-mate, class-mate)
+    witness: tuple | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -271,19 +258,23 @@ def certify_almost_sure_reach(
 def check_soundness(mdp: BeliefMDP, strategy: MultiStrategy) -> SoundnessVerdict:
     """Independent audit of a claimed winning multi-strategy.
 
-    Two checks.  Closure: from any node with moves left, every successor
-    of every kept move either has moves left too or is the absorbing
-    node.  Completion: from the start node (when it has moves), the
-    absorbing node stays reachable everywhere the induced chain can go.
-    A failed verdict carries a concrete witness.
+    Three checks, in this order.  Closure: from any node with moves
+    left, every successor of every kept move either has moves left too
+    or is the absorbing node.  Completion: from the start node (when it
+    has moves), the absorbing node stays reachable everywhere the
+    induced chain can go.  Uniformity: the agent sees only beliefs, so
+    every member of a class keeps the same moves (a node the strategy
+    does not list keeps none).  A failed verdict carries a concrete
+    witness; for uniformity it is the first pair of class-mates, classes
+    and members in canonical order, whose moves differ.
 
-    Both run on `BeliefMDP.dense`, nodes in `node_key` order and each
-    node's kept moves in sorted order; only a witness is turned back
-    into nodes.
+    All three run on `BeliefMDP.dense`, nodes in `node_key` order and
+    each node's kept moves in sorted order; only a witness is turned
+    back into nodes.
     """
     nodes, dense = mdp.nodes, mdp.dense
     final = len(nodes)
-    kept = [strategy.allowed.get(q) for q in nodes]
+    kept = [strategy.allowed.get(q, frozenset()) for q in nodes]
     win = bytearray(bool(moves) for moves in kept) + b"\x01"  # FINAL is fine
     chain: list = [()] * final  # successor ids under the kept moves
     for i, q in enumerate(nodes):
@@ -315,4 +306,11 @@ def check_soundness(mdp: BeliefMDP, strategy: MultiStrategy) -> SoundnessVerdict
                 f"induced chain can reach {nodes[stuck]}, from which completion "
                 f"is impossible",
                 witness=(nodes[stuck],))
+
+    for members in dense.classes:
+        for i in members[1:]:
+            if kept[i] != kept[members[0]]:
+                pair = (nodes[members[0]], nodes[i])
+                return SoundnessVerdict(
+                    False, "class-mates %s and %s keep different moves" % pair, witness=pair)
     return SoundnessVerdict(True, "closure and completion certificates hold")

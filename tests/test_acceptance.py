@@ -126,7 +126,7 @@ def test_criterion_5_soundness_sweep():
             adv = build_attacker_mdp(rep)
             inside = set(adv.nodes)
             for node in adv.nodes:
-                for att in adv.available(node):
+                for att in tuple(adv.trans[node]):
                     for succ in adv.trans[node][att]:
                         assert succ is FINAL or succ in inside, (
                             f"seed {seed}: attacker game leaks out of Win1")

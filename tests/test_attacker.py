@@ -44,7 +44,7 @@ def assert_matches_reference(game, report, adv):
             landing |= post_state(game, node.state, action) - game.goal
         offered = tuple(att for att in range(len(game.attacks))
                         if all(att in game.enabled_attacks[s] for s in landing))
-        assert adv.available(node) == offered
+        assert tuple(adv.trans[node]) == offered
         for att in offered:
             assert adv.trans[node][att] == reference_successors(game, report, node, att)
 
@@ -115,7 +115,7 @@ def test_attacks_offered_only_where_enabled_everywhere(fig4):
         landing = set()
         for action, _query in moves:
             landing |= post_state(g, node.state, action) - g.goal
-        for att in adv.available(node):
+        for att in tuple(adv.trans[node]):
             assert all(att in g.enabled_attacks[s] for s in landing)
 
 
@@ -123,7 +123,7 @@ def test_attacker_game_closed_over_win1(fig4):
     adv = fig4.attacker
     inside = set(adv.nodes)
     for node in adv.nodes:
-        for att in adv.available(node):
+        for att in tuple(adv.trans[node]):
             for succ in adv.trans[node][att]:
                 assert succ is FINAL or succ in inside
 
@@ -141,7 +141,7 @@ def test_win2_is_the_greatest_fixpoint(fig4):
     # No node outside Win2 has any attack keeping the play safe.
     adv, win2 = fig4.attacker, fig4.win2
     for node in set(adv.nodes) - win2:
-        for att in adv.available(node):
+        for att in tuple(adv.trans[node]):
             succs = adv.trans[node][att]
             assert FINAL in succs or any(s not in win2 for s in succs)
 
@@ -150,7 +150,7 @@ def test_witness_attack_is_lowest_id(fig4):
     adv, win2, strategy = fig4.attacker, fig4.win2, fig4.attack_strategy
     for node in win2:
         chosen = strategy.choice[node]
-        for att in adv.available(node):
+        for att in tuple(adv.trans[node]):
             if att >= chosen:
                 break
             succs = adv.trans[node][att]
@@ -179,14 +179,14 @@ def test_attacker_invariants_random(seed):
     win2, strategy = solve_p2_safety(adv)
     inside = set(adv.nodes)
     for node in adv.nodes:
-        for att in adv.available(node):
+        for att in tuple(adv.trans[node]):
             for succ in adv.trans[node][att]:
                 assert succ is FINAL or succ in inside
     for node in win2:
         succs = adv.trans[node][strategy.choice[node]]
         assert FINAL not in succs and all(s in win2 for s in succs)
     for node in inside - win2:
-        for att in adv.available(node):
+        for att in tuple(adv.trans[node]):
             succs = adv.trans[node][att]
             assert FINAL in succs or any(s not in win2 for s in succs)
     gap = deception_gap(rep, win2, strategy)

@@ -172,6 +172,7 @@ def test_restricted_splits_classes(fig1):
     keep = [q for q in mdp.nodes if q != full[0]]
     sub = restricted(mdp, keep)
     assert sub.classes[g.state_set(["s1", "s2"])] == (full[1],)
+    assert list(sub.classes) == list(mdp.classes)
 
 
 # --- the dense form ----------------------------------------------------------

@@ -8,6 +8,7 @@ from sensorgames import (
     CapExceededError,
     brute_force_win1,
     build_belief_mdp,
+    restricted,
     serialize_spec,
     solve_p1,
     validate_game,
@@ -144,6 +145,15 @@ def test_oracle_does_not_depend_on_node_identity(fixture, request):
     copy = uninterned(mdp)
     assert copy.initial is not mdp.initial
     assert brute_force_win1(copy) == brute_force_win1(mdp)
+
+
+def test_oracle_without_the_start_node(fig1_noattack):
+    # Only a sub-MDP can leave the start node out; no chain starts there.
+    mdp = fig1_noattack.mdp
+    sub = restricted(mdp, [q for q in mdp.nodes if q != mdp.initial])
+    assert sub.dense.initial is None
+    assert brute_force_win1(sub) == OracleResult(False, 0, 0)
+    assert not solve_p1(sub).initial_winning
 
 
 def with_isolating_sensors(doc):

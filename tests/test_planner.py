@@ -205,6 +205,22 @@ def test_soundness_catches_completion_breach(fig4):
     assert "completion" in verdict.reason
 
 
+def test_soundness_catches_split_class(fig4):
+    # Dropping a move at one member of {s0,s1} only still passes closure
+    # and completion, but the agent, who sees only the belief, cannot
+    # play it.
+    g, mdp, rep = fig4.game, fig4.mdp, fig4.report
+    q0, q1 = bnode(g, "s0", ["s0", "s1"]), bnode(g, "s1", ["s0", "s1"])
+    move = (g.action("a0"), g.query("sigma0"))
+    bad = dict(rep.strategy.allowed)
+    bad[q0] = bad[q0] - {move}
+    assert bad[q0] and move in bad[q1]
+    verdict = check_soundness(mdp, MultiStrategy(allowed=bad))
+    assert not verdict
+    assert verdict.reason == f"class-mates {q0} and {q1} keep different moves"
+    assert verdict.witness == (q0, q1)
+
+
 def test_soundness_catches_unoffered_move(fig4):
     mdp, rep = fig4.mdp, fig4.report
     bad = dict(rep.strategy.allowed)
