@@ -1,5 +1,7 @@
 """Play engine: determinism, trace consistency, policy behavior."""
 
+import hashlib
+
 import pytest
 
 from sensorgames import (
@@ -10,14 +12,18 @@ from sensorgames import (
     TableAttack,
     UniformRandomAttack,
     build_belief_mdp,
+    bundled_game_text,
     get_observation,
     parse_spec,
     post_belief,
+    run_stages,
+    serialize_spec,
     simulate,
     solve_p1,
     validate_game,
 )
 from sensorgames.belief import BeliefNode
+from sensorgames.oracle import GeneratorParams, generate_spec
 
 TRIVIAL = """\
 [states]
@@ -191,3 +197,46 @@ def test_weighted_arena_respects_weights():
                  max_steps=5, seed=s).outcome is Outcome.TASK_KNOWN_COMPLETE
         for s in range(40))
     assert hits <= 2
+
+
+# fig1 with weights on the three moves out of s0, so plays take the
+# weighted `rng.choices` path; the belief game is fig1's.
+WEIGHTED_FIG1 = (bundled_game_text("fig1")
+                 .replace("s0 a0 -> s0 s1 s2", "s0 a0 -> s0:1 s1:2 s2:3")
+                 .replace("s0 a1 -> s0 s1 s2", "s0 a1 -> s0:0.5 s1:0.25 s2:0.25")
+                 .replace("s0 a2 -> s2 s3", "s0 a2 -> s2:3 s3:1"))
+
+# sha256 over 264 seeded plays: the first ten initially-winning games of
+# the corpus's soundness block and WEIGHTED_FIG1, under the jammer's
+# table and a uniform random jammer, seeds 0-11.  The same on Python
+# 3.10, 3.11 and 3.13.
+TRACES_DIGEST = "b1a5834c03a4ea06c8f87339c29723eafef9f01bd986e5adaed63982db9db0ae"
+
+
+def trace_line(trace):
+    steps = " ".join(
+        f"{s.state},{s.action},{s.query},{s.attack},"
+        f"{sorted(s.observation)},{sorted(s.belief_after)}" for s in trace.steps)
+    return f"{trace.outcome.value} {trace.final_state} {steps}\n"
+
+
+def test_seeded_traces_frozen(corpus):
+    block = corpus["soundness"]
+    runs = []
+    for seed in block["seeds"]:
+        run = run_stages(serialize_spec(generate_spec(
+            GeneratorParams(**block["params"], seed=seed))))
+        if run.report.initial_winning:
+            runs.append(run)
+        if len(runs) == 10:
+            break
+    runs.append(run_stages(WEIGHTED_FIG1))
+    assert runs[-1].game.has_weights
+    digest = hashlib.sha256()
+    for run in runs:
+        for policy in (TableAttack(run.attack_strategy), UniformRandomAttack()):
+            for seed in range(12):
+                trace = simulate(run.game, run.report.strategy, policy,
+                                 max_steps=40, seed=seed)
+                digest.update(trace_line(trace).encode())
+    assert digest.hexdigest() == TRACES_DIGEST

@@ -192,3 +192,135 @@ def test_random_specs_round_trip(seed):
         max_support=3, goal_fraction=0.3, seed=seed))
     text = serialize_spec(doc)
     assert serialize_spec(parse_spec(text)) == text
+
+
+# Malformed files and every diagnostic each one gives, in order, as
+# (line, column, kind, message).
+MALFORMED = {
+    "named-lists": MINI
+        .replace("g0: s1", "g0: s1\ng1 s0\n  g2 g3: s0")
+        .replace("q0: g0", "q0: g0\n: g0\nq1 g0")
+        .replace("none:", "none:\nb0 b1:\nb2")
+        + "\n[enabled-attacks]\ns0 none\ns1 s2: none\n: none\ns1: none\n",
+    "duplicates": MINI
+        .replace("s1 goal", "s1 goal\ns0 shiny\ns-2\ns-2 goal\n s1")
+        .replace("a0\n\n", "a0\na0\na(0\na(0\n\n")
+        .replace("s1 a0 -> s1", "s1 a0 -> s1\n  s0 a0 -> s1\ns1 a0 -> s0:0\ns1 a0 -> s0:2 s1:1")
+        .replace("g0: s1", "g0: s1\ng0: s0\n 9g:\n9g: s1")
+        .replace("q0: g0", "q0: g0\nq0:\nq0 : g0")
+        .replace("none:", "none:\nnone: g0\n  none:")
+        + "\n[enabled-attacks]\ns0: none\ns0:\n s1: none\n s1 : none\n",
+    "transitions": MINI.replace(
+        "s1 a0 -> s1",
+        "s1 a0 -> s1\ns0\ns0 a0\ns0 a0 s1\ns0 a0 => s1\n"
+        "s1 a0 -> s0:0 s1:x\ns1 a0 -> s0:-1\ns1 a0 -> :1\n"
+        "s1 a0 -> s0:1 s1\ns1 a0 -> s0 s1:2 s1:3\ns1 a0 -> s0:1e-3 s1:2.5E2\n"
+        "x y -> a:1 b:c"),
+    "actions": MINI.replace("a0\n\n", "a0\na1 a2\n  a3   a4 a5\n7a\n\n"),
+    "sections": "stray before\n[bogus]\nline under bogus\n[states\n s9\n"
+        + MINI.replace("[actions]", "[ actions ]\n[Actions]\nafter\n[actions]")
+        + "[]\nx\n",
+    "initials": MINI.replace("s1 goal", "s1 goal initial\ns2 initial initial\ns3 goal goal\ns0 initial"),
+    "no-initial": MINI.replace("s0 initial", "s0") + "\n[states]\ns5\n",
+    "empty-states": "# header\n\n[states]\n\n[actions]\na0\n",
+    "missing-states": "[actions]\na0 a1\n[sensors]\ng0\n",
+    "flags": MINI.replace("s0 initial", "s0 initial Initial GOAL goal"),
+    "comments": MINI.replace("s1 goal", "s1 goal # s1 shiny\n# [bogus]\n  \t\ns2 # initial\ns2#dup"),
+}
+
+PINNED_DIAGNOSTICS = {
+    "named-lists": [
+        (14, 1, "syntax", "expected 'sensor-name: ...' with a colon"),
+        (15, 1, "syntax", "expected exactly one sensor name before ':'"),
+        (19, 1, "syntax", "expected exactly one query name before ':'"),
+        (20, 1, "syntax", "expected 'query-name: ...' with a colon"),
+        (24, 1, "syntax", "expected exactly one attack name before ':'"),
+        (25, 1, "syntax", "expected 'attack-name: ...' with a colon"),
+        (28, 1, "syntax", "expected 'state-name: ...' with a colon"),
+        (29, 1, "syntax", "expected exactly one state name before ':'"),
+        (30, 1, "syntax", "expected exactly one state name before ':'"),
+    ],
+    "duplicates": [
+        (4, 4, "unknown-field", "unknown state flag 'shiny' (expected 'initial' or 'goal')"),
+        (4, 1, "duplicate-definition", "state 's0' declared twice"),
+        (5, 1, "syntax", "bad state name 's-2' (expected [A-Za-z_][A-Za-z0-9_]*)"),
+        (6, 1, "syntax", "bad state name 's-2' (expected [A-Za-z_][A-Za-z0-9_]*)"),
+        (6, 1, "duplicate-definition", "state 's-2' declared twice"),
+        (7, 2, "duplicate-definition", "state 's1' declared twice"),
+        (11, 1, "duplicate-definition", "action 'a0' declared twice"),
+        (12, 1, "syntax", "bad action name 'a(0' (expected [A-Za-z_][A-Za-z0-9_]*)"),
+        (13, 1, "syntax", "bad action name 'a(0' (expected [A-Za-z_][A-Za-z0-9_]*)"),
+        (13, 1, "duplicate-definition", "action 'a(0' declared twice"),
+        (18, 3, "duplicate-definition", "transition 's0 a0' declared twice"),
+        (19, 10, "syntax", "bad successor 's0:0' (expected 'name' or 'name:weight', weight > 0)"),
+        (20, 1, "duplicate-definition", "transition 's1 a0' declared twice"),
+        (24, 1, "duplicate-definition", "sensor 'g0' declared twice"),
+        (25, 2, "syntax", "bad sensor name '9g' (expected [A-Za-z_][A-Za-z0-9_]*)"),
+        (26, 1, "syntax", "bad sensor name '9g' (expected [A-Za-z_][A-Za-z0-9_]*)"),
+        (26, 1, "duplicate-definition", "sensor '9g' declared twice"),
+        (30, 1, "duplicate-definition", "query 'q0' declared twice"),
+        (31, 1, "duplicate-definition", "query 'q0' declared twice"),
+        (35, 1, "duplicate-definition", "attack 'none' declared twice"),
+        (36, 3, "duplicate-definition", "attack 'none' declared twice"),
+        (40, 1, "duplicate-definition", "attack enabling for state 's0' declared twice"),
+        (42, 2, "duplicate-definition", "attack enabling for state 's1' declared twice"),
+    ],
+    "transitions": [
+        (11, 1, "syntax", "expected 'state action -> successors...'"),
+        (12, 1, "syntax", "expected 'state action -> successors...'"),
+        (13, 1, "syntax", "expected 'state action -> successors...'"),
+        (14, 1, "syntax", "expected 'state action -> successors...'"),
+        (15, 10, "syntax", "bad successor 's0:0' (expected 'name' or 'name:weight', weight > 0)"),
+        (16, 10, "syntax", "bad successor 's0:-1' (expected 'name' or 'name:weight', weight > 0)"),
+        (17, 10, "syntax", "bad successor ':1' (expected 'name' or 'name:weight', weight > 0)"),
+        (18, 10, "syntax", "either every successor carries a weight or none does"),
+        (19, 10, "syntax", "either every successor carries a weight or none does"),
+        (20, 1, "duplicate-definition", "transition 's1 a0' declared twice"),
+        (21, 12, "syntax", "bad successor 'b:c' (expected 'name' or 'name:weight', weight > 0)"),
+    ],
+    "actions": [
+        (7, 4, "syntax", "one action name per line"),
+        (8, 8, "syntax", "one action name per line"),
+        (9, 1, "syntax", "bad action name '7a' (expected [A-Za-z_][A-Za-z0-9_]*)"),
+    ],
+    "sections": [
+        (1, 1, "syntax", "content outside any known section"),
+        (2, 1, "unknown-field", "unknown section '[bogus]'"),
+        (3, 1, "syntax", "content outside any known section"),
+        (4, 1, "syntax", "unterminated section header"),
+        (5, 1, "syntax", "content outside any known section"),
+        (11, 1, "unknown-field", "unknown section '[Actions]'"),
+        (12, 1, "syntax", "content outside any known section"),
+        (28, 1, "unknown-field", "unknown section '[]'"),
+        (29, 1, "syntax", "content outside any known section"),
+    ],
+    "initials": [
+        (6, 1, "duplicate-definition", "state 's0' declared twice"),
+        (3, 1, "syntax", "state 's1' marked initial, but 's0' already is"),
+        (4, 1, "syntax", "state 's2' marked initial, but 's0' already is"),
+    ],
+    "no-initial": [
+        (21, 1, "syntax", "no state marked initial"),
+    ],
+    "empty-states": [
+        (3, 1, "syntax", "no state marked initial"),
+    ],
+    "missing-states": [
+        (2, 4, "syntax", "one action name per line"),
+        (4, 1, "syntax", "expected 'sensor-name: ...' with a colon"),
+        (1, 1, "syntax", "missing states section"),
+    ],
+    "flags": [
+        (2, 12, "unknown-field", "unknown state flag 'Initial' (expected 'initial' or 'goal')"),
+        (2, 20, "unknown-field", "unknown state flag 'GOAL' (expected 'initial' or 'goal')"),
+    ],
+    "comments": [
+        (7, 1, "duplicate-definition", "state 's2' declared twice"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_diagnostics_pinned(name):
+    d = diags(MALFORMED[name])
+    assert [(x.line, x.column, x.kind, x.message) for x in d] == PINNED_DIAGNOSTICS[name]
