@@ -30,6 +30,13 @@ can point back at declaration lines.
     [enabled-attacks]         # optional; default is every attack everywhere
     s0: beta0 none
 
+One table, `_SECTIONS`, lists the sections in file order and gives each
+its `GameSpecDocument` field, the parser of one of its lines and the
+formatter that writes one declaration back; `parse_spec` and
+`serialize_spec` both walk it, and `SECTION_NAMES` is its keys.  Every
+line parser returns a key, and one check per section reports a key
+declared twice.
+
 Parsing never stops at the first problem.  Every malformed line is
 recorded as a `Diagnostic` with its line and column, and `parse_spec`
 raises a `SpecParseError` carrying the whole list once the scan is done.
@@ -38,17 +45,9 @@ raises a `SpecParseError` carrying the whole list once the scan is done.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-
-SECTION_NAMES = (
-    "states",
-    "actions",
-    "transitions",
-    "sensors",
-    "queries",
-    "attacks",
-    "enabled-attacks",
-)
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -132,6 +131,12 @@ class GameSpecDocument:
 _TOKEN = re.compile(r"\S+")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+# What a line parser returns for a well-formed line: (what, key, column,
+# declaration).  The key is unique per section in a valid file; a second
+# line with the same key is reported as "<what> '<key>' declared twice"
+# at that column.  A malformed line gives None.
+_Parsed = tuple[str, str, int, object] | None
+
 
 def _tokens(text: str) -> list[tuple[str, int]]:
     """Split a line into (token, 1-based column) pairs."""
@@ -139,18 +144,12 @@ def _tokens(text: str) -> list[tuple[str, int]]:
 
 
 class _Scan:
-    """Mutable parse state: collected declarations plus diagnostics."""
+    """Mutable parse state: each section's declarations by key, in file
+    order, plus diagnostics."""
 
     def __init__(self) -> None:
-        self.states: list[StateDecl] = []
-        self.actions: list[ActionDecl] = []
-        self.transitions: list[TransitionDecl] = []
-        self.sensors: list[SensorDecl] = []
-        self.queries: list[SelectionDecl] = []
-        self.attacks: list[SelectionDecl] = []
-        self.enabled: list[EnablingDecl] = []
+        self.decls: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
         self.diagnostics: list[Diagnostic] = []
-        self.seen_sections: set[str] = set()
 
     def issue(self, line: int, column: int, kind: str, message: str) -> None:
         self.diagnostics.append(Diagnostic(line, column, kind, message))
@@ -179,37 +178,26 @@ def _split_named_list(
     return name, members, column
 
 
-def _parse_state_line(scan: _Scan, lineno: int, raw: str) -> None:
+def _state_line(scan: _Scan, lineno: int, raw: str) -> _Parsed:
     toks = _tokens(raw)
     name, column = toks[0]
     scan.check_name(lineno, column, name, "state")
-    initial = goal = False
+    flags = [tok for tok, _ in toks[1:]]
     for tok, col in toks[1:]:
-        if tok == "initial":
-            initial = True
-        elif tok == "goal":
-            goal = True
-        else:
+        if tok not in ("initial", "goal"):
             scan.issue(lineno, col, "unknown-field",
                        f"unknown state flag '{tok}' (expected 'initial' or 'goal')")
-    if any(s.name == name for s in scan.states):
-        scan.issue(lineno, column, "duplicate-definition",
-                   f"state '{name}' declared twice")
-        return
-    scan.states.append(StateDecl(name, initial, goal, lineno))
+    return "state", name, column, StateDecl(name, "initial" in flags, "goal" in flags, lineno)
 
 
-def _parse_action_line(scan: _Scan, lineno: int, raw: str) -> None:
+def _action_line(scan: _Scan, lineno: int, raw: str) -> _Parsed:
     toks = _tokens(raw)
     if len(toks) != 1:
         scan.issue(lineno, toks[1][1], "syntax", "one action name per line")
-        return
-    name, col = toks[0]
-    scan.check_name(lineno, col, name, "action")
-    if any(a.name == name for a in scan.actions):
-        scan.issue(lineno, col, "duplicate-definition", f"action '{name}' declared twice")
-        return
-    scan.actions.append(ActionDecl(name, lineno))
+        return None
+    name, column = toks[0]
+    scan.check_name(lineno, column, name, "action")
+    return "action", name, column, ActionDecl(name, lineno)
 
 
 def _parse_successor(tok: str) -> tuple[str, float | None] | None:
@@ -226,59 +214,80 @@ def _parse_successor(tok: str) -> tuple[str, float | None] | None:
     return name, value
 
 
-def _parse_transition_line(scan: _Scan, lineno: int, raw: str) -> None:
+def _transition_line(scan: _Scan, lineno: int, raw: str) -> _Parsed:
     toks = _tokens(raw)
     if len(toks) < 3 or toks[2][0] != "->":
         scan.issue(lineno, 1, "syntax", "expected 'state action -> successors...'")
-        return
-    state, action = toks[0][0], toks[1][0]
+        return None
     successors: list[tuple[str, float | None]] = []
     for tok, col in toks[3:]:
         succ = _parse_successor(tok)
         if succ is None:
             scan.issue(lineno, col, "syntax",
                        f"bad successor '{tok}' (expected 'name' or 'name:weight', weight > 0)")
-            return
+            return None
         successors.append(succ)
-    weighted = [s for s in successors if s[1] is not None]
-    if weighted and len(weighted) != len(successors):
+    if 0 < sum(w is not None for _, w in successors) < len(successors):
         scan.issue(lineno, toks[3][1], "syntax",
                    "either every successor carries a weight or none does")
-        return
-    if any(t.state == state and t.action == action for t in scan.transitions):
-        scan.issue(lineno, toks[0][1], "duplicate-definition",
-                   f"transition '{state} {action}' declared twice")
-        return
-    scan.transitions.append(TransitionDecl(state, action, tuple(successors), lineno))
+        return None
+    (state, column), (action, _) = toks[:2]
+    # Tokens hold no whitespace, so "state action" names the pair uniquely.
+    return ("transition", f"{state} {action}", column,
+            TransitionDecl(state, action, tuple(successors), lineno))
 
 
-def _parse_enabling_line(scan: _Scan, lineno: int, raw: str) -> None:
-    parsed = _split_named_list(scan, lineno, raw, "state")
-    if parsed is None:
-        return
-    state, attacks, column = parsed
-    if any(e.state == state for e in scan.enabled):
-        scan.issue(lineno, column, "duplicate-definition",
-                   f"attack enabling for state '{state}' declared twice")
-        return
-    scan.enabled.append(EnablingDecl(state, attacks, lineno))
-
-
-def _parse_selection_line(
-    scan: _Scan, lineno: int, raw: str, bucket: list, what: str
-) -> None:
+def _selection_line(what: str, decl: type, scan: _Scan, lineno: int, raw: str) -> _Parsed:
+    """A ``name: sensor ...`` line declaring a sensor (its members are
+    states), a query or an attack; ``decl`` is the declaration type."""
     parsed = _split_named_list(scan, lineno, raw, what)
     if parsed is None:
-        return
+        return None
     name, members, column = parsed
     scan.check_name(lineno, column, name, what)
-    if any(d.name == name for d in bucket):
-        scan.issue(lineno, column, "duplicate-definition", f"{what} '{name}' declared twice")
-        return
-    if what == "sensor":
-        bucket.append(SensorDecl(name, members, lineno))
-    else:
-        bucket.append(SelectionDecl(name, members, lineno))
+    return what, name, column, decl(name, members, lineno)
+
+
+def _enabling_line(scan: _Scan, lineno: int, raw: str) -> _Parsed:
+    parsed = _split_named_list(scan, lineno, raw, "state")
+    if parsed is None:
+        return None
+    state, attacks, column = parsed
+    return "attack enabling for state", state, column, EnablingDecl(state, attacks, lineno)
+
+
+def _format_successor(succ: tuple[str, float | None]) -> str:
+    name, weight = succ
+    if weight is None:
+        return name
+    return f"{name}:{weight:g}"
+
+
+def _named_list(name: str, members: tuple[str, ...]) -> str:
+    return f"{name}: {' '.join(members)}".rstrip()
+
+
+# The format's one table: each section, in file order, with the document
+# field that holds its declarations, the parser of one of its lines and
+# the formatter that writes one declaration back as a line.
+_SECTIONS: dict[str, tuple[str, Callable[..., _Parsed], Callable[..., str]]] = {
+    "states": ("states", _state_line,
+               lambda s: s.name + (" initial" if s.initial else "") + (" goal" if s.goal else "")),
+    "actions": ("actions", _action_line, lambda a: a.name),
+    "transitions": ("transitions", _transition_line,
+                    lambda t: f"{t.state} {t.action} -> "
+                              f"{' '.join(map(_format_successor, t.successors))}".rstrip()),
+    "sensors": ("sensors", partial(_selection_line, "sensor", SensorDecl),
+                lambda s: _named_list(s.name, s.covers)),
+    "queries": ("queries", partial(_selection_line, "query", SelectionDecl),
+                lambda q: _named_list(q.name, q.sensors)),
+    "attacks": ("attacks", partial(_selection_line, "attack", SelectionDecl),
+                lambda a: _named_list(a.name, a.sensors)),
+    "enabled-attacks": ("enabled_attacks", _enabling_line,
+                        lambda e: _named_list(e.state, e.attacks)),
+}
+
+SECTION_NAMES = tuple(_SECTIONS)
 
 
 def parse_spec(text: str) -> GameSpecDocument:
@@ -293,46 +302,37 @@ def parse_spec(text: str) -> GameSpecDocument:
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         raw = line.split("#", 1)[0].rstrip()
-        if not raw.strip():
-            continue
         stripped = raw.strip()
+        if not stripped:
+            continue
         if stripped.startswith("["):
+            section = None
+            name = stripped[1:-1].strip()
             if not stripped.endswith("]"):
                 scan.issue(lineno, 1, "syntax", "unterminated section header")
-                section = None
-                continue
-            name = stripped[1:-1].strip()
-            if name not in SECTION_NAMES:
+            elif name not in _SECTIONS:
                 scan.issue(lineno, 1, "unknown-field", f"unknown section '[{name}]'")
-                section = None
-                continue
-            section = name
-            scan.seen_sections.add(name)
-            if name == "states":
-                states_header_line = lineno
+            else:
+                section = name
+                if name == "states":
+                    states_header_line = lineno
             continue
         if section is None:
             scan.issue(lineno, 1, "syntax", "content outside any known section")
             continue
-        if section == "states":
-            _parse_state_line(scan, lineno, raw)
-        elif section == "actions":
-            _parse_action_line(scan, lineno, raw)
-        elif section == "transitions":
-            _parse_transition_line(scan, lineno, raw)
-        elif section == "sensors":
-            _parse_selection_line(scan, lineno, raw, scan.sensors, "sensor")
-        elif section == "queries":
-            _parse_selection_line(scan, lineno, raw, scan.queries, "query")
-        elif section == "attacks":
-            _parse_selection_line(scan, lineno, raw, scan.attacks, "attack")
-        elif section == "enabled-attacks":
-            _parse_enabling_line(scan, lineno, raw)
+        parsed = _SECTIONS[section][1](scan, lineno, raw)
+        if parsed is None:
+            continue
+        what, key, column, decl = parsed
+        if key in scan.decls[section]:
+            scan.issue(lineno, column, "duplicate-definition", f"{what} '{key}' declared twice")
+        else:
+            scan.decls[section][key] = decl
 
-    if "states" not in scan.seen_sections:
+    if not states_header_line:
         scan.issue(1, 1, "syntax", "missing states section")
     else:
-        initials = [s for s in scan.states if s.initial]
+        initials = [s for s in scan.decls["states"].values() if s.initial]
         if not initials:
             scan.issue(states_header_line, 1, "syntax", "no state marked initial")
         for extra in initials[1:]:
@@ -343,22 +343,8 @@ def parse_spec(text: str) -> GameSpecDocument:
     if scan.diagnostics:
         raise SpecParseError(scan.diagnostics)
 
-    return GameSpecDocument(
-        states=tuple(scan.states),
-        actions=tuple(scan.actions),
-        transitions=tuple(scan.transitions),
-        sensors=tuple(scan.sensors),
-        queries=tuple(scan.queries),
-        attacks=tuple(scan.attacks),
-        enabled_attacks=tuple(scan.enabled),
-    )
-
-
-def _format_successor(succ: tuple[str, float | None]) -> str:
-    name, weight = succ
-    if weight is None:
-        return name
-    return f"{name}:{weight:g}"
+    return GameSpecDocument(**{field: tuple(scan.decls[name].values())
+                               for name, (field, _, _) in _SECTIONS.items()})
 
 
 def serialize_spec(doc: GameSpecDocument) -> str:
@@ -366,36 +352,12 @@ def serialize_spec(doc: GameSpecDocument) -> str:
 
     Declaration order is preserved (it defines the numeric identifiers),
     comments are gone, and weights use one fixed number format, so equal
-    documents serialize to byte-identical text.
+    documents serialize to byte-identical text.  An empty
+    ``[enabled-attacks]`` section is left out.
     """
-    out: list[str] = ["[states]"]
-    for s in doc.states:
-        flags = ("",) + ((" initial",) if s.initial else ()) + ((" goal",) if s.goal else ())
-        out.append(s.name + "".join(flags))
-    out.append("")
-    out.append("[actions]")
-    out.extend(a.name for a in doc.actions)
-    out.append("")
-    out.append("[transitions]")
-    for t in doc.transitions:
-        succs = " ".join(_format_successor(s) for s in t.successors)
-        out.append(f"{t.state} {t.action} -> {succs}".rstrip())
-    out.append("")
-    out.append("[sensors]")
-    for sensor in doc.sensors:
-        out.append(f"{sensor.name}: {' '.join(sensor.covers)}".rstrip())
-    out.append("")
-    out.append("[queries]")
-    for q in doc.queries:
-        out.append(f"{q.name}: {' '.join(q.sensors)}".rstrip())
-    out.append("")
-    out.append("[attacks]")
-    for a in doc.attacks:
-        out.append(f"{a.name}: {' '.join(a.sensors)}".rstrip())
-    if doc.enabled_attacks:
-        out.append("")
-        out.append("[enabled-attacks]")
-        for e in doc.enabled_attacks:
-            out.append(f"{e.state}: {' '.join(e.attacks)}".rstrip())
-    out.append("")
+    out: list[str] = []
+    for name, (field, _, format_line) in _SECTIONS.items():
+        decls = getattr(doc, field)
+        if decls or name != "enabled-attacks":
+            out += [f"[{name}]", *map(format_line, decls), ""]
     return "\n".join(out)
