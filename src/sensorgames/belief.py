@@ -278,21 +278,26 @@ def build_belief_mdp(game: Game) -> BeliefMDP:
 
 
 def restricted(mdp: BeliefMDP, keep: Iterable[BeliefNode]) -> BeliefMDP:
-    """Sub-MDP on ``keep``: moves whose successors all stay inside.
+    """Sub-MDP on ``keep``: a class keeps a move only if, from every kept
+    member, the move's successors all stay inside.
 
     `FINAL` is always retained.  Beliefs whose class gets split by the
-    restriction keep only the surviving members.  Nodes and classes keep
-    ``mdp``'s order.
+    restriction keep only the surviving members, and class-mates keep
+    the same moves.  Nodes and classes keep ``mdp``'s order.
     """
     kept = set(keep)
     nodes = tuple(q for q in mdp.nodes if q in kept)
-    trans = {q: {pair: succs for pair, succs in mdp.trans[q].items()
-                 if all(s is FINAL or s in kept for s in succs)}
-             for q in nodes}
     classes: dict[frozenset[StateId], tuple[BeliefNode, ...]] = {}
+    allowed: dict[frozenset[StateId], set[ActionPair]] = {}
     for belief, members in mdp.classes.items():
         inside = tuple(q for q in members if q in kept)
         if inside:
             classes[belief] = inside
+            allowed[belief] = {pair for pair in mdp.trans[inside[0]]
+                               if all(s is FINAL or s in kept
+                                      for q in inside for s in mdp.trans[q][pair])}
+    trans = {q: {pair: succs for pair, succs in mdp.trans[q].items()
+                 if pair in allowed[q.belief]}
+             for q in nodes}
     return BeliefMDP(game=mdp.game, initial=mdp.initial, nodes=nodes,
                      trans=trans, classes=classes)

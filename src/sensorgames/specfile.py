@@ -44,6 +44,7 @@ raises a `SpecParseError` carrying the whole list once the scan is done.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import partial
@@ -201,7 +202,8 @@ def _action_line(scan: _Scan, lineno: int, raw: str) -> _Parsed:
 
 
 def _parse_successor(tok: str) -> tuple[str, float | None] | None:
-    """A successor token is ``name`` or ``name:weight`` with weight > 0."""
+    """A successor token is ``name`` or ``name:weight`` with a finite
+    weight > 0."""
     name, sep, weight = tok.partition(":")
     if not sep:
         return tok, None
@@ -209,7 +211,7 @@ def _parse_successor(tok: str) -> tuple[str, float | None] | None:
         value = float(weight)
     except ValueError:
         return None
-    if not name or value <= 0:
+    if not name or not 0 < value < math.inf:
         return None
     return name, value
 
@@ -238,8 +240,8 @@ def _transition_line(scan: _Scan, lineno: int, raw: str) -> _Parsed:
 
 
 def _selection_line(what: str, decl: type, scan: _Scan, lineno: int, raw: str) -> _Parsed:
-    """A ``name: sensor ...`` line declaring a sensor (its members are
-    states), a query or an attack; ``decl`` is the declaration type."""
+    """A ``name: member ...`` line declaring a sensor (its members are
+    states), a query or an attack (sensors); ``decl`` is its type."""
     parsed = _split_named_list(scan, lineno, raw, what)
     if parsed is None:
         return None
@@ -257,10 +259,13 @@ def _enabling_line(scan: _Scan, lineno: int, raw: str) -> _Parsed:
 
 
 def _format_successor(succ: tuple[str, float | None]) -> str:
+    """``name``, or ``name:weight`` with the weight in ``:g`` form where
+    that reads back exactly and as its ``repr`` where it does not."""
     name, weight = succ
     if weight is None:
         return name
-    return f"{name}:{weight:g}"
+    short = f"{weight:g}"
+    return f"{name}:{short if float(short) == weight else repr(weight)}"
 
 
 def _named_list(name: str, members: tuple[str, ...]) -> str:
@@ -351,8 +356,9 @@ def serialize_spec(doc: GameSpecDocument) -> str:
     """Render a document back to canonical text.
 
     Declaration order is preserved (it defines the numeric identifiers),
-    comments are gone, and weights use one fixed number format, so equal
-    documents serialize to byte-identical text.  An empty
+    comments are gone, and each weight has one spelling that reads back
+    exactly, so equal documents serialize to byte-identical text and
+    parsing the text gives the document back.  An empty
     ``[enabled-attacks]`` section is left out.
     """
     out: list[str] = []

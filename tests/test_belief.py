@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from sensorgames import build_belief_mdp
+from sensorgames import build_belief_mdp, check_soundness, solve_p1
 from sensorgames.belief import (
     FINAL,
     BeliefNode,
@@ -173,6 +173,20 @@ def test_restricted_splits_classes(fig1):
     sub = restricted(mdp, keep)
     assert sub.classes[g.state_set(["s1", "s2"])] == (full[1],)
     assert list(sub.classes) == list(mdp.classes)
+
+
+def test_restricted_class_mates_keep_the_same_moves(fig1_noattack):
+    # Without the start node, (s0,{s0,s2}) can only take moves that keep
+    # (s2,{s0,s2}) inside too, so the class keeps the same moves.
+    mdp = fig1_noattack.mdp
+    sub = restricted(mdp, [q for q in mdp.nodes if q != mdp.initial])
+    for members in sub.classes.values():
+        moves = list(sub.trans[members[0]])
+        assert all(list(sub.trans[q]) == moves for q in members)
+        for move in moves:
+            assert all(s is FINAL or s in sub.trans
+                       for q in members for s in sub.trans[q][move])
+    assert check_soundness(sub, solve_p1(sub).strategy).ok
 
 
 # --- the dense form ----------------------------------------------------------

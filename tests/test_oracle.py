@@ -156,6 +156,17 @@ def test_oracle_without_the_start_node(fig1_noattack):
     assert not solve_p1(sub).initial_winning
 
 
+def test_oracle_on_a_split_class():
+    # Seed 107 of the corpus's differential block, less the first member
+    # of its second class: class-mates there keep the same moves, so the
+    # referee enumerates each class's moves as a whole.
+    mdp = build_belief_mdp(generate_game(params(107)))
+    first = list(mdp.classes.values())[1][0]
+    sub = restricted(mdp, [q for q in mdp.nodes if q != first])
+    assert brute_force_win1(sub) == OracleResult(True, 11, 5)
+    assert solve_p1(sub).initial_winning
+
+
 def with_isolating_sensors(doc):
     """Add one unjammable sensor per state to every query."""
     extra = tuple(

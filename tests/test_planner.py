@@ -338,8 +338,9 @@ def test_nested_fixpoint_agrees_on_figures(fixture, request):
     assert nested_fixpoint_win1(run.mdp) == run.report.win
 
 
-# The 17/5/7 rung is the 17:7 arena of the benchmark's arena-elim workload.
-@pytest.mark.parametrize("rung", [(10, 4, 9), (16, 5, 4), (17, 5, 7)],
+# The 17/5/7, 17/5/4 and 18/5/8 rungs are the benchmark's 17:7, 17:4 and
+# 18:8 arenas.
+@pytest.mark.parametrize("rung", [(10, 4, 9), (16, 5, 4), (17, 5, 7), (17, 5, 4), (18, 5, 8)],
                          ids=lambda r: "%d-%d-%d" % r)
 def test_nested_fixpoint_agrees_on_rungs(rung):
     mdp = build_belief_mdp(validate_game(parse_spec(ladder_text(*rung))))

@@ -145,6 +145,13 @@ def test_zero_weight_rejected():
     assert "bad successor 's0:0'" in d[0].message
 
 
+@pytest.mark.parametrize("weight", ["nan", "NaN", "inf", "Infinity", "1e309"])
+def test_non_finite_weight_rejected(weight):
+    d = diags(MINI.replace("s0 a0 -> s0 s1", f"s0 a0 -> s0:1 s1:{weight}"))
+    assert [(x.line, x.column, x.kind) for x in d] == [(9, 15, "syntax")]
+    assert d[0].message.startswith(f"bad successor 's1:{weight}'")
+
+
 def test_mixed_weights_rejected():
     d = diags(MINI.replace("s0 a0 -> s0 s1", "s0 a0 -> s0:0.5 s1"))
     assert d[0].kind == "syntax"
@@ -182,6 +189,20 @@ def test_serializer_weight_format():
     text = MINI.replace("s0 a0 -> s0 s1", "s0 a0 -> s0:0.5 s1:2")
     out = serialize_spec(parse_spec(text))
     assert "s0:0.5" in out and "s1:2" in out and "s1:2.0" not in out
+
+
+def test_close_weights_serialize_apart():
+    texts = [serialize_spec(parse_spec(MINI.replace("s0 a0 -> s0 s1", f"s0 a0 -> s0:{w} s1:1")))
+             for w in ("0.1234567", "0.1234568")]
+    assert "s0:0.1234567 " in texts[0] and "s0:0.1234568 " in texts[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=0, exclude_min=True, allow_infinity=False))
+def test_weights_read_back_exactly(weight):
+    doc = parse_spec(MINI.replace("s0 a0 -> s0 s1", f"s0 a0 -> s0:{weight!r} s1:1"))
+    assert doc.transitions[0].successors[0] == ("s0", weight)
+    assert parse_spec(serialize_spec(doc)) == doc
 
 
 @settings(max_examples=40, deadline=None)
