@@ -11,7 +11,6 @@ The package answers three questions about such a game:
 """
 
 from .game import (
-    DisabledActionError,
     Game,
     GameValidationError,
     Observation,
@@ -20,8 +19,6 @@ from .game import (
     ValidationIssue,
     get_observation,
     observation_for_sensors,
-    post_belief,
-    post_state,
     validate_game,
 )
 from .belief import (

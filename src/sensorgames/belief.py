@@ -21,14 +21,12 @@ class.  Construction materializes every (s', B) with s' in B for each
 discovered belief, which keeps those classes whole.
 
 The boundary types are `BeliefNode` and frozenset beliefs; inside the
-expansion a belief is an int mask with bit s set for state s.  The game
-is read once into masks: the observation of each (state, query,
-attack) triple, through `get_observation`, the successor support of each
-enabled (state, action), and the states where each action is enabled.
-A belief's offered actions and their images are computed once per
-belief rather than once per node, and the successors a move gains by
-landing in s' depend only on (image, s', query), so each such triple
-is resolved once.  Nodes are interned: each (state, mask) pair has one
+expansion a belief is an int mask with bit s set for state s, and the
+game is read through its tables, `Game.masks`, which the simulator
+reads too.  A belief's offered actions and their images are computed
+once per belief rather than once per node, and the successors a move
+gains by landing in s' depend only on (image, s', query), so each such
+triple is resolved once.  Nodes are interned: each (state, mask) pair has one
 `BeliefNode` and each mask one frozenset, so every successor key in
 ``trans`` is the very object listed in ``nodes``.
 
@@ -49,18 +47,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 from typing import Iterable, Mapping
 
-from .game import (
-    ActionId,
-    AttackId,
-    Game,
-    QueryId,
-    StateId,
-    get_observation,
-)
+from .game import ActionId, AttackId, Game, QueryId, StateId, states_of
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,18 +159,6 @@ class DenseMDP:
     initial: int | None
 
 
-def _states(mask: int) -> tuple[StateId, ...]:
-    """The states of a bit mask, ascending."""
-    out = []
-    s = 0
-    while mask:
-        if mask & 1:
-            out.append(s)
-        mask >>= 1
-        s += 1
-    return tuple(out)
-
-
 def build_belief_mdp(game: Game) -> BeliefMDP:
     """Expand the perceived game reachable from the known start.
 
@@ -191,20 +169,10 @@ def build_belief_mdp(game: Game) -> BeliefMDP:
     reproducible node for node.  The sweep runs on masks (see the module
     notes); nodes and frozensets are made once, when a belief is found.
     """
+    masks = game.masks
     n_states = game.n_states
     n_actions = len(game.action_names)
     n_queries = len(game.queries)
-    goal = sum(1 << s for s in game.goal)
-    support_of = {key: sum(1 << s2 for s2 in support)
-                  for key, support in game.trans.items()}
-    enabled_at = [sum(1 << s for s in range(n_states) if (s, a) in support_of)
-                  for a in range(n_actions)]
-    # views[s][q]: (attack, observation mask) for every attack enabled at s.
-    views = [
-        [tuple((att, sum(1 << s2 for s2 in get_observation(game, s, q, att)))
-               for att in sorted(game.enabled_attacks[s]))
-         for q in range(n_queries)]
-        for s in range(n_states)]
 
     keys: dict[int, tuple[StateId, ...]] = {}  # mask -> sorted states
     members: dict[int, dict[StateId, BeliefNode]] = {}  # mask -> its nodes
@@ -212,9 +180,9 @@ def build_belief_mdp(game: Game) -> BeliefMDP:
     queue: deque[tuple[BeliefNode, list[tuple[ActionId, int]]]] = deque()
 
     def discover_belief(mask: int) -> None:
-        states = keys[mask] = _states(mask)
-        offered = [(a, reduce(or_, (support_of[(s, a)] for s in states)))
-                   for a in range(n_actions) if (mask & ~enabled_at[a]) == 0]
+        states = keys[mask] = states_of(mask)
+        offered = [(a, masks.image(states, a))
+                   for a in range(n_actions) if (mask & ~masks.enabled[a]) == 0]
         belief = frozenset(states)
         nodes = members[mask] = {}
         for s in states:
@@ -232,7 +200,7 @@ def build_belief_mdp(game: Game) -> BeliefMDP:
         if found is not None:
             return found
         by_belief: dict[int, list[AttackId]] = {}
-        for att, view in views[s2][query]:
+        for att, view in masks.views[s2][query].items():
             b2 = image & view
             if b2 not in by_belief:
                 by_belief[b2] = []
@@ -257,9 +225,9 @@ def build_belief_mdp(game: Game) -> BeliefMDP:
         moves: dict[ActionPair, dict] = {}
         trans[node] = moves
         for action, image in offered:
-            support = support_of[(node.state, action)]
-            outside = _states(support & ~goal)
-            to_final = not outside or (support & goal) != 0
+            support = masks.support[(node.state, action)]
+            outside = states_of(support & ~masks.goal)
+            to_final = not outside or (support & masks.goal) != 0
             for query, pair in enumerate(pairs[action]):
                 succs: dict = {FINAL: no_attacks} if to_final else {}
                 for s2 in outside:

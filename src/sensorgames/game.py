@@ -11,11 +11,20 @@ exactly the sensors in ``query minus attack``.
 
 Everything downstream (belief tracking, both solvers, the simulator)
 consumes the immutable `Game` built here by `validate_game`.
+`get_observation` is the one definition of the observation rule.
+`Game.masks` holds the game's tables on bit masks, built once per game
+from ``trans`` and that rule: the goal, each successor support, the
+states where each action is enabled, and each observation.  The belief
+expansion and the simulator both read it, so the belief update -- the
+action image filtered by the observation -- is computed one way.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from .specfile import GameSpecDocument
@@ -70,15 +79,6 @@ class GameValidationError(Exception):
         super().__init__(f"{first}{tail}")
 
 
-class DisabledActionError(Exception):
-    """An operation asked for an action at a state where it is disabled."""
-
-    def __init__(self, state: StateId, action: ActionId, message: str):
-        self.state = state
-        self.action = action
-        super().__init__(message)
-
-
 @dataclass(frozen=True)
 class Game:
     """A validated arena.  All identifiers are dense indices.
@@ -108,8 +108,20 @@ class Game:
     def has_weights(self) -> bool:
         return any(w is not None for support in self.trans.values() for w in support.values())
 
-    def enabled_actions(self, state: StateId) -> tuple[ActionId, ...]:
-        return tuple(a for a in range(len(self.action_names)) if (state, a) in self.trans)
+    @cached_property
+    def masks(self) -> Masks:
+        """This game's tables on bit masks, built on first use."""
+        support = {key: sum(1 << s2 for s2 in succs) for key, succs in self.trans.items()}
+        return Masks(
+            goal=sum(1 << s for s in self.goal),
+            support=support,
+            enabled=tuple(sum(1 << s for s in range(self.n_states) if (s, a) in support)
+                          for a in range(len(self.action_names))),
+            views=tuple(
+                tuple({att: sum(1 << s2 for s2 in get_observation(self, s, q, att))
+                       for att in sorted(self.enabled_attacks[s])}
+                      for q in range(len(self.queries)))
+                for s in range(self.n_states)))
 
     def counts(self) -> dict[str, int]:
         """How many of each declaration the arena has, in file order."""
@@ -138,6 +150,40 @@ class Game:
         return frozenset(self.state(n) for n in names)
 
 
+@dataclass(frozen=True, slots=True)
+class Masks:
+    """A game's tables on int masks, bit s standing for state s.
+
+    ``goal`` is the goal set, ``support[(s, a)]`` the successor support
+    of each enabled (state, action) and ``enabled[a]`` the states where
+    action a is enabled.  ``views[s][q][att]`` is the observation at s
+    under query q and attack att, for each attack enabled at s, in
+    ascending order; `get_observation` fills it.
+    """
+
+    goal: int
+    support: Mapping[tuple[StateId, ActionId], int]
+    enabled: tuple[int, ...]
+    views: tuple[tuple[Mapping[AttackId, int], ...], ...]
+
+    def image(self, states: Iterable[StateId], action: ActionId) -> int:
+        """The action image of a belief, before any observation; the
+        action must be enabled at each of its states."""
+        return reduce(or_, [self.support[(s, action)] for s in states])
+
+
+def states_of(mask: int) -> tuple[StateId, ...]:
+    """The states of a bit mask, ascending."""
+    out = []
+    s = 0
+    while mask:
+        if mask & 1:
+            out.append(s)
+        mask >>= 1
+        s += 1
+    return tuple(out)
+
+
 def _lookup(kind: str, names: Sequence[str], name: str) -> int:
     """Position of ``name`` among ``names``; an unknown name is a ValueError
     that says what kind of name was asked for."""
@@ -145,40 +191,6 @@ def _lookup(kind: str, names: Sequence[str], name: str) -> int:
         return names.index(name)
     except ValueError:
         raise ValueError(f"unknown {kind} {name!r}") from None
-
-
-def post_state(game: Game, state: StateId, action: ActionId) -> frozenset[StateId]:
-    """Successor support of one state under one action."""
-    support = game.trans.get((state, action))
-    if support is None:
-        if not (0 <= state < game.n_states):
-            raise ValueError(f"unknown state id {state}")
-        if not (0 <= action < len(game.action_names)):
-            raise ValueError(f"unknown action id {action}")
-        raise DisabledActionError(
-            state, action,
-            f"action '{game.action_names[action]}' is disabled at "
-            f"state '{game.state_names[state]}'")
-    return frozenset(support)
-
-
-def post_belief(game: Game, belief: Iterable[StateId], action: ActionId) -> frozenset[StateId]:
-    """Image of a belief under one action, before any observation.
-
-    The action must be enabled at every state of the belief; the error
-    names the first (lowest-id) state where it is not.
-    """
-    states = sorted(set(belief))
-    for s in states:
-        if (s, action) not in game.trans:
-            raise DisabledActionError(
-                s, action,
-                f"action '{game.action_names[action]}' is disabled at "
-                f"state '{game.state_names[s]}' in the belief")
-    out: set[StateId] = set()
-    for s in states:
-        out.update(game.trans[(s, action)])
-    return frozenset(out)
 
 
 def observation_for_sensors(
@@ -268,6 +280,12 @@ def validate_game(doc: GameSpecDocument) -> Game:
                 f"transition '{t.state} {t.action}' has an empty successor set",
                 t.line))
             continue
+        for name, count in Counter(name for name, _weight in t.successors).items():
+            if count > 1:
+                issues.append(ValidationIssue(
+                    "duplicate-name",
+                    f"transition '{t.state} {t.action}' lists successor '{name}' twice",
+                    t.line))
         support: dict[StateId, float | None] = {}
         for name, weight in t.successors:
             succ = _resolve(state_ids, name, "state", t.line, issues)

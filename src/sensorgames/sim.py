@@ -5,7 +5,9 @@ only by her belief, samples uniformly among the moves her multi-strategy
 keeps available; the arena samples a successor from the declared weights
 (uniformly when none are given); the attack policy, which may peek at
 everything including the true successor, picks a jam; the belief then
-shrinks by the resulting observation.
+shrinks by the resulting observation.  That update reads the game's
+tables, `Game.masks`, as the belief expansion does, so the two compute
+every belief the same way.
 
 A play ends when the agent *knows* the task is complete -- her belief
 sits entirely inside the goal -- or when the step budget runs out.  If
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .attacker import AttackStrategy
-from .belief import BeliefNode
-from .game import AttackId, Game, Observation, StateId, get_observation, post_belief
+from .belief import BeliefNode, node_label
+from .game import AttackId, Game, Observation, StateId, states_of
 from .planner import MultiStrategy
 
 
@@ -55,9 +57,9 @@ class PlayTrace:
 class StrategyGapError(Exception):
     """The play reached a belief the agent's strategy does not cover."""
 
-    def __init__(self, node: BeliefNode):
+    def __init__(self, game: Game, node: BeliefNode):
         self.node = node
-        super().__init__(f"no move available at {node}")
+        super().__init__(f"no move available at {node_label(game, node)}")
 
 
 class FixedAttack:
@@ -148,9 +150,17 @@ def simulate(
     when ``p2`` picks an attack not enabled at the successor state.
     """
     rng = random.Random(seed)
+    masks = game.masks
     state = game.initial
     belief: frozenset[StateId] = frozenset({state})
     steps: list[Step] = []
+    sets: dict[int, frozenset[StateId]] = {}  # one frozenset per mask in this play
+
+    def as_set(mask: int) -> frozenset[StateId]:
+        found = sets.get(mask)
+        if found is None:
+            found = sets[mask] = frozenset(states_of(mask))
+        return found
 
     if belief <= game.goal:
         return PlayTrace((), Outcome.TASK_KNOWN_COMPLETE, state, seed)
@@ -159,7 +169,7 @@ def simulate(
         node = BeliefNode(state, belief)
         moves = p1.for_belief(belief)
         if not moves:
-            raise StrategyGapError(node)
+            raise StrategyGapError(game, node)
         action, query = sorted(moves)[rng.randrange(len(moves))]
         next_state = _sample_successor(rng, game, state, action)
         attack = p2.choose(rng, game, node, (action, query), next_state)
@@ -167,9 +177,9 @@ def simulate(
             raise ValueError(
                 f"attack '{game.attacks[attack].name}' is not enabled at "
                 f"state '{game.state_names[next_state]}'")
-        obs = get_observation(game, next_state, query, attack)
-        belief = post_belief(game, belief, action) & obs
-        steps.append(Step(state, action, query, attack, obs, belief))
+        view = masks.views[next_state][query][attack]
+        belief = as_set(masks.image(belief, action) & view)
+        steps.append(Step(state, action, query, attack, as_set(view), belief))
         state = next_state
         if belief <= game.goal:
             return PlayTrace(tuple(steps), Outcome.TASK_KNOWN_COMPLETE, state, seed)

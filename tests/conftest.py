@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from importlib import resources
 
 import pytest
+from hypothesis import strategies as st
 
-from sensorgames import bundled_game_text, run_stages
+from sensorgames import bundled_game_text, run_stages, validate_game
 from sensorgames.belief import FINAL, BeliefMDP, BeliefNode
+from sensorgames.oracle import GeneratorParams, generate_spec
+from sensorgames.specfile import EnablingDecl
 
 
 def load_corpus():
@@ -73,3 +77,17 @@ def uninterned(mdp):
                for q, moves in mdp.trans.items()},
         classes={frozenset(set(belief)): tuple(fresh(q) for q in members)
                  for belief, members in mdp.classes.items()})
+
+
+@st.composite
+def per_state_attack_games(draw):
+    """Small generated games with a random ``[enabled-attacks]`` section:
+    each state gets a non-empty subset of the attacks."""
+    doc = generate_spec(GeneratorParams(
+        n_states=5, n_actions=2, n_sensors=3, n_queries=2, n_attacks=3,
+        max_support=2, goal_fraction=0.25, seed=draw(st.integers(0, 10_000))))
+    names = [a.name for a in doc.attacks]
+    rows = tuple(
+        EnablingDecl(state.name, tuple(sorted(draw(st.sets(st.sampled_from(names), min_size=1)))))
+        for state in doc.states)
+    return validate_game(replace(doc, enabled_attacks=rows))

@@ -13,10 +13,10 @@ from sensorgames import (
     solve_p2_safety,
 )
 from sensorgames.belief import FINAL, BeliefNode, node_key, node_label
-from sensorgames.game import get_observation, post_belief, post_state
+from sensorgames.game import get_observation
 from sensorgames.oracle import GeneratorParams, generate_game
 
-from .conftest import bnode
+from .conftest import bnode, per_state_attack_games
 
 
 def reference_successors(game, report, node, attack):
@@ -24,12 +24,13 @@ def reference_successors(game, report, node, attack):
 
     Each kept move either finishes the task (the support touches the
     goal) or lands in a non-goal successor state, where the jammed
-    observation filters the action image of the belief.
+    observation filters the action image of the belief.  It reads
+    ``trans`` and `get_observation`, never the game's mask tables.
     """
     out = set()
     for action, query in report.strategy.allowed[node]:
-        support = post_state(game, node.state, action)
-        image = post_belief(game, node.belief, action)
+        support = frozenset(game.trans[(node.state, action)])
+        image = frozenset().union(*(game.trans[(s, action)] for s in node.belief))
         if support & game.goal:
             out.add(FINAL)
         for s2 in support - game.goal:
@@ -41,7 +42,7 @@ def assert_matches_reference(game, report, adv):
     for node in adv.nodes:
         landing = set()
         for action, _query in report.strategy.allowed[node]:
-            landing |= post_state(game, node.state, action) - game.goal
+            landing |= game.trans[(node.state, action)].keys() - game.goal
         offered = tuple(att for att in range(len(game.attacks))
                         if all(att in game.enabled_attacks[s] for s in landing))
         assert tuple(adv.trans[node]) == offered
@@ -108,13 +109,11 @@ def test_fig1_attacker_loses_everywhere(fig1):
 
 def test_attacks_offered_only_where_enabled_everywhere(fig4):
     g, adv = fig4.game, fig4.attacker
-    from sensorgames.game import post_state
-
     for node in adv.nodes:
         moves = fig4.report.strategy.allowed[node]
         landing = set()
         for action, _query in moves:
-            landing |= post_state(g, node.state, action) - g.goal
+            landing |= g.trans[(node.state, action)].keys() - g.goal
         for att in tuple(adv.trans[node]):
             assert all(att in g.enabled_attacks[s] for s in landing)
 
@@ -167,9 +166,18 @@ def test_empty_win1_refused(fig1_nosense):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_attacker_invariants_random(seed):
-    game = generate_game(GeneratorParams(
+    assert_attacker_invariants(generate_game(GeneratorParams(
         n_states=5, n_actions=2, n_sensors=3, n_queries=2, n_attacks=3,
-        max_support=2, goal_fraction=0.25, seed=seed))
+        max_support=2, goal_fraction=0.25, seed=seed)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(per_state_attack_games())
+def test_attacker_invariants_per_state_attacks(game):
+    assert_attacker_invariants(game)
+
+
+def assert_attacker_invariants(game):
     mdp = build_belief_mdp(game)
     rep = solve_p1(mdp)
     if not rep.win:

@@ -229,7 +229,7 @@ def test_simulate_unknown_attack(spec_dir, capsys):
 def test_simulate_strategy_gap(spec_dir, capsys):
     code, _, err = run(capsys, "simulate", spec_dir / "fig1_nosense.game",
                        "--runs", "1", "--p2", "random")
-    assert code == 2 and "no move available" in err
+    assert code == 2 and err == "error: no move available at (s0,{s0})\n"
 
 
 def test_simulate_disabled_attack(spec_dir, capsys):

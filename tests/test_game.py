@@ -7,18 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sensorgames import (
-    DisabledActionError,
     GameValidationError,
+    ValidationIssue,
     get_observation,
     observation_for_sensors,
     parse_spec,
-    post_belief,
-    post_state,
     validate_game,
 )
 from sensorgames.belief import BeliefNode
+from sensorgames.game import states_of
 from sensorgames.oracle import GeneratorParams, generate_game
 
+from .conftest import per_state_attack_games
 from .test_specfile import MINI
 
 
@@ -83,6 +83,19 @@ def test_duplicate_names_in_programmatic_document():
                for i in err.value.issues)
 
 
+def test_duplicate_successor():
+    # Text and programmatic documents alike: a successor listed twice is
+    # refused rather than keeping its last weight.
+    issue = ValidationIssue(
+        "duplicate-name", "transition 's0 a0' lists successor 's1' twice", 9)
+    assert issues_of(MINI.replace("s0 a0 -> s0 s1", "s0 a0 -> s1:1 s1:2 s0:1")) == (issue,)
+    doc = parse_spec(MINI.replace("s0 a0 -> s0 s1", "s0 a0 -> s1 s1 s0"))
+    doc = replace(doc, transitions=tuple(replace(t, line=0) for t in doc.transitions))
+    with pytest.raises(GameValidationError) as err:
+        validate_game(doc)
+    assert err.value.issues == (replace(issue, line=0),)
+
+
 def test_no_initial_state_in_programmatic_document():
     doc = parse_spec(MINI)
     doc = replace(doc, states=tuple(replace(s, initial=False) for s in doc.states))
@@ -114,14 +127,14 @@ def test_coverage_free_sensor_warns():
     assert any("covers no state" in w for w in game.warnings)
 
 
-# --- name lookups and post operators ------------------------------------
+# --- name lookups and the mask tables -----------------------------------
 
 def test_lookups_and_enabled_actions(fig1):
     g = fig1.game
     assert g.n_states == 6
     assert g.state("s4") == 4 and g.action("a2") == 2
     assert g.query("sigma1") == 1 and g.attack("none") == 3
-    assert g.enabled_actions(g.state("s0")) == (0, 1, 2)
+    assert [a for a in range(len(g.action_names)) if (g.state("s0"), a) in g.trans] == [0, 1, 2]
     # A belief is offered the actions enabled at every state in it.
     s1_s2 = fig1.mdp.trans[BeliefNode(g.state("s1"), g.state_set(["s1", "s2"]))]
     assert sorted({action for action, _query in s1_s2}) == [0, 1]
@@ -134,40 +147,29 @@ def test_unknown_name_is_named(fig1, kind):
     assert str(err.value) == f"unknown {kind} 'nosuch'"
 
 
-def test_post_state(fig1):
-    g = fig1.game
-    assert post_state(g, g.state("s0"), g.action("a2")) == g.state_set(["s2", "s3"])
-    with pytest.raises(ValueError):
-        post_state(g, 99, 0)
-    with pytest.raises(ValueError):
-        post_state(g, 0, 99)
-
-
-def test_post_state_disabled():
-    mini = validate_game(parse_spec(MINI.replace(
-        "[actions]\na0", "[actions]\na0\na1").replace(
-        "s1 a0 -> s1", "s1 a0 -> s1\ns1 a1 -> s1")))
-    with pytest.raises(DisabledActionError) as err:
-        post_state(mini, mini.state("s0"), mini.action("a1"))
-    assert err.value.state == mini.state("s0")
-
-
-def test_post_belief(fig1):
-    g = fig1.game
-    belief = g.state_set(["s1", "s2"])
-    assert post_belief(g, belief, g.action("a0")) == g.state_set(["s4", "s5"])
-    assert post_belief(g, belief, g.action("a1")) == g.state_set(["s4", "s5"])
-    with pytest.raises(DisabledActionError):
-        post_belief(g, g.state_set(["s0", "s1"]), g.action("a2"))
-
-
-def test_post_belief_distributes_over_union(fig1):
-    g = fig1.game
-    belief = g.state_set(["s0", "s1", "s2"])
-    for a in set.intersection(*(set(g.enabled_actions(s)) for s in belief)):
-        whole = post_belief(g, belief, a)
-        pieces = frozenset().union(*(post_state(g, s, a) for s in belief))
-        assert whole == pieces
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_games(), per_state_attack_games()))
+def test_masks_match_trans_and_observation(game):
+    masks = game.masks
+    assert game.masks is masks
+    assert frozenset(states_of(masks.goal)) == game.goal
+    assert {key: states_of(mask) for key, mask in masks.support.items()} == \
+        {key: tuple(sorted(support)) for key, support in game.trans.items()}
+    for a in range(len(game.action_names)):
+        enabled = tuple(s for s in range(game.n_states) if (s, a) in game.trans)
+        assert states_of(masks.enabled[a]) == enabled
+        # Every belief the action is enabled on: the union of supports.
+        for belief in range(1, 1 << game.n_states):
+            states = states_of(belief)
+            if set(states) <= set(enabled):
+                assert frozenset(states_of(masks.image(states, a))) == \
+                    frozenset().union(*(game.trans[(s, a)] for s in states))
+    for s in range(game.n_states):
+        for q in range(len(game.queries)):
+            views = masks.views[s][q]
+            assert list(views) == sorted(game.enabled_attacks[s])
+            for att, view in views.items():
+                assert frozenset(states_of(view)) == get_observation(game, s, q, att)
 
 
 # --- the observation channel --------------------------------------------

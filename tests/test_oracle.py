@@ -60,7 +60,7 @@ def test_generated_games_validate():
     for seed in range(30):
         game = generate_game(params(seed))
         assert game.initial == 0
-        assert all(game.enabled_actions(s) for s in range(game.n_states))
+        assert {s for s, _action in game.trans} == set(range(game.n_states))
 
 
 def test_param_validation():
