@@ -8,10 +8,16 @@ to exercise every phase of the agent solver and the jammer; 14/5/7 (the
 
 The DOT cases pin both Graphviz renderings.  They are the only output
 that lists the jammer's game edge by edge: every offered attack and its
-whole successor set, which the result document does not show.
+whole successor set, which the result document does not show.  Besides
+the figures and rungs they pin a game whose goal no move reaches (the
+belief view draws no sink), a generated game whose ``[enabled-attacks]``
+section varies the attack-set annotations, and renderings with
+``shade`` and ``strategy`` left at their defaults.
 """
 
 import hashlib
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -24,6 +30,7 @@ from sensorgames import (
     serialize_spec,
 )
 from sensorgames.oracle import GeneratorParams, generate_spec
+from sensorgames.specfile import EnablingDecl
 
 FIGURES = {
     "fig1": "942fef2e50a9e7d0b163ad89c0ba02649194e5663cd5836e7d4e0e4d8bd08893",
@@ -41,8 +48,8 @@ LADDER = {
     (14, 5, 7): "e034c77cd77e85770cb1a633ba4825e0bb04f1ae3cb48ff5a04a79e0775796ee",
 }
 
-# figure name or ladder rung -> (belief DOT digest, jammer DOT digest);
-# the jammer digest is None where the agent wins nowhere.
+# figure name, extra case or ladder rung -> (belief DOT digest, jammer
+# DOT digest); the jammer digest is None where the agent wins nowhere.
 DOT = {
     "fig1": ("c17dc439eeb57d4f8827a71bbaceef264db9669dcb02077eb046c1d1e67b48fc",
              "d9e97722b1919dbe69efa8ca5706e7cee7f89d3d73e3e1ff779aa8a6bff3bbab"),
@@ -60,7 +67,45 @@ DOT = {
                  "8a28b60f4c6105c64c536348e01571684c619b3181452d68b8070b39ee725d5e"),
     (14, 5, 7): ("53fb40288b70de7dd6f71d611b0929da7b621cf530bc2c6ade58aaeccdc01a94",
                  "63f4c7b42ef644285d70acfef46916dfc76eff4a508f454b99e2d6be93bb949a"),
+    "unreachable-goal": ("65bd63d29efd9b634e8e7794d7709cf9a9265377ab723a352b97d91e22846680",
+                         None),
+    "enabled-attacks": ("5ae67ba1b0bc686e88234ad846ed6a5b9e16d9453a0c26e101222119e6f3ba6f",
+                        "ecd8963325e3cc84a9de01fb4008b63f74a8e8c6c73b8f6eda6615a516c6af78"),
 }
+
+# Rendered with ``shade`` and ``strategy`` left at their defaults.
+DOT_DEFAULTS = {
+    "fig4": ("b2bce88c67c0905dfd89e4df24000f07c20828e47ee64fdc5f1bce1ccf1a3076",
+             "c799654d8442eff8e5e1f33308f07bc7b61a9e1f645f8f7d8206778bdb34786b"),
+    (10, 4, 9): ("31e164f26d4b467cf5640e1d34db56020222335381eb0d7cfe387b9cb3c24e24",
+                 "ccbaee633e99ee0af9cbbe8c5e3ffc65ec273384e6e19f6ad3d7b158f5a6a8a8"),
+}
+
+# No move reaches the goal, so the perceived game has no `FINAL`.
+UNREACHABLE_GOAL = """\
+[states]
+s0 initial
+s1
+g goal
+
+[actions]
+a0
+
+[transitions]
+s0 a0 -> s0 s1
+s1 a0 -> s0
+g a0 -> g
+
+[sensors]
+c: s1
+
+[queries]
+q0: c
+
+[attacks]
+none:
+x: c
+"""
 
 
 def sha256(text: str) -> str:
@@ -86,6 +131,32 @@ def ladder_text(n_states: int, n_sensors: int, seed: int) -> str:
         n_attacks=4, max_support=3, goal_fraction=0.15, seed=seed)))
 
 
+def enabled_attacks_text(n_states: int, n_sensors: int, seed: int) -> str:
+    """A generated game whose states each enable a seeded random subset
+    of the attacks."""
+    doc = generate_spec(GeneratorParams(
+        n_states=n_states, n_actions=3, n_sensors=n_sensors, n_queries=3,
+        n_attacks=4, max_support=3, goal_fraction=0.15, seed=seed))
+    rng = random.Random(seed)
+    names = [a.name for a in doc.attacks]
+    rows = tuple(
+        EnablingDecl(s.name, tuple(sorted(rng.sample(names, rng.randint(1, len(names))))))
+        for s in doc.states)
+    return serialize_spec(replace(doc, enabled_attacks=rows))
+
+
+def case_text(case) -> str:
+    if case == "unreachable-goal":
+        return UNREACHABLE_GOAL
+    if case == "enabled-attacks":  # 259 nodes, 80 in Win1, 18 in Win2
+        return enabled_attacks_text(8, 4, 27)
+    return bundled_game_text(case) if isinstance(case, str) else ladder_text(*case)
+
+
+def case_id(case) -> str:
+    return case if isinstance(case, str) else "%d-%d-%d" % case
+
+
 @pytest.mark.parametrize("name", sorted(FIGURES))
 def test_figure_document_frozen(name):
     assert document_digest(bundled_game_text(name)) == FIGURES[name]
@@ -96,7 +167,13 @@ def test_ladder_document_frozen(rung):
     assert document_digest(ladder_text(*rung)) == LADDER[rung]
 
 
-@pytest.mark.parametrize("case", list(DOT), ids=lambda c: c if isinstance(c, str) else "%d-%d-%d" % c)
+@pytest.mark.parametrize("case", list(DOT), ids=case_id)
 def test_dot_frozen(case):
-    text = bundled_game_text(case) if isinstance(case, str) else ladder_text(*case)
-    assert dot_digests(text) == DOT[case]
+    assert dot_digests(case_text(case)) == DOT[case]
+
+
+@pytest.mark.parametrize("case", list(DOT_DEFAULTS), ids=case_id)
+def test_dot_defaults_frozen(case):
+    run = run_stages(case_text(case))
+    assert (sha256(export_belief_dot(run.mdp)),
+            sha256(export_attacker_dot(run.attacker))) == DOT_DEFAULTS[case]
