@@ -49,7 +49,6 @@ class AttackerMDP:
     # trans[q][att]: the successor set, `FINAL` included, of attack att at
     # q, for each offered attack in ascending order.
     trans: Mapping[BeliefNode, Mapping[AttackId, frozenset]]
-    safe: frozenset[BeliefNode]  # nodes whose true state is not a goal
 
 
 @dataclass(frozen=True)
@@ -95,9 +94,7 @@ def build_attacker_mdp(report: SolveReport) -> AttackerMDP:
                     reached[att].add(succ)
         offered = every.intersection(*(game.enabled_attacks[s] for s in landing))
         trans[node] = {att: frozenset(reached[att]) for att in sorted(offered)}
-
-    safe = frozenset(q for q in nodes if q.state not in game.goal)
-    return AttackerMDP(game=game, nodes=nodes, trans=trans, safe=safe)
+    return AttackerMDP(game=game, nodes=nodes, trans=trans)
 
 
 def solve_p2_safety(attacker: AttackerMDP) -> tuple[frozenset[BeliefNode], AttackStrategy]:
@@ -110,7 +107,8 @@ def solve_p2_safety(attacker: AttackerMDP) -> tuple[frozenset[BeliefNode], Attac
     surviving node; once a round removes nothing, its record is the
     jammer's stationary strategy.
     """
-    safe = set(attacker.safe)
+    goal = attacker.game.goal
+    safe = {q for q in attacker.nodes if q.state not in goal}
     while True:
         choice: dict[BeliefNode, AttackId] = {}
         for node in attacker.nodes:

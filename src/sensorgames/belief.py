@@ -48,14 +48,17 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .game import ActionId, AttackId, Game, QueryId, StateId, states_of
 
 
-@dataclass(frozen=True, slots=True)
-class BeliefNode:
-    """A perceived-game node: true state plus the agent's belief."""
+class BeliefNode(NamedTuple):
+    """A perceived-game node: true state plus the agent's belief.
+
+    A named tuple, so hashing and equality run in C.  Nodes are never
+    indexed, unpacked or ordered as tuples; their order is `node_key`'s.
+    """
 
     state: StateId
     belief: frozenset[StateId]

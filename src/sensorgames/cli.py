@@ -118,7 +118,7 @@ def _make_p2(args, run):
             raise ValueError("agent never wins anywhere; no attack table to follow")
         return TableAttack(run.attack_strategy)
     if name == "prompt":
-        return PromptAttack(run.game)
+        return PromptAttack()
     if name.startswith("fixed:"):
         return FixedAttack(run.game.attack(name.split(":", 1)[1]))
     raise ValueError(f"unknown attack policy '{name}'")

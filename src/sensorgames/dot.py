@@ -1,12 +1,24 @@
 """Graphviz export for the perceived game and the jammer's game.
 
+One walk, `_render`, draws both views.  Each exporter hands it only
+what differs: the graph's name, each node's attributes (the start
+outline, grey or red shading), each node's edge groups (a move's
+successors with their attack-set annotations, or an attack's
+successors, bold where the jammer's strategy chose it) and the sink's
+name and label.  Each move label and each distinct attack set's label
+is made once per render, not once per edge.
+
 Output is deterministic: nodes appear in the canonical order they are
-handed in and are named by their rank there, successors follow the
-same ranks with `FINAL` last, and moves, attacks and annotations are
-in ascending order, so the same model always renders to the same bytes.
+handed in and are named ``n<i>`` by their position there, successors
+follow the same positions with `FINAL` last, and moves, attacks and
+annotations are in ascending order, so the same model always renders
+to the same bytes.  The sink is drawn only when an edge reaches it.
 """
 
 from __future__ import annotations
+
+from functools import cache, partial
+from typing import Iterable, Mapping
 
 from .attacker import AttackerMDP, AttackStrategy
 from .belief import FINAL, BeliefMDP, BeliefNode, move_label, node_label
@@ -14,36 +26,44 @@ from .game import Game
 
 
 def _attack_set_label(game: Game, attacks: frozenset[int]) -> str:
-    if not attacks:
-        return "·"
-    return "{" + ",".join(game.attacks[a].name for a in sorted(attacks)) + "}"
+    return "{" + ",".join(game.attacks[a].name for a in sorted(attacks)) + "}" if attacks else "·"
+
+
+def _render(graph: str, nodes: Mapping, edge_groups: Iterable, sink: tuple[str, str]) -> str:
+    """The one walk.  ``nodes`` maps each node, in order, to its
+    attributes; ``edge_groups`` yields (node, group) pairs in node order,
+    where a group maps the node's successors under one move or attack to
+    the attributes of the edge drawn to each.  ``sink`` is `FINAL`'s
+    name and label."""
+    rank = {node: i for i, node in enumerate([*nodes, FINAL])}
+    names = [f"n{i}" for i in range(len(nodes))] + [sink[0]]
+    lines = [f"digraph {graph} {{", "  rankdir=LR;", "  node [shape=ellipse];",
+             *(f"  n{i} [{attrs}];" for i, attrs in enumerate(nodes.values()))]
+    edges, reached = [], False
+    for node, group in edge_groups:
+        reached = reached or FINAL in group
+        source = f"  n{rank[node]} -> "
+        edges += [f"{source}{names[rank[succ]]} [{group[succ]}];"
+                  for succ in sorted(group, key=rank.__getitem__)]
+    if reached:
+        lines.append(f'  {sink[0]} [label="{sink[1]}" shape=doublecircle];')
+    return "\n".join(lines + edges + ["}"]) + "\n"
 
 
 def export_belief_dot(mdp: BeliefMDP, shade: frozenset[BeliefNode] = frozenset()) -> str:
     """Render the perceived game; ``shade`` nodes are filled grey."""
-    rank = {node: i for i, node in enumerate(mdp.nodes + (FINAL,))}
-    lines = ["digraph perceived {", "  rankdir=LR;", '  node [shape=ellipse];']
-    uses_final = any(
-        any(FINAL in succs for succs in moves.values())
-        for moves in mdp.trans.values())
-    for node in mdp.nodes:
-        attrs = [f'label="{node_label(mdp.game, node)}"']
-        if node == mdp.initial:
-            attrs.append("penwidth=2")
-        if node in shade:
-            attrs.append('style=filled fillcolor=lightgrey')
-        lines.append(f'  n{rank[node]} [{" ".join(attrs)}];')
-    if uses_final:
-        lines.append('  final [label="final" shape=doublecircle];')
-    for node in mdp.nodes:
-        for move, succs in mdp.trans[node].items():
-            for succ in sorted(succs, key=rank.__getitem__):
-                target = "final" if succ is FINAL else f"n{rank[succ]}"
-                label = (f"{move_label(mdp.game, move)}, "
-                         f"{_attack_set_label(mdp.game, succs[succ])}")
-                lines.append(f'  n{rank[node]} -> {target} [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    game = mdp.game
+    moves, attack_sets = cache(partial(move_label, game)), cache(partial(_attack_set_label, game))
+    nodes = {q: f'label="{node_label(game, q)}"' + (" penwidth=2" if q == mdp.initial else "")
+             + (" style=filled fillcolor=lightgrey" if q in shade else "") for q in mdp.nodes}
+
+    def groups():
+        for q in mdp.nodes:
+            for move, succs in mdp.trans[q].items():
+                head = f'label="{moves(move)}, '
+                yield q, {succ: f'{head}{attack_sets(atts)}"' for succ, atts in succs.items()}
+
+    return _render("perceived", nodes, groups(), ("final", "final"))
 
 
 def export_attacker_dot(
@@ -53,26 +73,13 @@ def export_attacker_dot(
 ) -> str:
     """Render the jammer's game; ``shade`` nodes (its winning region,
     typically) are filled red, chosen-attack edges are drawn bold."""
-    rank = {node: i for i, node in enumerate(attacker.nodes + (FINAL,))}
-    lines = ["digraph jammer {", "  rankdir=LR;", '  node [shape=ellipse];']
-    uses_complete = any(
-        any(FINAL in succs for succs in atts.values())
-        for atts in attacker.trans.values())
-    for node in attacker.nodes:
-        attrs = [f'label="{node_label(attacker.game, node)}"']
-        if node in shade:
-            attrs.append('style=filled fillcolor=lightcoral')
-        lines.append(f'  n{rank[node]} [{" ".join(attrs)}];')
-    if uses_complete:
-        lines.append('  complete [label="task complete" shape=doublecircle];')
-    for node in attacker.nodes:
-        for att, succs in attacker.trans[node].items():
-            chosen = strategy is not None and strategy.choice.get(node) == att
-            for succ in sorted(succs, key=rank.__getitem__):
-                target = "complete" if succ is FINAL else f"n{rank[succ]}"
-                attrs = [f'label="{attacker.game.attacks[att].name}"']
-                if chosen:
-                    attrs.append("penwidth=2")
-                lines.append(f'  n{rank[node]} -> {target} [{" ".join(attrs)}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    game = attacker.game
+    choice = strategy.choice if strategy is not None else {}
+    labels = [f'label="{attack.name}"' for attack in game.attacks]
+    nodes = {q: f'label="{node_label(game, q)}"'
+             + (" style=filled fillcolor=lightcoral" if q in shade else "")
+             for q in attacker.nodes}
+    groups = ((q, dict.fromkeys(
+                  succs, labels[att] + (" penwidth=2" if choice.get(q) == att else "")))
+              for q in attacker.nodes for att, succs in attacker.trans[q].items())
+    return _render("jammer", nodes, groups, ("complete", "task complete"))

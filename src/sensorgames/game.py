@@ -17,6 +17,16 @@ from ``trans`` and that rule: the goal, each successor support, the
 states where each action is enabled, and each observation.  The belief
 expansion and the simulator both read it, so the belief update -- the
 action image filtered by the observation -- is computed one way.
+
+`validate_game` accepts documents built in code as well as parsed ones,
+so it checks again, in the parser's words, every document rule the
+parser checks on text: each declared name matches specfile's name
+pattern, exactly one state is marked initial, no name, transition row
+or enabling row is declared twice, and a row's successors carry
+weights all or none, each within specfile's weight bound (finite and
+> 0).  The semantic rules -- names resolve, supports are non-empty and
+list each successor once, every state enables an action and an attack
+-- are the validator's alone.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, Mapping, Sequence
 
-from .specfile import GameSpecDocument
+from .specfile import _NAME, GameSpecDocument, _format_successor, _weight_ok
 
 StateId = int
 ActionId = int
@@ -59,7 +69,8 @@ class SensorSelection:
 @dataclass(frozen=True)
 class ValidationIssue:
     kind: str  # "unknown-id" | "empty-support" | "no-enabled-action"
-    #            | "empty-attack-set" | "duplicate-name"
+    #            | "empty-attack-set" | "duplicate-name" | "duplicate-initial"
+    #            | "bad-name" | "bad-weight"
     message: str
     line: int | None = None
 
@@ -239,15 +250,39 @@ def _resolve(
     return idx
 
 
+def _resolve_all(names: Mapping[str, int], members, what: str, line: int,
+                 issues: list[ValidationIssue]) -> frozenset[int]:
+    """The ids of the ``members`` that resolve; each other one is reported."""
+    return frozenset(idx for name in members
+                     if (idx := _resolve(names, name, what, line, issues)) is not None)
+
+
 def _index_names(decls, what: str, issues: list[ValidationIssue]) -> dict[str, int]:
     names: dict[str, int] = {}
-    for decl, _idx in zip(decls, range(len(decls))):
+    for decl in decls:
+        if not _NAME.fullmatch(decl.name):
+            issues.append(ValidationIssue(
+                "bad-name", f"bad {what} name '{decl.name}' (expected {_NAME.pattern})",
+                decl.line))
         if decl.name in names:
             issues.append(ValidationIssue(
                 "duplicate-name", f"duplicate {what} name '{decl.name}'", decl.line))
             continue
         names[decl.name] = len(names)
     return names
+
+
+def _first_rows(decls, key, what: str, issues: list[ValidationIssue]):
+    """``decls`` without each row whose key an earlier row has; each
+    such row is reported as the parser reports it."""
+    seen: set[str] = set()
+    for decl in decls:
+        if key(decl) in seen:
+            issues.append(ValidationIssue(
+                "duplicate-name", f"{what} '{key(decl)}' declared twice", decl.line))
+        else:
+            seen.add(key(decl))
+            yield decl
 
 
 def validate_game(doc: GameSpecDocument) -> Game:
@@ -263,15 +298,19 @@ def validate_game(doc: GameSpecDocument) -> Game:
     state_ids = _index_names(doc.states, "state", issues)
     action_ids = _index_names(doc.actions, "action", issues)
     sensor_ids = _index_names(doc.sensors, "sensor", issues)
-    query_ids = _index_names(doc.queries, "query", issues)
+    _index_names(doc.queries, "query", issues)
     attack_ids = _index_names(doc.attacks, "attack", issues)
 
-    initial = next((state_ids.get(s.name) for s in doc.states if s.initial), None)
-    goal = frozenset(
-        state_ids[s.name] for s in doc.states if s.goal and s.name in state_ids)
+    initials = [s for s in doc.states if s.initial]
+    initial = state_ids.get(initials[0].name) if initials else None
+    issues += [ValidationIssue("duplicate-initial", f"state '{s.name}' marked initial, "
+                               f"but '{initials[0].name}' already is", s.line)
+               for s in initials[1:]]
+    goal = frozenset(state_ids[s.name] for s in doc.states if s.goal)
 
     trans: dict[tuple[StateId, ActionId], dict[StateId, float | None]] = {}
-    for t in doc.transitions:
+    for t in _first_rows(doc.transitions, lambda t: f"{t.state} {t.action}", "transition",
+                         issues):
         s = _resolve(state_ids, t.state, "state", t.line, issues)
         a = _resolve(action_ids, t.action, "action", t.line, issues)
         if not t.successors:
@@ -286,6 +325,13 @@ def validate_game(doc: GameSpecDocument) -> Game:
                     "duplicate-name",
                     f"transition '{t.state} {t.action}' lists successor '{name}' twice",
                     t.line))
+        weighted = [succ for succ in t.successors if succ[1] is not None]
+        if 0 < len(weighted) < len(t.successors):
+            issues.append(ValidationIssue(
+                "bad-weight", "either every successor carries a weight or none does", t.line))
+        issues += [ValidationIssue("bad-weight", f"bad successor '{_format_successor(succ)}' "
+                                   "(expected 'name' or 'name:weight', weight > 0)", t.line)
+                   for succ in weighted if not _weight_ok(succ[1])]
         support: dict[StateId, float | None] = {}
         for name, weight in t.successors:
             succ = _resolve(state_ids, name, "state", t.line, issues)
@@ -295,54 +341,38 @@ def validate_game(doc: GameSpecDocument) -> Game:
             trans[(s, a)] = support
 
     for decl in doc.states:
-        sid = state_ids.get(decl.name)
-        if sid is None or sid not in goal:
-            continue
-        if any((sid, a) in trans and any(s2 not in goal for s2 in trans[(sid, a)])
-               for a in range(len(action_ids))):
+        sid = state_ids[decl.name]
+        if sid in goal and any(s2 not in goal for a in range(len(action_ids))
+                               for s2 in trans.get((sid, a), ())):
             warnings.append(
                 f"goal state '{decl.name}' has a transition leaving the goal "
                 f"set; solver guarantees assume absorbing goal states")
 
     sensors = []
     for decl in doc.sensors:
-        if decl.name not in sensor_ids:
-            continue  # duplicate, already reported
-        covered = frozenset(
-            sid for name in decl.covers
-            if (sid := _resolve(state_ids, name, "state", decl.line, issues)) is not None)
+        covered = _resolve_all(state_ids, decl.covers, "state", decl.line, issues)
         if not covered:
             warnings.append(f"sensor '{decl.name}' covers no state")
         sensors.append(Sensor(decl.name, covered))
 
-    def build_selection(decls, ids, what: str) -> list[SensorSelection]:
-        out = []
-        for decl in decls:
-            if decl.name not in ids:
-                continue
-            members = frozenset(
-                sid for name in decl.sensors
-                if (sid := _resolve(sensor_ids, name, "sensor", decl.line, issues)) is not None)
-            out.append(SensorSelection(decl.name, members))
-        return out
+    def selections(decls) -> list[SensorSelection]:
+        return [SensorSelection(d.name, _resolve_all(sensor_ids, d.sensors, "sensor", d.line,
+                                                     issues)) for d in decls]
 
-    queries = build_selection(doc.queries, query_ids, "query")
-    attacks = build_selection(doc.attacks, attack_ids, "attack")
+    queries = selections(doc.queries)
+    attacks = selections(doc.attacks)
 
-    n_states = len(state_ids)
     for name, sid in state_ids.items():
         if not any((sid, a) in trans for a in range(len(action_ids))):
             line = next(s.line for s in doc.states if s.name == name)
             issues.append(ValidationIssue(
                 "no-enabled-action", f"state '{name}' has no enabled action", line))
 
-    enabled: list[frozenset[AttackId]] = [
-        frozenset(range(len(attack_ids))) for _ in range(n_states)]
-    for decl in doc.enabled_attacks:
+    enabled: list[frozenset[AttackId]] = [frozenset(range(len(attack_ids)))] * len(state_ids)
+    for decl in _first_rows(doc.enabled_attacks, lambda e: e.state,
+                            "attack enabling for state", issues):
         sid = _resolve(state_ids, decl.state, "state", decl.line, issues)
-        listed = frozenset(
-            aid for name in decl.attacks
-            if (aid := _resolve(attack_ids, name, "attack", decl.line, issues)) is not None)
+        listed = _resolve_all(attack_ids, decl.attacks, "attack", decl.line, issues)
         if sid is not None:
             enabled[sid] = listed
     for name, sid in state_ids.items():

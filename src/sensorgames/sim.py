@@ -115,8 +115,7 @@ def _ask_on_stderr(prompt: str) -> str:
 class PromptAttack:
     """Ask a callable (by default, standard input) for the attack name."""
 
-    def __init__(self, game: Game, ask: Callable[[str], str] | None = None):
-        self.game = game
+    def __init__(self, ask: Callable[[str], str] | None = None):
         self.ask = ask
 
     def choose(self, rng, game, node, move, next_state) -> AttackId:

@@ -37,6 +37,12 @@ formatter that writes one declaration back; `parse_spec` and
 line parser returns a key, and one check per section reports a key
 declared twice.
 
+The validator checks again every rule the parser checks here, since a
+document built in code never passes through the parser: the name
+pattern, `_NAME`, and the weight bound, `_weight_ok`, are taken from
+this module, and one initial state and no key declared twice are
+checked there too, in the same words.
+
 Parsing never stops at the first problem.  Every malformed line is
 recorded as a `Diagnostic` with its line and column, and `parse_spec`
 raises a `SpecParseError` carrying the whole list once the scan is done.
@@ -201,6 +207,11 @@ def _action_line(scan: _Scan, lineno: int, raw: str) -> _Parsed:
     return "action", name, column, ActionDecl(name, lineno)
 
 
+def _weight_ok(value: float) -> bool:
+    """The weight bound, shared with the validator: finite and > 0."""
+    return 0 < value < math.inf
+
+
 def _parse_successor(tok: str) -> tuple[str, float | None] | None:
     """A successor token is ``name`` or ``name:weight`` with a finite
     weight > 0."""
@@ -211,7 +222,7 @@ def _parse_successor(tok: str) -> tuple[str, float | None] | None:
         value = float(weight)
     except ValueError:
         return None
-    if not name or not 0 < value < math.inf:
+    if not name or not _weight_ok(value):
         return None
     return name, value
 

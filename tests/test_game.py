@@ -1,5 +1,6 @@
 """Validation and the observation channel."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -11,12 +12,15 @@ from sensorgames import (
     ValidationIssue,
     get_observation,
     observation_for_sensors,
+    SpecParseError,
     parse_spec,
+    serialize_spec,
     validate_game,
 )
 from sensorgames.belief import BeliefNode
 from sensorgames.game import states_of
 from sensorgames.oracle import GeneratorParams, generate_game
+from sensorgames.specfile import EnablingDecl
 
 from .conftest import per_state_attack_games
 from .test_specfile import MINI
@@ -102,6 +106,57 @@ def test_no_initial_state_in_programmatic_document():
     with pytest.raises(GameValidationError) as err:
         validate_game(doc)
     assert any("initial" in i.message for i in err.value.issues)
+
+
+def _with_s0_a0(*successors):
+    return lambda d: replace(d, transitions=(
+        replace(d.transitions[0], successors=successors), *d.transitions[1:]))
+
+
+# Rules the parser checks on text, broken in MINI's document as code
+# could build it, each with the issue the validator reports: the
+# parser's message at the offending row's line.
+PARSER_RULES = {
+    "two-initials": (
+        lambda d: replace(d, states=(d.states[0], replace(d.states[1], initial=True))),
+        ValidationIssue("duplicate-initial", "state 's1' marked initial, but 's0' already is", 3)),
+    "transition-twice": (
+        lambda d: replace(d, transitions=d.transitions + (
+            replace(d.transitions[0], successors=(("s1", None),), line=20),)),
+        ValidationIssue("duplicate-name", "transition 's0 a0' declared twice", 20)),
+    "enabling-twice": (
+        lambda d: replace(d, enabled_attacks=(
+            EnablingDecl("s0", ("none",), 21), EnablingDecl("s0", ("none",), 22))),
+        ValidationIssue("duplicate-name", "attack enabling for state 's0' declared twice", 22)),
+    "mixed-weights": (
+        _with_s0_a0(("s0", 1.0), ("s1", None)),
+        ValidationIssue("bad-weight", "either every successor carries a weight or none does", 9)),
+    "nan-weight": (
+        _with_s0_a0(("s0", math.nan), ("s1", 1.0)),
+        ValidationIssue("bad-weight", "bad successor 's0:nan' "
+                        "(expected 'name' or 'name:weight', weight > 0)", 9)),
+    "negative-weight": (
+        _with_s0_a0(("s0", -1.0), ("s1", 1.0)),
+        ValidationIssue("bad-weight", "bad successor 's0:-1' "
+                        "(expected 'name' or 'name:weight', weight > 0)", 9)),
+    "bad-name": (
+        lambda d: replace(d, queries=(replace(d.queries[0], name='a"0'),)),
+        ValidationIssue("bad-name", """bad query name 'a"0' (expected [A-Za-z_][A-Za-z0-9_]*)""",
+                        16)),
+}
+
+
+@pytest.mark.parametrize("rule", list(PARSER_RULES))
+def test_parser_rules_in_programmatic_document(rule):
+    mutate, issue = PARSER_RULES[rule]
+    doc = mutate(parse_spec(MINI))
+    with pytest.raises(GameValidationError) as err:
+        validate_game(doc)
+    assert err.value.issues == (issue,)
+    # The same defect written as text gets the same message from the parser.
+    with pytest.raises(SpecParseError) as err:
+        parse_spec(serialize_spec(doc))
+    assert issue.message in [d.message for d in err.value.diagnostics]
 
 
 def test_all_issues_collected_at_once():

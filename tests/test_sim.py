@@ -207,7 +207,7 @@ def test_table_attack_falls_back_off_table(fig4):
 def test_prompt_attack_reprompts_until_valid(fig4):
     g = fig4.game
     answers = iter(["bogus", " beta2 "])
-    jammer = PromptAttack(g, ask=lambda prompt: next(answers))
+    jammer = PromptAttack(ask=lambda prompt: next(answers))
     att = jammer.choose(None, g, None, None, g.state("s0"))
     assert att == g.attack("beta2")
 
