@@ -220,6 +220,21 @@ def test_simulate_prompt_structured_output_is_json(spec_dir, capsys, monkeypatch
     assert err.startswith(prompt) and err == prompt * err.count(prompt)
 
 
+def test_simulate_prompt_reports_each_run_as_it_ends(spec_dir, monkeypatch):
+    transcript = io.StringIO()
+    monkeypatch.setattr("sys.stdin", io.StringIO("beta0\n" * 4))
+    monkeypatch.setattr("sys.stdout", transcript)
+    monkeypatch.setattr("sys.stderr", transcript)
+    code = main(["simulate", str(spec_dir / "fig4.game"), "--runs", "2",
+                 "--max-steps", "2", "--p2", "prompt"])
+    prompt = "attack (beta0/beta1/beta2/none): "
+    assert code == 0
+    assert transcript.getvalue() == (
+        f"{prompt * 2}run 0 (seed 0): step-limit after 2 steps\n"
+        f"{prompt * 2}run 1 (seed 1): step-limit after 2 steps\n"
+        "outcomes: 0 complete, 2 hit the step limit\n")
+
+
 def test_simulate_unknown_attack(spec_dir, capsys):
     code, out, err = run(capsys, "simulate", spec_dir / "fig4.game", "--p2", "fixed:nosuch")
     assert code == 2 and out == ""
