@@ -5,22 +5,35 @@ agent side, solve the jammer side, report the deception gap, simulate
 plays, cross-check with the brute-force oracle, generate random games,
 and export Graphviz views.
 
+Output takes one path.  Each subcommand that reads a game file and
+takes ``--format`` builds its two views once -- a callable giving the
+canonical JSON (`pipeline.canonical_json`, the writer `ResultDocument`
+uses too) and the lines of text -- and hands both, with its verdict, to
+`_emit`.  `_emit` writes the view ``--format`` asks for and then holds
+the verdict to ``--expect``.  The structured view is built only when
+asked for; text lines are printed as they are produced, so `simulate`
+reports each run as it ends, before the next run's ``--p2 prompt``
+questions.  Under ``--trace``, `simulate` names every step once and both
+its views read those names.  `gen-random` and `export-dot` write a game
+file and DOT.
+
 Exit codes: 0 on success, 1 when a verdict requested through --expect
-does not hold, 2 on bad input (syntax, validation, missing file,
-oversize oracle enumeration, a simulated play falling off the
-strategy or meeting an attack the arena does not enable, or standard
-input closing while a prompt waits for an attack).
+does not hold or the oracle disagrees with the solver, 2 on bad input
+(syntax, validation, missing file, oversize oracle enumeration, a
+simulated play falling off the strategy or meeting an attack the arena
+does not enable, or standard input closing while a prompt waits for an
+attack).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from collections import Counter
 
 from .game import GameValidationError, validate_game
 from .oracle import CapExceededError, GeneratorParams, brute_force_win1, generate_spec
-from .pipeline import PipelineError, run_pipeline, run_stages
+from .pipeline import PipelineError, canonical_json, run_pipeline, run_stages
 from .dot import export_attacker_dot, export_belief_dot
 from .sim import (
     FixedAttack,
@@ -39,143 +52,122 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _emit(args, structured, text, verdict) -> int:
+    """Write the view ``--format`` asks for -- ``structured()``, the
+    canonical JSON, or the lines of ``text`` one by one as they come --
+    then hold ``verdict`` to ``--expect``: 1 when they differ, else 0."""
+    if args.format == "structured":
+        sys.stdout.write(structured())
+    else:
+        for line in text:
+            print(line)
+    if getattr(args, "expect", None) in (None, verdict):
+        return 0
+    what = " gap" if args.command == "gap" else ""
+    print(f"expected {args.expect}{what}, got {verdict}", file=sys.stderr)
+    return 1
 
 
 def _cmd_validate(args) -> int:
     game = validate_game(parse_spec(_read(args.spec)))
     counts = game.counts()
-    if args.format == "structured":
-        _print_json({"ok": True, "counts": counts, "warnings": list(game.warnings)})
-    else:
-        summary = ", ".join(f"{v} {k}" for k, v in counts.items())
-        print(f"ok: {summary}")
-        for warning in game.warnings:
-            print(f"warning: {warning}")
-    return 0
+    text = [f"ok: {', '.join(f'{v} {k}' for k, v in counts.items())}",
+            *(f"warning: {warning}" for warning in game.warnings)]
+    return _emit(args, lambda: canonical_json(
+        {"ok": True, "counts": counts, "warnings": list(game.warnings)}), text, None)
 
 
 def _cmd_solve_p1(args) -> int:
     doc = run_pipeline(_read(args.spec), source=args.spec, include_trace=args.trace)
-    if args.format == "structured":
-        sys.stdout.write(doc.to_json())
-    else:
-        print(f"verdict: initial node {'winning' if doc.initial_winning else 'losing'}")
-        print(f"winning nodes: {len(doc.win1)} of {doc.counts['belief_nodes']}")
+    verdict = "winning" if doc.initial_winning else "losing"
+
+    def text():
+        yield f"verdict: initial node {verdict}"
+        yield f"winning nodes: {len(doc.win1)} of {doc.counts['belief_nodes']}"
         for label in doc.win1:
-            print(f"  {label}: {' '.join(doc.strategy[label])}")
-        if args.trace and doc.trace is not None:
-            print(f"eliminations: {len(doc.trace)}")
+            yield f"  {label}: {' '.join(doc.strategy[label])}"
+        if doc.trace is not None:
+            yield f"eliminations: {len(doc.trace)}"
             for entry in doc.trace:
-                print(f"  round {entry['round']}: dropped {entry['move']} at "
-                      f"{entry['node']} (doomed by {entry['cause']})")
-    if args.expect:
-        actual = "winning" if doc.initial_winning else "losing"
-        if actual != args.expect:
-            print(f"expected {args.expect}, got {actual}", file=sys.stderr)
-            return 1
-    return 0
+                yield (f"  round {entry['round']}: dropped {entry['move']} at "
+                       f"{entry['node']} (doomed by {entry['cause']})")
+
+    return _emit(args, doc.to_json, text(), verdict)
 
 
 def _cmd_solve_p2(args) -> int:
     doc = run_pipeline(_read(args.spec), source=args.spec)
-    if args.format == "structured":
-        sys.stdout.write(doc.to_json())
-        return 0
     if doc.win2 is None:
-        print("agent never wins anywhere; there is no jammer game")
-        return 0
-    print(f"jammer winning nodes: {len(doc.win2)} of {len(doc.win1)}")
-    for label in doc.win2:
-        print(f"  {label}: {doc.attack_strategy[label]}")
-    return 0
+        text = ["agent never wins anywhere; there is no jammer game"]
+    else:
+        text = [f"jammer winning nodes: {len(doc.win2)} of {len(doc.win1)}",
+                *(f"  {label}: {doc.attack_strategy[label]}" for label in doc.win2)]
+    return _emit(args, doc.to_json, text, None)
 
 
 def _cmd_gap(args) -> int:
     doc = run_pipeline(_read(args.spec), source=args.spec)
     gap = doc.gap or []
-    if args.format == "structured":
-        sys.stdout.write(doc.to_json())
-    else:
-        print(f"deception gap: {len(gap)} nodes")
-        for entry in gap:
-            print(f"  {entry['node']}: {entry['attack']}")
-    if args.expect:
-        actual = "nonempty" if gap else "empty"
-        if actual != args.expect:
-            print(f"expected {args.expect} gap, got {actual}", file=sys.stderr)
-            return 1
-    return 0
+    text = [f"deception gap: {len(gap)} nodes",
+            *(f"  {entry['node']}: {entry['attack']}" for entry in gap)]
+    return _emit(args, doc.to_json, text, "nonempty" if gap else "empty")
 
 
 def _make_p2(args, run):
-    name = args.p2
-    if name == "random":
+    if args.p2 == "random":
         return UniformRandomAttack()
-    if name == "table":
+    if args.p2 == "table":
         if run.attack_strategy is None:
             raise ValueError("agent never wins anywhere; no attack table to follow")
         return TableAttack(run.attack_strategy)
-    if name == "prompt":
+    if args.p2 == "prompt":
         return PromptAttack()
-    if name.startswith("fixed:"):
-        return FixedAttack(run.game.attack(name.split(":", 1)[1]))
-    raise ValueError(f"unknown attack policy '{name}'")
+    if args.p2.startswith("fixed:"):
+        return FixedAttack(run.game.attack(args.p2.split(":", 1)[1]))
+    raise ValueError(f"unknown attack policy '{args.p2}'")
 
 
 def _cmd_simulate(args) -> int:
     run = run_stages(_read(args.spec))
     p2 = _make_p2(args, run)
     game = run.game
-    outcomes = {Outcome.TASK_KNOWN_COMPLETE: 0, Outcome.STEP_LIMIT: 0}
-    records = []
-    for i in range(args.runs):
-        trace = simulate(game, run.report.strategy, p2, args.max_steps, args.seed + i)
-        outcomes[trace.outcome] += 1
-        records.append(trace)
-        if args.format == "text":
-            print(f"run {i} (seed {trace.seed}): {trace.outcome.value} "
-                  f"after {len(trace.steps)} steps")
-            if args.trace:
-                for t, step in enumerate(trace.steps):
-                    belief = ",".join(game.state_names[s] for s in sorted(step.belief_after))
-                    print(f"  t{t}: {game.state_names[step.state]} "
-                          f"--{game.action_names[step.action]}/"
-                          f"{game.queries[step.query].name}--> "
-                          f"attack {game.attacks[step.attack].name}, "
-                          f"belief {{{belief}}}")
-    if args.format == "structured":
-        payload = {
-            "runs": args.runs,
-            "max_steps": args.max_steps,
-            "seed": args.seed,
-            "outcomes": {o.value: n for o, n in outcomes.items()},
-        }
+
+    def plays():
+        """Each run as it ends; under --trace, with its steps named once
+        for both views."""
+        for seed in range(args.seed, args.seed + args.runs):
+            trace = simulate(game, run.report.strategy, p2, args.max_steps, seed)
+            yield trace, [
+                {"state": game.state_names[step.state],
+                 "action": game.action_names[step.action],
+                 "query": game.queries[step.query].name,
+                 "attack": game.attacks[step.attack].name,
+                 "belief": [game.state_names[s] for s in sorted(step.belief_after)]}
+                for step in (trace.steps if args.trace else ())]
+
+    def structured():
+        done = list(plays())
+        counts = Counter(trace.outcome for trace, _ in done)
+        payload = {"runs": args.runs, "max_steps": args.max_steps, "seed": args.seed,
+                   "outcomes": {o.value: counts[o] for o in Outcome}}
         if args.trace:
-            payload["traces"] = [
-                {
-                    "seed": tr.seed,
-                    "outcome": tr.outcome.value,
-                    "steps": [
-                        {
-                            "state": game.state_names[s.state],
-                            "action": game.action_names[s.action],
-                            "query": game.queries[s.query].name,
-                            "attack": game.attacks[s.attack].name,
-                            "belief": [game.state_names[b]
-                                       for b in sorted(s.belief_after)],
-                        }
-                        for s in tr.steps
-                    ],
-                }
-                for tr in records
-            ]
-        _print_json(payload)
-    else:
-        print(f"outcomes: {outcomes[Outcome.TASK_KNOWN_COMPLETE]} complete, "
-              f"{outcomes[Outcome.STEP_LIMIT]} hit the step limit")
-    return 0
+            payload["traces"] = [{"seed": trace.seed, "outcome": trace.outcome.value,
+                                  "steps": steps} for trace, steps in done]
+        return canonical_json(payload)
+
+    def text():
+        counts = Counter()
+        for i, (trace, steps) in enumerate(plays()):
+            counts[trace.outcome] += 1
+            yield (f"run {i} (seed {trace.seed}): {trace.outcome.value} "
+                   f"after {len(trace.steps)} steps")
+            for t, step in enumerate(steps):
+                yield (f"  t{t}: {step['state']} --{step['action']}/{step['query']}--> "
+                       f"attack {step['attack']}, belief {{{','.join(step['belief'])}}}")
+        yield (f"outcomes: {counts[Outcome.TASK_KNOWN_COMPLETE]} complete, "
+               f"{counts[Outcome.STEP_LIMIT]} hit the step limit")
+
+    return _emit(args, structured, text(), None)
 
 
 def _cmd_oracle(args) -> int:
@@ -183,21 +175,17 @@ def _cmd_oracle(args) -> int:
     result = brute_force_win1(run.mdp, cap=args.cap)
     solver = run.report.initial_winning
     agree = result.initial_winning == solver
-    if args.format == "structured":
-        _print_json({
-            "brute_force_winning": result.initial_winning,
-            "solver_winning": solver,
-            "agree": agree,
-            "assignments_checked": result.assignments_checked,
-            "classes": result.class_count,
-        })
-    else:
-        print(f"brute force: initial node "
-              f"{'winning' if result.initial_winning else 'losing'} "
-              f"({result.assignments_checked} assignments over "
-              f"{result.class_count} classes)")
-        print(f"solver: initial node {'winning' if solver else 'losing'}")
-        print(f"agreement: {'yes' if agree else 'NO'}")
+    text = [f"brute force: initial node {'winning' if result.initial_winning else 'losing'} "
+            f"({result.assignments_checked} assignments over {result.class_count} classes)",
+            f"solver: initial node {'winning' if solver else 'losing'}",
+            f"agreement: {'yes' if agree else 'NO'}"]
+    _emit(args, lambda: canonical_json({
+        "brute_force_winning": result.initial_winning,
+        "solver_winning": solver,
+        "agree": agree,
+        "assignments_checked": result.assignments_checked,
+        "classes": result.class_count,
+    }), text, None)
     return 0 if agree else 1
 
 
@@ -230,56 +218,38 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
-def _add_format(parser) -> None:
-    parser.add_argument("--format", choices=("text", "structured"), default="text",
-                        help="human-readable text or canonical JSON")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sensorgames",
         description="solvers for reachability games with attackable sensors")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a game file")
-    p.add_argument("spec")
-    _add_format(p)
-    p.set_defaults(func=_cmd_validate)
+    def reads(name, func, summary, *options):
+        """A subcommand that reads a game file and writes either view;
+        ``options`` are its own (flag, keywords) pairs."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("spec")
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.add_argument("--format", choices=("text", "structured"), default="text",
+                       help="human-readable text or canonical JSON")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("solve-p1", help="agent-side winning region and moves")
-    p.add_argument("spec")
-    p.add_argument("--trace", action="store_true", help="include the elimination log")
-    p.add_argument("--expect", choices=("winning", "losing"))
-    _add_format(p)
-    p.set_defaults(func=_cmd_solve_p1)
-
-    p = sub.add_parser("solve-p2", help="jammer-side winning region and attacks")
-    p.add_argument("spec")
-    _add_format(p)
-    p.set_defaults(func=_cmd_solve_p2)
-
-    p = sub.add_parser("gap", help="nodes where the agent is fooled")
-    p.add_argument("spec")
-    p.add_argument("--expect", choices=("empty", "nonempty"))
-    _add_format(p)
-    p.set_defaults(func=_cmd_gap)
-
-    p = sub.add_parser("simulate", help="play the real arena against a jammer")
-    p.add_argument("spec")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=100)
-    p.add_argument("--runs", type=int, default=1)
-    p.add_argument("--p2", default="random",
-                   help="random | table | prompt | fixed:NAME")
-    p.add_argument("--trace", action="store_true", help="print every step")
-    _add_format(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("oracle", help="brute-force cross-check of the agent verdict")
-    p.add_argument("spec")
-    p.add_argument("--cap", type=int, default=1_000_000)
-    _add_format(p)
-    p.set_defaults(func=_cmd_oracle)
+    reads("validate", _cmd_validate, "check a game file")
+    reads("solve-p1", _cmd_solve_p1, "agent-side winning region and moves",
+          ("--trace", dict(action="store_true", help="include the elimination log")),
+          ("--expect", dict(choices=("winning", "losing"))))
+    reads("solve-p2", _cmd_solve_p2, "jammer-side winning region and attacks")
+    reads("gap", _cmd_gap, "nodes where the agent is fooled",
+          ("--expect", dict(choices=("empty", "nonempty"))))
+    reads("simulate", _cmd_simulate, "play the real arena against a jammer",
+          ("--seed", dict(type=int, default=0)),
+          ("--max-steps", dict(type=int, default=100)),
+          ("--runs", dict(type=int, default=1)),
+          ("--p2", dict(default="random", help="random | table | prompt | fixed:NAME")),
+          ("--trace", dict(action="store_true", help="print every step")))
+    reads("oracle", _cmd_oracle, "brute-force cross-check of the agent verdict",
+          ("--cap", dict(type=int, default=1_000_000)))
 
     p = sub.add_parser("gen-random", help="emit a seeded random game file")
     p.add_argument("--seed", type=int, default=0)

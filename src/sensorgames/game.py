@@ -23,10 +23,10 @@ so it checks again, in the parser's words, every document rule the
 parser checks on text: each declared name matches specfile's name
 pattern, exactly one state is marked initial, no name, transition row
 or enabling row is declared twice, and a row's successors carry
-weights all or none, each within specfile's weight bound (finite and
-> 0).  The semantic rules -- names resolve, supports are non-empty and
-list each successor once, every state enables an action and an attack
--- are the validator's alone.
+weights all or none, each within specfile's weight bound (a number,
+finite and > 0).  The semantic rules -- names resolve, supports are
+non-empty and list each successor once, every state enables an action
+and an attack -- are the validator's alone.
 """
 
 from __future__ import annotations

@@ -5,10 +5,11 @@ game, solve the agent side, and -- whenever the agent wins anywhere --
 build the jammer's game, solve it, and intersect into the deception
 gap.  Failures carry the stage they came from.
 
-The document is plain data with one canonical JSON rendering.  Ordering
-is canonical throughout and nothing run-dependent is included unless
-explicitly requested (timings), so the same input yields byte-identical
-output every run.
+The document is plain data with one canonical JSON rendering, by
+`canonical_json`, which writes the command line's other payloads too.
+Ordering is canonical throughout and nothing run-dependent is included
+unless explicitly requested (timings), so the same input yields
+byte-identical output every run.
 """
 
 from __future__ import annotations
@@ -68,8 +69,13 @@ class ResultDocument:
     version: int = 1
 
     def to_json(self) -> str:
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return canonical_json({f.name: getattr(self, f.name) for f in fields(self)})
+
+
+def canonical_json(payload) -> str:
+    """The one JSON writer: two-space indent, sorted keys, a final
+    newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _stage(name: str, step, *args):
@@ -113,11 +119,12 @@ def run_pipeline(
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     game, report = run.game, run.report
-    win1 = [q for q in run.mdp.nodes if q in report.win]
+    # One label per Win1 node, in canonical order; every node field but
+    # the trace names only these.
+    labels = {q: node_label(game, q) for q in run.mdp.nodes if q in report.win}
     strategy = {
-        node_label(game, q): [move_label(game, m)
-                              for m in sorted(report.strategy.allowed[q])]
-        for q in win1
+        label: [move_label(game, m) for m in sorted(report.strategy.allowed[q])]
+        for q, label in labels.items()
     }
     trace = None
     if include_trace:
@@ -134,12 +141,11 @@ def run_pipeline(
     attack_strategy = None
     gap = None
     if run.win2 is not None:
-        win2 = [node_label(game, q) for q in win1 if q in run.win2]
+        win2 = [label for q, label in labels.items() if q in run.win2]
         attack_strategy = {
-            node_label(game, q): game.attacks[a].name
-            for q, a in run.attack_strategy.choice.items()
+            labels[q]: game.attacks[a].name for q, a in run.attack_strategy.choice.items()
         }
-        gap = [{"node": node_label(game, q), "attack": game.attacks[a].name}
+        gap = [{"node": labels[q], "attack": game.attacks[a].name}
                for q, a in run.gap.items()]
 
     counts = {
@@ -157,7 +163,7 @@ def run_pipeline(
         weighted=game.has_weights,
         warnings=list(game.warnings),
         initial_winning=report.initial_winning,
-        win1=[node_label(game, q) for q in win1],
+        win1=list(labels.values()),
         strategy=strategy,
         win2=win2,
         attack_strategy=attack_strategy,

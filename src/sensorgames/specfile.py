@@ -207,9 +207,10 @@ def _action_line(scan: _Scan, lineno: int, raw: str) -> _Parsed:
     return "action", name, column, ActionDecl(name, lineno)
 
 
-def _weight_ok(value: float) -> bool:
-    """The weight bound, shared with the validator: finite and > 0."""
-    return 0 < value < math.inf
+def _weight_ok(value: object) -> bool:
+    """The weight bound, shared with the validator: a number, finite and
+    > 0."""
+    return isinstance(value, (int, float)) and 0 < value < math.inf
 
 
 def _parse_successor(tok: str) -> tuple[str, float | None] | None:
@@ -271,10 +272,14 @@ def _enabling_line(scan: _Scan, lineno: int, raw: str) -> _Parsed:
 
 def _format_successor(succ: tuple[str, float | None]) -> str:
     """``name``, or ``name:weight`` with the weight in ``:g`` form where
-    that reads back exactly and as its ``repr`` where it does not."""
+    that reads back exactly and as its ``repr`` where it does not.  A
+    weight that is not a number, which only a document built in code can
+    hold, is written as `str` gives it."""
     name, weight = succ
     if weight is None:
         return name
+    if not isinstance(weight, (int, float)):
+        return f"{name}:{weight}"
     short = f"{weight:g}"
     return f"{name}:{short if float(short) == weight else repr(weight)}"
 

@@ -159,6 +159,16 @@ def test_parser_rules_in_programmatic_document(rule):
     assert issue.message in [d.message for d in err.value.diagnostics]
 
 
+def test_weight_that_is_not_a_number():
+    # Written as text, 's0:2' reads back as the number 2, so this rule
+    # has no text form for the round trip above.
+    doc = _with_s0_a0(("s0", "2"), ("s1", 1.0))(parse_spec(MINI))
+    with pytest.raises(GameValidationError) as err:
+        validate_game(doc)
+    assert err.value.issues == (ValidationIssue(
+        "bad-weight", "bad successor 's0:2' (expected 'name' or 'name:weight', weight > 0)", 9),)
+
+
 def test_all_issues_collected_at_once():
     text = (MINI
             .replace("s0 a0 -> s0 s1", "s0 a0 -> ghost")
