@@ -13,6 +13,14 @@ the figures and rungs they pin a game whose goal no move reaches (the
 belief view draws no sink), a generated game whose ``[enabled-attacks]``
 section varies the attack-set annotations, and renderings with
 ``shade`` and ``strategy`` left at their defaults.
+
+The perceived-game cases pin `build_belief_mdp` itself, read through
+``trans``: the start node, the nodes and classes in order, each node's
+moves in order and each move's successors in order, with their attack
+sets.  The DOT renderings sort each move's successors, so only these
+cases pin the order ``trans`` lists them in, which `check_soundness`
+reports the first offending successor by.  They cover the figures, the
+``[enabled-attacks]`` case and, under one digest, the 350 corpus games.
 """
 
 import hashlib
@@ -22,15 +30,21 @@ from dataclasses import replace
 import pytest
 
 from sensorgames import (
+    build_belief_mdp,
     bundled_game_text,
     export_attacker_dot,
     export_belief_dot,
+    parse_spec,
     run_pipeline,
     run_stages,
     serialize_spec,
+    validate_game,
 )
-from sensorgames.oracle import GeneratorParams, generate_spec
+from sensorgames.belief import FINAL
+from sensorgames.oracle import GeneratorParams, generate_game, generate_spec
 from sensorgames.specfile import EnablingDecl
+
+from .conftest import load_corpus
 
 FIGURES = {
     "fig1": "942fef2e50a9e7d0b163ad89c0ba02649194e5663cd5836e7d4e0e4d8bd08893",
@@ -177,3 +191,51 @@ def test_dot_defaults_frozen(case):
     run = run_stages(case_text(case))
     assert (sha256(export_belief_dot(run.mdp)),
             sha256(export_attacker_dot(run.attacker))) == DOT_DEFAULTS[case]
+
+
+# figure name, "enabled-attacks" or "corpus" -> digest of `perceived_dump`
+PERCEIVED = {
+    "fig1": "d761c4848625730ebc8d402bb8d8a5d8c5bcf6456f9d18a2ae4934433d27efff",
+    "fig1_noattack": "4bac9874d7e13cc544f2eaabfc323f361bdcd17838c29a0017ecade3a07443ef",
+    "fig1_nosense": "a621f556376d6e5efc2667bd0ccc7610df91faf236703ae9804e9fa0da0b26bf",
+    "fig4": "5918deafc8315ce5e95a08e3a4013d271d098f837c6a6dc44ead767b2207f819",
+    "enabled-attacks": "c0c1d6df6e1fc4cfddc91f51aebca397d464ff1d77e4ae2f8093c0868544ec06",
+    "corpus": "7668d4a417b981455c567409956543099be4c5398ae9de68c5b2849433796d63",
+}
+
+
+def perceived_dump(mdp) -> str:
+    """The perceived game as text: nodes by their position in ``nodes``
+    (`FINAL` is ``F``), attack sets as sorted ids, everything in the
+    order ``mdp`` holds it."""
+    index = {q: str(i) for i, q in enumerate(mdp.nodes)}
+    index[FINAL] = "F"
+    lines = [f"initial {index[mdp.initial]}"]
+    lines += [f"node {q.state} {sorted(q.belief)}" for q in mdp.nodes]
+    lines += [f"class {sorted(belief)}: {[index[q] for q in members]}"
+              for belief, members in mdp.classes.items()]
+    for q in mdp.nodes:
+        for move, succs in mdp.trans[q].items():
+            lines.append(f"{index[q]} {move}: " + " ".join(
+                f"{index[s]}{sorted(atts)}" for s, atts in succs.items()))
+    return "\n".join(lines) + "\n"
+
+
+def corpus_games():
+    for block in load_corpus().values():
+        for entry in block["seeds"]:
+            seed = entry["seed"] if isinstance(entry, dict) else entry
+            yield generate_game(GeneratorParams(**block["params"], seed=seed))
+
+
+@pytest.mark.parametrize("case", list(PERCEIVED))
+def test_perceived_game_frozen(case):
+    if case == "corpus":
+        games = list(corpus_games())
+        assert len(games) == 350
+    else:
+        games = [validate_game(parse_spec(case_text(case)))]
+    digest = hashlib.sha256()
+    for game in games:
+        digest.update(perceived_dump(build_belief_mdp(game)).encode())
+    assert digest.hexdigest() == PERCEIVED[case]
