@@ -15,14 +15,14 @@ that can surely or possibly finish the task contributes the absorbing
 `FINAL` successor, which no safe attack may allow.
 
 The game is read off the perceived game rather than recomputed: each
-successor in ``BeliefMDP.trans`` already carries the attacks that
+successor in ``BeliefMDP.dense`` already carries the attacks that
 produce it, so the jammer's successors under one attack are those of
 the kept moves annotated with it.  The build reads each kept move's
-successor map once and files every successor under its attacks.  The
-observation rule thus has one home, game.py, reached only through the
-belief expansion.  Nodes come in the perceived game's canonical order
-and each node's attacks in ascending order, so the solver and the gap
-walk them as they are.
+successor ids once, files every id under its attacks, and turns each
+attack's ids into nodes once.  The observation rule thus has one home,
+game.py, reached only through the belief expansion.  Nodes come in the
+perceived game's canonical order and each node's attacks in ascending
+order, so the solver and the gap walk them as they are.
 
 The *deception gap* is the outcome: nodes where the agent believes she
 is sure to finish while the jammer is sure she never will.
@@ -62,9 +62,10 @@ def build_attacker_mdp(report: SolveReport) -> AttackerMDP:
     """The jammer's one-player game over the agent's winning region.
 
     The winning nodes are taken in ``report.mdp.nodes`` order.  At each
-    one, every kept move's successor map is read once, and each
-    successor is filed under the attacks it is annotated with; `FINAL`,
-    which some kept move may reach, is filed under every attack.  The
+    one, every kept move's successor ids in ``report.mdp.dense`` are
+    read once, and each is filed under the attacks it is annotated with;
+    `FINAL`, which some kept move may reach, is filed under every attack.
+    Each attack's ids become nodes once, at the end.  The
     landing states are the true states of the non-`FINAL` successors:
     every state has an enabled attack, so each non-goal state a kept
     move can reach yields at least one successor.  An attack is offered
@@ -76,25 +77,27 @@ def build_attacker_mdp(report: SolveReport) -> AttackerMDP:
     if not report.win:
         raise EmptyWin1Error("the agent has no winning node to be deceived at")
     mdp = report.mdp
-    game = mdp.game
+    dense, game, node_of = mdp.dense, mdp.game, mdp.nodes + (FINAL,)
     every = frozenset(range(len(game.attacks)))
-    nodes = tuple(q for q in mdp.nodes if q in report.win)
     trans: dict[BeliefNode, dict[AttackId, frozenset]] = {}
-    for node in nodes:
-        moves = mdp.trans[node]
-        reached: dict[AttackId, set] = {att: set() for att in every}
-        landing: set = set()
-        for move in report.strategy.allowed[node]:
-            for succ, atts in moves[move].items():
-                if succ is FINAL:
-                    atts = every  # completion happens under any attack
-                else:
-                    landing.add(succ.state)
-                for att in atts:
-                    reached[att].add(succ)
+    for node, ks, succs, attacks in zip(mdp.nodes, dense.node_moves, dense.succs, dense.attacks):
+        if node not in report.win:
+            continue
+        kept = report.strategy.allowed[node]
+        reached, landing = {att: set() for att in every}, set()  # successor ids, states
+        for k, targets, atts in zip(ks, succs, attacks):
+            if dense.moves[k] in kept:
+                for j, on in zip(targets, atts):
+                    if node_of[j] is FINAL:
+                        on = every  # completion happens under any attack
+                    else:
+                        landing.add(node_of[j].state)
+                    for att in on:
+                        reached[att].add(j)
         offered = every.intersection(*(game.enabled_attacks[s] for s in landing))
-        trans[node] = {att: frozenset(reached[att]) for att in sorted(offered)}
-    return AttackerMDP(game=game, nodes=nodes, trans=trans)
+        trans[node] = {att: frozenset(map(node_of.__getitem__, reached[att]))
+                       for att in sorted(offered)}
+    return AttackerMDP(game=game, nodes=tuple(trans), trans=trans)
 
 
 def solve_p2_safety(attacker: AttackerMDP) -> tuple[frozenset[BeliefNode], AttackStrategy]:

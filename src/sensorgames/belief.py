@@ -26,28 +26,29 @@ game is read through its tables, `Game.masks`, which the simulator
 reads too.  A belief's offered actions and their images are computed
 once per belief rather than once per node, and the successors a move
 gains by landing in s' depend only on (image, s', query), so each such
-triple is resolved once.  Nodes are interned: each (state, mask) pair has one
-`BeliefNode` and each mask one frozenset, so every successor key in
-``trans`` is the very object listed in ``nodes``.
+triple is resolved once.  Each (state, mask) pair gets one `BeliefNode`
+and each mask one frozenset, and each distinct set of attacks one
+frozenset.
 
 This module is the one home of the canonical order: `BeliefMDP.nodes`
 lists nodes by `node_key` and `BeliefMDP.classes` lists beliefs sorted,
 and later stages walk those two rather than sort again.  It is also the
-one place where nodes become ints.  `BeliefMDP.dense` derives the
-perceived game on ints from ``trans``, once per MDP: node i is
-``nodes[i]``, `FINAL` is N, and move k is the k-th distinct move in
-sorted order.  The agent solver, its soundness audit and the
-brute-force referee all read that one numbering, and only turn ints
-back into nodes and moves for what they report.  It is derived from
-``trans`` rather than emitted by the expansion, so a hand-built MDP,
-such as a `restricted` one, gets it the same way.
+one place where nodes become ints.  The expansion emits the perceived
+game on ints, `BeliefMDP.dense`, and stores it in no other form: node i
+is ``nodes[i]``, `FINAL` is N, and move k is the k-th (action, query)
+pair in ascending order.  The agent solver, its soundness audit, the
+brute-force referee, the jammer build and the Graphviz view all read
+that one numbering, and only turn ints back into nodes and moves for
+what they report.  `restricted` filters and renumbers the ids.
+``BeliefMDP.trans``, the same game keyed by nodes and moves, is a view
+built from ``dense`` on first read; no stage reads it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import accumulate, filterfalse
 from typing import Iterable, Mapping, NamedTuple
 
 from .game import ActionId, AttackId, Game, QueryId, StateId, states_of
@@ -82,9 +83,6 @@ FINAL = _Final()
 
 # A perceived-game move: control action paired with a sensor query.
 ActionPair = tuple[ActionId, QueryId]
-# Successors of one move, each annotated with the attacks that produce it.
-# The FINAL successor is attack-independent and carries an empty set.
-SuccessorMap = Mapping["BeliefNode | _Final", frozenset[AttackId]]
 
 
 def node_key(node: BeliefNode) -> tuple[StateId, tuple[StateId, ...]]:
@@ -104,148 +102,145 @@ def move_label(game: Game, move: ActionPair) -> str:
     return f"({game.action_names[action]},{game.queries[query].name})"
 
 
+@dataclass(frozen=True, slots=True)
+class DenseMDP:
+    """The perceived game on ints.
+
+    Node i is ``BeliefMDP.nodes[i]`` and `FINAL` is ``len(succs)``.
+    ``moves`` lists every (action, query) pair in ascending order, so id
+    k stands for ``moves[k]``.  ``node_moves[i]`` holds the ids of node
+    i's moves, ascending; class-mates share one tuple.
+    ``succs[i][t]`` holds the successor ids of node i's t-th move and
+    ``attacks[i][t]`` the set of attacks that produce each of them, in
+    the same order; `FINAL`'s set is empty.  ``classes`` holds each
+    class's member ids, in ``BeliefMDP.classes`` order.  ``initial`` is
+    the start node's id, or None where a `restricted` MDP left the
+    start node out.
+    """
+
+    moves: tuple[ActionPair, ...]
+    node_moves: tuple[tuple[int, ...], ...]
+    succs: tuple[tuple[tuple[int, ...], ...], ...]
+    attacks: tuple[tuple[tuple[frozenset[AttackId], ...], ...], ...]
+    classes: tuple[tuple[int, ...], ...]
+    initial: int | None
+
+
 @dataclass(frozen=True)
 class BeliefMDP:
     """The perceived game, fully expanded and immutable.
 
     ``nodes`` lists every (state, belief) node in canonical order, the
     order of `node_key`; the absorbing `FINAL` node is kept separate.
-    ``trans[q][(a, qr)]`` maps each successor to the set of attacks that
-    produce it, with each node's moves in sorted order.  ``classes``
-    groups nodes by belief, beliefs in sorted order and each class's
-    members in ``nodes`` order.  These two fields are the one home of
-    the canonical order: every consumer walks them rather than sorting.
+    ``classes`` groups nodes by belief, beliefs in sorted order and each
+    class's members in ``nodes`` order.  These two fields are the one
+    home of the canonical order: every consumer walks them rather than
+    sorting.  ``dense`` holds the moves and successors, on ints.
     """
 
     game: Game
     initial: BeliefNode
     nodes: tuple[BeliefNode, ...]
-    trans: Mapping[BeliefNode, Mapping[ActionPair, SuccessorMap]]
     classes: Mapping[frozenset[StateId], tuple[BeliefNode, ...]]
+    dense: DenseMDP
 
     @cached_property
-    def dense(self) -> DenseMDP:
-        """This MDP on ints (see the module notes), derived on first use."""
-        index: dict = {q: i for i, q in enumerate(self.nodes)}
-        index[FINAL] = len(self.nodes)
-        per_node = [self.trans[q] for q in self.nodes]
-        moves = sorted({pair for node_moves in per_node for pair in node_moves})
-        move_id = {pair: k for k, pair in enumerate(moves)}
-        shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per move set
-        ids = (tuple([move_id[pair] for pair in node_moves]) for node_moves in per_node)
-        return DenseMDP(
-            moves=tuple(moves),
-            node_moves=tuple(shared.setdefault(ks, ks) for ks in ids),
-            succs=tuple(tuple(tuple([index[s] for s in succs]) for succs in node_moves.values())
-                        for node_moves in per_node),
-            classes=tuple(tuple(index[q] for q in members) for members in self.classes.values()),
-            initial=index.get(self.initial))
+    def trans(self) -> dict[BeliefNode, dict[ActionPair, dict]]:
+        """``dense`` keyed by nodes and moves, built on first read.
 
-
-@dataclass(frozen=True, slots=True)
-class DenseMDP:
-    """The perceived game on ints.
-
-    Node i is ``BeliefMDP.nodes[i]`` and `FINAL` is ``len(succs)``.
-    ``node_moves[i]`` holds the ids of node i's moves in ``trans`` order,
-    where id k stands for ``moves[k]``; nodes with the same moves share
-    one tuple.  ``succs[i][t]`` holds the successor ids of node i's t-th
-    move, in ``trans`` order too.  ``classes`` holds each class's member
-    ids, in ``BeliefMDP.classes`` order.  ``initial`` is the start node's
-    id, or None where a `restricted` MDP left the start node out.
-    """
-
-    moves: tuple[ActionPair, ...]
-    node_moves: tuple[tuple[int, ...], ...]
-    succs: tuple[tuple[tuple[int, ...], ...], ...]
-    classes: tuple[tuple[int, ...], ...]
-    initial: int | None
+        ``trans[q][(a, qr)]`` maps each successor to the set of attacks
+        that produce it; each node's moves are in ascending order and
+        each move's successors in ``dense`` order.  Every key is the
+        very node object listed in ``nodes``.
+        """
+        dense, node_of = self.dense, self.nodes + (FINAL,)
+        return {q: {dense.moves[k]: dict(zip(map(node_of.__getitem__, targets), atts))
+                    for k, targets, atts in zip(*moves)}
+                for q, *moves in zip(self.nodes, dense.node_moves, dense.succs, dense.attacks)}
 
 
 def build_belief_mdp(game: Game) -> BeliefMDP:
     """Expand the perceived game reachable from the known start.
 
-    Exploration is a worklist sweep from (s0, {s0}).  Whenever a new
-    belief appears, every (s', belief) node with s' in the belief is
-    materialized and explored too, so equivalence classes are never
-    split.  All iteration is in sorted order, making the result
-    reproducible node for node.  The sweep runs on masks (see the module
-    notes); nodes and frozensets are made once, when a belief is found.
+    The expansion runs in two passes on masks (see the module notes).
+    The first sweeps beliefs from {s0}: it finds each belief's offered
+    actions and their images, and resolves each (image, landing state,
+    query) once, to the next beliefs and their attacks.  The landing
+    states are the non-goal states of each image, the union over the
+    class's members of the states a move can land in, so every
+    (s', belief) node with s' in a found belief is materialized and
+    classes are never split.  The second ranks the nodes by `node_key`,
+    turns each resolved landing into a tuple of ids and a tuple of
+    attack sets, and joins those tuples into each move's successors.
+    Nodes and frozensets are made once, when the nodes are ranked.
     """
-    masks = game.masks
-    n_states = game.n_states
-    n_actions = len(game.action_names)
-    n_queries = len(game.queries)
+    masks, n_states, n_queries = game.masks, game.n_states, len(game.queries)
 
-    keys: dict[int, tuple[StateId, ...]] = {}  # mask -> sorted states
-    members: dict[int, dict[StateId, BeliefNode]] = {}  # mask -> its nodes
-    # Each queued node carries its belief's offered (action, image mask)s.
-    queue: deque[tuple[BeliefNode, list[tuple[ActionId, int]]]] = deque()
+    queue = [1 << game.initial]
+    keys = {queue[0]: (game.initial,)}  # mask -> sorted states
+    offered: dict[int, list[tuple[ActionId, int]]] = {}  # mask -> (action, image)s
+    move_ids: dict[int, tuple[int, ...]] = {}  # mask -> its move ids, one tuple per class
+    # The beliefs a move reaches when nature lands in s2 from a belief
+    # whose action image is ``image``, each with the mask of the attacks
+    # that produce it, keyed by (image, query, s2) packed into one int.
+    landings: dict[int, dict[int, int]] = {}
+    for mask in queue:
+        actions = [a for a, enabled in enumerate(masks.enabled) if (mask & ~enabled) == 0]
+        offered[mask] = [(a, masks.image(keys[mask], a)) for a in actions]
+        move_ids[mask] = tuple([a * n_queries + q for a in actions for q in range(n_queries)])
+        for _action, image in offered[mask]:
+            for s2 in states_of(image & ~masks.goal):
+                for query, views in enumerate(masks.views[s2]):
+                    key = (image * n_queries + query) * n_states + s2
+                    if key not in landings:
+                        found = landings[key] = {}
+                        for att, view in views.items():
+                            b2 = image & view
+                            found[b2] = found.get(b2, 0) | 1 << att
+                        for b2 in filterfalse(keys.__contains__, found):  # new beliefs
+                            keys[b2] = states_of(b2)
+                            queue.append(b2)
 
-    def discover_belief(mask: int) -> None:
-        states = keys[mask] = states_of(mask)
-        offered = [(a, masks.image(states, a))
-                   for a in range(n_actions) if (mask & ~masks.enabled[a]) == 0]
-        belief = frozenset(states)
-        nodes = members[mask] = {}
-        for s in states:
-            nodes[s] = node = BeliefNode(s, belief)
-            queue.append((node, offered))
+    ranked = sorted((s, states, mask) for mask, states in keys.items() for s in states)
+    ids = {mask * n_states + s: i for i, (s, _states, mask) in enumerate(ranked)}
+    beliefs = {mask: frozenset(states) for mask, states in keys.items()}
+    nodes = tuple(BeliefNode(s, beliefs[mask]) for s, _states, mask in ranked)
+    land_ids = {key: tuple([ids[b2 * n_states + key % n_states] for b2 in found])
+                for key, found in landings.items()}
+    # One frozenset per distinct set of attacks, shared by every edge; a
+    # mask of attack ids decodes as a mask of states does.
+    attack_set = cache(lambda bits: frozenset(states_of(bits)))
+    land_attacks = {key: tuple(map(attack_set, found.values())) for key, found in landings.items()}
+    # (s, a) -> what each of its moves starts with (FINAL, where the
+    # support touches the goal) and the non-goal states it lands in
+    outcomes = {key: (((len(nodes),), (attack_set(0),)) if support & masks.goal else ((), ()),
+                   states_of(support & ~masks.goal)) for key, support in masks.support.items()}
+    succs, attacks = [], []
+    for s, _states, mask in ranked:
+        node_succs, node_attacks = [], []
+        for action, image in offered[mask]:
+            head, landing = outcomes[(s, action)]
+            for query in range(n_queries):
+                targets, atts = head
+                base = (image * n_queries + query) * n_states
+                for s2 in landing:
+                    targets += land_ids[base + s2]
+                    atts += land_attacks[base + s2]
+                node_succs.append(targets)
+                node_attacks.append(atts)
+        succs.append(tuple(node_succs))
+        attacks.append(tuple(node_attacks))
 
-    # Successors a move gains when nature lands in s2 from a belief whose
-    # action image is ``image``, as {node: attacks}, keyed by (image, s2,
-    # query) packed into one int.
-    landings: dict[int, dict[BeliefNode, frozenset[AttackId]]] = {}
-
-    def landing(image: int, s2: StateId, query: QueryId) -> dict:
-        key = (image * n_states + s2) * n_queries + query
-        found = landings.get(key)
-        if found is not None:
-            return found
-        by_belief: dict[int, list[AttackId]] = {}
-        for att, view in masks.views[s2][query].items():
-            b2 = image & view
-            if b2 not in by_belief:
-                by_belief[b2] = []
-                if b2 not in members:
-                    discover_belief(b2)
-            by_belief[b2].append(att)
-        out = landings[key] = {
-            members[b2][s2]: frozenset(atts) for b2, atts in by_belief.items()}
-        return out
-
-    # The move pairs and FINAL's empty attack set are made once and
-    # shared, as the keys above are ints: a fresh tuple or set per move or
-    # per lookup would be tracked by the cyclic garbage collector and
-    # walked by its passes.
-    pairs = [[(a, q) for q in range(n_queries)] for a in range(n_actions)]
-    no_attacks: frozenset[AttackId] = frozenset()
-    discover_belief(1 << game.initial)
-    start = queue[0][0]
-    trans: dict[BeliefNode, dict[ActionPair, dict]] = {}
-    while queue:
-        node, offered = queue.popleft()
-        moves: dict[ActionPair, dict] = {}
-        trans[node] = moves
-        for action, image in offered:
-            support = masks.support[(node.state, action)]
-            outside = states_of(support & ~masks.goal)
-            to_final = not outside or (support & masks.goal) != 0
-            for query, pair in enumerate(pairs[action]):
-                succs: dict = {FINAL: no_attacks} if to_final else {}
-                for s2 in outside:
-                    succs.update(landing(image, s2, query))
-                moves[pair] = succs
-
-    ranked = sorted((s, key, mask) for mask, key in keys.items() for s in key)
-    classes: dict[frozenset[StateId], tuple[BeliefNode, ...]] = {}
-    for mask in sorted(keys, key=keys.__getitem__):
-        nodes = tuple(members[mask].values())
-        classes[nodes[0].belief] = nodes
+    members = [tuple(ids[mask * n_states + s] for s in states)
+               for mask, states in sorted(keys.items(), key=lambda item: item[1])]
+    start = ids[(1 << game.initial) * n_states + game.initial]
     return BeliefMDP(
-        game=game, initial=start,
-        nodes=tuple(members[mask][s] for s, _key, mask in ranked),
-        trans=trans, classes=classes)
+        game=game, initial=nodes[start], nodes=nodes,
+        classes={nodes[ids_[0]].belief: tuple(map(nodes.__getitem__, ids_)) for ids_ in members},
+        dense=DenseMDP(
+            moves=tuple((a, q) for a in range(len(masks.enabled)) for q in range(n_queries)),
+            node_moves=tuple(move_ids[mask] for _s, _states, mask in ranked),
+            succs=tuple(succs), attacks=tuple(attacks), classes=tuple(members), initial=start))
 
 
 def restricted(mdp: BeliefMDP, keep: Iterable[BeliefNode]) -> BeliefMDP:
@@ -254,21 +249,30 @@ def restricted(mdp: BeliefMDP, keep: Iterable[BeliefNode]) -> BeliefMDP:
 
     `FINAL` is always retained.  Beliefs whose class gets split by the
     restriction keep only the surviving members, and class-mates keep
-    the same moves.  Nodes and classes keep ``mdp``'s order.
+    the same moves.  Nodes and classes keep ``mdp``'s order, and nodes
+    are renumbered in that order.  ``keep`` is matched by equality.
     """
-    kept = set(keep)
-    nodes = tuple(q for q in mdp.nodes if q in kept)
-    classes: dict[frozenset[StateId], tuple[BeliefNode, ...]] = {}
-    allowed: dict[frozenset[StateId], set[ActionPair]] = {}
-    for belief, members in mdp.classes.items():
-        inside = tuple(q for q in members if q in kept)
-        if inside:
-            classes[belief] = inside
-            allowed[belief] = {pair for pair in mdp.trans[inside[0]]
-                               if all(s is FINAL or s in kept
-                                      for q in inside for s in mdp.trans[q][pair])}
-    trans = {q: {pair: succs for pair, succs in mdp.trans[q].items()
-                 if pair in allowed[q.belief]}
-             for q in nodes}
-    return BeliefMDP(game=mdp.game, initial=mdp.initial, nodes=nodes,
-                     trans=trans, classes=classes)
+    kept, dense = set(keep), mdp.dense
+    inside = [q in kept for q in mdp.nodes] + [True]
+    new = list(accumulate(inside, initial=0))  # new[i]: node i's id in the sub-MDP
+    node_moves, succs, attacks = ([()] * new[len(mdp.nodes)] for _ in range(3))
+    classes, class_ids = {}, []
+    for belief, members in zip(mdp.classes, dense.classes):
+        if members := [i for i in members if inside[i]]:
+            classes[belief] = tuple(mdp.nodes[i] for i in members)
+            class_ids.append(tuple(new[i] for i in members))
+            offered = dense.node_moves[members[0]]
+            allowed = [t for t in range(len(offered))
+                       if all(inside[j] for i in members for j in dense.succs[i][t])]
+            ks = tuple(offered[t] for t in allowed)  # one tuple per class
+            for i in members:
+                node_moves[new[i]] = ks
+                succs[new[i]] = tuple(tuple([new[j] for j in dense.succs[i][t]]) for t in allowed)
+                attacks[new[i]] = tuple(dense.attacks[i][t] for t in allowed)
+    return BeliefMDP(
+        game=mdp.game, initial=mdp.initial, classes=classes,
+        nodes=tuple(q for q, flag in zip(mdp.nodes, inside) if flag),
+        dense=DenseMDP(
+            moves=dense.moves, node_moves=tuple(node_moves), succs=tuple(succs),
+            attacks=tuple(attacks), classes=tuple(class_ids),
+            initial=new[i] if (i := dense.initial) is not None and inside[i] else None))

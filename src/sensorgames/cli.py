@@ -128,6 +128,9 @@ def _make_p2(args, run):
 
 
 def _cmd_simulate(args) -> int:
+    for flag, value in (("--runs", args.runs), ("--max-steps", args.max_steps)):
+        if value < 0:
+            raise ValueError(f"{flag} must not be negative, got {value}")
     run = run_stages(_read(args.spec))
     p2 = _make_p2(args, run)
     game = run.game

@@ -5,8 +5,12 @@ what differs: the graph's name, each node's attributes (the start
 outline, grey or red shading), each node's edge groups (a move's
 successors with their attack-set annotations, or an attack's
 successors, bold where the jammer's strategy chose it) and the sink's
-name and label.  Each move label and each distinct attack set's label
-is made once per render, not once per edge.
+name and label.  The walk works on positions: a node is its position
+in the order handed in and `FINAL` the position after the last.  The
+perceived game's view reads `BeliefMDP.dense`, whose ids are those
+positions already, so it hashes no node; the jammer's view ranks its
+nodes once.  Each move label and each distinct attack set's label is
+made once per render, not once per edge.
 
 Output is deterministic: nodes appear in the canonical order they are
 handed in and are named ``n<i>`` by their position there, successors
@@ -18,7 +22,7 @@ to the same bytes.  The sink is drawn only when an edge reaches it.
 from __future__ import annotations
 
 from functools import cache, partial
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .attacker import AttackerMDP, AttackStrategy
 from .belief import FINAL, BeliefMDP, BeliefNode, move_label, node_label
@@ -29,22 +33,20 @@ def _attack_set_label(game: Game, attacks: frozenset[int]) -> str:
     return "{" + ",".join(game.attacks[a].name for a in sorted(attacks)) + "}" if attacks else "·"
 
 
-def _render(graph: str, nodes: Mapping, edge_groups: Iterable, sink: tuple[str, str]) -> str:
-    """The one walk.  ``nodes`` maps each node, in order, to its
-    attributes; ``edge_groups`` yields (node, group) pairs in node order,
-    where a group maps the node's successors under one move or attack to
-    the attributes of the edge drawn to each.  ``sink`` is `FINAL`'s
-    name and label."""
-    rank = {node: i for i, node in enumerate([*nodes, FINAL])}
+def _render(graph: str, nodes: list[str], edge_groups: Iterable, sink: tuple[str, str]) -> str:
+    """The one walk.  ``nodes`` holds each node's attributes, in order,
+    and node i is drawn as ``n<i>``; `FINAL` is ``len(nodes)``.
+    ``edge_groups`` yields (i, group) pairs in node order, where a group
+    maps the ids of node i's successors under one move or attack to the
+    attributes of the edge drawn to each.  ``sink`` is `FINAL`'s name
+    and label."""
     names = [f"n{i}" for i in range(len(nodes))] + [sink[0]]
     lines = [f"digraph {graph} {{", "  rankdir=LR;", "  node [shape=ellipse];",
-             *(f"  n{i} [{attrs}];" for i, attrs in enumerate(nodes.values()))]
+             *(f"  n{i} [{attrs}];" for i, attrs in enumerate(nodes))]
     edges, reached = [], False
-    for node, group in edge_groups:
-        reached = reached or FINAL in group
-        source = f"  n{rank[node]} -> "
-        edges += [f"{source}{names[rank[succ]]} [{group[succ]}];"
-                  for succ in sorted(group, key=rank.__getitem__)]
+    for i, group in edge_groups:
+        reached = reached or len(nodes) in group
+        edges += [f"  n{i} -> {names[j]} [{group[j]}];" for j in sorted(group)]
     if reached:
         lines.append(f'  {sink[0]} [label="{sink[1]}" shape=doublecircle];')
     return "\n".join(lines + edges + ["}"]) + "\n"
@@ -52,18 +54,16 @@ def _render(graph: str, nodes: Mapping, edge_groups: Iterable, sink: tuple[str, 
 
 def export_belief_dot(mdp: BeliefMDP, shade: frozenset[BeliefNode] = frozenset()) -> str:
     """Render the perceived game; ``shade`` nodes are filled grey."""
-    game = mdp.game
+    game, dense = mdp.game, mdp.dense
     moves, attack_sets = cache(partial(move_label, game)), cache(partial(_attack_set_label, game))
-    nodes = {q: f'label="{node_label(game, q)}"' + (" penwidth=2" if q == mdp.initial else "")
-             + (" style=filled fillcolor=lightgrey" if q in shade else "") for q in mdp.nodes}
-
-    def groups():
-        for q in mdp.nodes:
-            for move, succs in mdp.trans[q].items():
-                head = f'label="{moves(move)}, '
-                yield q, {succ: f'{head}{attack_sets(atts)}"' for succ, atts in succs.items()}
-
-    return _render("perceived", nodes, groups(), ("final", "final"))
+    nodes = [f'label="{node_label(game, q)}"' + (" penwidth=2" if i == dense.initial else "")
+             + (" style=filled fillcolor=lightgrey" if q in shade else "")
+             for i, q in enumerate(mdp.nodes)]
+    groups = ((i, {j: f'label="{moves(dense.moves[k])}, {attack_sets(on)}"'
+                   for j, on in zip(*edges)})
+              for i, ks in enumerate(dense.node_moves)
+              for k, *edges in zip(ks, dense.succs[i], dense.attacks[i]))
+    return _render("perceived", nodes, groups, ("final", "final"))
 
 
 def export_attacker_dot(
@@ -76,10 +76,12 @@ def export_attacker_dot(
     game = attacker.game
     choice = strategy.choice if strategy is not None else {}
     labels = [f'label="{attack.name}"' for attack in game.attacks]
-    nodes = {q: f'label="{node_label(game, q)}"'
+    rank = {node: i for i, node in enumerate([*attacker.nodes, FINAL])}
+    nodes = [f'label="{node_label(game, q)}"'
              + (" style=filled fillcolor=lightcoral" if q in shade else "")
-             for q in attacker.nodes}
-    groups = ((q, dict.fromkeys(
-                  succs, labels[att] + (" penwidth=2" if choice.get(q) == att else "")))
+             for q in attacker.nodes]
+    groups = ((rank[q], dict.fromkeys(
+                  map(rank.__getitem__, succs),
+                  labels[att] + (" penwidth=2" if choice.get(q) == att else "")))
               for q in attacker.nodes for att, succs in attacker.trans[q].items())
     return _render("jammer", nodes, groups, ("complete", "task complete"))

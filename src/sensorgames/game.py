@@ -383,9 +383,9 @@ def validate_game(doc: GameSpecDocument) -> Game:
             issues.append(ValidationIssue(
                 "empty-attack-set", f"state '{name}' has no enabled attack", line))
 
-    if initial is None and doc.states:
-        issues.append(ValidationIssue(
-            "unknown-id", "no resolvable initial state", doc.states[0].line))
+    if initial is None:
+        issues.append(ValidationIssue("unknown-id", "no resolvable initial state",
+                                      doc.states[0].line if doc.states else None))
 
     if issues:
         raise GameValidationError(issues)

@@ -23,9 +23,9 @@ Each withdrawal is logged, so the result can be audited move by move.
 Both phases, and the soundness audit, run on the perceived game's one
 numbering, `BeliefMDP.dense`.  Node i is ``mdp.nodes[i]``, whose
 canonical order makes i the node's `node_key` rank, and `FINAL` is N.
-Move k is the k-th distinct move in sorted order, and a node's move set
-is an int with bit k set for move k.  `solve_p1` builds a single
-reverse adjacency once per solve, and it serves the losing core, the
+Move k is the k-th (action, query) pair in ascending order, and a
+node's move set is an int with bit k set for move k.  `solve_p1` builds
+a single reverse adjacency once per solve, and it serves the losing core, the
 elimination sweep and the stall check (`reaching_final`, nested in the
 solver).  It is filled by scanning nodes in rank order and each node's
 moves in sorted order, so every predecessor list is already in

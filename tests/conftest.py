@@ -10,7 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 from sensorgames import bundled_game_text, run_stages, validate_game
-from sensorgames.belief import FINAL, BeliefMDP, BeliefNode
+from sensorgames.belief import BeliefNode
 from sensorgames.oracle import GeneratorParams, generate_spec
 from sensorgames.specfile import EnablingDecl
 
@@ -58,25 +58,6 @@ def fig4(fig4_text):
 def bnode(game, state: str, belief: list[str]) -> BeliefNode:
     """Build a belief node from state names."""
     return BeliefNode(game.state(state), game.state_set(belief))
-
-
-def uninterned(mdp):
-    """An equal copy of ``mdp`` in which every node reference, and every
-    belief, is a fresh object."""
-    def fresh(node):
-        if node is FINAL:
-            return node
-        return BeliefNode(node.state, frozenset(set(node.belief)))
-
-    return BeliefMDP(
-        game=mdp.game,
-        initial=fresh(mdp.initial),
-        nodes=tuple(fresh(q) for q in mdp.nodes),
-        trans={fresh(q): {move: {fresh(s): atts for s, atts in succs.items()}
-                          for move, succs in moves.items()}
-               for q, moves in mdp.trans.items()},
-        classes={frozenset(set(belief)): tuple(fresh(q) for q in members)
-                 for belief, members in mdp.classes.items()})
 
 
 @st.composite

@@ -1,9 +1,18 @@
 """Perceived-game expansion: structure, closure, determinism."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 
-from sensorgames import build_belief_mdp, check_soundness, solve_p1
+from sensorgames import (
+    build_belief_mdp,
+    check_soundness,
+    export_attacker_dot,
+    export_belief_dot,
+    run_stages,
+    solve_p1,
+)
 from sensorgames.belief import (
     FINAL,
     BeliefNode,
@@ -12,7 +21,7 @@ from sensorgames.belief import (
     restricted,
 )
 
-from .conftest import bnode, uninterned
+from .conftest import bnode
 from .test_game import small_games
 
 
@@ -192,17 +201,18 @@ def test_restricted_class_mates_keep_the_same_moves(fig1_noattack):
 # --- the dense form ----------------------------------------------------------
 
 def assert_dense_matches(mdp):
-    """``mdp.dense`` is ``trans`` on ints, successor by successor and in
-    dict order, with each node's moves ascending."""
-    dense = mdp.dense
-    assert mdp.dense is dense
+    """``trans`` is ``mdp.dense`` keyed by nodes and moves, successor by
+    successor and in order, each with its attack set, and each node's
+    moves ascending.  ``dense.moves`` lists every (action, query) pair."""
+    dense, game = mdp.dense, mdp.game
+    assert mdp.trans is mdp.trans
     node_of = mdp.nodes + (FINAL,)
-    assert list(dense.moves) == sorted({m for q in mdp.nodes for m in mdp.trans[q]})
-    assert len(dense.node_moves) == len(dense.succs) == len(mdp.nodes)
-    for q, ks, succs in zip(mdp.nodes, dense.node_moves, dense.succs):
-        assert [(dense.moves[k], [node_of[j] for j in targets])
-                for k, targets in zip(ks, succs, strict=True)] == [
-            (move, list(targets)) for move, targets in mdp.trans[q].items()]
+    assert dense.moves == tuple(product(range(len(game.action_names)), range(len(game.queries))))
+    assert len(dense.node_moves) == len(dense.succs) == len(dense.attacks) == len(mdp.nodes)
+    for q, ks, succs, attacks in zip(mdp.nodes, dense.node_moves, dense.succs, dense.attacks):
+        assert [(dense.moves[k], [(node_of[j], on) for j, on in zip(targets, atts, strict=True)])
+                for k, targets, atts in zip(ks, succs, attacks, strict=True)] == [
+            (move, list(targets.items())) for move, targets in mdp.trans[q].items()]
         assert list(ks) == sorted(set(ks))
     assert [[node_of[i] for i in members] for members in dense.classes] == [
         list(members) for members in mdp.classes.values()]
@@ -214,18 +224,24 @@ def test_dense_matches_trans(fixture, request):
     assert_dense_matches(request.getfixturevalue(fixture).mdp)
 
 
-def test_dense_matches_trans_uninterned(fig4):
-    copy = uninterned(fig4.mdp)
-    assert_dense_matches(copy)
-    assert copy.dense == fig4.mdp.dense
-
-
 def test_dense_matches_trans_restricted(fig1):
     g, mdp = fig1.game, fig1.mdp
     full = mdp.classes[g.state_set(["s1", "s2"])]
     sub = restricted(mdp, [q for q in mdp.nodes if q != full[0]])
     assert len(sub.classes[full[0].belief]) == 1
     assert_dense_matches(sub)
+    assert_interned(sub)
+
+
+def test_no_stage_builds_trans(fig4_text):
+    # The stages and both DOT views read ``dense``; the node-keyed view
+    # is built only on a read of ``trans``.
+    run = run_stages(fig4_text)
+    assert "trans" not in vars(run.mdp)
+    export_belief_dot(run.mdp, shade=run.report.win)
+    export_attacker_dot(run.attacker, shade=run.win2, strategy=run.attack_strategy)
+    assert "trans" not in vars(run.mdp)
+    assert run.mdp.trans is vars(run.mdp)["trans"]
 
 
 @settings(max_examples=25, deadline=None)

@@ -193,6 +193,14 @@ def test_simulate_reproducible(spec_dir, capsys):
     assert first == second and first[0] == 0
 
 
+@pytest.mark.parametrize("flag", ["--runs", "--max-steps"])
+def test_simulate_refuses_negative_counts(spec_dir, capsys, flag):
+    code, out, err = run(capsys, "simulate", spec_dir / "fig4.game", flag, "-3")
+    assert (code, out, err) == (2, "", f"error: {flag} must not be negative, got -3\n")
+    code, out, _ = run(capsys, "simulate", spec_dir / "fig4.game", flag, "0")
+    assert code == 0 and out.endswith("hit the step limit\n")
+
+
 def test_simulate_prompt_policy(spec_dir, capsys, monkeypatch):
     answers = iter(["beta0"] * 40)
     monkeypatch.setattr("builtins.input", lambda prompt="": next(answers))

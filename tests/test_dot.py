@@ -1,7 +1,7 @@
 """Graphviz rendering."""
 
 from sensorgames import export_attacker_dot, export_belief_dot
-from sensorgames.belief import BeliefMDP
+from sensorgames.belief import restricted
 
 
 def test_belief_dot_structure(fig4):
@@ -24,10 +24,7 @@ def test_attacker_dot_structure(fig4):
 
 
 def test_empty_model_renders_header_only(fig4):
-    empty = BeliefMDP(
-        game=fig4.game, initial=fig4.mdp.initial,
-        nodes=(), trans={}, classes={})
-    out = export_belief_dot(empty)
+    out = export_belief_dot(restricted(fig4.mdp, []))
     assert out == (
         "digraph perceived {\n"
         "  rankdir=LR;\n"

@@ -20,7 +20,7 @@ from sensorgames import (
 from sensorgames.belief import BeliefNode
 from sensorgames.game import states_of
 from sensorgames.oracle import GeneratorParams, generate_game
-from sensorgames.specfile import EnablingDecl
+from sensorgames.specfile import EnablingDecl, GameSpecDocument
 
 from .conftest import per_state_attack_games
 from .test_specfile import MINI
@@ -106,6 +106,15 @@ def test_no_initial_state_in_programmatic_document():
     with pytest.raises(GameValidationError) as err:
         validate_game(doc)
     assert any("initial" in i.message for i in err.value.issues)
+
+
+def test_document_without_states():
+    # Nothing to be initial, so the validator says so rather than
+    # returning a game without a start.
+    with pytest.raises(GameValidationError) as err:
+        validate_game(GameSpecDocument())
+    assert err.value.issues == (
+        ValidationIssue("unknown-id", "no resolvable initial state", None),)
 
 
 def _with_s0_a0(*successors):

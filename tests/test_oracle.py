@@ -16,7 +16,6 @@ from sensorgames import (
 from sensorgames.oracle import GeneratorParams, OracleResult, generate_game, generate_spec
 from sensorgames.specfile import SensorDecl
 
-from .conftest import uninterned
 
 SMALL = dict(n_states=4, n_actions=2, n_sensors=2, n_queries=2, n_attacks=3,
              max_support=2, goal_fraction=0.25)
@@ -137,14 +136,6 @@ def test_manifest_slice_agrees(corpus):
 def test_full_losing_enumeration(fig1_nosense):
     # Every one of the 1701 assignments is certified and fails.
     assert brute_force_win1(fig1_nosense.mdp) == OracleResult(False, 1701, 6)
-
-
-@pytest.mark.parametrize("fixture", ["fig4", "fig1_nosense"])
-def test_oracle_does_not_depend_on_node_identity(fixture, request):
-    mdp = request.getfixturevalue(fixture).mdp
-    copy = uninterned(mdp)
-    assert copy.initial is not mdp.initial
-    assert brute_force_win1(copy) == brute_force_win1(mdp)
 
 
 def test_oracle_without_the_start_node(fig1_noattack):
