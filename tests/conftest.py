@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from sensorgames import bundled_game_text, run_stages, validate_game
 from sensorgames.belief import BeliefNode
+from sensorgames.game import Game
 from sensorgames.oracle import GeneratorParams, generate_spec
 from sensorgames.specfile import EnablingDecl
 
@@ -60,15 +61,20 @@ def bnode(game, state: str, belief: list[str]) -> BeliefNode:
     return BeliefNode(game.state(state), game.state_set(belief))
 
 
-@st.composite
-def per_state_attack_games(draw):
-    """Small generated games with a random ``[enabled-attacks]`` section:
-    each state gets a non-empty subset of the attacks."""
+def per_state_attack_game(seed: int, pick) -> Game:
+    """A small generated game whose ``[enabled-attacks]`` section gives
+    each state ``pick(attack names)``, a non-empty subset."""
     doc = generate_spec(GeneratorParams(
         n_states=5, n_actions=2, n_sensors=3, n_queries=2, n_attacks=3,
-        max_support=2, goal_fraction=0.25, seed=draw(st.integers(0, 10_000))))
+        max_support=2, goal_fraction=0.25, seed=seed))
     names = [a.name for a in doc.attacks]
-    rows = tuple(
-        EnablingDecl(state.name, tuple(sorted(draw(st.sets(st.sampled_from(names), min_size=1)))))
-        for state in doc.states)
+    rows = tuple(EnablingDecl(state.name, tuple(sorted(pick(names)))) for state in doc.states)
     return validate_game(replace(doc, enabled_attacks=rows))
+
+
+@st.composite
+def per_state_attack_games(draw):
+    """`per_state_attack_game` with a drawn seed and attack subsets."""
+    return per_state_attack_game(
+        draw(st.integers(0, 10_000)),
+        lambda names: draw(st.sets(st.sampled_from(names), min_size=1)))

@@ -1,6 +1,7 @@
 """Play engine: determinism, trace consistency, policy behavior."""
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -25,10 +26,10 @@ from sensorgames import (
     solve_p2_safety,
     validate_game,
 )
-from sensorgames.belief import BeliefNode
+from sensorgames.belief import BeliefNode, node_label
 from sensorgames.oracle import GeneratorParams, generate_spec
 
-from .conftest import per_state_attack_games
+from .conftest import per_state_attack_game, per_state_attack_games
 
 TRIVIAL = """\
 [states]
@@ -269,3 +270,49 @@ def test_seeded_traces_frozen(corpus):
                                  max_steps=40, seed=seed)
                 digest.update(trace_line(trace).encode())
     assert digest.hexdigest() == TRACES_DIGEST
+
+
+def play_line(game, strategy, policy, seed):
+    """A play's `trace_line`, or, when the play stops with an error, the
+    gap node's label or the refusal's message."""
+    try:
+        return trace_line(simulate(game, strategy, policy, max_steps=100, seed=seed))
+    except StrategyGapError as err:
+        return f"gap {node_label(game, err.node)}\n"
+    except ValueError as err:
+        return f"refused {err}\n"
+
+
+# sha256 over 1,500 seeded plays of 100 steps: every initially-winning
+# game of the corpus's soundness block (177) and of the first 100
+# `per_state_attack_game`s (73, attack subsets drawn from Random(k)),
+# each under the jammer's table, a uniform random jammer and
+# FixedAttack(0), seeds 0 and 1.  The plays include step limits, a
+# strategy gap at a goal state and refused attacks.
+SWEEP_DIGEST = "04e5a1507451e3a4fa620a9c918df6890acb6780de459aef3b7df3af747641e6"
+
+
+def test_swept_plays_frozen(corpus):
+    block = corpus["soundness"]
+    games = []
+    for seed in block["seeds"]:
+        run = run_stages(serialize_spec(generate_spec(
+            GeneratorParams(**block["params"], seed=seed))))
+        if run.report.initial_winning:
+            games.append((run.game, run.report.strategy, run.attack_strategy))
+    assert len(games) == 177
+    for k in range(100):
+        rng = random.Random(k)
+        game = per_state_attack_game(
+            k, lambda names: rng.sample(names, rng.randint(1, len(names))))
+        rep = solve_p1(build_belief_mdp(game))
+        if rep.initial_winning:
+            games.append((game, rep.strategy,
+                          solve_p2_safety(build_attacker_mdp(rep))[1]))
+    assert len(games) == 177 + 73
+    digest = hashlib.sha256()
+    for game, strategy, table in games:
+        for policy in (TableAttack(table), UniformRandomAttack(), FixedAttack(0)):
+            for seed in range(2):
+                digest.update(play_line(game, strategy, policy, seed).encode())
+    assert digest.hexdigest() == SWEEP_DIGEST
