@@ -17,6 +17,8 @@ from ``trans`` and that rule: the goal, each successor support, the
 states where each action is enabled, and each observation.  The belief
 expansion and the simulator both read it, so the belief update -- the
 action image filtered by the observation -- is computed one way.
+`Game.memo` holds what the simulator reads at each step, filled on
+first use and shared by every play of the game.
 
 `validate_game` accepts documents built in code as well as parsed ones,
 so it checks again, in the parser's words, every document rule the
@@ -25,15 +27,18 @@ pattern, exactly one state is marked initial, no name, transition row
 or enabling row is declared twice, and a row's successors carry
 weights all or none, each within specfile's weight bound (a number,
 finite and > 0).  The semantic rules -- names resolve, supports are
-non-empty and list each successor once, every state enables an action
-and an attack -- are the validator's alone.
+non-empty and list each successor once, a row's weights have a finite
+total, every state enables an action and an attack -- are the
+validator's alone.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
+from itertools import accumulate
 from operator import or_
 from typing import Iterable, Mapping, Sequence
 
@@ -134,6 +139,11 @@ class Game:
                       for q in range(len(self.queries)))
                 for s in range(self.n_states)))
 
+    @cached_property
+    def memo(self) -> PlayMemo:
+        """The simulator's per-step tables, built on first use."""
+        return PlayMemo(self)
+
     def counts(self) -> dict[str, int]:
         """How many of each declaration the arena has, in file order."""
         return {
@@ -181,6 +191,35 @@ class Masks:
         """The action image of a belief, before any observation; the
         action must be enabled at each of its states."""
         return reduce(or_, [self.support[(s, action)] for s in states])
+
+
+class PlayMemo:
+    """What a play reads at each step, filled on first use and shared
+    by every play of one game.
+
+    ``succs(s, a)`` is `weighted_successors` of that support,
+    ``image(mask, a)`` a belief mask's action image, ``states(mask)``
+    the mask's states as one frozenset, and ``attacks[s]`` the attacks
+    enabled at s, ascending.  The tables hold the game's ``trans`` and
+    `Masks`, never the game, so they go when it goes.
+    """
+
+    def __init__(self, game: Game):
+        trans, masks = game.trans, game.masks
+        self.succs = cache(lambda s, a: weighted_successors(trans[s, a]))
+        self.image = cache(lambda mask, a: masks.image(states_of(mask), a))
+        self.states = cache(lambda mask: frozenset(states_of(mask)))
+        self.attacks = tuple(tuple(sorted(atts)) for atts in game.enabled_attacks)
+
+
+def weighted_successors(support: Mapping[StateId, float | None]
+                        ) -> tuple[tuple[StateId, ...], list[float] | None]:
+    """A support's successors, ascending, with their cumulative weights
+    as `random.choices` forms them, or None when the row is unweighted."""
+    succs = tuple(sorted(support))
+    if all(support[s] is None for s in succs):
+        return succs, None
+    return succs, list(accumulate(float(support[s]) for s in succs))
 
 
 def states_of(mask: int) -> tuple[StateId, ...]:
@@ -337,6 +376,11 @@ def validate_game(doc: GameSpecDocument) -> Game:
             succ = _resolve(state_ids, name, "state", t.line, issues)
             if succ is not None:
                 support[succ] = weight
+        if (support and all(map(_weight_ok, support.values()))
+                and not math.isfinite(total := weighted_successors(support)[1][-1])):
+            issues.append(ValidationIssue(
+                "bad-weight", f"the weights of transition '{t.state} {t.action}' sum to "
+                f"{total} (expected a finite total)", t.line))
         if s is not None and a is not None and support:
             trans[(s, a)] = support
 

@@ -37,7 +37,7 @@ read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Mapping
 
 from .belief import ActionPair, BeliefMDP, BeliefNode
@@ -54,6 +54,7 @@ class MultiStrategy:
     """
 
     allowed: Mapping[BeliefNode, frozenset[ActionPair]]
+    _sorted: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def for_belief(self, belief: frozenset[int]) -> frozenset[ActionPair] | None:
         for node in sorted(belief):
@@ -61,6 +62,14 @@ class MultiStrategy:
             if moves:
                 return moves
         return None
+
+    def sorted_moves(self, belief: frozenset[int]) -> tuple[ActionPair, ...]:
+        """`for_belief`'s moves, ascending (none where it has none), kept
+        per belief after the first call."""
+        moves = self._sorted.get(belief)
+        if moves is None:
+            moves = self._sorted[belief] = tuple(sorted(self.for_belief(belief) or ()))
+        return moves
 
 
 @dataclass(frozen=True, slots=True)

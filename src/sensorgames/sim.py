@@ -9,6 +9,15 @@ shrinks by the resulting observation.  That update reads the game's
 tables, `Game.masks`, as the belief expansion does, so the two compute
 every belief the same way.
 
+The play runs on the belief's bit mask.  Each step reads tables that
+are filled on first use and shared by every later play of the same
+objects: from `Game.memo`, each (state, action)'s sorted successors
+with their cumulative weights, each (belief mask, action)'s image, one
+frozenset per mask and each state's attacks in ascending order; from
+the agent's `MultiStrategy`, each belief's sorted moves.  Sampling
+draws from these in the order a play without them would, so a seed
+gives the same trace either way.
+
 A play ends when the agent *knows* the task is complete -- her belief
 sits entirely inside the goal -- or when the step budget runs out.  If
 the play wanders to a belief her strategy never covered, that is a
@@ -23,11 +32,11 @@ import enum
 import random
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .attacker import AttackStrategy
 from .belief import BeliefNode, node_label
-from .game import AttackId, Game, Observation, StateId, states_of
+from .game import AttackId, Game, Observation, StateId
 from .planner import MultiStrategy
 
 
@@ -36,8 +45,7 @@ class Outcome(enum.Enum):
     STEP_LIMIT = "step-limit"
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     state: StateId          # where the move was taken
     action: int
     query: int
@@ -77,7 +85,7 @@ class UniformRandomAttack:
     """Sample uniformly among the attacks enabled at the successor."""
 
     def choose(self, rng, game, node, move, next_state) -> AttackId:
-        return rng.choice(sorted(game.enabled_attacks[next_state]))
+        return rng.choice(game.memo.attacks[next_state])
 
 
 class TableAttack:
@@ -95,7 +103,7 @@ class TableAttack:
         att = self.strategy.choice.get(node)
         if att is not None:
             return att
-        return min(game.enabled_attacks[next_state])
+        return game.memo.attacks[next_state][0]
 
 
 def _ask_on_stderr(prompt: str) -> str:
@@ -127,15 +135,6 @@ class PromptAttack:
                 return game.attack(answer)
 
 
-def _sample_successor(rng: random.Random, game: Game, state: StateId, action: int) -> StateId:
-    support = game.trans[(state, action)]
-    succs = sorted(support)
-    weights = [support[s] for s in succs]
-    if any(w is not None for w in weights):
-        return rng.choices(succs, weights=[float(w) for w in weights])[0]
-    return succs[rng.randrange(len(succs))]
-
-
 def simulate(
     game: Game,
     p1: MultiStrategy,
@@ -149,38 +148,37 @@ def simulate(
     when ``p2`` picks an attack not enabled at the successor state.
     """
     rng = random.Random(seed)
-    masks = game.masks
+    memo, views = game.memo, game.masks.views
+    outside = ~game.masks.goal
     state = game.initial
-    belief: frozenset[StateId] = frozenset({state})
+    mask = 1 << state
+    belief = memo.states(mask)
     steps: list[Step] = []
-    sets: dict[int, frozenset[StateId]] = {}  # one frozenset per mask in this play
 
-    def as_set(mask: int) -> frozenset[StateId]:
-        found = sets.get(mask)
-        if found is None:
-            found = sets[mask] = frozenset(states_of(mask))
-        return found
-
-    if belief <= game.goal:
+    if not mask & outside:
         return PlayTrace((), Outcome.TASK_KNOWN_COMPLETE, state, seed)
 
     while len(steps) < max_steps:
-        node = BeliefNode(state, belief)
-        moves = p1.for_belief(belief)
+        moves = p1.sorted_moves(belief)
         if not moves:
-            raise StrategyGapError(game, node)
-        action, query = sorted(moves)[rng.randrange(len(moves))]
-        next_state = _sample_successor(rng, game, state, action)
-        attack = p2.choose(rng, game, node, (action, query), next_state)
-        if attack not in game.enabled_attacks[next_state]:
+            raise StrategyGapError(game, BeliefNode(state, belief))
+        action, query = move = moves[rng.randrange(len(moves))]
+        succs, cum_weights = memo.succs(state, action)
+        if cum_weights is None:
+            next_state = succs[rng.randrange(len(succs))]
+        else:
+            next_state = rng.choices(succs, cum_weights=cum_weights)[0]
+        attack = p2.choose(rng, game, BeliefNode(state, belief), move, next_state)
+        view = views[next_state][query].get(attack)
+        if view is None:
             raise ValueError(
                 f"attack '{game.attacks[attack].name}' is not enabled at "
                 f"state '{game.state_names[next_state]}'")
-        view = masks.views[next_state][query][attack]
-        belief = as_set(masks.image(belief, action) & view)
-        steps.append(Step(state, action, query, attack, as_set(view), belief))
+        mask = memo.image(mask, action) & view
+        belief = memo.states(mask)
+        steps.append(Step(state, action, query, attack, memo.states(view), belief))
         state = next_state
-        if belief <= game.goal:
+        if not mask & outside:
             return PlayTrace(tuple(steps), Outcome.TASK_KNOWN_COMPLETE, state, seed)
 
     return PlayTrace(tuple(steps), Outcome.STEP_LIMIT, state, seed)

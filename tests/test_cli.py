@@ -262,6 +262,15 @@ def test_simulate_disabled_attack(spec_dir, capsys):
     assert "attack 'jam' is not enabled at state 's1'" in err
 
 
+def test_simulate_infinite_weight_total(tmp_path, capsys):
+    path = tmp_path / "heavy.game"
+    path.write_text(MINI.replace("s0 a0 -> s0 s1", "s0 a0 -> s0:1e308 s1:1e308"))
+    code, out, err = run(capsys, "simulate", path, "--runs", "1")
+    assert code == 2 and out == ""
+    assert err == ("error [validate]: line 9: the weights of transition 's0 a0' sum to inf "
+                   "(expected a finite total)\n")
+
+
 def test_simulate_table_needs_jammer_strategy(spec_dir, capsys):
     code, _, err = run(capsys, "simulate", spec_dir / "fig1_nosense.game",
                        "--runs", "1", "--p2", "table")

@@ -178,6 +178,15 @@ def test_weight_that_is_not_a_number():
         "bad-weight", "bad successor 's0:2' (expected 'name' or 'name:weight', weight > 0)", 9),)
 
 
+def test_weights_with_an_infinite_total():
+    # Each weight is finite, but `random.choices` refuses a total that is not.
+    issues = issues_of(MINI.replace("s0 a0 -> s0 s1", "s0 a0 -> s0:1e308 s1:1e308"))
+    assert issues == (ValidationIssue(
+        "bad-weight", "the weights of transition 's0 a0' sum to inf (expected a finite total)",
+        9),)
+    validate_game(parse_spec(MINI.replace("s0 a0 -> s0 s1", "s0 a0 -> s0:1e308 s1:7e307")))
+
+
 def test_all_issues_collected_at_once():
     text = (MINI
             .replace("s0 a0 -> s0 s1", "s0 a0 -> ghost")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from sensorgames import (
     FixedAttack,
+    MultiStrategy,
     Outcome,
     PromptAttack,
     StrategyGapError,
@@ -195,6 +196,31 @@ def test_start_inside_goal_ends_immediately():
     trace = simulate(game, None, None, max_steps=10, seed=3)
     assert trace.outcome is Outcome.TASK_KNOWN_COMPLETE
     assert trace.steps == () and trace.final_state == game.initial
+
+
+def test_memo_belongs_to_its_game_and_strategy(fig4_text):
+    # One game played under two class-uniform strategies, interleaved,
+    # gives the traces that fresh objects give each play, and each play
+    # keeps to its own strategy's moves.
+    def strategies(run):
+        solver = run.report.strategy
+        lowest = MultiStrategy(
+            {q: frozenset(sorted(moves)[:1]) for q, moves in solver.allowed.items()})
+        return solver, lowest
+
+    shared = run_stages(fig4_text)
+    kept = strategies(shared)
+    before = [repr(strategy) for strategy in kept]
+    for seed in range(8):
+        for which, strategy in enumerate(kept):
+            trace = simulate(shared.game, strategy, UniformRandomAttack(), 40, seed)
+            replay_consistent(shared.game, strategy, trace)
+            fresh = run_stages(fig4_text)
+            assert trace == simulate(fresh.game, strategies(fresh)[which],
+                                     UniformRandomAttack(), 40, seed)
+    assert [repr(strategy) for strategy in kept] == before
+    for strategy in kept:
+        assert strategy == MultiStrategy(dict(strategy.allowed))
 
 
 def test_table_attack_falls_back_off_table(fig4):
