@@ -61,6 +61,13 @@ def bnode(game, state: str, belief: list[str]) -> BeliefNode:
     return BeliefNode(game.state(state), game.state_set(belief))
 
 
+def jammer_trans(adv):
+    """The jammer's game keyed by nodes: ``jammer_trans(adv)[q][att]`` is
+    the set of successor nodes, `FINAL` included, of attack att at node
+    q, with each node's attacks ascending."""
+    return adv.trans
+
+
 def per_state_attack_game(seed: int, pick) -> Game:
     """A small generated game whose ``[enabled-attacks]`` section gives
     each state ``pick(attack names)``, a non-empty subset."""

@@ -31,7 +31,7 @@ from sensorgames import (
 from sensorgames.belief import FINAL, node_key, node_label
 from sensorgames.oracle import GeneratorParams, generate_game
 
-from .conftest import load_corpus
+from .conftest import jammer_trans, load_corpus
 
 
 @contextmanager
@@ -124,15 +124,16 @@ def test_criterion_5_soundness_sweep():
                 continue
             win1_nonempty += 1
             adv = build_attacker_mdp(rep)
+            trans = jammer_trans(adv)
             inside = set(adv.nodes)
             for node in adv.nodes:
-                for att in tuple(adv.trans[node]):
-                    for succ in adv.trans[node][att]:
+                for att in tuple(trans[node]):
+                    for succ in trans[node][att]:
                         assert succ is FINAL or succ in inside, (
                             f"seed {seed}: attacker game leaks out of Win1")
             win2, strategy = solve_p2_safety(adv)
             for node in win2:
-                succs = adv.trans[node][strategy.choice[node]]
+                succs = trans[node][strategy.choice[node]]
                 assert FINAL not in succs, f"seed {seed}"
                 assert all(s in win2 for s in succs), f"seed {seed}"
             if deception_gap(rep, win2, strategy):

@@ -16,7 +16,7 @@ from sensorgames.belief import FINAL, BeliefNode, node_key, node_label
 from sensorgames.game import get_observation
 from sensorgames.oracle import GeneratorParams, generate_game
 
-from .conftest import bnode, per_state_attack_games
+from .conftest import bnode, jammer_trans, per_state_attack_games
 
 
 def reference_successors(game, report, node, attack):
@@ -39,15 +39,16 @@ def reference_successors(game, report, node, attack):
 
 
 def assert_matches_reference(game, report, adv):
+    trans = jammer_trans(adv)
     for node in adv.nodes:
         landing = set()
         for action, _query in report.strategy.allowed[node]:
             landing |= game.trans[(node.state, action)].keys() - game.goal
         offered = tuple(att for att in range(len(game.attacks))
                         if all(att in game.enabled_attacks[s] for s in landing))
-        assert tuple(adv.trans[node]) == offered
+        assert tuple(trans[node]) == offered
         for att in offered:
-            assert adv.trans[node][att] == reference_successors(game, report, node, att)
+            assert trans[node][att] == reference_successors(game, report, node, att)
 
 
 def test_fig4_attacker_nodes_are_win1(fig4):
@@ -58,10 +59,11 @@ def test_fig4_attacker_nodes_are_win1(fig4):
 
 def test_fig4_attacker_moves_exact(fig4):
     g, adv = fig4.game, fig4.attacker
+    trans = jammer_trans(adv)
 
     def succ_labels(state, belief, attack):
         node = bnode(g, state, belief)
-        succs = adv.trans[node][g.attack(attack)]
+        succs = trans[node][g.attack(attack)]
         return sorted(
             "COMPLETE" if s is FINAL else node_label(g, s)
             for s in succs)
@@ -109,29 +111,32 @@ def test_fig1_attacker_loses_everywhere(fig1):
 
 def test_attacks_offered_only_where_enabled_everywhere(fig4):
     g, adv = fig4.game, fig4.attacker
+    trans = jammer_trans(adv)
     for node in adv.nodes:
         moves = fig4.report.strategy.allowed[node]
         landing = set()
         for action, _query in moves:
             landing |= g.trans[(node.state, action)].keys() - g.goal
-        for att in tuple(adv.trans[node]):
+        for att in tuple(trans[node]):
             assert all(att in g.enabled_attacks[s] for s in landing)
 
 
 def test_attacker_game_closed_over_win1(fig4):
     adv = fig4.attacker
+    trans = jammer_trans(adv)
     inside = set(adv.nodes)
     for node in adv.nodes:
-        for att in tuple(adv.trans[node]):
-            for succ in adv.trans[node][att]:
+        for att in tuple(trans[node]):
+            for succ in trans[node][att]:
                 assert succ is FINAL or succ in inside
 
 
 def test_win2_one_step_verification(fig4):
     adv, win2, strategy = fig4.attacker, fig4.win2, fig4.attack_strategy
+    trans = jammer_trans(adv)
     for node in win2:
         att = strategy.choice[node]
-        succs = adv.trans[node][att]
+        succs = trans[node][att]
         assert FINAL not in succs
         assert all(s in win2 for s in succs)
 
@@ -139,20 +144,22 @@ def test_win2_one_step_verification(fig4):
 def test_win2_is_the_greatest_fixpoint(fig4):
     # No node outside Win2 has any attack keeping the play safe.
     adv, win2 = fig4.attacker, fig4.win2
+    trans = jammer_trans(adv)
     for node in set(adv.nodes) - win2:
-        for att in tuple(adv.trans[node]):
-            succs = adv.trans[node][att]
+        for att in tuple(trans[node]):
+            succs = trans[node][att]
             assert FINAL in succs or any(s not in win2 for s in succs)
 
 
 def test_witness_attack_is_lowest_id(fig4):
     adv, win2, strategy = fig4.attacker, fig4.win2, fig4.attack_strategy
+    trans = jammer_trans(adv)
     for node in win2:
         chosen = strategy.choice[node]
-        for att in tuple(adv.trans[node]):
+        for att in tuple(trans[node]):
             if att >= chosen:
                 break
-            succs = adv.trans[node][att]
+            succs = trans[node][att]
             assert FINAL in succs or any(s not in win2 for s in succs)
 
 
@@ -185,17 +192,18 @@ def assert_attacker_invariants(game):
     adv = build_attacker_mdp(rep)
     assert_matches_reference(game, rep, adv)
     win2, strategy = solve_p2_safety(adv)
+    trans = jammer_trans(adv)
     inside = set(adv.nodes)
     for node in adv.nodes:
-        for att in tuple(adv.trans[node]):
-            for succ in adv.trans[node][att]:
+        for att in tuple(trans[node]):
+            for succ in trans[node][att]:
                 assert succ is FINAL or succ in inside
     for node in win2:
-        succs = adv.trans[node][strategy.choice[node]]
+        succs = trans[node][strategy.choice[node]]
         assert FINAL not in succs and all(s in win2 for s in succs)
     for node in inside - win2:
-        for att in tuple(adv.trans[node]):
-            succs = adv.trans[node][att]
+        for att in tuple(trans[node]):
+            succs = trans[node][att]
             assert FINAL in succs or any(s not in win2 for s in succs)
     gap = deception_gap(rep, win2, strategy)
     assert set(gap) == set(rep.win & win2)

@@ -21,6 +21,12 @@ sets.  The DOT renderings sort each move's successors, so only these
 cases pin the order ``trans`` lists them in, which `check_soundness`
 reports the first offending successor by.  They cover the figures, the
 ``[enabled-attacks]`` case and, under one digest, the 350 corpus games.
+
+The jammer-game case pins `build_attacker_mdp` and `solve_p2_safety`
+the same way, read through ``conftest.jammer_trans``: each node, each
+offered attack and its successors, then Win2 and the chosen attacks.
+Its games are every soundness game whose agent wins somewhere and the
+first 100 per-state-attack games, 16 of them with a nonempty Win2.
 """
 
 import hashlib
@@ -30,6 +36,7 @@ from dataclasses import replace
 import pytest
 
 from sensorgames import (
+    build_attacker_mdp,
     build_belief_mdp,
     bundled_game_text,
     export_attacker_dot,
@@ -38,13 +45,15 @@ from sensorgames import (
     run_pipeline,
     run_stages,
     serialize_spec,
+    solve_p1,
+    solve_p2_safety,
     validate_game,
 )
 from sensorgames.belief import FINAL
 from sensorgames.oracle import GeneratorParams, generate_game, generate_spec
 from sensorgames.specfile import EnablingDecl
 
-from .conftest import load_corpus
+from .conftest import jammer_trans, load_corpus, per_state_attack_game
 
 FIGURES = {
     "fig1": "942fef2e50a9e7d0b163ad89c0ba02649194e5663cd5836e7d4e0e4d8bd08893",
@@ -239,3 +248,51 @@ def test_perceived_game_frozen(case):
     for game in games:
         digest.update(perceived_dump(build_belief_mdp(game)).encode())
     assert digest.hexdigest() == PERCEIVED[case]
+
+
+# sha256 of `jammer_dump` over every soundness game with a nonempty Win1
+# (180) and the first 100 `per_state_attack_game`s with a nonempty Win1
+# (73, attack subsets drawn from Random(k)).
+JAMMER = "0e0a1010752076a6de1802a0d6a5d247146f37f9fc77ab594c111c7d2259eb45"
+
+
+def jammer_dump(adv, win2, strategy) -> str:
+    """The jammer's game and its solution as text: nodes by their
+    position in ``adv.nodes`` (`FINAL` is ``F``), each node's attacks in
+    the order offered, each attack's successors by ascending position
+    with ``F`` last, then Win2 and the chosen attacks in order."""
+    index = {q: i for i, q in enumerate(adv.nodes)}
+    index[FINAL] = len(adv.nodes)
+    name = [*map(str, range(len(adv.nodes))), "F"]
+    trans = jammer_trans(adv)
+    lines = [f"node {q.state} {sorted(q.belief)}" for q in adv.nodes]
+    for q in adv.nodes:
+        for att, succs in trans[q].items():
+            lines.append(f"{index[q]} {att}: " + " ".join(
+                name[i] for i in sorted(map(index.__getitem__, succs))))
+    lines.append(f"win2 {sorted(map(index.__getitem__, win2))}")
+    lines += [f"choose {index[q]} {att}" for q, att in strategy.choice.items()]
+    return "\n".join(lines) + "\n"
+
+
+def jammer_games():
+    block = load_corpus()["soundness"]
+    for seed in block["seeds"]:
+        yield generate_game(GeneratorParams(**block["params"], seed=seed))
+    for k in range(100):
+        rng = random.Random(k)
+        yield per_state_attack_game(
+            k, lambda names: rng.sample(names, rng.randint(1, len(names))))
+
+
+def test_jammer_game_frozen():
+    digest, games, won = hashlib.sha256(), 0, 0
+    for game in jammer_games():
+        report = solve_p1(build_belief_mdp(game))
+        if report.win:
+            adv = build_attacker_mdp(report)
+            win2, strategy = solve_p2_safety(adv)
+            digest.update(jammer_dump(adv, win2, strategy).encode())
+            games, won = games + 1, won + bool(win2)
+    assert (games, won) == (180 + 73, 16)
+    assert digest.hexdigest() == JAMMER
