@@ -17,12 +17,16 @@ that can surely or possibly finish the task contributes the absorbing
 The game is read off the perceived game rather than recomputed: each
 successor in ``BeliefMDP.dense`` already carries the attacks that
 produce it, so the jammer's successors under one attack are those of
-the kept moves annotated with it.  The build reads each kept move's
-successor ids once, files every id under its attacks, and turns each
-attack's ids into nodes once.  The observation rule thus has one home,
-game.py, reached only through the belief expansion.  Nodes come in the
-perceived game's canonical order and each node's attacks in ascending
-order, so the solver and the gap walk them as they are.
+the kept moves annotated with it.  The observation rule thus has one
+home, game.py, reached only through the belief expansion.  The jammer's
+game is stored on ints, as ``dense`` stores the perceived game: node p
+is ``AttackerMDP.nodes[p]``, the Win1 nodes in the perceived game's
+canonical order, and `FINAL` is ``len(nodes)``.  The build files each
+successor id under its attacks and turns each attack's ids into
+positions once; the safety solve runs its rounds on sets of positions.
+Nodes are looked up only for the result, Win2 and the jammer's
+strategy.  Each node's attacks come in ascending order, so the solver
+and the gap walk them as they are.
 
 The *deception gap* is the outcome: nodes where the agent believes she
 is sure to finish while the jammer is sure she never will.
@@ -31,9 +35,10 @@ is sure to finish while the jammer is sure she never will.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, compress
 from typing import Mapping
 
-from .belief import FINAL, BeliefNode
+from .belief import BeliefNode
 from .game import AttackId, Game
 from .planner import SolveReport
 
@@ -45,10 +50,10 @@ class EmptyWin1Error(Exception):
 @dataclass(frozen=True)
 class AttackerMDP:
     game: Game
-    nodes: tuple[BeliefNode, ...]  # in the perceived game's canonical order
-    # trans[q][att]: the successor set, `FINAL` included, of attack att at
-    # q, for each offered attack in ascending order.
-    trans: Mapping[BeliefNode, Mapping[AttackId, frozenset]]
+    nodes: tuple[BeliefNode, ...]  # Win1, in the perceived game's canonical order
+    # trans[p][att]: the successor positions of attack att at node p, with
+    # `FINAL` as len(nodes), for each offered attack in ascending order.
+    trans: Mapping[int, Mapping[AttackId, frozenset[int]]]
 
 
 @dataclass(frozen=True)
@@ -65,39 +70,39 @@ def build_attacker_mdp(report: SolveReport) -> AttackerMDP:
     one, every kept move's successor ids in ``report.mdp.dense`` are
     read once, and each is filed under the attacks it is annotated with;
     `FINAL`, which some kept move may reach, is filed under every attack.
-    Each attack's ids become nodes once, at the end.  The
-    landing states are the true states of the non-`FINAL` successors:
-    every state has an enabled attack, so each non-goal state a kept
-    move can reach yields at least one successor.  An attack is offered
-    only if it is enabled at every landing state, so the jammer never
-    commits to an attack the arena forbids where the play actually
-    lands.  By the closure property of the agent's solution the
-    successors all lie back inside the winning region.
+    Each attack's ids become positions once, at the end, through one
+    list indexed by perceived-game id.  The landing states are the true
+    states of the non-`FINAL` successors: every state has an enabled
+    attack, so each non-goal state a kept move can reach yields at least
+    one successor.  An attack is offered only if it is enabled at every
+    landing state, so the jammer never commits to an attack the arena
+    forbids where the play actually lands.  By the closure property of
+    the agent's solution the successors all lie back inside the winning
+    region.
     """
     if not report.win:
         raise EmptyWin1Error("the agent has no winning node to be deceived at")
     mdp = report.mdp
-    dense, game, node_of = mdp.dense, mdp.game, mdp.nodes + (FINAL,)
+    dense, game, final = mdp.dense, mdp.game, len(mdp.nodes)
     every = frozenset(range(len(game.attacks)))
-    trans: dict[BeliefNode, dict[AttackId, frozenset]] = {}
-    for node, ks, succs, attacks in zip(mdp.nodes, dense.node_moves, dense.succs, dense.attacks):
-        if node not in report.win:
-            continue
-        kept = report.strategy.allowed[node]
-        reached, landing = {att: set() for att in every}, set()  # successor ids, states
+    inside = [q in report.win for q in mdp.nodes]
+    position = list(accumulate(inside, initial=0))  # by perceived-game id, FINAL last
+    nodes, trans = tuple(compress(mdp.nodes, inside)), {}
+    rows = compress(zip(dense.node_moves, dense.succs, dense.attacks), inside)
+    for p, (ks, succs, attacks) in enumerate(rows):
+        kept = report.strategy.allowed[nodes[p]]
+        reached, landing = {att: set() for att in every}, set()  # successor ids
         for k, targets, atts in zip(ks, succs, attacks):
             if dense.moves[k] in kept:
+                landing.update(targets)
                 for j, on in zip(targets, atts):
-                    if node_of[j] is FINAL:
-                        on = every  # completion happens under any attack
-                    else:
-                        landing.add(node_of[j].state)
-                    for att in on:
+                    for att in on or every:  # FINAL's set is empty: any attack completes
                         reached[att].add(j)
-        offered = every.intersection(*(game.enabled_attacks[s] for s in landing))
-        trans[node] = {att: frozenset(map(node_of.__getitem__, reached[att]))
-                       for att in sorted(offered)}
-    return AttackerMDP(game=game, nodes=tuple(trans), trans=trans)
+        landing.discard(final)
+        offered = every.intersection(*{game.enabled_attacks[mdp.nodes[j].state] for j in landing})
+        trans[p] = {att: frozenset(map(position.__getitem__, reached[att]))
+                    for att in sorted(offered)}
+    return AttackerMDP(game=game, nodes=nodes, trans=trans)
 
 
 def solve_p2_safety(attacker: AttackerMDP) -> tuple[frozenset[BeliefNode], AttackStrategy]:
@@ -108,20 +113,22 @@ def solve_p2_safety(attacker: AttackerMDP) -> tuple[frozenset[BeliefNode], Attac
     successor support inside the surviving set, which never holds
     `FINAL`.  Each round records the lowest such attack at every
     surviving node; once a round removes nothing, its record is the
-    jammer's stationary strategy.
+    jammer's stationary strategy.  The rounds run on positions; the
+    result is keyed by nodes.
     """
-    goal = attacker.game.goal
-    safe = {q for q in attacker.nodes if q.state not in goal}
+    goal, nodes = attacker.game.goal, attacker.nodes
+    safe = {p for p, q in enumerate(nodes) if q.state not in goal}
     while True:
-        choice: dict[BeliefNode, AttackId] = {}
-        for node in attacker.nodes:
-            if node in safe:
-                for att, succs in attacker.trans[node].items():
+        choice: dict[int, AttackId] = {}
+        for p, offered in attacker.trans.items():
+            if p in safe:
+                for att, succs in offered.items():
                     if succs <= safe:
-                        choice[node] = att
+                        choice[p] = att
                         break
         if len(choice) == len(safe):
-            return frozenset(safe), AttackStrategy(choice=choice)
+            won = {nodes[p]: att for p, att in choice.items()}
+            return frozenset(won), AttackStrategy(choice=won)
         safe = set(choice)
 
 

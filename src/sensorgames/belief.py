@@ -37,9 +37,12 @@ one place where nodes become ints.  The expansion emits the perceived
 game on ints, `BeliefMDP.dense`, and stores it in no other form: node i
 is ``nodes[i]``, `FINAL` is N, and move k is the k-th (action, query)
 pair in ascending order.  The agent solver, its soundness audit, the
-brute-force referee, the jammer build and the Graphviz view all read
+brute-force referee, the jammer build and the Graphviz views all read
 that one numbering, and only turn ints back into nodes and moves for
-what they report.  `restricted` filters and renumbers the ids.
+what they report.  The jammer's game, `AttackerMDP`, is stored on ints
+the same way: its nodes are the Win1 nodes in this order, numbered by
+position, and its `FINAL` is the position after the last.  `restricted`
+filters and renumbers the ids.
 ``BeliefMDP.trans``, the same game keyed by nodes and moves, is a view
 built from ``dense`` on first read; no stage reads it.
 """

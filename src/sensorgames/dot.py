@@ -6,11 +6,11 @@ outline, grey or red shading), each node's edge groups (a move's
 successors with their attack-set annotations, or an attack's
 successors, bold where the jammer's strategy chose it) and the sink's
 name and label.  The walk works on positions: a node is its position
-in the order handed in and `FINAL` the position after the last.  The
-perceived game's view reads `BeliefMDP.dense`, whose ids are those
-positions already, so it hashes no node; the jammer's view ranks its
-nodes once.  Each move label and each distinct attack set's label is
-made once per render, not once per edge.
+in the order handed in and `FINAL` the position after the last.  Both
+games are stored on those positions already, `BeliefMDP.dense` and
+`AttackerMDP.trans`, so neither view ranks or hashes a node per edge.
+Each move label and each distinct attack set's label is made once per
+render, not once per edge.
 
 Output is deterministic: nodes appear in the canonical order they are
 handed in and are named ``n<i>`` by their position there, successors
@@ -25,7 +25,7 @@ from functools import cache, partial
 from typing import Iterable
 
 from .attacker import AttackerMDP, AttackStrategy
-from .belief import FINAL, BeliefMDP, BeliefNode, move_label, node_label
+from .belief import BeliefMDP, BeliefNode, move_label, node_label
 from .game import Game
 
 
@@ -76,12 +76,10 @@ def export_attacker_dot(
     game = attacker.game
     choice = strategy.choice if strategy is not None else {}
     labels = [f'label="{attack.name}"' for attack in game.attacks]
-    rank = {node: i for i, node in enumerate([*attacker.nodes, FINAL])}
+    chosen = [choice.get(q) for q in attacker.nodes]
     nodes = [f'label="{node_label(game, q)}"'
              + (" style=filled fillcolor=lightcoral" if q in shade else "")
              for q in attacker.nodes]
-    groups = ((rank[q], dict.fromkeys(
-                  map(rank.__getitem__, succs),
-                  labels[att] + (" penwidth=2" if choice.get(q) == att else "")))
-              for q in attacker.nodes for att, succs in attacker.trans[q].items())
+    groups = ((p, dict.fromkeys(succs, labels[att] + (" penwidth=2" if chosen[p] == att else "")))
+              for p, offered in attacker.trans.items() for att, succs in offered.items())
     return _render("jammer", nodes, groups, ("complete", "task complete"))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 from sensorgames import bundled_game_text, run_stages, validate_game
-from sensorgames.belief import BeliefNode
+from sensorgames.belief import FINAL, BeliefNode
 from sensorgames.game import Game
 from sensorgames.oracle import GeneratorParams, generate_spec
 from sensorgames.specfile import EnablingDecl
@@ -64,8 +64,12 @@ def bnode(game, state: str, belief: list[str]) -> BeliefNode:
 def jammer_trans(adv):
     """The jammer's game keyed by nodes: ``jammer_trans(adv)[q][att]`` is
     the set of successor nodes, `FINAL` included, of attack att at node
-    q, with each node's attacks ascending."""
-    return adv.trans
+    q, with each node's attacks ascending.  It maps ``adv.trans``, which
+    holds positions in ``adv.nodes``, back to nodes."""
+    node_of = adv.nodes + (FINAL,)
+    return {node_of[p]: {att: frozenset(map(node_of.__getitem__, succs))
+                         for att, succs in offered.items()}
+            for p, offered in adv.trans.items()}
 
 
 def per_state_attack_game(seed: int, pick) -> Game:
