@@ -50,8 +50,8 @@ raises a `SpecParseError` carrying the whole list once the scan is done.
 
 from __future__ import annotations
 
-import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -208,9 +208,9 @@ def _action_line(scan: _Scan, lineno: int, raw: str) -> _Parsed:
 
 
 def _weight_ok(value: object) -> bool:
-    """The weight bound, shared with the validator: a number, finite and
-    > 0."""
-    return isinstance(value, (int, float)) and 0 < value < math.inf
+    """The weight bound, shared with the validator: a number > 0 and
+    within the float range."""
+    return isinstance(value, (int, float)) and 0 < value <= sys.float_info.max
 
 
 def _parse_successor(tok: str) -> tuple[str, float | None] | None:
@@ -273,12 +273,12 @@ def _enabling_line(scan: _Scan, lineno: int, raw: str) -> _Parsed:
 def _format_successor(succ: tuple[str, float | None]) -> str:
     """``name``, or ``name:weight`` with the weight in ``:g`` form where
     that reads back exactly and as its ``repr`` where it does not.  A
-    weight that is not a number, which only a document built in code can
-    hold, is written as `str` gives it."""
+    weight that is not a number, or an int beyond the float range, which
+    only a document built in code can hold, is written as `str` gives it."""
     name, weight = succ
     if weight is None:
         return name
-    if not isinstance(weight, (int, float)):
+    if not isinstance(weight, (int, float)) or abs(weight) > sys.float_info.max:
         return f"{name}:{weight}"
     short = f"{weight:g}"
     return f"{name}:{short if float(short) == weight else repr(weight)}"

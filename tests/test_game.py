@@ -148,6 +148,10 @@ PARSER_RULES = {
         _with_s0_a0(("s0", -1.0), ("s1", 1.0)),
         ValidationIssue("bad-weight", "bad successor 's0:-1' "
                         "(expected 'name' or 'name:weight', weight > 0)", 9)),
+    "int-beyond-float-range": (
+        _with_s0_a0(("s0", 10**400), ("s1", 1.0)),
+        ValidationIssue("bad-weight", f"bad successor 's0:{10**400}' "
+                        "(expected 'name' or 'name:weight', weight > 0)", 9)),
     "bad-name": (
         lambda d: replace(d, queries=(replace(d.queries[0], name='a"0'),)),
         ValidationIssue("bad-name", """bad query name 'a"0' (expected [A-Za-z_][A-Za-z0-9_]*)""",
