@@ -1,6 +1,7 @@
 """End-to-end pipeline: reproducibility, digests, stage errors."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -8,10 +9,13 @@ from sensorgames import (
     BUNDLED_GAMES,
     PipelineError,
     bundled_game_text,
+    parse_spec,
     run_pipeline,
     run_stages,
+    serialize_spec,
 )
 
+from .test_golden import case_id, case_text
 from .test_specfile import MINI
 
 
@@ -110,3 +114,35 @@ def test_validate_stage_error():
         run_stages(MINI.replace("s1 a0 -> s1", "s1 a0 -> ghost"))
     assert err.value.stage == "validate"
     assert "ghost" in str(err.value)
+
+
+def _node(label: str) -> tuple[str, frozenset[str]]:
+    """A node label's state name and belief names; `node_label` lists
+    the names by id, so the belief is read as a set."""
+    state, names = label[1:-2].split(",{")
+    return state, frozenset(names.split(","))
+
+
+def _answer(text: str) -> dict:
+    """The pipeline's counts, verdict and node sets, up to the ids
+    behind the names."""
+    doc = run_pipeline(text)
+    return {
+        "counts": doc.counts, "initial_winning": doc.initial_winning,
+        "win1": set(map(_node, doc.win1)), "win2": set(map(_node, doc.win2 or ())),
+        "gap": {_node(row["node"]): row["attack"] for row in doc.gap or ()},
+        "strategy": {_node(q): set(moves) for q, moves in doc.strategy.items()},
+        "attack_strategy": {_node(q): att for q, att in (doc.attack_strategy or {}).items()},
+    }
+
+
+@pytest.mark.parametrize("case", ["fig1", "fig4", "enabled-attacks", (10, 4, 9)], ids=case_id)
+def test_reversed_declarations_change_nothing(case):
+    # Ids follow declaration order, so reversing renumbers states,
+    # actions, sensors and queries.  Attacks keep theirs: the jammer
+    # picks the lowest attack id.
+    doc = parse_spec(case_text(case))
+    flipped = replace(doc, states=doc.states[::-1], actions=doc.actions[::-1],
+                      sensors=doc.sensors[::-1], queries=doc.queries[::-1])
+    assert serialize_spec(flipped) != serialize_spec(doc)
+    assert _answer(serialize_spec(flipped)) == _answer(case_text(case))
