@@ -15,11 +15,11 @@ that can surely or possibly finish the task contributes the absorbing
 `FINAL` successor, which no safe attack may allow.
 
 The game is read off the perceived game rather than recomputed: each
-successor in ``BeliefMDP.dense`` already carries the attacks that
-produce it, so the jammer's successors under one attack are those of
-the kept moves annotated with it.  The observation rule thus has one
-home, game.py, reached only through the belief expansion.  The jammer's
-game is stored on ints, as ``dense`` stores the perceived game: node p
+successor in `BeliefMDP.succs` already carries the attacks that produce
+it, in `BeliefMDP.attacks`, so the jammer's successors under one attack
+are those of the kept moves annotated with it.  The observation rule
+thus has one home, game.py, reached only through the belief expansion.
+The jammer's game is stored on ints, as the perceived game is: node p
 is ``AttackerMDP.nodes[p]``, the Win1 nodes in the perceived game's
 canonical order, and `FINAL` is ``len(nodes)``.  The build files each
 successor id under its attacks and turns each attack's ids into
@@ -67,7 +67,7 @@ def build_attacker_mdp(report: SolveReport) -> AttackerMDP:
     """The jammer's one-player game over the agent's winning region.
 
     The winning nodes are taken in ``report.mdp.nodes`` order.  At each
-    one, every kept move's successor ids in ``report.mdp.dense`` are
+    one, every kept move's successor ids in ``report.mdp.succs`` are
     read once, and each is filed under the attacks it is annotated with;
     `FINAL`, which some kept move may reach, is filed under every attack.
     Each attack's ids become positions once, at the end, through one
@@ -83,17 +83,17 @@ def build_attacker_mdp(report: SolveReport) -> AttackerMDP:
     if not report.win:
         raise EmptyWin1Error("the agent has no winning node to be deceived at")
     mdp = report.mdp
-    dense, game, final = mdp.dense, mdp.game, len(mdp.nodes)
+    game, final = mdp.game, len(mdp.nodes)
     every = frozenset(range(len(game.attacks)))
     inside = [q in report.win for q in mdp.nodes]
     position = list(accumulate(inside, initial=0))  # by perceived-game id, FINAL last
     nodes, trans = tuple(compress(mdp.nodes, inside)), {}
-    rows = compress(zip(dense.node_moves, dense.succs, dense.attacks), inside)
+    rows = compress(zip(mdp.node_moves, mdp.succs, mdp.attacks), inside)
     for p, (ks, succs, attacks) in enumerate(rows):
         kept = report.strategy.allowed[nodes[p]]
         reached, landing = {att: set() for att in every}, set()  # successor ids
         for k, targets, atts in zip(ks, succs, attacks):
-            if dense.moves[k] in kept:
+            if mdp.moves[k] in kept:
                 landing.update(targets)
                 for j, on in zip(targets, atts):
                     for att in on or every:  # FINAL's set is empty: any attack completes

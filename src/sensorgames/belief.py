@@ -31,20 +31,22 @@ and each mask one frozenset, and each distinct set of attacks one
 frozenset.
 
 This module is the one home of the canonical order: `BeliefMDP.nodes`
-lists nodes by `node_key` and `BeliefMDP.classes` lists beliefs sorted,
-and later stages walk those two rather than sort again.  It is also the
-one place where nodes become ints.  The expansion emits the perceived
-game on ints, `BeliefMDP.dense`, and stores it in no other form: node i
-is ``nodes[i]``, `FINAL` is N, and move k is the k-th (action, query)
-pair in ascending order.  The agent solver, its soundness audit, the
-brute-force referee, the jammer build and the Graphviz views all read
-that one numbering, and only turn ints back into nodes and moves for
-what they report.  The jammer's game, `AttackerMDP`, is stored on ints
-the same way: its nodes are the Win1 nodes in this order, numbered by
-position, and its `FINAL` is the position after the last.  `restricted`
-filters and renumbers the ids.
-``BeliefMDP.trans``, the same game keyed by nodes and moves, is a view
-built from ``dense`` on first read; no stage reads it.
+lists nodes by `node_key` and `BeliefMDP.members` lists the classes by
+sorted belief, and later stages walk those two rather than sort again.
+It is also the one place where nodes become ints.  The expansion emits
+the perceived game on ints and `BeliefMDP` stores it in no other form:
+node i is ``nodes[i]``, `FINAL` is N, and move k is the k-th (action,
+query) pair in ascending order.  The agent solver, its soundness audit,
+the brute-force referee, the jammer build and the Graphviz views all
+read that one numbering, and only turn ints back into nodes and moves
+for what they report.  The jammer's game, `AttackerMDP`, is stored on
+ints the same way: its nodes are the Win1 nodes in this order, numbered
+by position, and its `FINAL` is the position after the last.
+`restricted` filters and renumbers the ids.  ``BeliefMDP.initial``,
+``BeliefMDP.classes`` and ``BeliefMDP.trans`` are views of the ints in
+nodes: the start node, the classes keyed by belief, and the game keyed
+by nodes and moves.  The last two are built on first read, and no stage
+reads them.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate, filterfalse
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .game import ActionId, AttackId, Game, QueryId, StateId, states_of
 
@@ -90,7 +92,7 @@ ActionPair = tuple[ActionId, QueryId]
 
 def node_key(node: BeliefNode) -> tuple[StateId, tuple[StateId, ...]]:
     """The key of the canonical order: state id first, then the sorted
-    belief.  `BeliefMDP.nodes` and `BeliefMDP.classes` hold that order,
+    belief.  `BeliefMDP.nodes` and `BeliefMDP.members` hold that order,
     so consumers walk them instead of sorting by this key."""
     return (node.state, tuple(sorted(node.belief)))
 
@@ -105,61 +107,58 @@ def move_label(game: Game, move: ActionPair) -> str:
     return f"({game.action_names[action]},{game.queries[query].name})"
 
 
-@dataclass(frozen=True, slots=True)
-class DenseMDP:
-    """The perceived game on ints.
+@dataclass(frozen=True)
+class BeliefMDP:
+    """The perceived game, fully expanded and immutable, on ints.
 
-    Node i is ``BeliefMDP.nodes[i]`` and `FINAL` is ``len(succs)``.
-    ``moves`` lists every (action, query) pair in ascending order, so id
-    k stands for ``moves[k]``.  ``node_moves[i]`` holds the ids of node
-    i's moves, ascending; class-mates share one tuple.
-    ``succs[i][t]`` holds the successor ids of node i's t-th move and
-    ``attacks[i][t]`` the set of attacks that produce each of them, in
-    the same order; `FINAL`'s set is empty.  ``classes`` holds each
-    class's member ids, in ``BeliefMDP.classes`` order.  ``initial`` is
-    the start node's id, or None where a `restricted` MDP left the
-    start node out.
+    ``nodes`` lists every (state, belief) node in canonical order, the
+    order of `node_key`; node i is ``nodes[i]`` and the absorbing
+    `FINAL` is ``len(nodes)``.  ``moves`` lists every (action, query)
+    pair in ascending order, so move k stands for ``moves[k]``.
+    ``node_moves[i]`` holds the ids of node i's moves, ascending;
+    class-mates share one tuple.  ``succs[i][t]`` holds the successor
+    ids of node i's t-th move and ``attacks[i][t]`` the set of attacks
+    that produce each of them, in the same order; `FINAL`'s set is
+    empty.  ``members`` holds each class's member ids, beliefs in sorted
+    order and each class's members in ``nodes`` order.  ``start`` is the
+    start node's id, or None where a `restricted` MDP left the start
+    node out.  ``nodes`` and ``members`` are the one home of the
+    canonical order: every consumer walks them rather than sorting.
     """
 
+    game: Game
+    nodes: tuple[BeliefNode, ...]
     moves: tuple[ActionPair, ...]
     node_moves: tuple[tuple[int, ...], ...]
     succs: tuple[tuple[tuple[int, ...], ...], ...]
     attacks: tuple[tuple[tuple[frozenset[AttackId], ...], ...], ...]
-    classes: tuple[tuple[int, ...], ...]
-    initial: int | None
+    members: tuple[tuple[int, ...], ...]
+    start: int | None
 
+    @property
+    def initial(self) -> BeliefNode | None:
+        """The start node, or None where ``start`` is."""
+        return None if self.start is None else self.nodes[self.start]
 
-@dataclass(frozen=True)
-class BeliefMDP:
-    """The perceived game, fully expanded and immutable.
-
-    ``nodes`` lists every (state, belief) node in canonical order, the
-    order of `node_key`; the absorbing `FINAL` node is kept separate.
-    ``classes`` groups nodes by belief, beliefs in sorted order and each
-    class's members in ``nodes`` order.  These two fields are the one
-    home of the canonical order: every consumer walks them rather than
-    sorting.  ``dense`` holds the moves and successors, on ints.
-    """
-
-    game: Game
-    initial: BeliefNode
-    nodes: tuple[BeliefNode, ...]
-    classes: Mapping[frozenset[StateId], tuple[BeliefNode, ...]]
-    dense: DenseMDP
+    @cached_property
+    def classes(self) -> dict[frozenset[StateId], tuple[BeliefNode, ...]]:
+        """``members`` keyed by belief, as nodes, built on first read."""
+        nodes = self.nodes
+        return {nodes[ids[0]].belief: tuple(map(nodes.__getitem__, ids)) for ids in self.members}
 
     @cached_property
     def trans(self) -> dict[BeliefNode, dict[ActionPair, dict]]:
-        """``dense`` keyed by nodes and moves, built on first read.
+        """The game keyed by nodes and moves, built on first read.
 
         ``trans[q][(a, qr)]`` maps each successor to the set of attacks
         that produce it; each node's moves are in ascending order and
-        each move's successors in ``dense`` order.  Every key is the
+        each move's successors in ``succs`` order.  Every key is the
         very node object listed in ``nodes``.
         """
-        dense, node_of = self.dense, self.nodes + (FINAL,)
-        return {q: {dense.moves[k]: dict(zip(map(node_of.__getitem__, targets), atts))
-                    for k, targets, atts in zip(*moves)}
-                for q, *moves in zip(self.nodes, dense.node_moves, dense.succs, dense.attacks)}
+        moves, node_of = self.moves, self.nodes + (FINAL,)
+        return {q: {moves[k]: dict(zip(map(node_of.__getitem__, targets), atts))
+                    for k, targets, atts in zip(*rows)}
+                for q, *rows in zip(self.nodes, self.node_moves, self.succs, self.attacks)}
 
 
 def build_belief_mdp(game: Game) -> BeliefMDP:
@@ -234,16 +233,14 @@ def build_belief_mdp(game: Game) -> BeliefMDP:
         succs.append(tuple(node_succs))
         attacks.append(tuple(node_attacks))
 
-    members = [tuple(ids[mask * n_states + s] for s in states)
-               for mask, states in sorted(keys.items(), key=lambda item: item[1])]
-    start = ids[(1 << game.initial) * n_states + game.initial]
     return BeliefMDP(
-        game=game, initial=nodes[start], nodes=nodes,
-        classes={nodes[ids_[0]].belief: tuple(map(nodes.__getitem__, ids_)) for ids_ in members},
-        dense=DenseMDP(
-            moves=tuple((a, q) for a in range(len(masks.enabled)) for q in range(n_queries)),
-            node_moves=tuple(move_ids[mask] for _s, _states, mask in ranked),
-            succs=tuple(succs), attacks=tuple(attacks), classes=tuple(members), initial=start))
+        game=game, nodes=nodes,
+        moves=tuple((a, q) for a in range(len(masks.enabled)) for q in range(n_queries)),
+        node_moves=tuple(move_ids[mask] for _s, _states, mask in ranked),
+        succs=tuple(succs), attacks=tuple(attacks),
+        members=tuple(tuple(ids[mask * n_states + s] for s in states)
+                      for mask, states in sorted(keys.items(), key=lambda item: item[1])),
+        start=ids[(1 << game.initial) * n_states + game.initial])
 
 
 def restricted(mdp: BeliefMDP, keep: Iterable[BeliefNode]) -> BeliefMDP:
@@ -253,29 +250,27 @@ def restricted(mdp: BeliefMDP, keep: Iterable[BeliefNode]) -> BeliefMDP:
     `FINAL` is always retained.  Beliefs whose class gets split by the
     restriction keep only the surviving members, and class-mates keep
     the same moves.  Nodes and classes keep ``mdp``'s order, and nodes
-    are renumbered in that order.  ``keep`` is matched by equality.
+    are renumbered in that order.  ``start`` is None where ``keep``
+    leaves the start node out.  ``keep`` is matched by equality.
     """
-    kept, dense = set(keep), mdp.dense
+    kept = set(keep)
     inside = [q in kept for q in mdp.nodes] + [True]
     new = list(accumulate(inside, initial=0))  # new[i]: node i's id in the sub-MDP
     node_moves, succs, attacks = ([()] * new[len(mdp.nodes)] for _ in range(3))
-    classes, class_ids = {}, []
-    for belief, members in zip(mdp.classes, dense.classes):
-        if members := [i for i in members if inside[i]]:
-            classes[belief] = tuple(mdp.nodes[i] for i in members)
-            class_ids.append(tuple(new[i] for i in members))
-            offered = dense.node_moves[members[0]]
+    members = []
+    for ids in mdp.members:
+        if ids := [i for i in ids if inside[i]]:
+            members.append(tuple(new[i] for i in ids))
+            offered = mdp.node_moves[ids[0]]
             allowed = [t for t in range(len(offered))
-                       if all(inside[j] for i in members for j in dense.succs[i][t])]
+                       if all(inside[j] for i in ids for j in mdp.succs[i][t])]
             ks = tuple(offered[t] for t in allowed)  # one tuple per class
-            for i in members:
+            for i in ids:
                 node_moves[new[i]] = ks
-                succs[new[i]] = tuple(tuple([new[j] for j in dense.succs[i][t]]) for t in allowed)
-                attacks[new[i]] = tuple(dense.attacks[i][t] for t in allowed)
+                succs[new[i]] = tuple(tuple([new[j] for j in mdp.succs[i][t]]) for t in allowed)
+                attacks[new[i]] = tuple(mdp.attacks[i][t] for t in allowed)
     return BeliefMDP(
-        game=mdp.game, initial=mdp.initial, classes=classes,
-        nodes=tuple(q for q, flag in zip(mdp.nodes, inside) if flag),
-        dense=DenseMDP(
-            moves=dense.moves, node_moves=tuple(node_moves), succs=tuple(succs),
-            attacks=tuple(attacks), classes=tuple(class_ids),
-            initial=new[i] if (i := dense.initial) is not None and inside[i] else None))
+        game=mdp.game, nodes=tuple(q for q, flag in zip(mdp.nodes, inside) if flag),
+        moves=mdp.moves, node_moves=tuple(node_moves), succs=tuple(succs),
+        attacks=tuple(attacks), members=tuple(members),
+        start=new[i] if (i := mdp.start) is not None and inside[i] else None)

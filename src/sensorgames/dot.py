@@ -7,7 +7,7 @@ successors with their attack-set annotations, or an attack's
 successors, bold where the jammer's strategy chose it) and the sink's
 name and label.  The walk works on positions: a node is its position
 in the order handed in and `FINAL` the position after the last.  Both
-games are stored on those positions already, `BeliefMDP.dense` and
+games are stored on those positions already, `BeliefMDP` and
 `AttackerMDP.trans`, so neither view ranks or hashes a node per edge.
 Each move label and each distinct attack set's label is made once per
 render, not once per edge.
@@ -54,15 +54,15 @@ def _render(graph: str, nodes: list[str], edge_groups: Iterable, sink: tuple[str
 
 def export_belief_dot(mdp: BeliefMDP, shade: frozenset[BeliefNode] = frozenset()) -> str:
     """Render the perceived game; ``shade`` nodes are filled grey."""
-    game, dense = mdp.game, mdp.dense
+    game = mdp.game
     moves, attack_sets = cache(partial(move_label, game)), cache(partial(_attack_set_label, game))
-    nodes = [f'label="{node_label(game, q)}"' + (" penwidth=2" if i == dense.initial else "")
+    nodes = [f'label="{node_label(game, q)}"' + (" penwidth=2" if i == mdp.start else "")
              + (" style=filled fillcolor=lightgrey" if q in shade else "")
              for i, q in enumerate(mdp.nodes)]
-    groups = ((i, {j: f'label="{moves(dense.moves[k])}, {attack_sets(on)}"'
+    groups = ((i, {j: f'label="{moves(mdp.moves[k])}, {attack_sets(on)}"'
                    for j, on in zip(*edges)})
-              for i, ks in enumerate(dense.node_moves)
-              for k, *edges in zip(ks, dense.succs[i], dense.attacks[i]))
+              for i, ks in enumerate(mdp.node_moves)
+              for k, *edges in zip(ks, mdp.succs[i], mdp.attacks[i]))
     return _render("perceived", nodes, groups, ("final", "final"))
 
 

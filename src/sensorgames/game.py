@@ -296,19 +296,17 @@ def _resolve_all(names: Mapping[str, int], members, what: str, line: int,
                      if (idx := _resolve(names, name, what, line, issues)) is not None)
 
 
-def _index_names(decls, what: str, issues: list[ValidationIssue]) -> dict[str, int]:
-    names: dict[str, int] = {}
-    for decl in decls:
-        if not _NAME.fullmatch(decl.name):
-            issues.append(ValidationIssue(
-                "bad-name", f"bad {what} name '{decl.name}' (expected {_NAME.pattern})",
-                decl.line))
-        if decl.name in names:
-            issues.append(ValidationIssue(
-                "duplicate-name", f"duplicate {what} name '{decl.name}'", decl.line))
-            continue
-        names[decl.name] = len(names)
-    return names
+def _named_rows(decls, what: str, issues: list[ValidationIssue]) -> dict:
+    """Each declared name's first row, in row order.  Every row's name is
+    checked, and each later row of a name is reported as a duplicate."""
+    issues += [ValidationIssue("bad-name", f"bad {what} name '{decl.name}' "
+                               f"(expected {_NAME.pattern})", decl.line)
+               for decl in decls if not _NAME.fullmatch(decl.name)]
+    return {decl.name: decl for decl in _first_rows(decls, lambda decl: decl.name, what, issues)}
+
+
+def _index_names(rows: Mapping[str, object]) -> dict[str, int]:
+    return {name: i for i, name in enumerate(rows)}
 
 
 def _first_rows(decls, key, what: str, issues: list[ValidationIssue]):
@@ -334,18 +332,21 @@ def validate_game(doc: GameSpecDocument) -> Game:
     issues: list[ValidationIssue] = []
     warnings: list[str] = []
 
-    state_ids = _index_names(doc.states, "state", issues)
-    action_ids = _index_names(doc.actions, "action", issues)
-    sensor_ids = _index_names(doc.sensors, "sensor", issues)
-    _index_names(doc.queries, "query", issues)
-    attack_ids = _index_names(doc.attacks, "attack", issues)
+    state_rows = _named_rows(doc.states, "state", issues)
+    state_ids = _index_names(state_rows)
+    action_ids = _index_names(_named_rows(doc.actions, "action", issues))
+    sensor_rows = _named_rows(doc.sensors, "sensor", issues)
+    sensor_ids = _index_names(sensor_rows)
+    query_rows = _named_rows(doc.queries, "query", issues)
+    attack_rows = _named_rows(doc.attacks, "attack", issues)
+    attack_ids = _index_names(attack_rows)
 
-    initials = [s for s in doc.states if s.initial]
+    initials = [s for s in state_rows.values() if s.initial]
     initial = state_ids.get(initials[0].name) if initials else None
     issues += [ValidationIssue("duplicate-initial", f"state '{s.name}' marked initial, "
                                f"but '{initials[0].name}' already is", s.line)
                for s in initials[1:]]
-    goal = frozenset(state_ids[s.name] for s in doc.states if s.goal)
+    goal = frozenset(state_ids[s.name] for s in state_rows.values() if s.goal)
 
     trans: dict[tuple[StateId, ActionId], dict[StateId, float | None]] = {}
     for t in _first_rows(doc.transitions, lambda t: f"{t.state} {t.action}", "transition",
@@ -384,7 +385,7 @@ def validate_game(doc: GameSpecDocument) -> Game:
         if s is not None and a is not None and support:
             trans[(s, a)] = support
 
-    for decl in doc.states:
+    for decl in state_rows.values():
         sid = state_ids[decl.name]
         if sid in goal and any(s2 not in goal for a in range(len(action_ids))
                                for s2 in trans.get((sid, a), ())):
@@ -393,7 +394,7 @@ def validate_game(doc: GameSpecDocument) -> Game:
                 f"set; solver guarantees assume absorbing goal states")
 
     sensors = []
-    for decl in doc.sensors:
+    for decl in sensor_rows.values():
         covered = _resolve_all(state_ids, decl.covers, "state", decl.line, issues)
         if not covered:
             warnings.append(f"sensor '{decl.name}' covers no state")
@@ -403,14 +404,14 @@ def validate_game(doc: GameSpecDocument) -> Game:
         return [SensorSelection(d.name, _resolve_all(sensor_ids, d.sensors, "sensor", d.line,
                                                      issues)) for d in decls]
 
-    queries = selections(doc.queries)
-    attacks = selections(doc.attacks)
+    queries = selections(query_rows.values())
+    attacks = selections(attack_rows.values())
 
     for name, sid in state_ids.items():
         if not any((sid, a) in trans for a in range(len(action_ids))):
-            line = next(s.line for s in doc.states if s.name == name)
             issues.append(ValidationIssue(
-                "no-enabled-action", f"state '{name}' has no enabled action", line))
+                "no-enabled-action", f"state '{name}' has no enabled action",
+                state_rows[name].line))
 
     enabled: list[frozenset[AttackId]] = [frozenset(range(len(attack_ids)))] * len(state_ids)
     for decl in _first_rows(doc.enabled_attacks, lambda e: e.state,
@@ -421,9 +422,8 @@ def validate_game(doc: GameSpecDocument) -> Game:
             enabled[sid] = listed
     for name, sid in state_ids.items():
         if not enabled[sid]:
-            line = next(
-                (e.line for e in doc.enabled_attacks if e.state == name),
-                next(s.line for s in doc.states if s.name == name))
+            line = next((e.line for e in doc.enabled_attacks if e.state == name),
+                        state_rows[name].line)
             issues.append(ValidationIssue(
                 "empty-attack-set", f"state '{name}' has no enabled attack", line))
 

@@ -13,9 +13,9 @@ chain can go) to each induced chain.  Classes no move sequence can reach
 from the start are skipped: their assignment cannot touch the chain.
 The combination count is checked against a hard cap first, so a blow-up
 is an explicit refusal rather than a silent week of CPU time.  The
-referee reads the perceived game's own numbering, `BeliefMDP.dense`, and
-nothing of the solver's; it enumerates classes in the order
-`BeliefMDP.classes` holds them.
+referee reads the perceived game's own numbering, the ints `BeliefMDP`
+stores, and nothing of the solver's; it enumerates classes in the order
+`BeliefMDP.members` holds them.
 """
 
 from __future__ import annotations
@@ -144,25 +144,24 @@ def brute_force_win1(mdp: BeliefMDP, cap: int = 1_000_000) -> OracleResult:
     Where the start node is not among the MDP's nodes, which only a
     `restricted` MDP can leave out, no chain runs and the answer is no.
 
-    The reached nodes are found by walking `BeliefMDP.dense`, and the
-    classes they touch are enumerated in ``classes`` order, the first
+    The reached nodes are found by walking ``mdp.succs``, and the
+    classes they touch are enumerated in ``mdp.members`` order, the first
     class varying slowest and each class's subsets largest first.  Each
     reached node's successor ids under every move subset of its class
     are listed once, so the certificate runs on ints for every
     assignment.
     """
-    dense = mdp.dense
-    if dense.initial is None:  # a `restricted` MDP without the start node
+    start, node_moves = mdp.start, mdp.node_moves
+    if start is None:  # a `restricted` MDP without the start node
         return OracleResult(False, 0, 0)
-    node_moves = dense.node_moves
-    final = len(dense.succs)
-    reached, seen = [dense.initial], {dense.initial, final}
+    final = len(mdp.succs)
+    reached, seen = [start], {start, final}
     for i in reached:
-        fresh = {j for targets in dense.succs[i] for j in targets} - seen
+        fresh = {j for targets in mdp.succs[i] for j in targets} - seen
         seen |= fresh
         reached += fresh
 
-    classes = [members for members in dense.classes if not seen.isdisjoint(members)]
+    classes = [members for members in mdp.members if not seen.isdisjoint(members)]
     per_class: list[list[tuple]] = []
     estimate = 1
     for members in classes:
@@ -187,14 +186,14 @@ def brute_force_win1(mdp: BeliefMDP, cap: int = 1_000_000) -> OracleResult:
     # succ[i][j]: successor ids of node i under the j-th subset of its class.
     succ: list = [None] * final
     for i in reached:
-        moves = dict(zip(node_moves[i], dense.succs[i]))
+        moves = dict(zip(node_moves[i], mdp.succs[i]))
         succ[i] = [[j for k in subset for j in moves[k]] for subset in per_class[cls[i]]]
 
     checked = 0
     for choice in product(*(range(len(subsets)) for subsets in per_class)):
         checked += 1
         ok, _ = certify_almost_sure_reach(
-            dense.initial, lambda i: succ[i][choice[cls[i]]], final)
+            start, lambda i: succ[i][choice[cls[i]]], final)
         if ok:
             return OracleResult(True, checked, len(classes))
     return OracleResult(False, checked, len(classes))

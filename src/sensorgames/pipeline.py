@@ -151,7 +151,7 @@ def run_pipeline(
     counts = {
         **game.counts(),
         "belief_nodes": len(run.mdp.nodes),
-        "belief_classes": len(run.mdp.classes),
+        "belief_classes": len(run.mdp.members),
         "win1": len(report.win),
         "win2": None if run.win2 is None else len(run.win2),
         "gap": None if run.gap is None else len(run.gap),

@@ -21,7 +21,7 @@ chain from a winning node completes with probability one.
 Each withdrawal is logged, so the result can be audited move by move.
 
 Both phases, and the soundness audit, run on the perceived game's one
-numbering, `BeliefMDP.dense`.  Node i is ``mdp.nodes[i]``, whose
+numbering, the ints `BeliefMDP` stores.  Node i is ``mdp.nodes[i]``, whose
 canonical order makes i the node's `node_key` rank, and `FINAL` is N.
 Move k is the k-th (action, query) pair in ascending order, and a
 node's move set is an int with bit k set for move k.  `solve_p1` builds
@@ -92,13 +92,13 @@ class SolveReport:
     strategy: MultiStrategy
     levels: tuple[tuple[BeliefNode, ...], ...]  # doomed nodes, by round found
     # (round, node, move, cause) of each withdrawal in order, on the
-    # dense ids, run together into one flat tuple of ints.
+    # perceived game's ids, run together into one flat tuple of ints.
     _removals: tuple[int, ...]
 
     @property
     def trace(self) -> tuple[Removal, ...]:
         """Every withdrawal, in order, built from the ints on each read."""
-        nodes, moves = self.mdp.nodes, self.mdp.dense.moves
+        nodes, moves = self.mdp.nodes, self.mdp.moves
         ints = iter(self._removals)
         return tuple(Removal(r, nodes[i], moves[k], nodes[c])
                      for r, i, k, c in zip(ints, ints, ints, ints))
@@ -112,25 +112,24 @@ class SolveReport:
 
 def solve_p1(mdp: BeliefMDP) -> SolveReport:
     """Maximal belief-uniform multi-strategy for almost-sure completion."""
-    dense = mdp.dense
-    n = len(dense.succs)
+    n = len(mdp.succs)
     # offered[i]: node i's move set.  back[j]: the (predecessor, move)
     # pairs of node j in canonical order, each stored as the int
     # ``i << shift | k``, which ``low`` masks back to k.  Ints, unlike
     # tuples, are not tracked by the cyclic garbage collector, and each
     # pair is one int shared by the lists of all its successors.
     offered = [0] * n
-    shift = len(dense.moves).bit_length()
+    shift = len(mdp.moves).bit_length()
     low = (1 << shift) - 1
     back: list[list[int]] = [[] for _ in range(n + 1)]
-    for i, (ks, succs) in enumerate(zip(dense.node_moves, dense.succs)):
+    for i, (ks, succs) in enumerate(zip(mdp.node_moves, mdp.succs)):
         for k, targets in zip(ks, succs):
             offered[i] |= 1 << k
             entry = i << shift | k
             for j in targets:
                 back[j].append(entry)
     peers: list[tuple[int, ...]] = [()] * n  # each node's class, one tuple per class
-    for members in dense.classes:
+    for members in mdp.members:
         for i in members:
             peers[i] = members
 
@@ -198,7 +197,7 @@ def solve_p1(mdp: BeliefMDP) -> SolveReport:
         current = sorted(fresh)
         levels.append(current)
 
-    nodes, moves = mdp.nodes, dense.moves
+    nodes, moves = mdp.nodes, mdp.moves
     move_sets: dict[int, frozenset[ActionPair]] = {}
     for mask in allowed:
         if mask not in move_sets:
@@ -234,7 +233,7 @@ def certify_almost_sure_reach(
     with probability one: the target must stay graph-reachable from
     every node the chain can visit.  Returns (ok, offending node), the
     offending node being the least stuck one, so nodes must be mutually
-    ordered (both referees pass dense ids).
+    ordered (both referees pass node ids).
 
     The forward walk calls ``successors`` once per reached non-target
     node and files each edge under its successor; the backward sweep
@@ -277,11 +276,11 @@ def check_soundness(mdp: BeliefMDP, strategy: MultiStrategy) -> SoundnessVerdict
     witness; for uniformity it is the first pair of class-mates, classes
     and members in canonical order, whose moves differ.
 
-    All three run on `BeliefMDP.dense`, nodes in `node_key` order and
-    each node's kept moves in sorted order; only a witness is turned
-    back into nodes.
+    All three run on the ints `BeliefMDP` stores, nodes in `node_key`
+    order and each node's kept moves in sorted order; only a witness is
+    turned back into nodes.
     """
-    nodes, dense = mdp.nodes, mdp.dense
+    nodes = mdp.nodes
     final = len(nodes)
     kept = [strategy.allowed.get(q, frozenset()) for q in nodes]
     win = bytearray(bool(moves) for moves in kept) + b"\x01"  # FINAL is fine
@@ -289,8 +288,8 @@ def check_soundness(mdp: BeliefMDP, strategy: MultiStrategy) -> SoundnessVerdict
     for i, q in enumerate(nodes):
         if not win[i]:
             continue
-        offered = {dense.moves[k]: succs
-                   for k, succs in zip(dense.node_moves[i], dense.succs[i])}
+        offered = {mdp.moves[k]: succs
+                   for k, succs in zip(mdp.node_moves[i], mdp.succs[i])}
         chain[i] = []
         for move in sorted(kept[i]):
             if move not in offered:
@@ -306,7 +305,7 @@ def check_soundness(mdp: BeliefMDP, strategy: MultiStrategy) -> SoundnessVerdict
                         witness=(q, move, nodes[j]))
             chain[i] += offered[move]
 
-    start = dense.initial
+    start = mdp.start
     if start is not None and win[start]:
         ok, stuck = certify_almost_sure_reach(start, chain.__getitem__, final)
         if not ok:
@@ -316,7 +315,7 @@ def check_soundness(mdp: BeliefMDP, strategy: MultiStrategy) -> SoundnessVerdict
                 f"is impossible",
                 witness=(nodes[stuck],))
 
-    for members in dense.classes:
+    for members in mdp.members:
         for i in members[1:]:
             if kept[i] != kept[members[0]]:
                 pair = (nodes[members[0]], nodes[i])

@@ -189,6 +189,7 @@ def test_restricted_class_mates_keep_the_same_moves(fig1_noattack):
     # (s2,{s0,s2}) inside too, so the class keeps the same moves.
     mdp = fig1_noattack.mdp
     sub = restricted(mdp, [q for q in mdp.nodes if q != mdp.initial])
+    assert sub.start is None and sub.initial is None
     for members in sub.classes.values():
         moves = list(sub.trans[members[0]])
         assert all(list(sub.trans[q]) == moves for q in members)
@@ -198,25 +199,27 @@ def test_restricted_class_mates_keep_the_same_moves(fig1_noattack):
     assert check_soundness(sub, solve_p1(sub).strategy).ok
 
 
-# --- the dense form ----------------------------------------------------------
+# --- the stored ints and their views -----------------------------------------
 
 def assert_dense_matches(mdp):
-    """``trans`` is ``mdp.dense`` keyed by nodes and moves, successor by
-    successor and in order, each with its attack set, and each node's
-    moves ascending.  ``dense.moves`` lists every (action, query) pair."""
-    dense, game = mdp.dense, mdp.game
-    assert mdp.trans is mdp.trans
+    """``trans`` is the stored int game keyed by nodes and moves,
+    successor by successor and in order, each with its attack set, and
+    each node's moves ascending.  ``mdp.moves`` lists every (action,
+    query) pair; ``classes`` and ``initial`` are ``members`` and
+    ``start`` as nodes."""
+    game = mdp.game
+    assert mdp.trans is mdp.trans and mdp.classes is mdp.classes
     node_of = mdp.nodes + (FINAL,)
-    assert dense.moves == tuple(product(range(len(game.action_names)), range(len(game.queries))))
-    assert len(dense.node_moves) == len(dense.succs) == len(dense.attacks) == len(mdp.nodes)
-    for q, ks, succs, attacks in zip(mdp.nodes, dense.node_moves, dense.succs, dense.attacks):
-        assert [(dense.moves[k], [(node_of[j], on) for j, on in zip(targets, atts, strict=True)])
+    assert mdp.moves == tuple(product(range(len(game.action_names)), range(len(game.queries))))
+    assert len(mdp.node_moves) == len(mdp.succs) == len(mdp.attacks) == len(mdp.nodes)
+    for q, ks, succs, attacks in zip(mdp.nodes, mdp.node_moves, mdp.succs, mdp.attacks):
+        assert [(mdp.moves[k], [(node_of[j], on) for j, on in zip(targets, atts, strict=True)])
                 for k, targets, atts in zip(ks, succs, attacks, strict=True)] == [
             (move, list(targets.items())) for move, targets in mdp.trans[q].items()]
         assert list(ks) == sorted(set(ks))
-    assert [[node_of[i] for i in members] for members in dense.classes] == [
+    assert [[node_of[i] for i in members] for members in mdp.members] == [
         list(members) for members in mdp.classes.values()]
-    assert node_of[dense.initial] == mdp.initial
+    assert node_of[mdp.start] == mdp.initial
 
 
 @pytest.mark.parametrize("fixture", ["fig1", "fig1_noattack", "fig1_nosense", "fig4"])
@@ -234,14 +237,15 @@ def test_dense_matches_trans_restricted(fig1):
 
 
 def test_no_stage_builds_trans(fig4_text):
-    # The stages and both DOT views read ``dense``; the node-keyed view
-    # is built only on a read of ``trans``.
+    # The stages and both DOT views read the stored ints; the node-keyed
+    # views are built only on a read of ``trans`` or ``classes``.
     run = run_stages(fig4_text)
-    assert "trans" not in vars(run.mdp)
+    assert "trans" not in vars(run.mdp) and "classes" not in vars(run.mdp)
     export_belief_dot(run.mdp, shade=run.report.win)
     export_attacker_dot(run.attacker, shade=run.win2, strategy=run.attack_strategy)
-    assert "trans" not in vars(run.mdp)
+    assert "trans" not in vars(run.mdp) and "classes" not in vars(run.mdp)
     assert run.mdp.trans is vars(run.mdp)["trans"]
+    assert run.mdp.classes is vars(run.mdp)["classes"]
 
 
 @settings(max_examples=25, deadline=None)

@@ -129,6 +129,13 @@ PARSER_RULES = {
     "two-initials": (
         lambda d: replace(d, states=(d.states[0], replace(d.states[1], initial=True))),
         ValidationIssue("duplicate-initial", "state 's1' marked initial, but 's0' already is", 3)),
+    "sensor-twice": (
+        lambda d: replace(d, sensors=d.sensors + (
+            replace(d.sensors[0], covers=("ghost",), line=14),)),
+        ValidationIssue("duplicate-name", "sensor 'g0' declared twice", 14)),
+    "initial-state-twice": (
+        lambda d: replace(d, states=(d.states[0], replace(d.states[0], line=3), d.states[1])),
+        ValidationIssue("duplicate-name", "state 's0' declared twice", 3)),
     "transition-twice": (
         lambda d: replace(d, transitions=d.transitions + (
             replace(d.transitions[0], successors=(("s1", None),), line=20),)),

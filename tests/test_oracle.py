@@ -142,7 +142,7 @@ def test_oracle_without_the_start_node(fig1_noattack):
     # Only a sub-MDP can leave the start node out; no chain starts there.
     mdp = fig1_noattack.mdp
     sub = restricted(mdp, [q for q in mdp.nodes if q != mdp.initial])
-    assert sub.dense.initial is None
+    assert sub.start is None and sub.initial is None
     assert brute_force_win1(sub) == OracleResult(False, 0, 0)
     assert not solve_p1(sub).initial_winning
 

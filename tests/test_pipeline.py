@@ -1,6 +1,7 @@
 """End-to-end pipeline: reproducibility, digests, stage errors."""
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -146,3 +147,57 @@ def test_reversed_declarations_change_nothing(case):
                       sensors=doc.sensors[::-1], queries=doc.queries[::-1])
     assert serialize_spec(flipped) != serialize_spec(doc)
     assert _answer(serialize_spec(flipped)) == _answer(case_text(case))
+
+
+def _renamed(doc):
+    """``doc`` with each section's names reversed -- the i-th of k
+    declared names becomes the (k-1-i)-th -- and the map from each new
+    name back to its old one.  Declarations keep their order, so every
+    id is kept."""
+    st, ac, se, qu, at = (
+        {d.name: new.name for d, new in zip(decls, decls[::-1])}
+        for decls in (doc.states, doc.actions, doc.sensors, doc.queries, doc.attacks))
+    renamed = replace(
+        doc,
+        states=tuple(replace(d, name=st[d.name]) for d in doc.states),
+        actions=tuple(replace(d, name=ac[d.name]) for d in doc.actions),
+        transitions=tuple(replace(t, state=st[t.state], action=ac[t.action],
+                                  successors=tuple((st[n], w) for n, w in t.successors))
+                          for t in doc.transitions),
+        sensors=tuple(replace(d, name=se[d.name], covers=tuple(map(st.get, d.covers)))
+                      for d in doc.sensors),
+        queries=tuple(replace(d, name=qu[d.name], sensors=tuple(map(se.get, d.sensors)))
+                      for d in doc.queries),
+        attacks=tuple(replace(d, name=at[d.name], sensors=tuple(map(se.get, d.sensors)))
+                      for d in doc.attacks),
+        enabled_attacks=tuple(replace(e, state=st[e.state], attacks=tuple(map(at.get, e.attacks)))
+                              for e in doc.enabled_attacks))
+    back = {new: old for names in (st, ac, se, qu, at) for old, new in names.items()}
+    assert len(back) == sum(map(len, (st, ac, se, qu, at)))  # no name in two sections
+    return renamed, back
+
+
+def _named_back(value, back):
+    """``value`` with every name token in every string mapped by ``back``."""
+    if isinstance(value, str):
+        return re.sub(r"[A-Za-z_][A-Za-z0-9_]*", lambda m: back.get(m[0], m[0]), value)
+    if isinstance(value, dict):
+        return {_named_back(k, back): _named_back(v, back) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_named_back(v, back) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("case", ["fig1", "fig4", "fig1_nosense", "enabled-attacks", (10, 4, 9)],
+                         ids=case_id)
+def test_renamed_declarations_change_nothing(case):
+    # Names reach the result only as labels; mapped back, the renamed
+    # game's document, trace included, is the original's but for the
+    # digest of its text.
+    doc = parse_spec(case_text(case))
+    renamed, back = _renamed(doc)
+    assert serialize_spec(renamed) != serialize_spec(doc)
+    original, result = (json.loads(run_pipeline(serialize_spec(d), include_trace=True).to_json())
+                        for d in (doc, renamed))
+    assert original.pop("digest") != result.pop("digest")
+    assert _named_back(result, back) == original

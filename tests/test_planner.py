@@ -6,11 +6,15 @@ from hypothesis import strategies as st
 
 from sensorgames import (
     MultiStrategy,
+    build_attacker_mdp,
     build_belief_mdp,
     check_soundness,
+    deception_gap,
+    get_observation,
     parse_spec,
     restricted,
     solve_p1,
+    solve_p2_safety,
     validate_game,
 )
 from sensorgames.belief import FINAL, BeliefNode, node_key, node_label
@@ -18,7 +22,7 @@ from sensorgames.oracle import GeneratorParams, generate_game
 from sensorgames.planner import certify_almost_sure_reach
 
 from .conftest import bnode
-from .test_golden import ladder_text
+from .test_golden import case_text, ladder_text
 
 FIG1_WIN = [
     "(s0,{s0})", "(s0,{s0,s1})", "(s0,{s0,s2})", "(s0,{s0,s4})",
@@ -290,8 +294,8 @@ def test_solve_restricted_does_not_depend_on_node_identity(fig1):
 def nested_fixpoint_win1(mdp):
     """Almost-sure reachability of FINAL over the belief-support game, as
     the textbook nested fixpoint (Chatterjee, Doyen & Henzinger, MFCS
-    2010).  It reads only ``mdp.trans`` and ``mdp.classes``: no dense
-    form, no solver state.
+    2010).  It reads only the node-keyed views ``mdp.trans`` and
+    ``mdp.classes``: no stored ids, no solver state.
 
     Y starts as every node.  A move is allowed at a class if, from every
     member, its successors stay in Y or are FINAL.  X is the least set of
@@ -363,3 +367,58 @@ def test_nested_fixpoint_agrees_on_a_restricted_rung():
     win = solve_p1(sub).win
     assert (len(sub.nodes), len(win)) == (7107, 5947)
     assert nested_fixpoint_win1(sub) == win
+
+
+# --- an audit of the deception gap in the arena ------------------------------
+
+def gap_audit_failure(game, strategy, choice, gap):
+    """The first way the jammer's trap fails, or None.
+
+    From each gap node it explores the (state, belief) pairs a play can
+    reach under every kept move of ``strategy``, every successor in
+    ``game.trans`` and the attack ``choice`` picks, with the belief
+    updated by set algebra over `get_observation`: the action image
+    intersected with what the true successor shows.  It shares no code
+    with the expansion, `Game.masks` or the jammer build.  A failure is
+    ("goal", node, move, state) where a goal state is reached,
+    ("disabled", node, attack, state) where the attack is not enabled
+    at a landing state, and ("outside", node, move, successor) where a
+    reached node lies outside ``choice``'s domain.
+    """
+    seen, queue = set(gap), list(gap)
+    for node in queue:
+        attack = choice[node]
+        for action, query in sorted(strategy.allowed[node]):
+            image = set().union(*(game.trans[(b, action)] for b in node.belief))
+            for state in game.trans[(node.state, action)]:
+                if state in game.goal:
+                    return ("goal", node, (action, query), state)
+                if attack not in game.enabled_attacks[state]:
+                    return ("disabled", node, attack, state)
+                view = get_observation(game, state, query, attack)
+                succ = BeliefNode(state, frozenset(image & view))
+                if succ not in choice:
+                    return ("outside", node, (action, query), succ)
+                if succ not in seen:
+                    seen.add(succ)
+                    queue.append(succ)
+    return None
+
+
+def test_gap_audit_in_the_arena(corpus):
+    # fig4, the `enabled-attacks` case and the soundness-corpus games
+    # with a nonempty gap.
+    block = corpus["soundness"]
+    games = [validate_game(parse_spec(case_text(case))) for case in ("fig4", "enabled-attacks")]
+    games += [generate_game(GeneratorParams(**block["params"], seed=seed))
+              for seed in block["seeds"]]
+    audited = 0
+    for game in games:
+        report = solve_p1(build_belief_mdp(game))
+        if not report.win:
+            continue
+        win2, attack = solve_p2_safety(build_attacker_mdp(report))
+        if gap := deception_gap(report, win2, attack):
+            assert gap_audit_failure(game, report.strategy, attack.choice, gap) is None
+            audited += 1
+    assert audited == 18
