@@ -18,6 +18,16 @@ the agent's `MultiStrategy`, each belief's sorted moves.  Sampling
 draws from these in the order a play without them would, so a seed
 gives the same trace either way.
 
+Each play has its own `random.Random(seed)`.  A move, and a successor
+of an unweighted row, is drawn by `randbelow` from the generator's
+`getrandbits` exactly as `Random.randrange` draws it,
+``n.bit_length()`` bits at a time until the value is below ``n``; a
+choice among one still draws.  A weighted row is drawn by
+`Random.choices`.  `TRACES_DIGEST`, `SWEEP_DIGEST` and
+`test_randbelow_is_randrange` in the tests pin this.  The node handed
+to the attack policy and each `Step` are built by `tuple.__new__`: the
+same named tuple as the constructor's, without its Python-level call.
+
 A play ends when the agent *knows* the task is complete -- her belief
 sits entirely inside the goal -- or when the step budget runs out.  If
 the play wanders to a belief her strategy never covered, that is a
@@ -135,6 +145,17 @@ class PromptAttack:
                 return game.attack(answer)
 
 
+def randbelow(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform index below ``n``, drawn as `random.Random.randrange(n)`
+    draws it: ``n.bit_length()`` bits at a time until the value is below
+    ``n``.  ``n == 1`` still draws, so later draws do not shift."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def simulate(
     game: Game,
     p1: MultiStrategy,
@@ -145,7 +166,8 @@ def simulate(
     """Run one play.  Same inputs and seed, same trace, step for step.
 
     Raises `StrategyGapError` when the agent has no move, and ValueError
-    when ``p2`` picks an attack not enabled at the successor state.
+    when ``p2`` picks an attack the game does not declare or does not
+    enable at the successor state.
     """
     rng = random.Random(seed)
     memo, views = game.memo, game.masks.views
@@ -153,30 +175,38 @@ def simulate(
     state = game.initial
     mask = 1 << state
     belief = memo.states(mask)
-    steps: list[Step] = []
 
     if not mask & outside:
         return PlayTrace((), Outcome.TASK_KNOWN_COMPLETE, state, seed)
 
+    # Bound once per play; `tuple.__new__` builds a named tuple without
+    # its Python-level constructor.
+    getrandbits, choices, choose = rng.getrandbits, rng.choices, p2.choose
+    sorted_moves, succs_of, image, states = p1.sorted_moves, memo.succs, memo.image, memo.states
+    new = tuple.__new__
+    steps: list[Step] = []
     while len(steps) < max_steps:
-        moves = p1.sorted_moves(belief)
+        moves = sorted_moves(belief)
         if not moves:
             raise StrategyGapError(game, BeliefNode(state, belief))
-        action, query = move = moves[rng.randrange(len(moves))]
-        succs, cum_weights = memo.succs(state, action)
+        action, query = move = moves[randbelow(getrandbits, len(moves))]
+        succs, cum_weights = succs_of(state, action)
         if cum_weights is None:
-            next_state = succs[rng.randrange(len(succs))]
+            next_state = succs[randbelow(getrandbits, len(succs))]
         else:
-            next_state = rng.choices(succs, cum_weights=cum_weights)[0]
-        attack = p2.choose(rng, game, BeliefNode(state, belief), move, next_state)
+            next_state = choices(succs, cum_weights=cum_weights)[0]
+        attack = choose(rng, game, new(BeliefNode, (state, belief)), move, next_state)
         view = views[next_state][query].get(attack)
         if view is None:
+            if attack not in range(len(game.attacks)):
+                raise ValueError(f"attack id {attack!r} is not declared "
+                                 f"(the game declares {len(game.attacks)} attacks)")
             raise ValueError(
                 f"attack '{game.attacks[attack].name}' is not enabled at "
                 f"state '{game.state_names[next_state]}'")
-        mask = memo.image(mask, action) & view
-        belief = memo.states(mask)
-        steps.append(Step(state, action, query, attack, memo.states(view), belief))
+        mask = image(mask, action) & view
+        belief = states(mask)
+        steps.append(new(Step, (state, action, query, attack, states(view), belief)))
         state = next_state
         if not mask & outside:
             return PlayTrace(tuple(steps), Outcome.TASK_KNOWN_COMPLETE, state, seed)

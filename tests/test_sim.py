@@ -29,6 +29,7 @@ from sensorgames import (
 )
 from sensorgames.belief import BeliefNode, node_label
 from sensorgames.oracle import GeneratorParams, generate_spec
+from sensorgames.sim import Step, randbelow
 
 from .conftest import per_state_attack_game, per_state_attack_games
 
@@ -191,11 +192,66 @@ def test_disabled_attack_is_refused():
                  max_steps=10, seed=0)
 
 
+@pytest.mark.parametrize("attack", [99, 4, -1])
+def test_undeclared_attack_is_refused(fig4, attack):
+    # fig4 declares attacks 0..3; -1 must not be read as the last one.
+    with pytest.raises(ValueError, match=rf"^attack id {attack} is not declared"):
+        simulate(fig4.game, fig4.report.strategy, FixedAttack(attack),
+                 max_steps=10, seed=0)
+
+
 def test_start_inside_goal_ends_immediately():
     game = validate_game(parse_spec(TRIVIAL))
     trace = simulate(game, None, None, max_steps=10, seed=3)
     assert trace.outcome is Outcome.TASK_KNOWN_COMPLETE
     assert trace.steps == () and trace.final_state == game.initial
+
+
+def test_randbelow_is_randrange():
+    # The draw rule on its own: a Python release whose `randrange` draws
+    # differently fails here by name, not only through the digests.
+    for n in range(1, 70):
+        for seed in range(300):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert randbelow(ours.getrandbits, n) == theirs.randrange(n)
+            assert ours.random() == theirs.random()
+
+
+class RecordingAttack:
+    """The jammer's table, recording each node it is handed."""
+
+    def __init__(self, strategy):
+        self.table = TableAttack(strategy)
+        self.nodes = []
+
+    def choose(self, rng, game, node, move, next_state):
+        self.nodes.append(node)
+        return self.table.choose(rng, game, node, move, next_state)
+
+
+def test_nodes_and_steps_are_plain_named_tuples(fig4, corpus):
+    block = corpus["soundness"]
+    winning = next(
+        run for run in (run_stages(serialize_spec(generate_spec(
+            GeneratorParams(**block["params"], seed=seed)))) for seed in block["seeds"])
+        if run.report.initial_winning and run.game.initial not in run.game.goal)
+    for run in (fig4, winning):
+        game = run.game
+        played = 0
+        for seed in range(10):
+            jammer = RecordingAttack(run.attack_strategy)
+            trace = simulate(game, run.report.strategy, jammer, max_steps=30, seed=seed)
+            assert len(jammer.nodes) == len(trace.steps)
+            belief = frozenset({game.initial})
+            for node, step in zip(jammer.nodes, trace.steps):
+                assert type(node) is BeliefNode
+                assert node == BeliefNode(step.state, belief)
+                plain = Step(*step)
+                assert type(step) is Step
+                assert step == plain and repr(step) == repr(plain)
+                belief = step.belief_after
+            played += len(trace.steps)
+        assert played > 0
 
 
 def test_memo_belongs_to_its_game_and_strategy(fig4_text):
