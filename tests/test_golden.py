@@ -42,6 +42,7 @@ from sensorgames import (
     export_attacker_dot,
     export_belief_dot,
     parse_spec,
+    restricted,
     run_pipeline,
     run_stages,
     serialize_spec,
@@ -296,3 +297,49 @@ def test_jammer_game_frozen():
             games, won = games + 1, won + bool(win2)
     assert (games, won) == (180 + 73, 16)
     assert digest.hexdigest() == JAMMER
+
+
+# sha256 of `report_dump` over the figures, the `enabled-attacks` case,
+# the 10/4/9 and 17/5/7 rungs, the 350 corpus games and each corpus game
+# restricted to its nodes less the first member of its first class with
+# two or more members, which splits that class (236 of them have one).
+SOLVER = "938f3989278f685d379cb0ae4c897c2cdf9f1a6e0007a22535587243331378c4"
+
+
+def report_dump(report) -> str:
+    """A `SolveReport` as text on the perceived game's ids: each round's
+    doomed nodes, the removals in order, the Win1 ids and each node's
+    kept move ids, ascending."""
+    mdp = report.mdp
+    index = {q: i for i, q in enumerate(mdp.nodes)}
+    move_id = {move: k for k, move in enumerate(mdp.moves)}
+    lines = [f"level {[index[q] for q in level]}" for level in report.levels]
+    lines.append(f"removals {list(report._removals)}")
+    lines.append(f"win {sorted(map(index.__getitem__, report.win))}")
+    lines += [f"{i} {sorted(map(move_id.__getitem__, report.strategy.allowed[q]))}"
+              for i, q in enumerate(mdp.nodes)]
+    return "\n".join(lines) + "\n"
+
+
+def split_class(mdp):
+    """``mdp`` restricted to its nodes less the first member of its first
+    class with two or more members, or None where it has no such class."""
+    for ids in mdp.members:
+        if len(ids) > 1:
+            return restricted(mdp, [q for i, q in enumerate(mdp.nodes) if i != ids[0]])
+    return None
+
+
+def test_solver_report_frozen():
+    cases = [*FIGURES, "enabled-attacks", (10, 4, 9), (17, 5, 7)]
+    games = [validate_game(parse_spec(case_text(case))) for case in cases]
+    games += corpus_games()
+    digest, split = hashlib.sha256(), 0
+    for game in games:
+        mdp = build_belief_mdp(game)
+        digest.update(report_dump(solve_p1(mdp)).encode())
+    for game in corpus_games():
+        if (sub := split_class(build_belief_mdp(game))) is not None:
+            digest.update(report_dump(solve_p1(sub)).encode())
+            split += 1
+    assert (split, digest.hexdigest()) == (236, SOLVER)
