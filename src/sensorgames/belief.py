@@ -25,9 +25,15 @@ expansion a belief is an int mask with bit s set for state s, and the
 game is read through its tables, `Game.masks`, which the simulator
 reads too.  A belief's offered actions and their images are computed
 once per belief rather than once per node, and the successors a move
-gains by landing in s' depend only on (image, s', query), so each such
-triple is resolved once.  Each (state, mask) pair gets one `BeliefNode`
-and each mask one frozenset, and each distinct set of attacks one
+gains by landing in s' depend only on (image, s', query), so each
+distinct image is resolved once, for every landing state and query.
+The nodes are ranked without sorting them: the beliefs are sorted once,
+and listing each state's beliefs in that order gives the canonical
+order.  A node's rows under an action depend only on (state, action,
+image), so each such triple is joined once, and the rows are pooled:
+each distinct successor row and attack row is one tuple, shared by
+every move that has it.  Each (state, mask) pair gets one `BeliefNode`,
+each mask one frozenset, and each distinct set of attacks one
 frozenset.
 
 This module is the one home of the canonical order: `BeliefMDP.nodes`
@@ -52,8 +58,8 @@ reads them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
-from itertools import accumulate, filterfalse
+from functools import cached_property
+from itertools import accumulate, count, filterfalse
 from typing import Iterable, NamedTuple
 
 from .game import ActionId, AttackId, Game, QueryId, StateId, states_of
@@ -166,17 +172,20 @@ def build_belief_mdp(game: Game) -> BeliefMDP:
 
     The expansion runs in two passes on masks (see the module notes).
     The first sweeps beliefs from {s0}: it finds each belief's offered
-    actions and their images, and resolves each (image, landing state,
-    query) once, to the next beliefs and their attacks.  The landing
-    states are the non-goal states of each image, the union over the
-    class's members of the states a move can land in, so every
-    (s', belief) node with s' in a found belief is materialized and
-    classes are never split.  The second ranks the nodes by `node_key`,
-    turns each resolved landing into a tuple of ids and a tuple of
-    attack sets, and joins those tuples into each move's successors.
-    Nodes and frozensets are made once, when the nodes are ranked.
+    actions and their images, and resolves each distinct image once,
+    for every (landing state, query), to the next beliefs and their
+    attacks.  The landing states are the non-goal states of each image,
+    the union over the class's members of the states a move can land
+    in, so every (s', belief) node with s' in a found belief is
+    materialized and classes are never split.  The second ranks the
+    nodes by `node_key` from the sorted beliefs, turns each resolved
+    landing into a tuple of ids and a tuple of attack sets, and joins
+    those tuples into the rows of each (state, action, image) once,
+    one pooled tuple per distinct row.  Nodes and frozensets are made
+    once, when the nodes are ranked.
     """
     masks, n_states, n_queries = game.masks, game.n_states, len(game.queries)
+    n_actions = len(masks.enabled)
 
     queue = [1 << game.initial]
     keys = {queue[0]: (game.initial,)}  # mask -> sorted states
@@ -185,62 +194,89 @@ def build_belief_mdp(game: Game) -> BeliefMDP:
     # The beliefs a move reaches when nature lands in s2 from a belief
     # whose action image is ``image``, each with the mask of the attacks
     # that produce it, keyed by (image, query, s2) packed into one int.
+    # The keys depend only on the image, so each image is resolved once.
     landings: dict[int, dict[int, int]] = {}
+    resolved: set[int] = set()
     for mask in queue:
         actions = [a for a, enabled in enumerate(masks.enabled) if (mask & ~enabled) == 0]
         offered[mask] = [(a, masks.image(keys[mask], a)) for a in actions]
         move_ids[mask] = tuple([a * n_queries + q for a in actions for q in range(n_queries)])
         for _action, image in offered[mask]:
+            if image in resolved:
+                continue
+            resolved.add(image)
             for s2 in states_of(image & ~masks.goal):
                 for query, views in enumerate(masks.views[s2]):
-                    key = (image * n_queries + query) * n_states + s2
-                    if key not in landings:
-                        found = landings[key] = {}
-                        for att, view in views.items():
-                            b2 = image & view
-                            found[b2] = found.get(b2, 0) | 1 << att
-                        for b2 in filterfalse(keys.__contains__, found):  # new beliefs
-                            keys[b2] = states_of(b2)
-                            queue.append(b2)
+                    found = landings[(image * n_queries + query) * n_states + s2] = {}
+                    for att, view in views.items():
+                        b2 = image & view
+                        found[b2] = found.get(b2, 0) | 1 << att
+                    for b2 in filterfalse(keys.__contains__, found):  # new beliefs
+                        keys[b2] = states_of(b2)
+                        queue.append(b2)
 
-    ranked = sorted((s, states, mask) for mask, states in keys.items() for s in states)
-    ids = {mask * n_states + s: i for i, (s, _states, mask) in enumerate(ranked)}
+    # Beliefs in sorted order, then each state's beliefs in that order:
+    # listing the nodes state by state gives the `node_key` order.
+    order = sorted(keys, key=keys.__getitem__)
+    by_state: list[list[int]] = [[] for _ in range(n_states)]
+    for mask in order:
+        for s in keys[mask]:
+            by_state[s].append(mask)
+    # ids[s][mask]: the id of node (s, mask).  zip stops at the end of
+    # each state's masks before it draws from the counter.
+    counter = count()
+    ids = [dict(zip(masks_of_s, counter)) for masks_of_s in by_state]
     beliefs = {mask: frozenset(states) for mask, states in keys.items()}
-    nodes = tuple(BeliefNode(s, beliefs[mask]) for s, _states, mask in ranked)
-    land_ids = {key: tuple([ids[b2 * n_states + key % n_states] for b2 in found])
+    new = tuple.__new__  # builds a named tuple without its Python-level constructor
+    nodes = tuple(new(BeliefNode, (s, beliefs[mask]))
+                  for s, masks_of_s in enumerate(by_state) for mask in masks_of_s)
+    land_ids = {key: tuple(map(ids[key % n_states].__getitem__, found))
                 for key, found in landings.items()}
     # One frozenset per distinct set of attacks, shared by every edge; a
     # mask of attack ids decodes as a mask of states does.
-    attack_set = cache(lambda bits: frozenset(states_of(bits)))
-    land_attacks = {key: tuple(map(attack_set, found.values())) for key, found in landings.items()}
+    attack_sets = {bits: frozenset(states_of(bits))
+                   for bits in {0}.union(*(found.values() for found in landings.values()))}
+    land_attacks = {key: tuple(map(attack_sets.__getitem__, found.values()))
+                    for key, found in landings.items()}
     # (s, a) -> what each of its moves starts with (FINAL, where the
     # support touches the goal) and the non-goal states it lands in
-    outcomes = {key: (((len(nodes),), (attack_set(0),)) if support & masks.goal else ((), ()),
+    outcomes = {key: (((len(nodes),), (attack_sets[0],)) if support & masks.goal else ((), ()),
                    states_of(support & ~masks.goal)) for key, support in masks.support.items()}
+    # A node's rows under an action depend only on (state, action,
+    # image), so each such triple is joined once, and each distinct row
+    # is one tuple shared by every node that has it.
+    rows: dict[int, tuple[list, list]] = {}
+    pool: dict[tuple, tuple] = {}
     succs, attacks = [], []
-    for s, _states, mask in ranked:
-        node_succs, node_attacks = [], []
-        for action, image in offered[mask]:
-            head, landing = outcomes[(s, action)]
-            for query in range(n_queries):
-                targets, atts = head
-                base = (image * n_queries + query) * n_states
-                for s2 in landing:
-                    targets += land_ids[base + s2]
-                    atts += land_attacks[base + s2]
-                node_succs.append(targets)
-                node_attacks.append(atts)
-        succs.append(tuple(node_succs))
-        attacks.append(tuple(node_attacks))
+    for s, masks_of_s in enumerate(by_state):
+        for mask in masks_of_s:
+            node_succs, node_attacks = [], []
+            for action, image in offered[mask]:
+                row = rows.get(key := (image * n_actions + action) * n_states + s)
+                if row is None:
+                    head, landing = outcomes[(s, action)]
+                    row_succs, row_attacks = [], []
+                    for query in range(n_queries):
+                        targets, atts = head
+                        base = (image * n_queries + query) * n_states
+                        for s2 in landing:
+                            targets += land_ids[base + s2]
+                            atts += land_attacks[base + s2]
+                        row_succs.append(pool.setdefault(targets, targets))
+                        row_attacks.append(pool.setdefault(atts, atts))
+                    row = rows[key] = (row_succs, row_attacks)
+                node_succs += row[0]
+                node_attacks += row[1]
+            succs.append(tuple(node_succs))
+            attacks.append(tuple(node_attacks))
 
     return BeliefMDP(
         game=game, nodes=nodes,
-        moves=tuple((a, q) for a in range(len(masks.enabled)) for q in range(n_queries)),
-        node_moves=tuple(move_ids[mask] for _s, _states, mask in ranked),
+        moves=tuple((a, q) for a in range(n_actions) for q in range(n_queries)),
+        node_moves=tuple(move_ids[mask] for masks_of_s in by_state for mask in masks_of_s),
         succs=tuple(succs), attacks=tuple(attacks),
-        members=tuple(tuple(ids[mask * n_states + s] for s in states)
-                      for mask, states in sorted(keys.items(), key=lambda item: item[1])),
-        start=ids[(1 << game.initial) * n_states + game.initial])
+        members=tuple(tuple(ids[s][mask] for s in keys[mask]) for mask in order),
+        start=ids[game.initial][1 << game.initial])
 
 
 def restricted(mdp: BeliefMDP, keep: Iterable[BeliefNode]) -> BeliefMDP:

@@ -29,10 +29,13 @@ a single reverse adjacency once per solve, and it serves the losing core, the
 elimination sweep and the stall check (`reaching_final`, nested in the
 solver).  It is filled by scanning nodes in rank order and each node's
 moves in sorted order, so every predecessor list is already in
-(node_key, move) order and needs no sort.  Class peers are int tuples
-and the doomed set a flag list; ints become `BeliefNode` and move pairs
-again only in the report, and the trace's `Removal`s only when it is
-read.
+(node_key, move) order and needs no sort.  The moves are kept per
+class: each class holds one move mask and the list of its live members,
+those that reach `FINAL` at the start, so a withdrawal tests one bit
+once and logs one removal per live member.  Per-node masks are built
+only for each stall's `reaching_final` and for the report.  The doomed
+set is a flag list; ints become `BeliefNode` and move pairs again only
+in the report, and the trace's `Removal`s only when it is read.
 """
 
 from __future__ import annotations
@@ -111,44 +114,61 @@ class SolveReport:
 
 
 def solve_p1(mdp: BeliefMDP) -> SolveReport:
-    """Maximal belief-uniform multi-strategy for almost-sure completion."""
+    """Maximal belief-uniform multi-strategy for almost-sure completion.
+
+    The moves are kept per class, not per node.  This relies on every
+    class's members holding one ``node_moves`` tuple, which
+    `build_belief_mdp` and `restricted` guarantee: every withdrawal and
+    every doom then applies to a whole class, so each member not doomed
+    in round 0 always holds its class's moves.
+    """
     n = len(mdp.succs)
-    # offered[i]: node i's move set.  back[j]: the (predecessor, move)
-    # pairs of node j in canonical order, each stored as the int
-    # ``i << shift | k``, which ``low`` masks back to k.  Ints, unlike
-    # tuples, are not tracked by the cyclic garbage collector, and each
-    # pair is one int shared by the lists of all its successors.
-    offered = [0] * n
+    # back[j]: the (predecessor, move) pairs of node j in canonical
+    # order, each stored as the int ``i << shift | k``, which ``low``
+    # masks back to k.  Ints, unlike tuples, are not tracked by the
+    # cyclic garbage collector, and each pair is one int shared by the
+    # lists of all its successors.
     shift = len(mdp.moves).bit_length()
     low = (1 << shift) - 1
     back: list[list[int]] = [[] for _ in range(n + 1)]
     for i, (ks, succs) in enumerate(zip(mdp.node_moves, mdp.succs)):
         for k, targets in zip(ks, succs):
-            offered[i] |= 1 << k
             entry = i << shift | k
             for j in targets:
                 back[j].append(entry)
-    peers: list[tuple[int, ...]] = [()] * n  # each node's class, one tuple per class
-    for members in mdp.members:
-        for i in members:
-            peers[i] = members
 
-    def reaching_final(live: list[int]) -> bytearray:
+    def reaching_final(moves: list[int]) -> bytearray:
         """Flags of the nodes that reach FINAL through moves whose bit is
-        set in ``live[pred]``."""
+        set in ``moves[pred]``."""
         reached = bytearray(n)
         queue = [n]
         for node in queue:
             for entry in back[node]:
                 pred = entry >> shift
-                if not reached[pred] and live[pred] >> (entry & low) & 1:
+                if not reached[pred] and moves[pred] >> (entry & low) & 1:
                     reached[pred] = 1
                     queue.append(pred)
         return reached
 
-    alive = reaching_final(offered)
-    allowed = [offered[i] if alive[i] else 0 for i in range(n)]
+    # cls[i]: node i's class.  offered[c]: class c's move set.  live[c]:
+    # its members that reach FINAL at the start, in ``members`` order.
+    # allowed[c]: the one move set those members hold, 0 once they are
+    # doomed.
+    cls = [0] * n
+    offered: list[int] = []
+    for c, ids in enumerate(mdp.members):
+        for i in ids:
+            cls[i] = c
+        offered.append(sum(1 << k for k in mdp.node_moves[ids[0]]))
+    alive = reaching_final([offered[c] for c in cls])
     doomed = bytearray(1 - flag for flag in alive)
+    live = [[i for i in ids if alive[i]] for ids in mdp.members]
+    allowed = [mask if ids else 0 for mask, ids in zip(offered, live)]
+
+    def per_node() -> list[int]:
+        """Each node's move set: its class's, or 0 where it is doomed."""
+        return [0 if doomed[i] else allowed[cls[i]] for i in range(n)]
+
     current = [i for i in range(n) if doomed[i]]
     levels: list[list[int]] = [current]
     trace: list[int] = []  # flat, as in `SolveReport._removals`
@@ -159,15 +179,16 @@ def solve_p1(mdp: BeliefMDP) -> SolveReport:
             next_level: list[int] = []
             for cause in current:
                 for entry in back[cause]:
-                    source, k = entry >> shift, entry & low
-                    bit = 1 << k
-                    for peer in peers[source]:
-                        if allowed[peer] & bit:
-                            allowed[peer] ^= bit
+                    c = cls[entry >> shift]
+                    k = entry & low
+                    if allowed[c] >> k & 1:
+                        allowed[c] ^= 1 << k
+                        for peer in live[c]:
                             trace += (iteration, peer, k, cause)
-                            if not allowed[peer] and not doomed[peer]:
+                        if not allowed[c]:
+                            for peer in live[c]:
                                 doomed[peer] = 1
-                                next_level.append(peer)
+                            next_level += live[c]
             iteration += 1
             current = sorted(next_level)
             if current:
@@ -177,34 +198,36 @@ def solve_p1(mdp: BeliefMDP) -> SolveReport:
         # route to FINAL (only loops remain); playing there never
         # completes, so the node -- and, since the agent cannot tell the
         # members apart, its whole class -- is doomed as well.
-        alive = reaching_final(allowed)
+        alive = reaching_final(per_node())
         stranded = [i for i in range(n) if not doomed[i] and not alive[i]]
         if not stranded:
             break
         fresh: list[int] = []
         for node in stranded:
-            for member in peers[node]:
-                if doomed[member]:
-                    continue
-                kept = allowed[member]
+            c = cls[node]
+            kept = allowed[c]
+            if not kept:
+                continue
+            for member in live[c]:
                 for k in range(kept.bit_length()):
                     if kept >> k & 1:
                         trace += (iteration, member, k, node)
-                allowed[member] = 0
                 doomed[member] = 1
-                fresh.append(member)
+            allowed[c] = 0
+            fresh += live[c]
         iteration += 1
         current = sorted(fresh)
         levels.append(current)
 
     nodes, moves = mdp.nodes, mdp.moves
+    held = per_node()
     move_sets: dict[int, frozenset[ActionPair]] = {}
-    for mask in allowed:
+    for mask in held:
         if mask not in move_sets:
             move_sets[mask] = frozenset(
                 pair for k, pair in enumerate(moves) if mask >> k & 1)
     strategy = MultiStrategy(
-        allowed={q: move_sets[allowed[i]] for i, q in enumerate(nodes)})
+        allowed={q: move_sets[held[i]] for i, q in enumerate(nodes)})
     return SolveReport(
         mdp=mdp,
         win=frozenset(q for i, q in enumerate(nodes) if not doomed[i]),

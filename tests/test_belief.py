@@ -10,8 +10,10 @@ from sensorgames import (
     check_soundness,
     export_attacker_dot,
     export_belief_dot,
+    parse_spec,
     run_stages,
     solve_p1,
+    validate_game,
 )
 from sensorgames.belief import (
     FINAL,
@@ -23,6 +25,7 @@ from sensorgames.belief import (
 
 from .conftest import bnode
 from .test_game import small_games
+from .test_golden import ladder_text
 
 
 def test_fig1_shape(fig1):
@@ -220,6 +223,19 @@ def assert_dense_matches(mdp):
     assert [[node_of[i] for i in members] for members in mdp.members] == [
         list(members) for members in mdp.classes.values()]
     assert node_of[mdp.start] == mdp.initial
+
+
+def test_rows_are_shared():
+    # On the 17/5/7 rung each distinct successor row and attack row is
+    # one tuple, shared by every move that has it, and every class's
+    # members hold one ``node_moves`` tuple, which `solve_p1` relies on.
+    mdp = build_belief_mdp(validate_game(parse_spec(ladder_text(17, 5, 7))))
+    succs = [row for rows in mdp.succs for row in rows]
+    attacks = [row for rows in mdp.attacks for row in rows]
+    assert len(succs) == len(attacks) == 16431
+    assert len({id(row) for row in succs}) == len(set(succs)) == 2790
+    assert len({id(row) for row in attacks}) == len(set(attacks)) == 86
+    assert all(len({id(mdp.node_moves[i]) for i in ids}) == 1 for ids in mdp.members)
 
 
 @pytest.mark.parametrize("fixture", ["fig1", "fig1_noattack", "fig1_nosense", "fig4"])
