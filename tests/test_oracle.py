@@ -1,5 +1,6 @@
 """Random-game generator and the brute-force cross-check."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -15,6 +16,9 @@ from sensorgames import (
 )
 from sensorgames.oracle import GeneratorParams, OracleResult, generate_game, generate_spec
 from sensorgames.specfile import SensorDecl
+
+from .conftest import load_corpus
+from .test_golden import corpus_games, split_class
 
 
 SMALL = dict(n_states=4, n_actions=2, n_sensors=2, n_queries=2, n_attacks=3,
@@ -131,6 +135,40 @@ def test_manifest_slice_agrees(corpus):
         if len(seen) == 8:
             break
     assert seen == MANIFEST_SLICE
+
+
+def oracle_line(key, mdp, cap=1_000_000) -> str:
+    """``brute_force_win1``'s result on ``mdp``, or its cap estimate,
+    as one line of text headed by ``key``."""
+    try:
+        result = brute_force_win1(mdp, cap=cap)
+    except CapExceededError as err:
+        return f"{key} cap {err.estimate}\n"
+    return f"{key} {result.initial_winning} {result.assignments_checked} {result.class_count}\n"
+
+
+# sha256 of `oracle_line` over the 137 differential seeds within the cap
+# (seed 60 gives (True, 324001, 6), seed 41 (False, 59049, 10)), then
+# over each of the 350 corpus games restricted by `split_class`, keyed
+# by its position in the corpus: 236 of them have a class to split, 142
+# of those are refused at the cap.  The counts pin the enumeration order
+# and the cap estimate.
+ORACLE_COUNTS = "12bce1dd8afb2e3c45e2072382933d4b8aac4fbbb66d6bb61d8e9b827577eeac"
+
+
+def test_oracle_counts_frozen():
+    block = load_corpus()["differential"]
+    digest, within, split = hashlib.sha256(), 0, 0
+    for entry in block["seeds"]:
+        if entry["within_cap"]:
+            mdp = build_belief_mdp(generate_game(GeneratorParams(**block["params"], seed=entry["seed"])))
+            digest.update(oracle_line(entry["seed"], mdp, block["cap"]).encode())
+            within += 1
+    for k, game in enumerate(corpus_games()):
+        if (sub := split_class(build_belief_mdp(game))) is not None:
+            digest.update(oracle_line(k, sub, block["cap"]).encode())
+            split += 1
+    assert (within, split, digest.hexdigest()) == (137, 236, ORACLE_COUNTS)
 
 
 def test_full_losing_enumeration(fig1_nosense):
