@@ -293,6 +293,7 @@ def restricted(mdp: BeliefMDP, keep: Iterable[BeliefNode]) -> BeliefMDP:
     inside = [q in kept for q in mdp.nodes] + [True]
     new = list(accumulate(inside, initial=0))  # new[i]: node i's id in the sub-MDP
     node_moves, succs, attacks = ([()] * new[len(mdp.nodes)] for _ in range(3))
+    pool: dict[tuple[int, ...], tuple[int, ...]] = {}  # row -> its one renumbered tuple
     members = []
     for ids in mdp.members:
         if ids := [i for i in ids if inside[i]]:
@@ -303,7 +304,10 @@ def restricted(mdp: BeliefMDP, keep: Iterable[BeliefNode]) -> BeliefMDP:
             ks = tuple(offered[t] for t in allowed)  # one tuple per class
             for i in ids:
                 node_moves[new[i]] = ks
-                succs[new[i]] = tuple(tuple([new[j] for j in mdp.succs[i][t]]) for t in allowed)
+                rows = [mdp.succs[i][t] for t in allowed]
+                for row in filterfalse(pool.__contains__, rows):
+                    pool[row] = tuple([new[j] for j in row])
+                succs[new[i]] = tuple(map(pool.__getitem__, rows))
                 attacks[new[i]] = tuple(mdp.attacks[i][t] for t in allowed)
     return BeliefMDP(
         game=mdp.game, nodes=tuple(q for q, flag in zip(mdp.nodes, inside) if flag),

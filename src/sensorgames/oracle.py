@@ -6,23 +6,37 @@ exists to mass-produce small instances for differential testing.
 
 The brute-force check answers one question only, by sheer enumeration:
 does the agent have *any* belief-uniform multi-strategy that completes
-the task almost surely from the start?  It tries every assignment of a
-nonempty move subset to every belief class and applies the plain
-Markov-chain certificate (completion stays reachable everywhere the
-chain can go) to each induced chain.  Classes no move sequence can reach
-from the start are skipped: their assignment cannot touch the chain.
-The combination count is checked against a hard cap first, so a blow-up
-is an explicit refusal rather than a silent week of CPU time.  The
-referee reads the perceived game's own numbering, the ints `BeliefMDP`
-stores, and nothing of the solver's; it enumerates classes in the order
-`BeliefMDP.members` holds them.
+the task almost surely from the start?  It decides every assignment of a
+nonempty move subset to every belief class, and an assignment wins when
+the plain Markov-chain certificate (completion stays reachable
+everywhere the chain can go) holds for its induced chain.  Classes no
+move sequence can reach from the start are skipped: their assignment
+cannot touch the chain.  The combination count is checked against a
+hard cap first, so a blow-up is an explicit refusal rather than a silent
+week of CPU time.  The referee reads the perceived game's own numbering,
+the ints `BeliefMDP` stores, and nothing of the solver's; it enumerates
+classes in the order `BeliefMDP.members` holds them.
+
+The assignments are walked depth first, one class at a time, and each
+prefix of decided classes is tried once by a *prefix refutation*: a
+node reached from the start through decided nodes alone is reached by
+every completion, and a completion's chain only ever has fewer edges
+than the graph in which each undecided node keeps all its class's
+moves, since every nonempty subset is part of that union.  So if such
+a surely reached node cannot reach `FINAL` even in that graph, every
+completion fails, and the whole block is decided at once.  With every
+class decided the refutation is the certificate itself, which the
+referee runs on each assignment that survives to the last class.
+`OracleResult.assignments_checked` counts the assignments decided,
+those ruled out as a block included, so it is the same as for a loop
+that certifies every assignment in turn.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .belief import BeliefMDP
 from .game import Game, validate_game
@@ -135,8 +149,9 @@ class OracleResult:
 def brute_force_win1(mdp: BeliefMDP, cap: int = 1_000_000) -> OracleResult:
     """Exhaustive answer to "is the start node winning for the agent?".
 
-    Enumerates every belief-uniform assignment of nonempty move subsets
-    and certifies each induced chain independently of the solver.  Only
+    Decides every belief-uniform assignment of nonempty move subsets,
+    independently of the solver, by the certificate on its induced
+    chain or by a refuted prefix (see the module notes).  Only
     classes with a node reachable from the start (under any moves) are
     enumerated; whatever is assigned elsewhere can never alter the chain
     the start node sees.  Classes offering no move at all are kept as
@@ -148,8 +163,13 @@ def brute_force_win1(mdp: BeliefMDP, cap: int = 1_000_000) -> OracleResult:
     classes they touch are enumerated in ``mdp.members`` order, the first
     class varying slowest and each class's subsets largest first.  Each
     reached node's successor ids under every move subset of its class
-    are listed once, so the certificate runs on ints for every
-    assignment.
+    are listed once, so both checks run on ints.  The prefix refutation
+    runs before the first choice and after each class's choice but the
+    last; where it holds, the block of completions, the product of the
+    later classes' subset counts, is counted as decided and the walk
+    moves to the next choice.  A winning game's count is the 1-based
+    position of its first certified assignment in product order, and a
+    losing game's is the whole product.
     """
     start, node_moves = mdp.start, mdp.node_moves
     if start is None:  # a `restricted` MDP without the start node
@@ -189,11 +209,69 @@ def brute_force_win1(mdp: BeliefMDP, cap: int = 1_000_000) -> OracleResult:
         moves = dict(zip(node_moves[i], mdp.succs[i]))
         succ[i] = [[j for k in subset for j in moves[k]] for subset in per_class[cls[i]]]
 
-    checked = 0
-    for choice in product(*(range(len(subsets)) for subsets in per_class)):
-        checked += 1
-        ok, _ = certify_almost_sure_reach(
-            start, lambda i: succ[i][choice[cls[i]]], final)
-        if ok:
-            return OracleResult(True, checked, len(classes))
-    return OracleResult(False, checked, len(classes))
+    # Depth-first over the classes in product order.  ``choice[c]`` is
+    # class c's subset index; a class not yet decided holds 0, its
+    # largest subset, which is all the moves it offers.
+    sizes = [len(subsets) for subsets in per_class]
+    block = [1] * len(sizes)  # block[c]: assignments per choice at class c
+    for c in range(len(sizes) - 1, 0, -1):
+        block[c - 1] = block[c] * sizes[c]
+    choice = [0] * len(sizes)
+
+    def refuted(depth: int) -> bool:
+        """Whether every completion of the first ``depth`` classes'
+        choices fails: some node that every completion reaches cannot
+        reach `FINAL` even with all moves at the undecided nodes."""
+        preds: dict[int, list[int]] = {start: []}
+        queue = [start]
+        for i in queue:
+            if i != final:
+                for j in succ[i][choice[cls[i]]]:
+                    if j in preds:
+                        preds[j].append(i)
+                    else:
+                        preds[j] = [i]
+                        queue.append(j)
+        if final not in preds:
+            return True
+        can_finish = {final}
+        queue = [final]
+        for j in queue:
+            for i in preds[j]:
+                if i not in can_finish:
+                    can_finish.add(i)
+                    queue.append(i)
+        # The surely reached nodes: undecided ones end the walk.
+        sure, queue = {start}, [start]
+        for i in queue:
+            if i not in can_finish:
+                return True
+            if i != final and cls[i] < depth:
+                for j in succ[i][choice[cls[i]]]:
+                    if j not in sure:
+                        sure.add(j)
+                        queue.append(j)
+        return False
+
+    last = len(sizes) - 1
+    if refuted(0):
+        return OracleResult(False, block[0] * sizes[0], len(classes))
+    checked, c = 0, 0
+    while True:
+        if c == last:
+            checked += 1
+            if certify_almost_sure_reach(start, lambda i: succ[i][choice[cls[i]]], final)[0]:
+                return OracleResult(True, checked, len(classes))
+        elif refuted(c + 1):
+            checked += block[c]
+        else:
+            c += 1
+            continue
+        # the next choice in product order, undoing the classes that are spent
+        choice[c] += 1
+        while choice[c] == sizes[c]:
+            choice[c] = 0
+            if c == 0:
+                return OracleResult(False, checked, len(classes))
+            c -= 1
+            choice[c] += 1

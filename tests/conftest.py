@@ -5,14 +5,16 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 from importlib import resources
+from itertools import combinations, product
 
 import pytest
 from hypothesis import strategies as st
 
 from sensorgames import bundled_game_text, run_stages, validate_game
-from sensorgames.belief import FINAL, BeliefNode
+from sensorgames.belief import FINAL, BeliefMDP, BeliefNode
 from sensorgames.game import Game
-from sensorgames.oracle import GeneratorParams, generate_spec
+from sensorgames.oracle import CapExceededError, GeneratorParams, OracleResult, generate_spec
+from sensorgames.planner import certify_almost_sure_reach
 from sensorgames.specfile import EnablingDecl
 
 
@@ -89,3 +91,51 @@ def per_state_attack_games(draw):
     return per_state_attack_game(
         draw(st.integers(0, 10_000)),
         lambda names: draw(st.sets(st.sampled_from(names), min_size=1)))
+
+
+def plain_brute_force(mdp: BeliefMDP, cap: int = 1_000_000) -> OracleResult:
+    """`brute_force_win1` without the prefix refutation: the reference
+    it must equal.  It certifies every assignment in product order, the
+    first class varying slowest and each class's subsets largest first,
+    and counts each one; the cap estimate is the same."""
+    start, node_moves = mdp.start, mdp.node_moves
+    if start is None:
+        return OracleResult(False, 0, 0)
+    final = len(mdp.succs)
+    reached, seen = [start], {start, final}
+    for i in reached:
+        fresh = {j for targets in mdp.succs[i] for j in targets} - seen
+        seen |= fresh
+        reached += fresh
+
+    classes = [members for members in mdp.members if not seen.isdisjoint(members)]
+    per_class: list[list[tuple]] = []
+    estimate = 1
+    for members in classes:
+        offered = node_moves[members[0]]
+        if not offered:
+            per_class.append([()])
+            continue
+        subsets = [combo for size in range(len(offered), 0, -1)
+                   for combo in combinations(offered, size)]
+        estimate *= len(subsets)
+        if estimate > cap:
+            raise CapExceededError(estimate, cap)
+        per_class.append(subsets)
+
+    cls = [0] * final
+    for c, members in enumerate(classes):
+        for i in members:
+            cls[i] = c
+    succ: list = [None] * final
+    for i in reached:
+        moves = dict(zip(node_moves[i], mdp.succs[i]))
+        succ[i] = [[j for k in subset for j in moves[k]] for subset in per_class[cls[i]]]
+
+    checked = 0
+    for choice in product(*(range(len(subsets)) for subsets in per_class)):
+        checked += 1
+        ok, _ = certify_almost_sure_reach(start, lambda i: succ[i][choice[cls[i]]], final)
+        if ok:
+            return OracleResult(True, checked, len(classes))
+    return OracleResult(False, checked, len(classes))

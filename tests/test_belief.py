@@ -225,17 +225,28 @@ def assert_dense_matches(mdp):
     assert node_of[mdp.start] == mdp.initial
 
 
-def test_rows_are_shared():
-    # On the 17/5/7 rung each distinct successor row and attack row is
-    # one tuple, shared by every move that has it, and every class's
-    # members hold one ``node_moves`` tuple, which `solve_p1` relies on.
-    mdp = build_belief_mdp(validate_game(parse_spec(ladder_text(17, 5, 7))))
+def assert_rows_shared(mdp, counts):
+    """Each distinct successor row and attack row is one tuple, shared
+    by every move that has it; ``counts`` is (rows, distinct successor
+    rows, distinct attack rows).  Every class's members hold one
+    ``node_moves`` tuple, which `solve_p1` relies on."""
     succs = [row for rows in mdp.succs for row in rows]
     attacks = [row for rows in mdp.attacks for row in rows]
-    assert len(succs) == len(attacks) == 16431
-    assert len({id(row) for row in succs}) == len(set(succs)) == 2790
-    assert len({id(row) for row in attacks}) == len(set(attacks)) == 86
+    assert len(succs) == len(attacks) == counts[0]
+    assert len({id(row) for row in succs}) == len(set(succs)) == counts[1]
+    assert len({id(row) for row in attacks}) == len(set(attacks)) == counts[2]
     assert all(len({id(mdp.node_moves[i]) for i in ids}) == 1 for ids in mdp.members)
+
+
+def test_rows_are_shared():
+    # The 17/5/7 rung, then the 14/5/7 rung less its largest class: the
+    # sub-MDP renumbers each distinct row once.
+    assert_rows_shared(build_belief_mdp(validate_game(parse_spec(ladder_text(17, 5, 7)))),
+                       (16431, 2790, 86))
+    mdp = build_belief_mdp(validate_game(parse_spec(ladder_text(14, 5, 7))))
+    largest = set(max(mdp.members, key=len))
+    sub = restricted(mdp, [q for i, q in enumerate(mdp.nodes) if i not in largest])
+    assert_rows_shared(sub, (39222, 5808, 25))
 
 
 @pytest.mark.parametrize("fixture", ["fig1", "fig1_noattack", "fig1_nosense", "fig4"])

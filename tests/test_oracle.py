@@ -17,7 +17,7 @@ from sensorgames import (
 from sensorgames.oracle import GeneratorParams, OracleResult, generate_game, generate_spec
 from sensorgames.specfile import SensorDecl
 
-from .conftest import load_corpus
+from .conftest import load_corpus, plain_brute_force
 from .test_golden import corpus_games, split_class
 
 
@@ -137,11 +137,11 @@ def test_manifest_slice_agrees(corpus):
     assert seen == MANIFEST_SLICE
 
 
-def oracle_line(key, mdp, cap=1_000_000) -> str:
-    """``brute_force_win1``'s result on ``mdp``, or its cap estimate,
-    as one line of text headed by ``key``."""
+def oracle_line(key, mdp, cap=1_000_000, referee=brute_force_win1) -> str:
+    """``referee``'s result on ``mdp``, or its cap estimate, as one line
+    of text headed by ``key``."""
     try:
-        result = brute_force_win1(mdp, cap=cap)
+        result = referee(mdp, cap=cap)
     except CapExceededError as err:
         return f"{key} cap {err.estimate}\n"
     return f"{key} {result.initial_winning} {result.assignments_checked} {result.class_count}\n"
@@ -171,8 +171,37 @@ def test_oracle_counts_frozen():
     assert (within, split, digest.hexdigest()) == (137, 236, ORACLE_COUNTS)
 
 
+REFERENCE_CAP = 20_000
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig1_noattack", "fig1_nosense", "fig4"])
+def test_plain_enumeration_agrees_on_figures(name, request):
+    # Under the reference cap fig1_nosense is enumerated in full and the
+    # others are refused with the same estimate; fig4's full count is
+    # pinned by `test_early_exit_counts`.
+    mdp = request.getfixturevalue(name).mdp
+    assert (oracle_line(name, mdp, REFERENCE_CAP)
+            == oracle_line(name, mdp, REFERENCE_CAP, plain_brute_force))
+
+
+def test_plain_enumeration_agrees_on_corpus(corpus):
+    # Every differential game and its split-class variant: 232 calls,
+    # 127 winning, 66 losing, 39 refused at the reference cap.
+    block = corpus["differential"]
+    outcomes = []
+    for entry in block["seeds"]:
+        mdp = build_belief_mdp(generate_game(GeneratorParams(**block["params"], seed=entry["seed"])))
+        for key, m in ((entry["seed"], mdp), (f"{entry['seed']}-split", split_class(mdp))):
+            if m is not None:
+                line = oracle_line(key, m, REFERENCE_CAP)
+                assert line == oracle_line(key, m, REFERENCE_CAP, plain_brute_force)
+                outcomes.append(line.split()[1])
+    assert [outcomes.count(word) for word in ("True", "False", "cap")] == [127, 66, 39]
+
+
 def test_full_losing_enumeration(fig1_nosense):
-    # Every one of the 1701 assignments is certified and fails.
+    # All 1701 assignments are decided and all fail: the count includes
+    # those ruled out as a block from a failing prefix.
     assert brute_force_win1(fig1_nosense.mdp) == OracleResult(False, 1701, 6)
 
 
