@@ -14,22 +14,23 @@ move sequence can reach from the start are skipped: their assignment
 cannot touch the chain.  The combination count is checked against a
 hard cap first, so a blow-up is an explicit refusal rather than a silent
 week of CPU time.  The referee reads the perceived game's own numbering,
-the ints `BeliefMDP` stores, and nothing of the solver's; it enumerates
-classes in the order `BeliefMDP.members` holds them.
+the ints `BeliefMDP` stores, and nothing of the solver's: it imports
+nothing from `planner`, so the solver and its audit share no code with
+it.  It enumerates classes in the order `BeliefMDP.members` holds them.
 
 The assignments are walked depth first, one class at a time, and each
-prefix of decided classes is tried once by a *prefix refutation*: a
-node reached from the start through decided nodes alone is reached by
-every completion, and a completion's chain only ever has fewer edges
-than the graph in which each undecided node keeps all its class's
-moves, since every nonempty subset is part of that union.  So if such
-a surely reached node cannot reach `FINAL` even in that graph, every
-completion fails, and the whole block is decided at once.  With every
-class decided the refutation is the certificate itself, which the
-referee runs on each assignment that survives to the last class.
-`OracleResult.assignments_checked` counts the assignments decided,
-those ruled out as a block included, so it is the same as for a loop
-that certifies every assignment in turn.
+class's choice is tried once by a *prefix refutation*: a node reached
+from the start through decided nodes alone is reached by every
+completion, and a completion's chain only ever has fewer edges than the
+graph in which each undecided node keeps all its class's moves, since
+every nonempty subset is part of that union.  So if such a surely
+reached node cannot reach `FINAL` even in that graph, every completion
+fails, and the whole block is decided at once.  With every class
+decided the refutation is the certificate itself: the sure nodes are
+all the chain's nodes, so a choice of the last class that survives it
+wins.  `OracleResult.assignments_checked` counts the assignments
+decided, those ruled out as a block included, so it is the same as for
+a loop that certifies every assignment in turn.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from itertools import combinations
 
 from .belief import BeliefMDP
 from .game import Game, validate_game
-from .planner import certify_almost_sure_reach
 from .specfile import (
     ActionDecl,
     GameSpecDocument,
@@ -150,26 +150,29 @@ def brute_force_win1(mdp: BeliefMDP, cap: int = 1_000_000) -> OracleResult:
     """Exhaustive answer to "is the start node winning for the agent?".
 
     Decides every belief-uniform assignment of nonempty move subsets,
-    independently of the solver, by the certificate on its induced
-    chain or by a refuted prefix (see the module notes).  Only
-    classes with a node reachable from the start (under any moves) are
-    enumerated; whatever is assigned elsewhere can never alter the chain
-    the start node sees.  Classes offering no move at all are kept as
-    dead ends and fail the certificate if the chain can touch them.
-    Where the start node is not among the MDP's nodes, which only a
-    `restricted` MDP can leave out, no chain runs and the answer is no.
+    independently of the solver, by a refuted prefix or, once every
+    class is decided, by the same refutation acting as the certificate on
+    its induced chain (see the module notes).  Only classes with a node
+    reachable from the start (under any moves) are enumerated; whatever
+    is assigned elsewhere can never alter the chain the start node sees.
+    A class offering no move has the one empty choice, a dead end that
+    fails the certificate if the chain can touch it.  Where the start
+    node is not among the MDP's nodes, which only a `restricted` MDP can
+    leave out, no chain runs and the answer is no.
 
     The reached nodes are found by walking ``mdp.succs``, and the
     classes they touch are enumerated in ``mdp.members`` order, the first
-    class varying slowest and each class's subsets largest first.  Each
-    reached node's successor ids under every move subset of its class
-    are listed once, so both checks run on ints.  The prefix refutation
-    runs before the first choice and after each class's choice but the
-    last; where it holds, the block of completions, the product of the
-    later classes' subset counts, is counted as decided and the walk
-    moves to the next choice.  A winning game's count is the 1-based
-    position of its first certified assignment in product order, and a
-    losing game's is the whole product.
+    class varying slowest and each class's subsets largest first.  A
+    subset is a tuple of positions into the class's shared
+    ``node_moves`` tuple, so each reached node's successor ids under
+    every subset are read from its ``mdp.succs`` row once and the walk
+    runs on ints.  After each class's choice the refutation runs on the
+    classes decided so far; where it holds, the block of completions,
+    the product of the later classes' subset counts, is counted as
+    decided and the walk moves to the next choice.  A winning game's
+    count is the 1-based position of its first unrefuted full
+    assignment in product order, and a losing game's is the whole
+    product.
     """
     start, node_moves = mdp.start, mdp.node_moves
     if start is None:  # a `restricted` MDP without the start node
@@ -182,20 +185,15 @@ def brute_force_win1(mdp: BeliefMDP, cap: int = 1_000_000) -> OracleResult:
         reached += fresh
 
     classes = [members for members in mdp.members if not seen.isdisjoint(members)]
-    per_class: list[list[tuple]] = []
+    # per_class[c]: class c's subsets as positions into its moves tuple.
+    per_class: list[list[tuple[int, ...]]] = []
     estimate = 1
     for members in classes:
-        offered = node_moves[members[0]]
-        if not offered:
-            per_class.append([()])
-            continue
-        subsets = [
-            combo
-            for size in range(len(offered), 0, -1)
-            for combo in combinations(offered, size)
-        ]
+        offered = range(len(node_moves[members[0]]))
+        subsets = [combo for size in range(len(offered), 0, -1)
+                   for combo in combinations(offered, size)] or [()]
         estimate *= len(subsets)
-        if estimate > cap:
+        if offered and estimate > cap:  # a class without moves is never refused
             raise CapExceededError(estimate, cap)
         per_class.append(subsets)
 
@@ -206,8 +204,8 @@ def brute_force_win1(mdp: BeliefMDP, cap: int = 1_000_000) -> OracleResult:
     # succ[i][j]: successor ids of node i under the j-th subset of its class.
     succ: list = [None] * final
     for i in reached:
-        moves = dict(zip(node_moves[i], mdp.succs[i]))
-        succ[i] = [[j for k in subset for j in moves[k]] for subset in per_class[cls[i]]]
+        rows = mdp.succs[i]
+        succ[i] = [[j for k in subset for j in rows[k]] for subset in per_class[cls[i]]]
 
     # Depth-first over the classes in product order.  ``choice[c]`` is
     # class c's subset index; a class not yet decided holds 0, its
@@ -254,16 +252,12 @@ def brute_force_win1(mdp: BeliefMDP, cap: int = 1_000_000) -> OracleResult:
         return False
 
     last = len(sizes) - 1
-    if refuted(0):
-        return OracleResult(False, block[0] * sizes[0], len(classes))
     checked, c = 0, 0
     while True:
-        if c == last:
-            checked += 1
-            if certify_almost_sure_reach(start, lambda i: succ[i][choice[cls[i]]], final)[0]:
-                return OracleResult(True, checked, len(classes))
-        elif refuted(c + 1):
+        if refuted(c + 1):
             checked += block[c]
+        elif c == last:
+            return OracleResult(True, checked + 1, len(classes))
         else:
             c += 1
             continue

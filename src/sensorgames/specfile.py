@@ -33,9 +33,8 @@ can point back at declaration lines.
 One table, `_SECTIONS`, lists the sections in file order and gives each
 its `GameSpecDocument` field, the parser of one of its lines and the
 formatter that writes one declaration back; `parse_spec` and
-`serialize_spec` both walk it, and `SECTION_NAMES` is its keys.  Every
-line parser returns a key, and one check per section reports a key
-declared twice.
+`serialize_spec` both walk it.  Every line parser returns a key, and one
+check per section reports a key declared twice.
 
 The validator checks again every rule the parser checks here, since a
 document built in code never passes through the parser: the name
@@ -307,8 +306,6 @@ _SECTIONS: dict[str, tuple[str, Callable[..., _Parsed], Callable[..., str]]] = {
     "enabled-attacks": ("enabled_attacks", _enabling_line,
                         lambda e: _named_list(e.state, e.attacks)),
 }
-
-SECTION_NAMES = tuple(_SECTIONS)
 
 
 def parse_spec(text: str) -> GameSpecDocument:

@@ -205,5 +205,10 @@ def assert_attacker_invariants(game):
         for att in tuple(trans[node]):
             succs = trans[node][att]
             assert FINAL in succs or any(s not in win2 for s in succs)
+    # The gap is Win2 by construction: the jammer's strategy is defined
+    # exactly on Win2, Win2 lies inside Win1, and the gap is that
+    # strategy, in its order.
+    assert set(strategy.choice) == win2
+    assert win2 <= rep.win
     gap = deception_gap(rep, win2, strategy)
-    assert set(gap) == set(rep.win & win2)
+    assert list(gap.items()) == list(strategy.choice.items())

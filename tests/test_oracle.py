@@ -1,7 +1,9 @@
 """Random-game generator and the brute-force cross-check."""
 
+import ast
 import hashlib
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from sensorgames import (
     solve_p1,
     validate_game,
 )
+from sensorgames import oracle
 from sensorgames.oracle import GeneratorParams, OracleResult, generate_game, generate_spec
 from sensorgames.specfile import SensorDecl
 
@@ -97,6 +100,13 @@ def test_cap_refusal(fig1):
         brute_force_win1(fig1.mdp, cap=1)
     assert err.value.estimate > err.value.cap == 1
     assert "cap is 1" in str(err.value)
+    # A class offering no move has one choice and is never refused, even
+    # at cap 0: in this sub-MDP the start node keeps no move.
+    mdp = fig1.mdp
+    first = {j for targets in mdp.succs[mdp.start] for j in targets}
+    sub = restricted(mdp, [q for i, q in enumerate(mdp.nodes) if i == mdp.start or i not in first])
+    assert sub.node_moves[sub.start] == ()
+    assert brute_force_win1(sub, cap=0) == plain_brute_force(sub, cap=0) == OracleResult(False, 1, 1)
 
 
 def test_early_exit_counts(fig4):
@@ -203,6 +213,19 @@ def test_full_losing_enumeration(fig1_nosense):
     # All 1701 assignments are decided and all fail: the count includes
     # those ruled out as a block from a failing prefix.
     assert brute_force_win1(fig1_nosense.mdp) == OracleResult(False, 1701, 6)
+
+
+def test_oracle_imports_nothing_from_planner():
+    # The referee shares no code with the solver's module, so the two
+    # cannot agree by a common fault.
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules += [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+    assert not [name for name in modules if "planner" in name.split(".")]
 
 
 def test_oracle_without_the_start_node(fig1_noattack):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from sensorgames import (
     MultiStrategy,
+    brute_force_win1,
     build_attacker_mdp,
     build_belief_mdp,
     check_soundness,
@@ -18,10 +19,10 @@ from sensorgames import (
     validate_game,
 )
 from sensorgames.belief import FINAL, BeliefNode, node_key, node_label
-from sensorgames.oracle import GeneratorParams, generate_game
+from sensorgames.oracle import GeneratorParams, OracleResult, generate_game
 from sensorgames.planner import certify_almost_sure_reach
 
-from .conftest import bnode
+from .conftest import bnode, per_state_attack_game, plain_brute_force
 from .test_golden import case_text, ladder_text
 
 FIG1_WIN = [
@@ -367,6 +368,35 @@ def test_nested_fixpoint_agrees_on_a_restricted_rung():
     win = solve_p1(sub).win
     assert (len(sub.nodes), len(win)) == (7107, 5947)
     assert nested_fixpoint_win1(sub) == win
+
+
+# --- removing an attack can lose the start ---------------------------------
+
+def attack_removal_game(s1_attacks):
+    """Seed 288 of the 5-state generator with attacks enabled per state:
+    ``s1_attacks`` at s1 and the listed ones at s0, s2, s3 and s4."""
+    rows = iter([("b1", "b2"), s1_attacks, ("b1", "b2", "none"), ("b1", "b2", "none"), ("b1",)])
+    return per_state_attack_game(288, lambda names: next(rows))
+
+
+def test_removing_an_attack_can_lose_the_start():
+    # A counterexample to "removing an attack, while every state keeps
+    # one, never turns a winning start into a losing one".  The unjammed
+    # view at s1 is the only one that rules s0 out of the belief.
+    # Without it every belief holds s0, where only a1 is enabled, and a1
+    # never reaches the goal s2, so nothing wins.  With it all 15 nodes
+    # win; the brute force needs a cap of its estimate, 20,503,125, and
+    # certifies its first assignment.
+    mdp = build_belief_mdp(attack_removal_game(("b1", "none")))
+    report = solve_p1(mdp)
+    assert (len(mdp.nodes), len(report.win), report.initial_winning) == (15, 15, True)
+    for referee in (brute_force_win1, plain_brute_force):
+        assert referee(mdp, cap=20_503_125) == OracleResult(True, 1, 8)
+    mdp = build_belief_mdp(attack_removal_game(("b1",)))
+    report = solve_p1(mdp)
+    assert (len(mdp.nodes), len(report.win), report.initial_winning) == (6, 0, False)
+    for referee in (brute_force_win1, plain_brute_force):
+        assert referee(mdp) == OracleResult(False, 27, 3)
 
 
 # --- an audit of the deception gap in the arena ------------------------------
