@@ -48,7 +48,8 @@ from .specfile import SpecParseError, parse_spec, serialize_spec
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
+    """A game file's text, less a leading UTF-8 byte-order mark."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return handle.read()
 
 

@@ -45,6 +45,9 @@ checked there too, in the same words.
 Parsing never stops at the first problem.  Every malformed line is
 recorded as a `Diagnostic` with its line and column, and `parse_spec`
 raises a `SpecParseError` carrying the whole list once the scan is done.
+A line's tokens are what `str.split` gives.  Columns are found only for
+a diagnostic, by `_column`, which counts ``\\S+`` matches: the two split
+a line at the same places, so a well-formed line costs no column work.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from typing import Callable
 
 
@@ -137,16 +141,18 @@ class GameSpecDocument:
 _TOKEN = re.compile(r"\S+")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# What a line parser returns for a well-formed line: (what, key, column,
+# What a line parser returns for a well-formed line: (what, key,
 # declaration).  The key is unique per section in a valid file; a second
 # line with the same key is reported as "<what> '<key>' declared twice"
-# at that column.  A malformed line gives None.
-_Parsed = tuple[str, str, int, object] | None
+# at the column of the line's first token.  A malformed line gives None.
+_Parsed = tuple[str, str, object] | None
 
 
-def _tokens(text: str) -> list[tuple[str, int]]:
-    """Split a line into (token, 1-based column) pairs."""
-    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(text)]
+def _column(raw: str, index: int) -> int:
+    """The 1-based column of a line's ``index``-th token.  `str.split`
+    and ``\\S+`` split a line at the same places, so this is the column
+    of ``raw.split()[index]``."""
+    return next(islice(_TOKEN.finditer(raw), index, None)).start() + 1
 
 
 class _Scan:
@@ -160,50 +166,48 @@ class _Scan:
     def issue(self, line: int, column: int, kind: str, message: str) -> None:
         self.diagnostics.append(Diagnostic(line, column, kind, message))
 
-    def check_name(self, line: int, column: int, name: str, what: str) -> None:
-        """Flag a declared name outside ``[A-Za-z_][A-Za-z0-9_]*``."""
+    def check_name(self, line: int, raw: str, name: str, what: str) -> None:
+        """Flag a declared name, the first token of line ``raw``, outside
+        ``[A-Za-z_][A-Za-z0-9_]*``."""
         if not _NAME.fullmatch(name):
-            self.issue(line, column, "syntax",
+            self.issue(line, _column(raw, 0), "syntax",
                        f"bad {what} name '{name}' (expected {_NAME.pattern})")
 
 
 def _split_named_list(
     scan: _Scan, lineno: int, raw: str, what: str
-) -> tuple[str, tuple[str, ...], int] | None:
-    """Parse ``name: member member ...``; members may be empty."""
+) -> tuple[str, tuple[str, ...]] | None:
+    """Parse ``name: member member ...``; members may be empty.  The name
+    is then the line's first token."""
     head, sep, tail = raw.partition(":")
     if not sep:
         scan.issue(lineno, 1, "syntax", f"expected '{what}-name: ...' with a colon")
         return None
-    head_tokens = _tokens(head)
+    head_tokens = head.split()
     if len(head_tokens) != 1:
         scan.issue(lineno, 1, "syntax", f"expected exactly one {what} name before ':'")
         return None
-    name, column = head_tokens[0]
-    members = tuple(tok for tok, _ in _tokens(tail))
-    return name, members, column
+    return head_tokens[0], tuple(tail.split())
 
 
 def _state_line(scan: _Scan, lineno: int, raw: str) -> _Parsed:
-    toks = _tokens(raw)
-    name, column = toks[0]
-    scan.check_name(lineno, column, name, "state")
-    flags = [tok for tok, _ in toks[1:]]
-    for tok, col in toks[1:]:
+    name, *flags = raw.split()
+    scan.check_name(lineno, raw, name, "state")
+    for i, tok in enumerate(flags, 1):
         if tok not in ("initial", "goal"):
-            scan.issue(lineno, col, "unknown-field",
+            scan.issue(lineno, _column(raw, i), "unknown-field",
                        f"unknown state flag '{tok}' (expected 'initial' or 'goal')")
-    return "state", name, column, StateDecl(name, "initial" in flags, "goal" in flags, lineno)
+    return "state", name, StateDecl(name, "initial" in flags, "goal" in flags, lineno)
 
 
 def _action_line(scan: _Scan, lineno: int, raw: str) -> _Parsed:
-    toks = _tokens(raw)
+    toks = raw.split()
     if len(toks) != 1:
-        scan.issue(lineno, toks[1][1], "syntax", "one action name per line")
+        scan.issue(lineno, _column(raw, 1), "syntax", "one action name per line")
         return None
-    name, column = toks[0]
-    scan.check_name(lineno, column, name, "action")
-    return "action", name, column, ActionDecl(name, lineno)
+    name = toks[0]
+    scan.check_name(lineno, raw, name, "action")
+    return "action", name, ActionDecl(name, lineno)
 
 
 def _weight_ok(value: object) -> bool:
@@ -228,25 +232,25 @@ def _parse_successor(tok: str) -> tuple[str, float | None] | None:
 
 
 def _transition_line(scan: _Scan, lineno: int, raw: str) -> _Parsed:
-    toks = _tokens(raw)
-    if len(toks) < 3 or toks[2][0] != "->":
+    toks = raw.split()
+    if len(toks) < 3 or toks[2] != "->":
         scan.issue(lineno, 1, "syntax", "expected 'state action -> successors...'")
         return None
     successors: list[tuple[str, float | None]] = []
-    for tok, col in toks[3:]:
+    for i, tok in enumerate(toks[3:], 3):
         succ = _parse_successor(tok)
         if succ is None:
-            scan.issue(lineno, col, "syntax",
+            scan.issue(lineno, _column(raw, i), "syntax",
                        f"bad successor '{tok}' (expected 'name' or 'name:weight', weight > 0)")
             return None
         successors.append(succ)
     if 0 < sum(w is not None for _, w in successors) < len(successors):
-        scan.issue(lineno, toks[3][1], "syntax",
+        scan.issue(lineno, _column(raw, 3), "syntax",
                    "either every successor carries a weight or none does")
         return None
-    (state, column), (action, _) = toks[:2]
+    state, action = toks[:2]
     # Tokens hold no whitespace, so "state action" names the pair uniquely.
-    return ("transition", f"{state} {action}", column,
+    return ("transition", f"{state} {action}",
             TransitionDecl(state, action, tuple(successors), lineno))
 
 
@@ -256,17 +260,17 @@ def _selection_line(what: str, decl: type, scan: _Scan, lineno: int, raw: str) -
     parsed = _split_named_list(scan, lineno, raw, what)
     if parsed is None:
         return None
-    name, members, column = parsed
-    scan.check_name(lineno, column, name, what)
-    return what, name, column, decl(name, members, lineno)
+    name, members = parsed
+    scan.check_name(lineno, raw, name, what)
+    return what, name, decl(name, members, lineno)
 
 
 def _enabling_line(scan: _Scan, lineno: int, raw: str) -> _Parsed:
     parsed = _split_named_list(scan, lineno, raw, "state")
     if parsed is None:
         return None
-    state, attacks, column = parsed
-    return "attack enabling for state", state, column, EnablingDecl(state, attacks, lineno)
+    state, attacks = parsed
+    return "attack enabling for state", state, EnablingDecl(state, attacks, lineno)
 
 
 def _format_successor(succ: tuple[str, float | None]) -> str:
@@ -341,9 +345,10 @@ def parse_spec(text: str) -> GameSpecDocument:
         parsed = _SECTIONS[section][1](scan, lineno, raw)
         if parsed is None:
             continue
-        what, key, column, decl = parsed
+        what, key, decl = parsed
         if key in scan.decls[section]:
-            scan.issue(lineno, column, "duplicate-definition", f"{what} '{key}' declared twice")
+            scan.issue(lineno, _column(raw, 0), "duplicate-definition",
+                       f"{what} '{key}' declared twice")
         else:
             scan.decls[section][key] = decl
 

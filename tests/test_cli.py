@@ -60,6 +60,21 @@ def test_validate_semantic_error(spec_dir, capsys):
     assert "ghost" in err
 
 
+def test_byte_order_mark_is_skipped(spec_dir, tmp_path, capsys):
+    # Editors on some platforms save UTF-8 with a leading byte-order mark.
+    plain = spec_dir / "fig1.game"
+    marked = tmp_path / "fig1.game"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert run(capsys, "validate", marked) == run(capsys, "validate", plain)
+    views = []
+    for path in (plain, marked):
+        code, out, err = run(capsys, "gap", path, "--format", "structured")
+        doc = json.loads(out)
+        assert doc.pop("source") == str(path)
+        views.append((code, doc, err))
+    assert views[0] == views[1]
+
+
 def test_validate_bad_name(spec_dir, capsys):
     code, out, err = run(capsys, "validate", spec_dir / "badname.game")
     assert code == 2 and out == ""

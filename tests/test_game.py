@@ -19,8 +19,8 @@ from sensorgames import (
 )
 from sensorgames.belief import BeliefNode
 from sensorgames.game import states_of
-from sensorgames.oracle import GeneratorParams, generate_game
-from sensorgames.specfile import EnablingDecl, GameSpecDocument
+from sensorgames.oracle import GeneratorParams, generate_game, generate_spec
+from sensorgames.specfile import EnablingDecl, GameSpecDocument, SelectionDecl
 
 from .conftest import per_state_attack_games
 from .test_specfile import MINI
@@ -37,6 +37,25 @@ def small_games():
         lambda seed: generate_game(GeneratorParams(
             n_states=5, n_actions=3, n_sensors=3, n_queries=3, n_attacks=3,
             max_support=2, goal_fraction=0.25, seed=seed)))
+
+
+@st.composite
+def wide_sensor_games(draw):
+    """A generated game of 6-8 states and 4-6 sensors whose queries and
+    attacks are drawn freely.  Its last sensor covers nothing, and its
+    last attack jams every sensor, so no sensor is readable under it."""
+    n_sensors = draw(st.integers(4, 6))
+    doc = generate_spec(GeneratorParams(
+        n_states=draw(st.integers(6, 8)), n_actions=2, n_sensors=n_sensors, n_queries=1,
+        n_attacks=1, max_support=3, goal_fraction=0.25, seed=draw(st.integers(0, 10_000))))
+    sensors = doc.sensors[:-1] + (replace(doc.sensors[-1], covers=()),)
+    names = [g.name for g in sensors]
+    picks = st.lists(st.sets(st.sampled_from(names)).map(sorted).map(tuple),
+                     min_size=1, max_size=3)
+    queries = tuple(SelectionDecl(f"q{i}", pick) for i, pick in enumerate(draw(picks)))
+    attacks = tuple(SelectionDecl(f"b{i}", pick) for i, pick in enumerate(draw(picks)))
+    return validate_game(replace(doc, sensors=sensors, queries=queries,
+                                 attacks=attacks + (SelectionDecl("all", tuple(names)),)))
 
 
 # --- validation ---------------------------------------------------------
@@ -242,7 +261,7 @@ def test_unknown_name_is_named(fig1, kind):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(small_games(), per_state_attack_games()))
+@given(st.one_of(small_games(), per_state_attack_games(), wide_sensor_games()))
 def test_masks_match_trans_and_observation(game):
     masks = game.masks
     assert game.masks is masks

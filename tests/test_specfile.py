@@ -11,6 +11,7 @@ from sensorgames import (
     serialize_spec,
 )
 from sensorgames.oracle import GeneratorParams, generate_spec
+from sensorgames.specfile import _TOKEN, _column
 
 MINI = """\
 [states]
@@ -213,6 +214,17 @@ def test_random_specs_round_trip(seed):
         max_support=3, goal_fraction=0.3, seed=seed))
     text = serialize_spec(doc)
     assert serialize_spec(parse_spec(text)) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(st.one_of(st.characters(), st.sampled_from(" \t\u3000\xa0\x1f\x85\u200b"))))
+def test_split_matches_token_pattern(line):
+    # The line parsers split with `str.split` and look a column up with
+    # ``\S+`` only for a diagnostic, so both must see the same tokens.
+    tokens = line.split()
+    assert tokens == _TOKEN.findall(line)
+    for i, token in enumerate(tokens):
+        assert line.startswith(token, _column(line, i) - 1)
 
 
 # Malformed files and every diagnostic each one gives, in order, as
