@@ -33,7 +33,7 @@ def move_str(game, move):
 
 
 game, mdp, report = solve("fig1")
-print(f"perceived game: {len(mdp.nodes)} nodes in {len(mdp.classes)} belief classes")
+print(f"perceived game: {len(mdp.nodes)} nodes in {len(mdp.members)} belief classes")
 print(f"start node {node_label(game, mdp.initial)} is "
       f"{'winning' if report.initial_winning else 'losing'}")
 print(f"winning nodes: {len(report.win)}")

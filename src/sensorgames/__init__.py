@@ -29,7 +29,6 @@ from .belief import (
     move_label,
     node_key,
     node_label,
-    restricted,
 )
 from .planner import (
     MultiStrategy,

@@ -48,19 +48,18 @@ read that one numbering, and only turn ints back into nodes and moves
 for what they report.  The jammer's game, `AttackerMDP`, is stored on
 ints the same way: its nodes are the Win1 nodes in this order, numbered
 by position, and its `FINAL` is the position after the last.
-`restricted` filters and renumbers the ids.  ``BeliefMDP.initial``,
-``BeliefMDP.classes`` and ``BeliefMDP.trans`` are views of the ints in
-nodes: the start node, the classes keyed by belief, and the game keyed
-by nodes and moves.  The last two are built on first read, and no stage
-reads them.
+``BeliefMDP.initial``, ``BeliefMDP.classes`` and ``BeliefMDP.trans``
+are views of the ints in nodes: the start node, the classes keyed by
+belief, and the game keyed by nodes and moves.  The last two are built
+on first read, and no stage reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, count, filterfalse
-from typing import Iterable, NamedTuple
+from itertools import count, filterfalse
+from typing import NamedTuple
 
 from .game import ActionId, AttackId, Game, QueryId, StateId, states_of
 
@@ -127,9 +126,11 @@ class BeliefMDP:
     that produce each of them, in the same order; `FINAL`'s set is
     empty.  ``members`` holds each class's member ids, beliefs in sorted
     order and each class's members in ``nodes`` order.  ``start`` is the
-    start node's id, or None where a `restricted` MDP left the start
-    node out.  ``nodes`` and ``members`` are the one home of the
-    canonical order: every consumer walks them rather than sorting.
+    start node's id.  `build_belief_mdp` always sets it, but a sub-MDP
+    built from these fields, such as the winning region of a game whose
+    start loses, may leave the start node out; ``start`` is then None,
+    and so is ``initial``.  ``nodes`` and ``members`` are the one home of
+    the canonical order: every consumer walks them rather than sorting.
     """
 
     game: Game
@@ -277,40 +278,3 @@ def build_belief_mdp(game: Game) -> BeliefMDP:
         succs=tuple(succs), attacks=tuple(attacks),
         members=tuple(tuple(ids[s][mask] for s in keys[mask]) for mask in order),
         start=ids[game.initial][1 << game.initial])
-
-
-def restricted(mdp: BeliefMDP, keep: Iterable[BeliefNode]) -> BeliefMDP:
-    """Sub-MDP on ``keep``: a class keeps a move only if, from every kept
-    member, the move's successors all stay inside.
-
-    `FINAL` is always retained.  Beliefs whose class gets split by the
-    restriction keep only the surviving members, and class-mates keep
-    the same moves.  Nodes and classes keep ``mdp``'s order, and nodes
-    are renumbered in that order.  ``start`` is None where ``keep``
-    leaves the start node out.  ``keep`` is matched by equality.
-    """
-    kept = set(keep)
-    inside = [q in kept for q in mdp.nodes] + [True]
-    new = list(accumulate(inside, initial=0))  # new[i]: node i's id in the sub-MDP
-    node_moves, succs, attacks = ([()] * new[len(mdp.nodes)] for _ in range(3))
-    pool: dict[tuple[int, ...], tuple[int, ...]] = {}  # row -> its one renumbered tuple
-    members = []
-    for ids in mdp.members:
-        if ids := [i for i in ids if inside[i]]:
-            members.append(tuple(new[i] for i in ids))
-            offered = mdp.node_moves[ids[0]]
-            allowed = [t for t in range(len(offered))
-                       if all(inside[j] for i in ids for j in mdp.succs[i][t])]
-            ks = tuple(offered[t] for t in allowed)  # one tuple per class
-            for i in ids:
-                node_moves[new[i]] = ks
-                rows = [mdp.succs[i][t] for t in allowed]
-                for row in filterfalse(pool.__contains__, rows):
-                    pool[row] = tuple([new[j] for j in row])
-                succs[new[i]] = tuple(map(pool.__getitem__, rows))
-                attacks[new[i]] = tuple(mdp.attacks[i][t] for t in allowed)
-    return BeliefMDP(
-        game=mdp.game, nodes=tuple(q for q, flag in zip(mdp.nodes, inside) if flag),
-        moves=mdp.moves, node_moves=tuple(node_moves), succs=tuple(succs),
-        attacks=tuple(attacks), members=tuple(members),
-        start=new[i] if (i := mdp.start) is not None and inside[i] else None)

@@ -157,8 +157,8 @@ def brute_force_win1(mdp: BeliefMDP, cap: int = 1_000_000) -> OracleResult:
     is assigned elsewhere can never alter the chain the start node sees.
     A class offering no move has the one empty choice, a dead end that
     fails the certificate if the chain can touch it.  Where the start
-    node is not among the MDP's nodes, which only a `restricted` MDP can
-    leave out, no chain runs and the answer is no.
+    node is not among the MDP's nodes (``start`` is None, which only a
+    sub-MDP can leave), no chain runs and the answer is no.
 
     The reached nodes are found by walking ``mdp.succs``, and the
     classes they touch are enumerated in ``mdp.members`` order, the first
@@ -175,7 +175,7 @@ def brute_force_win1(mdp: BeliefMDP, cap: int = 1_000_000) -> OracleResult:
     product.
     """
     start, node_moves = mdp.start, mdp.node_moves
-    if start is None:  # a `restricted` MDP without the start node
+    if start is None:  # a sub-MDP without the start node
         return OracleResult(False, 0, 0)
     final = len(mdp.succs)
     reached, seen = [start], {start, final}

@@ -95,6 +95,7 @@ def run_stages(text: str) -> PipelineRun:
     """
     doc = _stage("parse", parse_spec, text)
     game = _stage("validate", validate_game, doc)
+    game.masks  # built here, so the expansion's span times the expansion alone
     mdp = _stage("expand", build_belief_mdp, game)
     report = _stage("solve-agent", solve_p1, mdp)
     adversary = win2 = strategy = gap = None

@@ -118,9 +118,9 @@ def solve_p1(mdp: BeliefMDP) -> SolveReport:
 
     The moves are kept per class, not per node.  This relies on every
     class's members holding one ``node_moves`` tuple, which
-    `build_belief_mdp` and `restricted` guarantee: every withdrawal and
-    every doom then applies to a whole class, so each member not doomed
-    in round 0 always holds its class's moves.
+    `build_belief_mdp` guarantees and a sub-MDP must keep: every
+    withdrawal and every doom then applies to a whole class, so each
+    member not doomed in round 0 always holds its class's moves.
     """
     n = len(mdp.succs)
     # back[j]: the (predecessor, move) pairs of node j in canonical

@@ -1,26 +1,24 @@
-"""Shared fixtures: bundled games solved once per session."""
+"""Shared fixtures and helpers: the bundled games solved once per
+session, read from `inputs`."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import replace
-from importlib import resources
 from itertools import combinations, product
 
 import pytest
-from hypothesis import strategies as st
 
-from sensorgames import bundled_game_text, run_stages, validate_game
 from sensorgames.belief import FINAL, BeliefMDP, BeliefNode
-from sensorgames.game import Game
-from sensorgames.oracle import CapExceededError, GeneratorParams, OracleResult, generate_spec
+from sensorgames.oracle import CapExceededError, OracleResult
 from sensorgames.planner import certify_almost_sure_reach
-from sensorgames.specfile import EnablingDecl
+
+from .inputs import case_run, case_text, load_corpus, release
 
 
-def load_corpus():
-    path = resources.files("sensorgames.specs") / "corpus.json"
-    return json.loads(path.read_text())
+@pytest.fixture(scope="session", autouse=True)
+def shared_inputs():
+    """Release the cached inputs when the session ends."""
+    yield
+    release()
 
 
 @pytest.fixture(scope="session")
@@ -30,32 +28,32 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def fig1_text():
-    return bundled_game_text("fig1")
+    return case_text("fig1")
 
 
 @pytest.fixture(scope="session")
-def fig1(fig1_text):
-    return run_stages(fig1_text)
+def fig1():
+    return case_run("fig1")
 
 
 @pytest.fixture(scope="session")
 def fig1_nosense():
-    return run_stages(bundled_game_text("fig1_nosense"))
+    return case_run("fig1_nosense")
 
 
 @pytest.fixture(scope="session")
 def fig1_noattack():
-    return run_stages(bundled_game_text("fig1_noattack"))
+    return case_run("fig1_noattack")
 
 
 @pytest.fixture(scope="session")
 def fig4_text():
-    return bundled_game_text("fig4")
+    return case_text("fig4")
 
 
 @pytest.fixture(scope="session")
-def fig4(fig4_text):
-    return run_stages(fig4_text)
+def fig4():
+    return case_run("fig4")
 
 
 def bnode(game, state: str, belief: list[str]) -> BeliefNode:
@@ -72,25 +70,6 @@ def jammer_trans(adv):
     return {node_of[p]: {att: frozenset(map(node_of.__getitem__, succs))
                          for att, succs in offered.items()}
             for p, offered in adv.trans.items()}
-
-
-def per_state_attack_game(seed: int, pick) -> Game:
-    """A small generated game whose ``[enabled-attacks]`` section gives
-    each state ``pick(attack names)``, a non-empty subset."""
-    doc = generate_spec(GeneratorParams(
-        n_states=5, n_actions=2, n_sensors=3, n_queries=2, n_attacks=3,
-        max_support=2, goal_fraction=0.25, seed=seed))
-    names = [a.name for a in doc.attacks]
-    rows = tuple(EnablingDecl(state.name, tuple(sorted(pick(names)))) for state in doc.states)
-    return validate_game(replace(doc, enabled_attacks=rows))
-
-
-@st.composite
-def per_state_attack_games(draw):
-    """`per_state_attack_game` with a drawn seed and attack subsets."""
-    return per_state_attack_game(
-        draw(st.integers(0, 10_000)),
-        lambda names: draw(st.sets(st.sampled_from(names), min_size=1)))
 
 
 def plain_brute_force(mdp: BeliefMDP, cap: int = 1_000_000) -> OracleResult:

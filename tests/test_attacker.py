@@ -16,7 +16,8 @@ from sensorgames.belief import FINAL, BeliefNode, node_key, node_label
 from sensorgames.game import get_observation
 from sensorgames.oracle import GeneratorParams, generate_game
 
-from .conftest import bnode, jammer_trans, per_state_attack_games
+from .conftest import bnode, jammer_trans
+from .inputs import per_state_attack_games
 
 
 def reference_successors(game, report, node, attack):

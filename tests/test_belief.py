@@ -15,17 +15,10 @@ from sensorgames import (
     solve_p1,
     validate_game,
 )
-from sensorgames.belief import (
-    FINAL,
-    BeliefNode,
-    node_key,
-    node_label,
-    restricted,
-)
+from sensorgames.belief import FINAL, BeliefNode, node_key, node_label
 
 from .conftest import bnode
-from .test_game import small_games
-from .test_golden import ladder_text
+from .inputs import MINI, case_run, restricted, small_games
 
 
 def test_fig1_shape(fig1):
@@ -76,10 +69,6 @@ def test_goal_only_support_jumps_to_final(fig1):
 
 
 def test_mixed_support_offers_final_alongside():
-    from sensorgames import parse_spec, validate_game
-
-    from .test_specfile import MINI
-
     game = validate_game(parse_spec(MINI))
     mdp = build_belief_mdp(game)
     # s0's only move reaches {s0, s1} with s1 the goal: the move offers
@@ -241,9 +230,8 @@ def assert_rows_shared(mdp, counts):
 def test_rows_are_shared():
     # The 17/5/7 rung, then the 14/5/7 rung less its largest class: the
     # sub-MDP renumbers each distinct row once.
-    assert_rows_shared(build_belief_mdp(validate_game(parse_spec(ladder_text(17, 5, 7)))),
-                       (16431, 2790, 86))
-    mdp = build_belief_mdp(validate_game(parse_spec(ladder_text(14, 5, 7))))
+    assert_rows_shared(case_run((17, 5, 7)).mdp, (16431, 2790, 86))
+    mdp = case_run((14, 5, 7)).mdp
     largest = set(max(mdp.members, key=len))
     sub = restricted(mdp, [q for i, q in enumerate(mdp.nodes) if i not in largest])
     assert_rows_shared(sub, (39222, 5808, 25))

@@ -8,8 +8,7 @@ import pytest
 from sensorgames import bundled_game_text
 from sensorgames.cli import main
 
-from .test_sim import FORBIDDEN_AT_S1
-from .test_specfile import MINI
+from .inputs import FORBIDDEN_AT_S1, MINI
 
 
 @pytest.fixture(scope="module")

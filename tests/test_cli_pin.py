@@ -28,8 +28,7 @@ from pathlib import Path
 from sensorgames import bundled_game_text
 from sensorgames.cli import main
 
-from .test_sim import FORBIDDEN_AT_S1
-from .test_specfile import MINI
+from .inputs import FORBIDDEN_AT_S1, MINI
 
 REPO = Path(__file__).resolve().parents[1]
 

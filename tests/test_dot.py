@@ -1,7 +1,8 @@
 """Graphviz rendering."""
 
 from sensorgames import export_attacker_dot, export_belief_dot
-from sensorgames.belief import restricted
+
+from .inputs import restricted
 
 
 def test_belief_dot_structure(fig4):

@@ -19,24 +19,16 @@ from sensorgames import (
 )
 from sensorgames.belief import BeliefNode
 from sensorgames.game import states_of
-from sensorgames.oracle import GeneratorParams, generate_game, generate_spec
+from sensorgames.oracle import GeneratorParams, generate_spec
 from sensorgames.specfile import EnablingDecl, GameSpecDocument, SelectionDecl
 
-from .conftest import per_state_attack_games
-from .test_specfile import MINI
+from .inputs import MINI, per_state_attack_games, small_games
 
 
 def issues_of(text):
     with pytest.raises(GameValidationError) as err:
         validate_game(parse_spec(text))
     return err.value.issues
-
-
-def small_games():
-    return st.integers(min_value=0, max_value=10_000).map(
-        lambda seed: generate_game(GeneratorParams(
-            n_states=5, n_actions=3, n_sensors=3, n_queries=3, n_attacks=3,
-            max_support=2, goal_fraction=0.25, seed=seed)))
 
 
 @st.composite

@@ -30,31 +30,27 @@ first 100 per-state-attack games, 16 of them with a nonempty Win2.
 """
 
 import hashlib
-import random
-from dataclasses import replace
 
 import pytest
 
 from sensorgames import (
-    build_attacker_mdp,
-    build_belief_mdp,
     bundled_game_text,
     export_attacker_dot,
     export_belief_dot,
-    parse_spec,
-    restricted,
     run_pipeline,
-    run_stages,
-    serialize_spec,
     solve_p1,
-    solve_p2_safety,
-    validate_game,
 )
 from sensorgames.belief import FINAL
-from sensorgames.oracle import GeneratorParams, generate_game, generate_spec
-from sensorgames.specfile import EnablingDecl
 
-from .conftest import jammer_trans, load_corpus, per_state_attack_game
+from .conftest import jammer_trans
+from .inputs import (
+    attack_subset_runs,
+    case_id,
+    case_run,
+    corpus_runs,
+    ladder_text,
+    split_classes,
+)
 
 FIGURES = {
     "fig1": "942fef2e50a9e7d0b163ad89c0ba02649194e5663cd5836e7d4e0e4d8bd08893",
@@ -105,33 +101,6 @@ DOT_DEFAULTS = {
                  "ccbaee633e99ee0af9cbbe8c5e3ffc65ec273384e6e19f6ad3d7b158f5a6a8a8"),
 }
 
-# No move reaches the goal, so the perceived game has no `FINAL`.
-UNREACHABLE_GOAL = """\
-[states]
-s0 initial
-s1
-g goal
-
-[actions]
-a0
-
-[transitions]
-s0 a0 -> s0 s1
-s1 a0 -> s0
-g a0 -> g
-
-[sensors]
-c: s1
-
-[queries]
-q0: c
-
-[attacks]
-none:
-x: c
-"""
-
-
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -140,45 +109,12 @@ def document_digest(text: str) -> str:
     return sha256(run_pipeline(text, include_trace=True).to_json())
 
 
-def dot_digests(text: str) -> tuple[str, str | None]:
-    run = run_stages(text)
+def dot_digests(run) -> tuple[str, str | None]:
     belief = sha256(export_belief_dot(run.mdp, shade=run.report.win))
     if run.attacker is None:
         return belief, None
     return belief, sha256(export_attacker_dot(
         run.attacker, shade=run.win2, strategy=run.attack_strategy))
-
-
-def ladder_text(n_states: int, n_sensors: int, seed: int) -> str:
-    return serialize_spec(generate_spec(GeneratorParams(
-        n_states=n_states, n_actions=3, n_sensors=n_sensors, n_queries=3,
-        n_attacks=4, max_support=3, goal_fraction=0.15, seed=seed)))
-
-
-def enabled_attacks_text(n_states: int, n_sensors: int, seed: int) -> str:
-    """A generated game whose states each enable a seeded random subset
-    of the attacks."""
-    doc = generate_spec(GeneratorParams(
-        n_states=n_states, n_actions=3, n_sensors=n_sensors, n_queries=3,
-        n_attacks=4, max_support=3, goal_fraction=0.15, seed=seed))
-    rng = random.Random(seed)
-    names = [a.name for a in doc.attacks]
-    rows = tuple(
-        EnablingDecl(s.name, tuple(sorted(rng.sample(names, rng.randint(1, len(names))))))
-        for s in doc.states)
-    return serialize_spec(replace(doc, enabled_attacks=rows))
-
-
-def case_text(case) -> str:
-    if case == "unreachable-goal":
-        return UNREACHABLE_GOAL
-    if case == "enabled-attacks":  # 259 nodes, 80 in Win1, 18 in Win2
-        return enabled_attacks_text(8, 4, 27)
-    return bundled_game_text(case) if isinstance(case, str) else ladder_text(*case)
-
-
-def case_id(case) -> str:
-    return case if isinstance(case, str) else "%d-%d-%d" % case
 
 
 @pytest.mark.parametrize("name", sorted(FIGURES))
@@ -193,12 +129,12 @@ def test_ladder_document_frozen(rung):
 
 @pytest.mark.parametrize("case", list(DOT), ids=case_id)
 def test_dot_frozen(case):
-    assert dot_digests(case_text(case)) == DOT[case]
+    assert dot_digests(case_run(case)) == DOT[case]
 
 
 @pytest.mark.parametrize("case", list(DOT_DEFAULTS), ids=case_id)
 def test_dot_defaults_frozen(case):
-    run = run_stages(case_text(case))
+    run = case_run(case)
     assert (sha256(export_belief_dot(run.mdp)),
             sha256(export_attacker_dot(run.attacker))) == DOT_DEFAULTS[case]
 
@@ -231,23 +167,16 @@ def perceived_dump(mdp) -> str:
     return "\n".join(lines) + "\n"
 
 
-def corpus_games():
-    for block in load_corpus().values():
-        for entry in block["seeds"]:
-            seed = entry["seed"] if isinstance(entry, dict) else entry
-            yield generate_game(GeneratorParams(**block["params"], seed=seed))
-
-
 @pytest.mark.parametrize("case", list(PERCEIVED))
 def test_perceived_game_frozen(case):
     if case == "corpus":
-        games = list(corpus_games())
-        assert len(games) == 350
+        mdps = [run.mdp for run in corpus_runs()]
+        assert len(mdps) == 350
     else:
-        games = [validate_game(parse_spec(case_text(case)))]
+        mdps = [case_run(case).mdp]
     digest = hashlib.sha256()
-    for game in games:
-        digest.update(perceived_dump(build_belief_mdp(game)).encode())
+    for mdp in mdps:
+        digest.update(perceived_dump(mdp).encode())
     assert digest.hexdigest() == PERCEIVED[case]
 
 
@@ -276,25 +205,12 @@ def jammer_dump(adv, win2, strategy) -> str:
     return "\n".join(lines) + "\n"
 
 
-def jammer_games():
-    block = load_corpus()["soundness"]
-    for seed in block["seeds"]:
-        yield generate_game(GeneratorParams(**block["params"], seed=seed))
-    for k in range(100):
-        rng = random.Random(k)
-        yield per_state_attack_game(
-            k, lambda names: rng.sample(names, rng.randint(1, len(names))))
-
-
 def test_jammer_game_frozen():
     digest, games, won = hashlib.sha256(), 0, 0
-    for game in jammer_games():
-        report = solve_p1(build_belief_mdp(game))
-        if report.win:
-            adv = build_attacker_mdp(report)
-            win2, strategy = solve_p2_safety(adv)
-            digest.update(jammer_dump(adv, win2, strategy).encode())
-            games, won = games + 1, won + bool(win2)
+    for run in corpus_runs("soundness") + attack_subset_runs():
+        if run.report.win:
+            digest.update(jammer_dump(run.attacker, run.win2, run.attack_strategy).encode())
+            games, won = games + 1, won + bool(run.win2)
     assert (games, won) == (180 + 73, 16)
     assert digest.hexdigest() == JAMMER
 
@@ -321,25 +237,13 @@ def report_dump(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def split_class(mdp):
-    """``mdp`` restricted to its nodes less the first member of its first
-    class with two or more members, or None where it has no such class."""
-    for ids in mdp.members:
-        if len(ids) > 1:
-            return restricted(mdp, [q for i, q in enumerate(mdp.nodes) if i != ids[0]])
-    return None
-
-
 def test_solver_report_frozen():
     cases = [*FIGURES, "enabled-attacks", (10, 4, 9), (17, 5, 7)]
-    games = [validate_game(parse_spec(case_text(case))) for case in cases]
-    games += corpus_games()
-    digest, split = hashlib.sha256(), 0
-    for game in games:
-        mdp = build_belief_mdp(game)
-        digest.update(report_dump(solve_p1(mdp)).encode())
-    for game in corpus_games():
-        if (sub := split_class(build_belief_mdp(game))) is not None:
-            digest.update(report_dump(solve_p1(sub)).encode())
-            split += 1
-    assert (split, digest.hexdigest()) == (236, SOLVER)
+    reports = [case_run(case).report for case in cases]
+    reports += [run.report for run in corpus_runs()]
+    subs = [sub for sub in split_classes() if sub is not None]
+    reports += map(solve_p1, subs)
+    digest = hashlib.sha256()
+    for report in reports:
+        digest.update(report_dump(report).encode())
+    assert (len(subs), digest.hexdigest()) == (236, SOLVER)

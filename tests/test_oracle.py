@@ -11,7 +11,6 @@ from sensorgames import (
     CapExceededError,
     brute_force_win1,
     build_belief_mdp,
-    restricted,
     serialize_spec,
     solve_p1,
     validate_game,
@@ -20,8 +19,8 @@ from sensorgames import oracle
 from sensorgames.oracle import GeneratorParams, OracleResult, generate_game, generate_spec
 from sensorgames.specfile import SensorDecl
 
-from .conftest import load_corpus, plain_brute_force
-from .test_golden import corpus_games, split_class
+from .conftest import plain_brute_force
+from .inputs import corpus_runs, restricted, split_classes
 
 
 SMALL = dict(n_states=4, n_actions=2, n_sensors=2, n_queries=2, n_attacks=3,
@@ -128,14 +127,11 @@ MANIFEST_SLICE = {
 
 def test_manifest_slice_agrees(corpus):
     block = corpus["differential"]
-    p = block["params"]
     seen = {}
-    for entry in block["seeds"]:
+    for entry, run in zip(block["seeds"], corpus_runs("differential")):
         if not entry["within_cap"]:
             continue
-        game = generate_game(GeneratorParams(**p, seed=entry["seed"]))
-        mdp = build_belief_mdp(game)
-        rep = solve_p1(mdp)
+        mdp, rep = run.mdp, run.report
         assert rep.initial_winning == entry["solver_winning"]
         result = brute_force_win1(mdp, cap=block["cap"])
         assert result.initial_winning == entry["oracle_winning"]
@@ -166,16 +162,15 @@ def oracle_line(key, mdp, cap=1_000_000, referee=brute_force_win1) -> str:
 ORACLE_COUNTS = "12bce1dd8afb2e3c45e2072382933d4b8aac4fbbb66d6bb61d8e9b827577eeac"
 
 
-def test_oracle_counts_frozen():
-    block = load_corpus()["differential"]
+def test_oracle_counts_frozen(corpus):
+    block = corpus["differential"]
     digest, within, split = hashlib.sha256(), 0, 0
-    for entry in block["seeds"]:
+    for entry, run in zip(block["seeds"], corpus_runs("differential")):
         if entry["within_cap"]:
-            mdp = build_belief_mdp(generate_game(GeneratorParams(**block["params"], seed=entry["seed"])))
-            digest.update(oracle_line(entry["seed"], mdp, block["cap"]).encode())
+            digest.update(oracle_line(entry["seed"], run.mdp, block["cap"]).encode())
             within += 1
-    for k, game in enumerate(corpus_games()):
-        if (sub := split_class(build_belief_mdp(game))) is not None:
+    for k, sub in enumerate(split_classes()):
+        if sub is not None:
             digest.update(oracle_line(k, sub, block["cap"]).encode())
             split += 1
     assert (within, split, digest.hexdigest()) == (137, 236, ORACLE_COUNTS)
@@ -199,9 +194,9 @@ def test_plain_enumeration_agrees_on_corpus(corpus):
     # 127 winning, 66 losing, 39 refused at the reference cap.
     block = corpus["differential"]
     outcomes = []
-    for entry in block["seeds"]:
-        mdp = build_belief_mdp(generate_game(GeneratorParams(**block["params"], seed=entry["seed"])))
-        for key, m in ((entry["seed"], mdp), (f"{entry['seed']}-split", split_class(mdp))):
+    for entry, run, sub in zip(block["seeds"], corpus_runs("differential"),
+                               split_classes("differential")):
+        for key, m in ((entry["seed"], run.mdp), (f"{entry['seed']}-split", sub)):
             if m is not None:
                 line = oracle_line(key, m, REFERENCE_CAP)
                 assert line == oracle_line(key, m, REFERENCE_CAP, plain_brute_force)
@@ -215,17 +210,31 @@ def test_full_losing_enumeration(fig1_nosense):
     assert brute_force_win1(fig1_nosense.mdp) == OracleResult(False, 1701, 6)
 
 
+def imported_names(path: Path) -> list[str]:
+    """Every module, and every name taken from one, that the Python
+    source at ``path`` imports."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names += [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    return names
+
+
 def test_oracle_imports_nothing_from_planner():
     # The referee shares no code with the solver's module, so the two
     # cannot agree by a common fault.
-    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
-    modules = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            modules += [node.module or ""] + [alias.name for alias in node.names]
-        elif isinstance(node, ast.Import):
-            modules += [alias.name for alias in node.names]
+    modules = imported_names(Path(oracle.__file__))
     assert not [name for name in modules if "planner" in name.split(".")]
+
+
+def test_no_test_module_imports_another():
+    # Shared inputs live in `tests/inputs.py` and fixtures and helpers in
+    # `tests/conftest.py`, so no test module depends on another's.
+    found = [(path.name, name) for path in sorted(Path(__file__).parent.glob("test_*.py"))
+             for name in imported_names(path) if name.split(".")[-1].startswith("test_")]
+    assert found == []
 
 
 def test_oracle_without_the_start_node(fig1_noattack):
@@ -241,7 +250,7 @@ def test_oracle_on_a_split_class():
     # Seed 107 of the corpus's differential block, less the first member
     # of its second class: class-mates there keep the same moves, so the
     # referee enumerates each class's moves as a whole.
-    mdp = build_belief_mdp(generate_game(params(107)))
+    mdp = corpus_runs("differential")[107].mdp
     first = list(mdp.classes.values())[1][0]
     sub = restricted(mdp, [q for q in mdp.nodes if q != first])
     assert brute_force_win1(sub) == OracleResult(True, 11, 5)
@@ -259,10 +268,10 @@ def with_isolating_sensors(doc):
 
 
 def test_perfect_information_never_hurts():
-    for seed in range(15):
+    # The differential block's games are ``params(seed)``'s, seeds 0-149.
+    for seed, before in zip(range(15), corpus_runs("differential")):
         doc = generate_spec(params(seed))
-        before = solve_p1(build_belief_mdp(validate_game(doc)))
         sharper = validate_game(with_isolating_sensors(doc))
         after = solve_p1(build_belief_mdp(sharper))
-        if before.initial_winning:
+        if before.report.initial_winning:
             assert after.initial_winning

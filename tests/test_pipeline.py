@@ -9,15 +9,16 @@ import pytest
 from sensorgames import (
     BUNDLED_GAMES,
     PipelineError,
+    build_belief_mdp,
     bundled_game_text,
     parse_spec,
     run_pipeline,
     run_stages,
     serialize_spec,
 )
+from sensorgames import pipeline
 
-from .test_golden import case_id, case_text
-from .test_specfile import MINI
+from .inputs import MINI, case_id, case_text
 
 
 @pytest.mark.parametrize("name", BUNDLED_GAMES)
@@ -102,6 +103,20 @@ def test_run_stages_objects_cohere(fig1_text):
     assert run.attacker is not None
     assert set(run.attacker.nodes) == set(run.report.win)
     assert run.gap == {}
+
+
+def test_masks_are_built_before_the_expansion(fig1_text, monkeypatch):
+    # The game's tables are built right after validation, so a span
+    # around the expansion times the expansion alone.
+    seen = []
+
+    def expand(game):
+        seen.append("masks" in vars(game))
+        return build_belief_mdp(game)
+
+    monkeypatch.setattr(pipeline, "build_belief_mdp", expand)
+    run_stages(fig1_text)
+    assert seen == [True]
 
 
 def test_parse_stage_error():

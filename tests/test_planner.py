@@ -7,23 +7,17 @@ from hypothesis import strategies as st
 from sensorgames import (
     MultiStrategy,
     brute_force_win1,
-    build_attacker_mdp,
     build_belief_mdp,
     check_soundness,
-    deception_gap,
     get_observation,
-    parse_spec,
-    restricted,
     solve_p1,
-    solve_p2_safety,
-    validate_game,
 )
 from sensorgames.belief import FINAL, BeliefNode, node_key, node_label
 from sensorgames.oracle import GeneratorParams, OracleResult, generate_game
 from sensorgames.planner import certify_almost_sure_reach
 
-from .conftest import bnode, per_state_attack_game, plain_brute_force
-from .test_golden import case_text, ladder_text
+from .conftest import bnode, plain_brute_force
+from .inputs import case_run, corpus_runs, per_state_attack_game, restricted
 
 FIG1_WIN = [
     "(s0,{s0})", "(s0,{s0,s1})", "(s0,{s0,s2})", "(s0,{s0,s4})",
@@ -332,11 +326,10 @@ def nested_fixpoint_win1(mdp):
 
 def test_nested_fixpoint_agrees_on_corpus(corpus):
     checked = 0
-    for block in corpus.values():
-        for entry in block["seeds"]:
+    for name, block in corpus.items():
+        for entry, run in zip(block["seeds"], corpus_runs(name)):
             seed = entry["seed"] if isinstance(entry, dict) else entry
-            mdp = build_belief_mdp(generate_game(GeneratorParams(**block["params"], seed=seed)))
-            assert nested_fixpoint_win1(mdp) == solve_p1(mdp).win, seed
+            assert nested_fixpoint_win1(run.mdp) == run.report.win, seed
             checked += 1
     assert checked == 350
 
@@ -352,8 +345,8 @@ def test_nested_fixpoint_agrees_on_figures(fixture, request):
 @pytest.mark.parametrize("rung", [(10, 4, 9), (16, 5, 4), (17, 5, 7), (17, 5, 4), (18, 5, 8)],
                          ids=lambda r: "%d-%d-%d" % r)
 def test_nested_fixpoint_agrees_on_rungs(rung):
-    mdp = build_belief_mdp(validate_game(parse_spec(ladder_text(*rung))))
-    win = solve_p1(mdp).win
+    run = case_run(rung)
+    mdp, win = run.mdp, run.report.win
     assert win and len(win) < len(mdp.nodes)
     assert nested_fixpoint_win1(mdp) == win
 
@@ -362,7 +355,7 @@ def test_nested_fixpoint_agrees_on_a_restricted_rung():
     # The 14/5/7 rung (the benchmark's 14:7 arena) wins everywhere, so
     # the referees are compared on the sub-MDP without its largest
     # class, which loses somewhere.
-    mdp = build_belief_mdp(validate_game(parse_spec(ladder_text(14, 5, 7))))
+    mdp = case_run((14, 5, 7)).mdp
     largest = max(mdp.classes.values(), key=len)
     sub = restricted(mdp, [q for q in mdp.nodes if q not in largest])
     win = solve_p1(sub).win
@@ -435,20 +428,13 @@ def gap_audit_failure(game, strategy, choice, gap):
     return None
 
 
-def test_gap_audit_in_the_arena(corpus):
+def test_gap_audit_in_the_arena():
     # fig4, the `enabled-attacks` case and the soundness-corpus games
     # with a nonempty gap.
-    block = corpus["soundness"]
-    games = [validate_game(parse_spec(case_text(case))) for case in ("fig4", "enabled-attacks")]
-    games += [generate_game(GeneratorParams(**block["params"], seed=seed))
-              for seed in block["seeds"]]
     audited = 0
-    for game in games:
-        report = solve_p1(build_belief_mdp(game))
-        if not report.win:
-            continue
-        win2, attack = solve_p2_safety(build_attacker_mdp(report))
-        if gap := deception_gap(report, win2, attack):
-            assert gap_audit_failure(game, report.strategy, attack.choice, gap) is None
+    for run in [case_run("fig4"), case_run("enabled-attacks"), *corpus_runs("soundness")]:
+        if run.gap:
+            assert gap_audit_failure(
+                run.game, run.report.strategy, run.attack_strategy.choice, run.gap) is None
             audited += 1
     assert audited == 18

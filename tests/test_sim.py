@@ -21,17 +21,15 @@ from sensorgames import (
     get_observation,
     parse_spec,
     run_stages,
-    serialize_spec,
     simulate,
     solve_p1,
     solve_p2_safety,
     validate_game,
 )
 from sensorgames.belief import BeliefNode, node_label
-from sensorgames.oracle import GeneratorParams, generate_spec
 from sensorgames.sim import Step, randbelow
 
-from .conftest import per_state_attack_game, per_state_attack_games
+from .inputs import FORBIDDEN_AT_S1, attack_subset_runs, corpus_runs, per_state_attack_games
 
 TRIVIAL = """\
 [states]
@@ -51,36 +49,6 @@ q0: g0
 
 [attacks]
 none:
-"""
-
-
-# A three-state line whose jammer may not launch 'jam' at s1.
-FORBIDDEN_AT_S1 = """\
-[states]
-s0 initial
-s1
-s2 goal
-
-[actions]
-a0
-
-[transitions]
-s0 a0 -> s1
-s1 a0 -> s2
-s2 a0 -> s2
-
-[sensors]
-g0: s1
-
-[queries]
-q0: g0
-
-[attacks]
-none:
-jam: g0
-
-[enabled-attacks]
-s1: none
 """
 
 
@@ -229,11 +197,9 @@ class RecordingAttack:
         return self.table.choose(rng, game, node, move, next_state)
 
 
-def test_nodes_and_steps_are_plain_named_tuples(fig4, corpus):
-    block = corpus["soundness"]
+def test_nodes_and_steps_are_plain_named_tuples(fig4):
     winning = next(
-        run for run in (run_stages(serialize_spec(generate_spec(
-            GeneratorParams(**block["params"], seed=seed)))) for seed in block["seeds"])
+        run for run in corpus_runs("soundness")
         if run.report.initial_winning and run.game.initial not in run.game.goal)
     for run in (fig4, winning):
         game = run.game
@@ -332,16 +298,8 @@ def trace_line(trace):
     return f"{trace.outcome.value} {trace.final_state} {steps}\n"
 
 
-def test_seeded_traces_frozen(corpus):
-    block = corpus["soundness"]
-    runs = []
-    for seed in block["seeds"]:
-        run = run_stages(serialize_spec(generate_spec(
-            GeneratorParams(**block["params"], seed=seed))))
-        if run.report.initial_winning:
-            runs.append(run)
-        if len(runs) == 10:
-            break
+def test_seeded_traces_frozen():
+    runs = [run for run in corpus_runs("soundness") if run.report.initial_winning][:10]
     runs.append(run_stages(WEIGHTED_FIG1))
     assert runs[-1].game.has_weights
     digest = hashlib.sha256()
@@ -374,23 +332,12 @@ def play_line(game, strategy, policy, seed):
 SWEEP_DIGEST = "04e5a1507451e3a4fa620a9c918df6890acb6780de459aef3b7df3af747641e6"
 
 
-def test_swept_plays_frozen(corpus):
-    block = corpus["soundness"]
-    games = []
-    for seed in block["seeds"]:
-        run = run_stages(serialize_spec(generate_spec(
-            GeneratorParams(**block["params"], seed=seed))))
-        if run.report.initial_winning:
-            games.append((run.game, run.report.strategy, run.attack_strategy))
+def test_swept_plays_frozen():
+    games = [(run.game, run.report.strategy, run.attack_strategy)
+             for run in corpus_runs("soundness") if run.report.initial_winning]
     assert len(games) == 177
-    for k in range(100):
-        rng = random.Random(k)
-        game = per_state_attack_game(
-            k, lambda names: rng.sample(names, rng.randint(1, len(names))))
-        rep = solve_p1(build_belief_mdp(game))
-        if rep.initial_winning:
-            games.append((game, rep.strategy,
-                          solve_p2_safety(build_attacker_mdp(rep))[1]))
+    games += [(run.game, run.report.strategy, run.attack_strategy)
+              for run in attack_subset_runs() if run.report.initial_winning]
     assert len(games) == 177 + 73
     digest = hashlib.sha256()
     for game, strategy, table in games:

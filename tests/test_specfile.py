@@ -13,28 +13,7 @@ from sensorgames import (
 from sensorgames.oracle import GeneratorParams, generate_spec
 from sensorgames.specfile import _TOKEN, _column
 
-MINI = """\
-[states]
-s0 initial
-s1 goal
-
-[actions]
-a0
-
-[transitions]
-s0 a0 -> s0 s1
-s1 a0 -> s1
-
-[sensors]
-g0: s1
-
-[queries]
-q0: g0
-
-[attacks]
-none:
-"""
-
+from .inputs import MINI
 
 def diags(text):
     with pytest.raises(SpecParseError) as err:
