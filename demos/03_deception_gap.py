@@ -29,7 +29,7 @@ print()
 
 print("jammer's analysis over those nodes:")
 print(f"  winning nodes: {len(run.win2)}")
-for node, attack in sorted(run.attack_strategy.choice.items(),
+for node, attack in sorted(run.attack_strategy.items(),
                            key=lambda kv: node_label(game, kv[0])):
     print(f"  {node_label(game, node)}: launch {game.attacks[attack].name}")
 print()

@@ -7,7 +7,8 @@ The package answers three questions about such a game:
   believes she can surely complete her task (`solve_p1`);
 * where a jammer who knows her strategy can keep her from ever
   completing it (`solve_p2_safety`);
-* where both hold at once -- the deception gap (`deception_gap`).
+* where both hold at once -- the deception gap, which is the domain of
+  the jammer's strategy (`deception_gap` returns that strategy).
 """
 
 from .game import (

@@ -21,15 +21,16 @@ are those of the kept moves annotated with it.  The observation rule
 thus has one home, game.py, reached only through the belief expansion.
 The jammer's game is stored on ints, as the perceived game is: node p
 is ``AttackerMDP.nodes[p]``, the Win1 nodes in the perceived game's
-canonical order, and `FINAL` is ``len(nodes)``.  The build files each
-successor id under its attacks and turns each attack's ids into
-positions once; the safety solve runs its rounds on sets of positions.
-Nodes are looked up only for the result, Win2 and the jammer's
-strategy.  Each node's attacks come in ascending order, so the solver
-and the gap walk them as they are.
+canonical order, and `FINAL` is ``len(nodes)``.  The build lists each
+node's kept edges once, as (position, attack set) pairs, and reads both
+the offered attacks and each attack's successors from that list; the
+safety solve runs its rounds on sets of positions.  Nodes are looked up
+only for the result, the jammer's strategy.  Each node's attacks come
+in ascending order, so the solver walks them as they are.
 
 The *deception gap* is the outcome: nodes where the agent believes she
-is sure to finish while the jammer is sure she never will.
+is sure to finish while the jammer is sure she never will.  That is the
+strategy's domain, Win2, since the jammer's game is built over Win1.
 """
 
 from __future__ import annotations
@@ -56,52 +57,45 @@ class AttackerMDP:
     trans: Mapping[int, Mapping[AttackId, frozenset[int]]]
 
 
-@dataclass(frozen=True)
-class AttackStrategy:
-    """One attack per node of the jammer's winning region."""
-
-    choice: Mapping[BeliefNode, AttackId]  # in the jammer game's node order
+# One attack per node of the jammer's winning region, in the jammer
+# game's node order: the region is the mapping's domain.
+AttackStrategy = Mapping[BeliefNode, AttackId]
 
 
 def build_attacker_mdp(report: SolveReport) -> AttackerMDP:
     """The jammer's one-player game over the agent's winning region.
 
-    The winning nodes are taken in ``report.mdp.nodes`` order.  At each
-    one, every kept move's successor ids in ``report.mdp.succs`` are
-    read once, and each is filed under the attacks it is annotated with;
-    `FINAL`, which some kept move may reach, is filed under every attack.
-    Each attack's ids become positions once, at the end, through one
-    list indexed by perceived-game id.  The landing states are the true
-    states of the non-`FINAL` successors: every state has an enabled
-    attack, so each non-goal state a kept move can reach yields at least
-    one successor.  An attack is offered only if it is enabled at every
-    landing state, so the jammer never commits to an attack the arena
-    forbids where the play actually lands.  By the closure property of
-    the agent's solution the successors all lie back inside the winning
-    region.
+    The winning nodes are taken in ``report.mdp.nodes`` order.  Each
+    one's kept edges are listed once, as (position, attack set) pairs
+    read from ``report.mdp.succs`` and ``report.mdp.attacks``; `FINAL`,
+    which some kept move may reach, is listed with every attack, as any
+    attack lets the task complete.  An attack is offered only if it is
+    enabled at the true state of every listed successor but `FINAL`, so
+    the jammer never commits to an attack the arena forbids where the
+    play actually lands; every state has an enabled attack, so each
+    non-goal state a kept move can reach is listed.  Each offered
+    attack's successors are the listed positions it is annotated on.
+    By the closure property of the agent's solution the successors all
+    lie back inside the winning region.
     """
     if not report.win:
         raise EmptyWin1Error("the agent has no winning node to be deceived at")
     mdp = report.mdp
-    game, final = mdp.game, len(mdp.nodes)
+    game = mdp.game
     every = frozenset(range(len(game.attacks)))
     inside = [q in report.win for q in mdp.nodes]
     position = list(accumulate(inside, initial=0))  # by perceived-game id, FINAL last
     nodes, trans = tuple(compress(mdp.nodes, inside)), {}
+    # enabled[i]: the attacks enabled at node i's state; `FINAL` bars none.
+    enabled = [game.enabled_attacks[q.state] for q in nodes] + [every]
     rows = compress(zip(mdp.node_moves, mdp.succs, mdp.attacks), inside)
     for p, (ks, succs, attacks) in enumerate(rows):
         kept = report.strategy.allowed[nodes[p]]
-        reached, landing = {att: set() for att in every}, set()  # successor ids
-        for k, targets, atts in zip(ks, succs, attacks):
-            if mdp.moves[k] in kept:
-                landing.update(targets)
-                for j, on in zip(targets, atts):
-                    for att in on or every:  # FINAL's set is empty: any attack completes
-                        reached[att].add(j)
-        landing.discard(final)
-        offered = every.intersection(*{game.enabled_attacks[mdp.nodes[j].state] for j in landing})
-        trans[p] = {att: frozenset(map(position.__getitem__, reached[att]))
-                    for att in sorted(offered)}
+        edges = [(position[j], on or every)  # FINAL's set is empty: any attack completes
+                 for k, targets, atts in zip(ks, succs, attacks) if mdp.moves[k] in kept
+                 for j, on in zip(targets, atts)]
+        offered = every.intersection(*{enabled[i] for i, _ in edges})
+        trans[p] = {att: frozenset([i for i, on in edges if att in on]) for att in sorted(offered)}
     return AttackerMDP(game=game, nodes=nodes, trans=trans)
 
 
@@ -113,8 +107,8 @@ def solve_p2_safety(attacker: AttackerMDP) -> tuple[frozenset[BeliefNode], Attac
     successor support inside the surviving set, which never holds
     `FINAL`.  Each round records the lowest such attack at every
     surviving node; once a round removes nothing, its record is the
-    jammer's stationary strategy.  The rounds run on positions; the
-    result is keyed by nodes.
+    jammer's stationary strategy, and its domain is Win2.  The rounds
+    run on positions; the result is keyed by nodes.
     """
     goal, nodes = attacker.game.goal, attacker.nodes
     safe = {p for p, q in enumerate(nodes) if q.state not in goal}
@@ -128,17 +122,14 @@ def solve_p2_safety(attacker: AttackerMDP) -> tuple[frozenset[BeliefNode], Attac
                         break
         if len(choice) == len(safe):
             won = {nodes[p]: att for p, att in choice.items()}
-            return frozenset(won), AttackStrategy(choice=won)
+            return frozenset(won), won
         safe = set(choice)
 
 
-def deception_gap(
-    report: SolveReport,
-    win2: frozenset[BeliefNode],
-    strategy: AttackStrategy,
-) -> dict[BeliefNode, AttackId]:
+def deception_gap(strategy: AttackStrategy) -> AttackStrategy:
     """Nodes where the agent is sure she wins and the jammer is sure she
-    does not, each mapped to the jammer's chosen attack there.  The gap
-    lies inside ``win2``, the strategy's domain, and keeps its order."""
-    return {node: att for node, att in strategy.choice.items()
-            if node in win2 and node in report.win}
+    does not, each mapped to the jammer's chosen attack there: the
+    strategy itself.  Its domain is Win2, which lies inside Win1 because
+    the jammer's game is built over Win1.  This stage stays only because
+    the benchmark in ``perfbench/`` times it by name."""
+    return strategy

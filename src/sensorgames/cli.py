@@ -217,8 +217,7 @@ def _cmd_export_dot(args) -> int:
         print("agent never wins anywhere; there is no jammer game to draw",
               file=sys.stderr)
         return 2
-    sys.stdout.write(export_attacker_dot(
-        run.attacker, shade=run.win2 or frozenset(), strategy=run.attack_strategy))
+    sys.stdout.write(export_attacker_dot(run.attacker, run.attack_strategy))
     return 0
 
 

@@ -2,10 +2,10 @@
 
 One walk, `_render`, draws both views.  Each exporter hands it only
 what differs: the graph's name, each node's attributes (the start
-outline, grey or red shading), each node's edge groups (a move's
-successors with their attack-set annotations, or an attack's
-successors, bold where the jammer's strategy chose it) and the sink's
-name and label.  The walk works on positions: a node is its position
+outline, grey shading, or red over the jammer's strategy's domain),
+each node's edge groups (a move's successors with their attack-set
+annotations, or an attack's successors, bold where the jammer's
+strategy chose it) and the sink's name and label.  The walk works on positions: a node is its position
 in the order handed in and `FINAL` the position after the last.  Both
 games are stored on those positions already, `BeliefMDP` and
 `AttackerMDP.trans`, so neither view ranks or hashes a node per edge.
@@ -66,20 +66,17 @@ def export_belief_dot(mdp: BeliefMDP, shade: frozenset[BeliefNode] = frozenset()
     return _render("perceived", nodes, groups, ("final", "final"))
 
 
-def export_attacker_dot(
-    attacker: AttackerMDP,
-    shade: frozenset[BeliefNode] = frozenset(),
-    strategy: AttackStrategy | None = None,
-) -> str:
-    """Render the jammer's game; ``shade`` nodes (its winning region,
-    typically) are filled red, chosen-attack edges are drawn bold."""
+def export_attacker_dot(attacker: AttackerMDP, strategy: AttackStrategy | None = None) -> str:
+    """Render the jammer's game; the nodes of ``strategy``'s domain, its
+    winning region, are filled red and its chosen attacks' edges are
+    drawn bold."""
     game = attacker.game
-    choice = strategy.choice if strategy is not None else {}
+    choice = strategy or {}
     labels = [f'label="{attack.name}"' for attack in game.attacks]
     chosen = [choice.get(q) for q in attacker.nodes]
     nodes = [f'label="{node_label(game, q)}"'
-             + (" style=filled fillcolor=lightcoral" if q in shade else "")
-             for q in attacker.nodes]
+             + ("" if att is None else " style=filled fillcolor=lightcoral")
+             for q, att in zip(attacker.nodes, chosen)]
     groups = ((p, dict.fromkeys(succs, labels[att] + (" penwidth=2" if chosen[p] == att else "")))
               for p, offered in attacker.trans.items() for att, succs in offered.items())
     return _render("jammer", nodes, groups, ("complete", "task complete"))

@@ -2,8 +2,9 @@
 
 The stages run in a fixed order: parse, validate, expand the perceived
 game, solve the agent side, and -- whenever the agent wins anywhere --
-build the jammer's game, solve it, and intersect into the deception
-gap.  Failures carry the stage they came from.
+build the jammer's game and solve it.  The jammer's strategy is one
+mapping, whose domain is both Win2 and the deception gap.  Failures
+carry the stage they came from.
 
 The document is plain data with one canonical JSON rendering, by
 `canonical_json`, which writes the command line's other payloads too.
@@ -45,8 +46,8 @@ class PipelineRun:
     report: SolveReport
     attacker: "attacker_mod.AttackerMDP | None"
     win2: frozenset | None
-    attack_strategy: "attacker_mod.AttackStrategy | None"
-    gap: dict | None
+    attack_strategy: "attacker_mod.AttackStrategy | None"  # its domain is Win2
+    gap: "attacker_mod.AttackStrategy | None"
 
 
 @dataclass
@@ -102,7 +103,7 @@ def run_stages(text: str) -> PipelineRun:
     if report.win:
         adversary = _stage("solve-jammer", attacker_mod.build_attacker_mdp, report)
         win2, strategy = _stage("solve-jammer", attacker_mod.solve_p2_safety, adversary)
-        gap = _stage("solve-jammer", attacker_mod.deception_gap, report, win2, strategy)
+        gap = _stage("solve-jammer", attacker_mod.deception_gap, strategy)
     return PipelineRun(
         doc=doc, game=game, mdp=mdp, report=report,
         attacker=adversary, win2=win2, attack_strategy=strategy, gap=gap)
@@ -138,24 +139,22 @@ def run_pipeline(
             }
             for r in report.trace
         ]
-    win2 = None
-    attack_strategy = None
-    gap = None
-    if run.win2 is not None:
-        win2 = [label for q, label in labels.items() if q in run.win2]
-        attack_strategy = {
-            labels[q]: game.attacks[a].name for q, a in run.attack_strategy.choice.items()
-        }
-        gap = [{"node": labels[q], "attack": game.attacks[a].name}
-               for q, a in run.gap.items()]
+    win2 = attack_strategy = gap = None
+    if run.attack_strategy is not None:
+        # Win2, the jammer's strategy and the gap are one mapping, in
+        # canonical node order.
+        attack_strategy = {labels[q]: game.attacks[a].name
+                           for q, a in run.attack_strategy.items()}
+        win2 = list(attack_strategy)
+        gap = [{"node": label, "attack": name} for label, name in attack_strategy.items()]
 
     counts = {
         **game.counts(),
         "belief_nodes": len(run.mdp.nodes),
         "belief_classes": len(run.mdp.members),
         "win1": len(report.win),
-        "win2": None if run.win2 is None else len(run.win2),
-        "gap": None if run.gap is None else len(run.gap),
+        "win2": None if win2 is None else len(win2),
+        "gap": None if gap is None else len(gap),
     }
     return ResultDocument(
         source=source,

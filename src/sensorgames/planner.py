@@ -36,6 +36,10 @@ once and logs one removal per live member.  Per-node masks are built
 only for each stall's `reaching_final` and for the report.  The doomed
 set is a flag list; ints become `BeliefNode` and move pairs again only
 in the report, and the trace's `Removal`s only when it is read.
+
+The report's `MultiStrategy` holds one move set per node, and one
+accessor: `for_belief`, the moves an observation-driven player has at a
+belief, in ascending order, kept per belief once read.
 """
 
 from __future__ import annotations
@@ -57,21 +61,15 @@ class MultiStrategy:
     """
 
     allowed: Mapping[BeliefNode, frozenset[ActionPair]]
-    _sorted: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _moves: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def for_belief(self, belief: frozenset[int]) -> frozenset[ActionPair] | None:
-        for node in sorted(belief):
-            moves = self.allowed.get(BeliefNode(node, belief))
-            if moves:
-                return moves
-        return None
-
-    def sorted_moves(self, belief: frozenset[int]) -> tuple[ActionPair, ...]:
-        """`for_belief`'s moves, ascending (none where it has none), kept
-        per belief after the first call."""
-        moves = self._sorted.get(belief)
+    def for_belief(self, belief: frozenset[int]) -> tuple[ActionPair, ...]:
+        """The moves kept at ``belief``, ascending, or ``()`` where there
+        are none; kept per belief after the first call."""
+        moves = self._moves.get(belief)
         if moves is None:
-            moves = self._sorted[belief] = tuple(sorted(self.for_belief(belief) or ()))
+            found = (self.allowed.get(BeliefNode(s, belief)) for s in sorted(belief))
+            moves = self._moves[belief] = tuple(sorted(next(filter(None, found), ())))
         return moves
 
 

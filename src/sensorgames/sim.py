@@ -14,9 +14,10 @@ are filled on first use and shared by every later play of the same
 objects: from `Game.memo`, each (state, action)'s sorted successors
 with their cumulative weights, each (belief mask, action)'s image, one
 frozenset per mask and each state's attacks in ascending order; from
-the agent's `MultiStrategy`, each belief's sorted moves.  Sampling
-draws from these in the order a play without them would, so a seed
-gives the same trace either way.
+`MultiStrategy.for_belief`, each belief's sorted moves.  Sampling draws
+from these in the order a play without them would, so a seed gives the
+same trace either way.  The jammer's computed strategy is the plain
+mapping `solve_p2_safety` returns, which `TableAttack` reads directly.
 
 Each play has its own `random.Random(seed)`.  A move, and a successor
 of an unweighted row, is drawn by `randbelow` from the generator's
@@ -99,7 +100,8 @@ class UniformRandomAttack:
 
 
 class TableAttack:
-    """Follow a computed attack strategy, keyed by the pre-move node.
+    """Follow a computed attack strategy, the mapping `solve_p2_safety`
+    returns, keyed by the pre-move node.
 
     Off the table (the play left the jammer's winning region) it falls
     back to the lowest-id attack enabled at the successor, so the policy
@@ -110,7 +112,7 @@ class TableAttack:
         self.strategy = strategy
 
     def choose(self, rng, game, node, move, next_state) -> AttackId:
-        att = self.strategy.choice.get(node)
+        att = self.strategy.get(node)
         if att is not None:
             return att
         return game.memo.attacks[next_state][0]
@@ -182,11 +184,11 @@ def simulate(
     # Bound once per play; `tuple.__new__` builds a named tuple without
     # its Python-level constructor.
     getrandbits, choices, choose = rng.getrandbits, rng.choices, p2.choose
-    sorted_moves, succs_of, image, states = p1.sorted_moves, memo.succs, memo.image, memo.states
+    moves_of, succs_of, image, states = p1.for_belief, memo.succs, memo.image, memo.states
     new = tuple.__new__
     steps: list[Step] = []
     while len(steps) < max_steps:
-        moves = sorted_moves(belief)
+        moves = moves_of(belief)
         if not moves:
             raise StrategyGapError(game, BeliefNode(state, belief))
         action, query = move = moves[randbelow(getrandbits, len(moves))]

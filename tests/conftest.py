@@ -8,6 +8,7 @@ from itertools import combinations, product
 import pytest
 
 from sensorgames.belief import FINAL, BeliefMDP, BeliefNode
+from sensorgames.game import get_observation
 from sensorgames.oracle import CapExceededError, OracleResult
 from sensorgames.planner import certify_almost_sure_reach
 
@@ -61,6 +62,14 @@ def bnode(game, state: str, belief: list[str]) -> BeliefNode:
     return BeliefNode(game.state(state), game.state_set(belief))
 
 
+def node_views(mdp: BeliefMDP):
+    """``(mdp.trans, mdp.classes)``, built afresh and not cached on
+    ``mdp``.  The shared inputs live for the whole session, so a cached
+    view would keep its nodes and dicts alive, and walked by every
+    garbage collection, until the session ends."""
+    return BeliefMDP.trans.func(mdp), BeliefMDP.classes.func(mdp)
+
+
 def jammer_trans(adv):
     """The jammer's game keyed by nodes: ``jammer_trans(adv)[q][att]`` is
     the set of successor nodes, `FINAL` included, of attack att at node
@@ -70,6 +79,40 @@ def jammer_trans(adv):
     return {node_of[p]: {att: frozenset(map(node_of.__getitem__, succs))
                          for att, succs in offered.items()}
             for p, offered in adv.trans.items()}
+
+
+def gap_audit_failure(game, strategy, choice, gap):
+    """The first way the jammer's trap fails, or None.
+
+    From each gap node it explores the (state, belief) pairs a play can
+    reach under every kept move of ``strategy``, every successor in
+    ``game.trans`` and the attack ``choice`` picks, with the belief
+    updated by set algebra over `get_observation`: the action image
+    intersected with what the true successor shows.  It shares no code
+    with the expansion, `Game.masks` or the jammer build.  A failure is
+    ("goal", node, move, state) where a goal state is reached,
+    ("disabled", node, attack, state) where the attack is not enabled
+    at a landing state, and ("outside", node, move, successor) where a
+    reached node lies outside ``choice``'s domain.
+    """
+    seen, queue = set(gap), list(gap)
+    for node in queue:
+        attack = choice[node]
+        for action, query in sorted(strategy.allowed[node]):
+            image = set().union(*(game.trans[(b, action)] for b in node.belief))
+            for state in game.trans[(node.state, action)]:
+                if state in game.goal:
+                    return ("goal", node, (action, query), state)
+                if attack not in game.enabled_attacks[state]:
+                    return ("disabled", node, attack, state)
+                view = get_observation(game, state, query, attack)
+                succ = BeliefNode(state, frozenset(image & view))
+                if succ not in choice:
+                    return ("outside", node, (action, query), succ)
+                if succ not in seen:
+                    seen.add(succ)
+                    queue.append(succ)
+    return None
 
 
 def plain_brute_force(mdp: BeliefMDP, cap: int = 1_000_000) -> OracleResult:

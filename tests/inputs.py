@@ -2,10 +2,10 @@
 
 Test modules read these instead of building them again: the corpus
 blocks' games through `run_stages` and their split-class sub-MDPs, the
-first 100 per-state-attack games, the ladder and case texts and their
-runs, and the small hand-written games.  Each reader is handed the same objects, so a
-test that needs fresh objects, or changes what it is given, builds its
-own.
+first 100 per-state-attack games, a block of games the jammer wins, the
+ladder and case texts and their runs, and the small hand-written games.
+Each reader is handed the same objects, so a test that needs fresh
+objects, or changes what it is given, builds its own.
 """
 
 from __future__ import annotations
@@ -168,6 +168,23 @@ def corpus_runs(block: str | None = None) -> tuple[PipelineRun, ...]:
                      for entry in spec["seeds"]))
 
 
+# The first 40 seeds from 200 on, past the soundness block's, whose game
+# under the soundness block's parameters has a nonempty Win2.
+JAMMER_WIN_SEEDS = (
+    210, 221, 265, 270, 285, 289, 298, 308, 332, 343, 352, 371, 430, 433,
+    434, 456, 480, 485, 490, 507, 523, 612, 634, 644, 656, 661, 669, 675,
+    677, 705, 730, 732, 733, 735, 750, 758, 762, 780, 785, 829)
+
+
+@cache
+def jammer_win_runs() -> tuple[PipelineRun, ...]:
+    """`run_stages` on the soundness block's generator at each of
+    `JAMMER_WIN_SEEDS`, in order."""
+    params = load_corpus()["soundness"]["params"]
+    return tuple(run_stages(serialize_spec(generate_spec(GeneratorParams(**params, seed=seed))))
+                 for seed in JAMMER_WIN_SEEDS)
+
+
 def restricted(mdp: BeliefMDP, keep: Iterable[BeliefNode]) -> BeliefMDP:
     """Sub-MDP on ``keep``: a class keeps a move only if, from every kept
     member, the move's successors all stay inside.
@@ -268,5 +285,5 @@ def case_id(case) -> str:
 def release() -> None:
     """Drop the cached runs and sub-MDPs.  Freed while the session ends,
     they are not walked by the garbage collections that close it."""
-    for builder in (attack_subset_runs, corpus_runs, split_classes, case_run):
+    for builder in (attack_subset_runs, corpus_runs, jammer_win_runs, split_classes, case_run):
         builder.cache_clear()

@@ -133,10 +133,10 @@ def test_criterion_5_soundness_sweep():
                             f"seed {seed}: attacker game leaks out of Win1")
             win2, strategy = solve_p2_safety(adv)
             for node in win2:
-                succs = trans[node][strategy.choice[node]]
+                succs = trans[node][strategy[node]]
                 assert FINAL not in succs, f"seed {seed}"
                 assert all(s in win2 for s in succs), f"seed {seed}"
-            if deception_gap(rep, win2, strategy):
+            if deception_gap(strategy):
                 gap_nonempty += 1
         assert len(block["seeds"]) >= 200
         assert win1_nonempty == block["expect"]["win1_nonempty"]
@@ -177,8 +177,6 @@ def test_criterion_7_byte_determinism():
             dot_b = export_belief_dot(run_b.mdp, shade=run_b.report.win)
             assert dot_a == dot_b, name
             if run_a.attacker is not None:
-                jam_a = export_attacker_dot(
-                    run_a.attacker, shade=run_a.win2, strategy=run_a.attack_strategy)
-                jam_b = export_attacker_dot(
-                    run_b.attacker, shade=run_b.win2, strategy=run_b.attack_strategy)
+                jam_a = export_attacker_dot(run_a.attacker, strategy=run_a.attack_strategy)
+                jam_b = export_attacker_dot(run_b.attacker, strategy=run_b.attack_strategy)
                 assert jam_a == jam_b, name

@@ -16,26 +16,28 @@ from sensorgames.belief import FINAL, BeliefNode, node_key, node_label
 from sensorgames.game import get_observation
 from sensorgames.oracle import GeneratorParams, generate_game
 
-from .conftest import bnode, jammer_trans
-from .inputs import per_state_attack_games
+from .conftest import bnode, gap_audit_failure, jammer_trans
+from .inputs import JAMMER_WIN_SEEDS, jammer_win_runs, per_state_attack_games
 
 
-def reference_successors(game, report, node, attack):
-    """The jammer's successors recomputed from the observation rule.
+def reference_successors(game, report, node, attacks):
+    """The jammer's successors under each of ``attacks``, recomputed from
+    the observation rule.
 
     Each kept move either finishes the task (the support touches the
     goal) or lands in a non-goal successor state, where the jammed
     observation filters the action image of the belief.  It reads
     ``trans`` and `get_observation`, never the game's mask tables.
     """
-    out = set()
+    out = {attack: set() for attack in attacks}
     for action, query in report.strategy.allowed[node]:
         support = frozenset(game.trans[(node.state, action)])
         image = frozenset().union(*(game.trans[(s, action)] for s in node.belief))
-        if support & game.goal:
-            out.add(FINAL)
-        for s2 in support - game.goal:
-            out.add(BeliefNode(s2, image & get_observation(game, s2, query, attack)))
+        for attack, succs in out.items():
+            if support & game.goal:
+                succs.add(FINAL)
+            for s2 in support - game.goal:
+                succs.add(BeliefNode(s2, image & get_observation(game, s2, query, attack)))
     return out
 
 
@@ -48,8 +50,7 @@ def assert_matches_reference(game, report, adv):
         offered = tuple(att for att in range(len(game.attacks))
                         if all(att in game.enabled_attacks[s] for s in landing))
         assert tuple(trans[node]) == offered
-        for att in offered:
-            assert trans[node][att] == reference_successors(game, report, node, att)
+        assert trans[node] == reference_successors(game, report, node, offered)
 
 
 def test_fig4_attacker_nodes_are_win1(fig4):
@@ -92,8 +93,8 @@ def test_fig4_win2_and_gap(fig4):
         bnode(g, "s1", ["s0", "s1"]),
     }
     assert win2 == frozenset(expected)
-    assert set(strategy.choice) == expected
-    assert all(g.attacks[a].name == "beta0" for a in strategy.choice.values())
+    assert set(strategy) == expected
+    assert all(g.attacks[a].name == "beta0" for a in strategy.values())
     assert fig4.gap == {q: g.attack("beta0") for q in sorted(expected, key=node_key)}
 
 
@@ -106,7 +107,7 @@ def test_fig4_win2_excludes_the_revealing_node(fig4):
 
 def test_fig1_attacker_loses_everywhere(fig1):
     assert fig1.win2 == frozenset()
-    assert fig1.attack_strategy.choice == {}
+    assert fig1.attack_strategy == {}
     assert fig1.gap == {}
 
 
@@ -136,7 +137,7 @@ def test_win2_one_step_verification(fig4):
     adv, win2, strategy = fig4.attacker, fig4.win2, fig4.attack_strategy
     trans = jammer_trans(adv)
     for node in win2:
-        att = strategy.choice[node]
+        att = strategy[node]
         succs = trans[node][att]
         assert FINAL not in succs
         assert all(s in win2 for s in succs)
@@ -156,7 +157,7 @@ def test_witness_attack_is_lowest_id(fig4):
     adv, win2, strategy = fig4.attacker, fig4.win2, fig4.attack_strategy
     trans = jammer_trans(adv)
     for node in win2:
-        chosen = strategy.choice[node]
+        chosen = strategy[node]
         for att in tuple(trans[node]):
             if att >= chosen:
                 break
@@ -185,6 +186,32 @@ def test_attacker_invariants_per_state_attacks(game):
     assert_attacker_invariants(game)
 
 
+# (seed, |Win1|, |Win2|) of each game of `jammer_win_runs`.
+JAMMER_WINS = [
+    (210, 72, 20), (221, 157, 2), (265, 75, 8), (270, 130, 76), (285, 107, 24),
+    (289, 51, 24), (298, 85, 6), (308, 66, 38), (332, 163, 36), (343, 71, 18),
+    (352, 8, 2), (371, 161, 26), (430, 39, 11), (433, 81, 22), (434, 40, 24),
+    (456, 22, 8), (480, 104, 7), (485, 16, 8), (490, 68, 36), (507, 86, 9),
+    (523, 92, 34), (612, 83, 28), (634, 69, 6), (644, 121, 74), (656, 108, 15),
+    (661, 139, 105), (669, 45, 8), (675, 64, 35), (677, 94, 2), (705, 113, 1),
+    (730, 94, 30), (732, 54, 17), (733, 93, 77), (735, 24, 5), (750, 56, 22),
+    (758, 35, 25), (762, 47, 5), (780, 12, 5), (785, 121, 30), (829, 61, 38),
+]
+
+
+def test_jammer_win_block():
+    # Only 16 soundness games have a nonempty Win2; this block is 40
+    # more, each checked against the reference successors and audited
+    # as a trap.
+    runs = jammer_win_runs()
+    assert [(seed, len(run.report.win), len(run.win2))
+            for seed, run in zip(JAMMER_WIN_SEEDS, runs)] == JAMMER_WINS
+    for seed, run in zip(JAMMER_WIN_SEEDS, runs):
+        assert_attacker_invariants(run.game)
+        assert gap_audit_failure(
+            run.game, run.report.strategy, run.attack_strategy, run.gap) is None, seed
+
+
 def assert_attacker_invariants(game):
     mdp = build_belief_mdp(game)
     rep = solve_p1(mdp)
@@ -200,7 +227,7 @@ def assert_attacker_invariants(game):
             for succ in trans[node][att]:
                 assert succ is FINAL or succ in inside
     for node in win2:
-        succs = trans[node][strategy.choice[node]]
+        succs = trans[node][strategy[node]]
         assert FINAL not in succs and all(s in win2 for s in succs)
     for node in inside - win2:
         for att in tuple(trans[node]):
@@ -209,7 +236,7 @@ def assert_attacker_invariants(game):
     # The gap is Win2 by construction: the jammer's strategy is defined
     # exactly on Win2, Win2 lies inside Win1, and the gap is that
     # strategy, in its order.
-    assert set(strategy.choice) == win2
+    assert set(strategy) == win2
     assert win2 <= rep.win
-    gap = deception_gap(rep, win2, strategy)
-    assert list(gap.items()) == list(strategy.choice.items())
+    gap = deception_gap(strategy)
+    assert list(gap.items()) == list(strategy.items())

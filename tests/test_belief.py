@@ -257,7 +257,7 @@ def test_no_stage_builds_trans(fig4_text):
     run = run_stages(fig4_text)
     assert "trans" not in vars(run.mdp) and "classes" not in vars(run.mdp)
     export_belief_dot(run.mdp, shade=run.report.win)
-    export_attacker_dot(run.attacker, shade=run.win2, strategy=run.attack_strategy)
+    export_attacker_dot(run.attacker, strategy=run.attack_strategy)
     assert "trans" not in vars(run.mdp) and "classes" not in vars(run.mdp)
     assert run.mdp.trans is vars(run.mdp)["trans"]
     assert run.mdp.classes is vars(run.mdp)["classes"]

@@ -15,8 +15,7 @@ def test_belief_dot_structure(fig4):
 
 
 def test_attacker_dot_structure(fig4):
-    out = export_attacker_dot(
-        fig4.attacker, shade=fig4.win2, strategy=fig4.attack_strategy)
+    out = export_attacker_dot(fig4.attacker, strategy=fig4.attack_strategy)
     assert out.startswith("digraph jammer {")
     assert out.count("fillcolor=lightcoral") == len(fig4.win2)
     assert 'complete [label="task complete" shape=doublecircle];' in out

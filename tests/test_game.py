@@ -192,12 +192,15 @@ def test_parser_rules_in_programmatic_document(rule):
 
 def test_weight_that_is_not_a_number():
     # Written as text, 's0:2' reads back as the number 2, so this rule
-    # has no text form for the round trip above.
-    doc = _with_s0_a0(("s0", "2"), ("s1", 1.0))(parse_spec(MINI))
-    with pytest.raises(GameValidationError) as err:
-        validate_game(doc)
-    assert err.value.issues == (ValidationIssue(
-        "bad-weight", "bad successor 's0:2' (expected 'name' or 'name:weight', weight > 0)", 9),)
+    # has no text form for the round trip above.  A bool is an int to
+    # Python, but not a weight.
+    for weight in ("2", True):
+        doc = _with_s0_a0(("s0", weight), ("s1", 1.0))(parse_spec(MINI))
+        with pytest.raises(GameValidationError) as err:
+            validate_game(doc)
+        assert err.value.issues == (ValidationIssue(
+            "bad-weight",
+            f"bad successor 's0:{weight}' (expected 'name' or 'name:weight', weight > 0)", 9),)
 
 
 def test_weights_with_an_infinite_total():

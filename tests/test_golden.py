@@ -42,7 +42,7 @@ from sensorgames import (
 )
 from sensorgames.belief import FINAL
 
-from .conftest import jammer_trans
+from .conftest import jammer_trans, node_views
 from .inputs import (
     attack_subset_runs,
     case_id,
@@ -113,8 +113,7 @@ def dot_digests(run) -> tuple[str, str | None]:
     belief = sha256(export_belief_dot(run.mdp, shade=run.report.win))
     if run.attacker is None:
         return belief, None
-    return belief, sha256(export_attacker_dot(
-        run.attacker, shade=run.win2, strategy=run.attack_strategy))
+    return belief, sha256(export_attacker_dot(run.attacker, strategy=run.attack_strategy))
 
 
 @pytest.mark.parametrize("name", sorted(FIGURES))
@@ -154,14 +153,15 @@ def perceived_dump(mdp) -> str:
     """The perceived game as text: nodes by their position in ``nodes``
     (`FINAL` is ``F``), attack sets as sorted ids, everything in the
     order ``mdp`` holds it."""
+    trans, classes = node_views(mdp)
     index = {q: str(i) for i, q in enumerate(mdp.nodes)}
     index[FINAL] = "F"
     lines = [f"initial {index[mdp.initial]}"]
     lines += [f"node {q.state} {sorted(q.belief)}" for q in mdp.nodes]
     lines += [f"class {sorted(belief)}: {[index[q] for q in members]}"
-              for belief, members in mdp.classes.items()]
+              for belief, members in classes.items()]
     for q in mdp.nodes:
-        for move, succs in mdp.trans[q].items():
+        for move, succs in trans[q].items():
             lines.append(f"{index[q]} {move}: " + " ".join(
                 f"{index[s]}{sorted(atts)}" for s, atts in succs.items()))
     return "\n".join(lines) + "\n"
@@ -201,7 +201,7 @@ def jammer_dump(adv, win2, strategy) -> str:
             lines.append(f"{index[q]} {att}: " + " ".join(
                 name[i] for i in sorted(map(index.__getitem__, succs))))
     lines.append(f"win2 {sorted(map(index.__getitem__, win2))}")
-    lines += [f"choose {index[q]} {att}" for q, att in strategy.choice.items()]
+    lines += [f"choose {index[q]} {att}" for q, att in strategy.items()]
     return "\n".join(lines) + "\n"
 
 

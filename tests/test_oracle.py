@@ -251,7 +251,7 @@ def test_oracle_on_a_split_class():
     # of its second class: class-mates there keep the same moves, so the
     # referee enumerates each class's moves as a whole.
     mdp = corpus_runs("differential")[107].mdp
-    first = list(mdp.classes.values())[1][0]
+    first = mdp.nodes[mdp.members[1][0]]
     sub = restricted(mdp, [q for q in mdp.nodes if q != first])
     assert brute_force_win1(sub) == OracleResult(True, 11, 5)
     assert solve_p1(sub).initial_winning

@@ -17,8 +17,9 @@ from sensorgames import (
     serialize_spec,
 )
 from sensorgames import pipeline
+from sensorgames.specfile import SensorDecl
 
-from .inputs import MINI, case_id, case_text
+from .inputs import MINI, case_id, case_text, ladder_text
 
 
 @pytest.mark.parametrize("name", BUNDLED_GAMES)
@@ -162,6 +163,63 @@ def test_reversed_declarations_change_nothing(case):
                       sensors=doc.sensors[::-1], queries=doc.queries[::-1])
     assert serialize_spec(flipped) != serialize_spec(doc)
     assert _answer(serialize_spec(flipped)) == _answer(case_text(case))
+
+
+def _with_sensor(doc, covers, queries, attacks):
+    """``doc`` with one more sensor, ``added``, that covers ``covers``
+    and is held by the queries named in ``queries`` and the attacks
+    named in ``attacks``.  It is declared last, so every id is kept."""
+    def hold(decls, names):
+        return tuple(replace(d, sensors=(*d.sensors, "added")) if d.name in names else d
+                     for d in decls)
+    return replace(doc, sensors=(*doc.sensors, SensorDecl("added", covers)),
+                   queries=hold(doc.queries, queries), attacks=hold(doc.attacks, attacks))
+
+
+def _holding(decls, sensor) -> set[str]:
+    """The names of the queries or attacks in ``decls`` that hold ``sensor``."""
+    return {d.name for d in decls if sensor in d.sensors}
+
+
+def _unseen_sensors(doc):
+    """The sensors the observation rule, the sensors in query less
+    attack, cannot tell from the original game: one that covers no
+    state and one that covers every state, each added to every query,
+    and a copy of the first sensor, held by exactly the queries and
+    attacks that hold the original."""
+    every = {d.name for d in doc.queries}
+    first = doc.sensors[0]
+    return [_with_sensor(doc, (), every, ()),
+            _with_sensor(doc, tuple(d.name for d in doc.states), every, ()),
+            _with_sensor(doc, first.covers, _holding(doc.queries, first.name),
+                         _holding(doc.attacks, first.name))]
+
+
+def _document(doc) -> dict:
+    """The result document of ``doc``, trace included, less its digest,
+    its sensor count and its warnings."""
+    result = json.loads(run_pipeline(serialize_spec(doc), include_trace=True).to_json())
+    del result["digest"], result["counts"]["sensors"], result["warnings"]
+    return result
+
+
+@pytest.mark.parametrize("case", [*BUNDLED_GAMES, "enabled-attacks", (10, 4, 9)], ids=case_id)
+def test_unseen_sensors_change_nothing(case):
+    doc = parse_spec(case_text(case))
+    original = _document(doc)
+    for variant in _unseen_sensors(doc):
+        assert _document(variant) == original
+
+
+def test_a_copy_left_out_of_the_attacks_leaks():
+    # Held by the original's queries but not by its attacks, the copy
+    # shows the reading the attacks jam: the relation above is not
+    # vacuous on this game.
+    doc = parse_spec(ladder_text(8, 3, 3))
+    first = doc.sensors[0]
+    leaky = _with_sensor(doc, first.covers, _holding(doc.queries, first.name), ())
+    counts = [run_pipeline(serialize_spec(d)).counts for d in (doc, leaky)]
+    assert [(c["win1"], c["belief_nodes"]) for c in counts] == [(0, 402), (243, 356)]
 
 
 def _renamed(doc):

@@ -9,14 +9,13 @@ from sensorgames import (
     brute_force_win1,
     build_belief_mdp,
     check_soundness,
-    get_observation,
     solve_p1,
 )
 from sensorgames.belief import FINAL, BeliefNode, node_key, node_label
 from sensorgames.oracle import GeneratorParams, OracleResult, generate_game
 from sensorgames.planner import certify_almost_sure_reach
 
-from .conftest import bnode, plain_brute_force
+from .conftest import bnode, gap_audit_failure, node_views, plain_brute_force
 from .inputs import case_run, corpus_runs, per_state_attack_game, restricted
 
 FIG1_WIN = [
@@ -99,8 +98,8 @@ def test_strategy_covers_all_nodes(fig1):
 def test_for_belief(fig1):
     g, rep = fig1.game, fig1.report
     q0 = fig1.mdp.initial
-    assert rep.strategy.for_belief(q0.belief) == rep.strategy.allowed[q0]
-    assert rep.strategy.for_belief(g.state_set(["s2", "s3"])) is None
+    assert rep.strategy.for_belief(q0.belief) == tuple(sorted(rep.strategy.allowed[q0]))
+    assert rep.strategy.for_belief(g.state_set(["s2", "s3"])) == ()
 
 
 def test_levels_start_at_core_and_partition(fig1):
@@ -290,24 +289,26 @@ def nested_fixpoint_win1(mdp):
     """Almost-sure reachability of FINAL over the belief-support game, as
     the textbook nested fixpoint (Chatterjee, Doyen & Henzinger, MFCS
     2010).  It reads only the node-keyed views ``mdp.trans`` and
-    ``mdp.classes``: no stored ids, no solver state.
+    ``mdp.classes``, through `node_views`: no stored ids, no solver
+    state.
 
     Y starts as every node.  A move is allowed at a class if, from every
     member, its successors stay in Y or are FINAL.  X is the least set of
     nodes that reach FINAL through allowed moves, and Y becomes the
     union of the classes wholly inside X, until Y stops changing.
     """
+    trans, classes = node_views(mdp)
     preds = {}
     for q in mdp.nodes:
-        for move, succs in mdp.trans[q].items():
+        for move, succs in trans[q].items():
             for succ in succs:
                 preds.setdefault(succ, []).append((q, move))
     y = set(mdp.nodes)
     while True:
         allowed = {}
-        for members in mdp.classes.values():
+        for members in classes.values():
             if all(q in y for q in members):
-                safe = [{move for move, succs in mdp.trans[q].items()
+                safe = [{move for move, succs in trans[q].items()
                          if all(s is FINAL or s in y for s in succs)} for q in members]
                 for q in members:
                     allowed[q] = set.intersection(*safe)
@@ -317,7 +318,7 @@ def nested_fixpoint_win1(mdp):
                 if q not in x and move in allowed.get(q, ()):
                     x.add(q)
                     queue.append(q)
-        kept = {q for members in mdp.classes.values()
+        kept = {q for members in classes.values()
                 if all(q in x for q in members) for q in members}
         if kept == y:
             return frozenset(y)
@@ -356,8 +357,8 @@ def test_nested_fixpoint_agrees_on_a_restricted_rung():
     # the referees are compared on the sub-MDP without its largest
     # class, which loses somewhere.
     mdp = case_run((14, 5, 7)).mdp
-    largest = max(mdp.classes.values(), key=len)
-    sub = restricted(mdp, [q for q in mdp.nodes if q not in largest])
+    largest = set(max(mdp.members, key=len))
+    sub = restricted(mdp, [q for i, q in enumerate(mdp.nodes) if i not in largest])
     win = solve_p1(sub).win
     assert (len(sub.nodes), len(win)) == (7107, 5947)
     assert nested_fixpoint_win1(sub) == win
@@ -394,40 +395,6 @@ def test_removing_an_attack_can_lose_the_start():
 
 # --- an audit of the deception gap in the arena ------------------------------
 
-def gap_audit_failure(game, strategy, choice, gap):
-    """The first way the jammer's trap fails, or None.
-
-    From each gap node it explores the (state, belief) pairs a play can
-    reach under every kept move of ``strategy``, every successor in
-    ``game.trans`` and the attack ``choice`` picks, with the belief
-    updated by set algebra over `get_observation`: the action image
-    intersected with what the true successor shows.  It shares no code
-    with the expansion, `Game.masks` or the jammer build.  A failure is
-    ("goal", node, move, state) where a goal state is reached,
-    ("disabled", node, attack, state) where the attack is not enabled
-    at a landing state, and ("outside", node, move, successor) where a
-    reached node lies outside ``choice``'s domain.
-    """
-    seen, queue = set(gap), list(gap)
-    for node in queue:
-        attack = choice[node]
-        for action, query in sorted(strategy.allowed[node]):
-            image = set().union(*(game.trans[(b, action)] for b in node.belief))
-            for state in game.trans[(node.state, action)]:
-                if state in game.goal:
-                    return ("goal", node, (action, query), state)
-                if attack not in game.enabled_attacks[state]:
-                    return ("disabled", node, attack, state)
-                view = get_observation(game, state, query, attack)
-                succ = BeliefNode(state, frozenset(image & view))
-                if succ not in choice:
-                    return ("outside", node, (action, query), succ)
-                if succ not in seen:
-                    seen.add(succ)
-                    queue.append(succ)
-    return None
-
-
 def test_gap_audit_in_the_arena():
     # fig4, the `enabled-attacks` case and the soundness-corpus games
     # with a nonempty gap.
@@ -435,6 +402,6 @@ def test_gap_audit_in_the_arena():
     for run in [case_run("fig4"), case_run("enabled-attacks"), *corpus_runs("soundness")]:
         if run.gap:
             assert gap_audit_failure(
-                run.game, run.report.strategy, run.attack_strategy.choice, run.gap) is None
+                run.game, run.report.strategy, run.attack_strategy, run.gap) is None
             audited += 1
     assert audited == 18
