@@ -52,7 +52,6 @@ from .oracle import (
     GeneratorParams,
     OracleResult,
     brute_force_win1,
-    generate_game,
     generate_spec,
 )
 from .sim import (

@@ -15,7 +15,9 @@ asked for; text lines are printed as they are produced, so `simulate`
 reports each run as it ends, before the next run's ``--p2 prompt``
 questions.  Under ``--trace``, `simulate` names every step once and both
 its views read those names.  `gen-random` and `export-dot` write a game
-file and DOT.
+file and DOT.  `gen-random` has one flag per `GeneratorParams` field,
+named after it less ``n_`` and typed and defaulted by it, so the flags
+and their defaults are stated once, in `oracle`.
 
 Exit codes: 0 on success, 1 when a verdict requested through --expect
 does not hold or the oracle disagrees with the solver, 2 on bad input
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from dataclasses import fields
 
 from .game import GameValidationError, validate_game
 from .oracle import CapExceededError, GeneratorParams, brute_force_win1, generate_spec
@@ -194,16 +197,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen_random(args) -> int:
-    params = GeneratorParams(
-        n_states=args.states,
-        n_actions=args.actions,
-        n_sensors=args.sensors,
-        n_queries=args.queries,
-        n_attacks=args.attacks,
-        max_support=args.max_support,
-        goal_fraction=args.goal_fraction,
-        seed=args.seed,
-    )
+    params = GeneratorParams(**{f.name: getattr(args, f.name) for f in fields(GeneratorParams)})
     sys.stdout.write(serialize_spec(generate_spec(params)))
     return 0
 
@@ -255,14 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
           ("--cap", dict(type=int, default=1_000_000)))
 
     p = sub.add_parser("gen-random", help="emit a seeded random game file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--states", type=int, default=4)
-    p.add_argument("--actions", type=int, default=2)
-    p.add_argument("--sensors", type=int, default=2)
-    p.add_argument("--queries", type=int, default=2)
-    p.add_argument("--attacks", type=int, default=3)
-    p.add_argument("--max-support", type=int, default=2)
-    p.add_argument("--goal-fraction", type=float, default=0.25)
+    for f in fields(GeneratorParams):  # n_states gives --states, and so on
+        p.add_argument("--" + f.name.removeprefix("n_").replace("_", "-"), dest=f.name,
+                       type=type(f.default), default=f.default)
     p.set_defaults(func=_cmd_gen_random)
 
     p = sub.add_parser("export-dot", help="Graphviz view of either game")

@@ -30,10 +30,12 @@ parser checks on text: each declared name matches specfile's name
 pattern, exactly one state is marked initial, no name, transition row
 or enabling row is declared twice, and a row's successors carry
 weights all or none, each within specfile's weight bound (a number,
-finite and > 0).  The semantic rules -- names resolve, supports are
-non-empty and list each successor once, a row's weights have a finite
-total, every state enables an action and an attack -- are the
-validator's alone.
+finite and > 0).  Each section's label and duplicate key come from
+specfile's section table, and the five named sections -- states,
+actions, sensors, queries, attacks -- are checked in one loop.  The
+semantic rules -- names resolve, supports are non-empty and list each
+successor once, a row's weights have a finite total, every state
+enables an action and an attack -- are the validator's alone.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from itertools import accumulate
 from operator import or_
 from typing import Iterable, Mapping, Sequence
 
-from .specfile import _NAME, GameSpecDocument, _format_successor, _weight_ok
+from .specfile import _NAME, _SECTIONS, GameSpecDocument, _format_successor, _summary, _weight_ok
 
 StateId = int
 ActionId = int
@@ -93,10 +95,7 @@ class GameValidationError(Exception):
 
     def __init__(self, issues: list[ValidationIssue]):
         self.issues = tuple(issues)
-        first = self.issues[0]
-        rest = len(self.issues) - 1
-        tail = f" (and {rest} more)" if rest else ""
-        super().__init__(f"{first}{tail}")
+        super().__init__(_summary(self.issues))
 
 
 @dataclass(frozen=True)
@@ -320,28 +319,16 @@ def _resolve_all(names: Mapping[str, int], members, what: str, line: int,
                      if (idx := _resolve(names, name, what, line, issues)) is not None)
 
 
-def _named_rows(decls, what: str, issues: list[ValidationIssue]) -> dict:
-    """Each declared name's first row, in row order.  Every row's name is
-    checked, and each later row of a name is reported as a duplicate."""
-    issues += [ValidationIssue("bad-name", f"bad {what} name '{decl.name}' "
-                               f"(expected {_NAME.pattern})", decl.line)
-               for decl in decls if not _NAME.fullmatch(decl.name)]
-    return {decl.name: decl for decl in _first_rows(decls, lambda decl: decl.name, what, issues)}
-
-
-def _index_names(rows: Mapping[str, object]) -> dict[str, int]:
-    return {name: i for i, name in enumerate(rows)}
-
-
-def _first_rows(decls, key, what: str, issues: list[ValidationIssue]):
-    """``decls`` without each row whose key an earlier row has; each
-    such row is reported as the parser reports it."""
+def _first_rows(doc: GameSpecDocument, section: str, issues: list[ValidationIssue]):
+    """The rows of ``section`` without each row whose key an earlier row
+    has; each such row is reported as the parser reports it."""
+    table = _SECTIONS[section]
     seen: set[str] = set()
-    for decl in decls:
-        k = key(decl)
+    for decl in getattr(doc, table.field):
+        k = table.key(decl)
         if k in seen:
             issues.append(ValidationIssue(
-                "duplicate-name", f"{what} '{k}' declared twice", decl.line))
+                "duplicate-name", f"{table.what} '{k}' declared twice", decl.line))
         else:
             seen.add(k)
             yield decl
@@ -357,14 +344,17 @@ def validate_game(doc: GameSpecDocument) -> Game:
     issues: list[ValidationIssue] = []
     warnings: list[str] = []
 
-    state_rows = _named_rows(doc.states, "state", issues)
-    state_ids = _index_names(state_rows)
-    action_ids = _index_names(_named_rows(doc.actions, "action", issues))
-    sensor_rows = _named_rows(doc.sensors, "sensor", issues)
-    sensor_ids = _index_names(sensor_rows)
-    query_rows = _named_rows(doc.queries, "query", issues)
-    attack_rows = _named_rows(doc.attacks, "attack", issues)
-    attack_ids = _index_names(attack_rows)
+    # Each named section's first row of each name, every row's name checked.
+    rows: dict[str, dict] = {}
+    for section in ("states", "actions", "sensors", "queries", "attacks"):
+        table = _SECTIONS[section]
+        issues += [ValidationIssue("bad-name", f"bad {table.what} name '{decl.name}' "
+                                   f"(expected {_NAME.pattern})", decl.line)
+                   for decl in getattr(doc, table.field) if not _NAME.fullmatch(decl.name)]
+        rows[section] = {decl.name: decl for decl in _first_rows(doc, section, issues)}
+    state_rows = rows["states"]
+    state_ids, action_ids, sensor_ids, _, attack_ids = (
+        {name: i for i, name in enumerate(named)} for named in rows.values())
 
     initials = [s for s in state_rows.values() if s.initial]
     initial = state_ids.get(initials[0].name) if initials else None
@@ -374,8 +364,7 @@ def validate_game(doc: GameSpecDocument) -> Game:
     goal = frozenset(state_ids[s.name] for s in state_rows.values() if s.goal)
 
     trans: dict[tuple[StateId, ActionId], dict[StateId, float | None]] = {}
-    for t in _first_rows(doc.transitions, lambda t: f"{t.state} {t.action}", "transition",
-                         issues):
+    for t in _first_rows(doc, "transitions", issues):
         s = _resolve(state_ids, t.state, "state", t.line, issues)
         a = _resolve(action_ids, t.action, "action", t.line, issues)
         if not t.successors:
@@ -422,7 +411,7 @@ def validate_game(doc: GameSpecDocument) -> Game:
                 f"set; solver guarantees assume absorbing goal states")
 
     sensors = []
-    for decl in sensor_rows.values():
+    for decl in rows["sensors"].values():
         covered = _resolve_all(state_ids, decl.covers, "state", decl.line, issues)
         if not covered:
             warnings.append(f"sensor '{decl.name}' covers no state")
@@ -432,8 +421,8 @@ def validate_game(doc: GameSpecDocument) -> Game:
         return [SensorSelection(d.name, _resolve_all(sensor_ids, d.sensors, "sensor", d.line,
                                                      issues)) for d in decls]
 
-    queries = selections(query_rows.values())
-    attacks = selections(attack_rows.values())
+    queries = selections(rows["queries"].values())
+    attacks = selections(rows["attacks"].values())
 
     for name, sid in state_ids.items():
         if sid not in acting:
@@ -442,8 +431,7 @@ def validate_game(doc: GameSpecDocument) -> Game:
                 state_rows[name].line))
 
     enabled: list[frozenset[AttackId]] = [frozenset(range(len(attack_ids)))] * len(state_ids)
-    for decl in _first_rows(doc.enabled_attacks, lambda e: e.state,
-                            "attack enabling for state", issues):
+    for decl in _first_rows(doc, "enabled-attacks", issues):
         sid = _resolve(state_ids, decl.state, "state", decl.line, issues)
         listed = _resolve_all(attack_ids, decl.attacks, "attack", decl.line, issues)
         if sid is not None:

@@ -3,6 +3,8 @@
 The generator turns a parameter record and a seed into a game document,
 deterministically: the same inputs serialize to byte-identical text.  It
 exists to mass-produce small instances for differential testing.
+`GeneratorParams` holds the defaults, and `gen-random` builds its flags
+from its fields; a game is ``validate_game(generate_spec(params))``.
 
 The brute-force check answers one question only, by sheer enumeration:
 does the agent have *any* belief-uniform multi-strategy that completes
@@ -40,7 +42,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .belief import BeliefMDP
-from .game import Game, validate_game
 from .specfile import (
     ActionDecl,
     GameSpecDocument,
@@ -53,14 +54,16 @@ from .specfile import (
 
 @dataclass(frozen=True)
 class GeneratorParams:
-    n_states: int
-    n_actions: int
-    n_sensors: int
-    n_queries: int
-    n_attacks: int  # includes the always-present empty attack
-    max_support: int
-    goal_fraction: float
-    seed: int
+    """What `generate_spec` draws from; the defaults are `gen-random`'s."""
+
+    n_states: int = 4
+    n_actions: int = 2
+    n_sensors: int = 2
+    n_queries: int = 2
+    n_attacks: int = 3  # includes the always-present empty attack
+    max_support: int = 2
+    goal_fraction: float = 0.25
+    seed: int = 0
 
     def __post_init__(self) -> None:
         for name in ("n_states", "n_actions", "n_sensors", "n_queries", "n_attacks"):
@@ -93,16 +96,10 @@ def generate_spec(params: GeneratorParams) -> GameSpecDocument:
             for a in actions:
                 transitions.append(TransitionDecl(s, a, ((s, None),)))
             continue
-        enabled = [a for a in actions if rng.random() < 0.75]
-        if not enabled:
-            enabled = [rng.choice(actions)]
-        for a in actions:
-            if a not in enabled:
-                continue
-            size = rng.randint(1, params.max_support)
-            support = rng.sample(states, size)
-            transitions.append(TransitionDecl(
-                s, a, tuple((succ, None) for succ in support)))
+        enabled = [a for a in actions if rng.random() < 0.75] or [rng.choice(actions)]
+        for a in enabled:
+            support = rng.sample(states, rng.randint(1, params.max_support))
+            transitions.append(TransitionDecl(s, a, tuple((succ, None) for succ in support)))
 
     sensor_decls = tuple(
         SensorDecl(name, tuple(s for s in states if rng.random() < 0.5))
@@ -123,10 +120,6 @@ def generate_spec(params: GeneratorParams) -> GameSpecDocument:
         queries=query_decls,
         attacks=tuple(attack_decls),
     )
-
-
-def generate_game(params: GeneratorParams) -> Game:
-    return validate_game(generate_spec(params))
 
 
 class CapExceededError(Exception):

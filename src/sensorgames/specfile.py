@@ -31,16 +31,21 @@ can point back at declaration lines.
     s0: beta0 none
 
 One table, `_SECTIONS`, lists the sections in file order and gives each
-its `GameSpecDocument` field, the parser of one of its lines and the
-formatter that writes one declaration back; `parse_spec` and
-`serialize_spec` both walk it.  Every line parser returns a key, and one
-check per section reports a key declared twice.
+its `GameSpecDocument` field, its label (what one declaration is), the
+key of a declaration, unique per section in a valid file, the parser of
+one of its lines and the formatter that writes one declaration back.
+`parse_spec` and `serialize_spec` both walk it.  A line parser returns
+only the declaration; one check per section then reports a key declared
+twice, as "<label> '<key>' declared twice".
 
 The validator checks again every rule the parser checks here, since a
 document built in code never passes through the parser: the name
-pattern, `_NAME`, and the weight bound, `_weight_ok`, are taken from
-this module, and one initial state and no key declared twice are
-checked there too, in the same words.
+pattern, `_NAME`, the weight bound, `_weight_ok`, and each section's
+label and key, from `_SECTIONS`, are taken from this module, and one
+initial state and no key declared twice are checked there too, in the
+same words.  `_summary` writes the message of both `SpecParseError` and
+the validator's `GameValidationError`: the first finding, and how many
+more there are.
 
 Parsing never stops at the first problem.  Every malformed line is
 recorded as a `Diagnostic` with its line and column, and `parse_spec`
@@ -57,7 +62,8 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import Callable
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 
 @dataclass(frozen=True)
@@ -71,15 +77,18 @@ class Diagnostic:
         return f"line {self.line}, col {self.column}: {self.message}"
 
 
+def _summary(findings: tuple) -> str:
+    """An error's message: its first finding, and how many more it has."""
+    rest = len(findings) - 1
+    return f"{findings[0]}" + (f" (and {rest} more)" if rest else "")
+
+
 class SpecParseError(Exception):
     """Raised when a game file has syntax problems; carries all of them."""
 
     def __init__(self, diagnostics: list[Diagnostic]):
         self.diagnostics = tuple(diagnostics)
-        first = self.diagnostics[0]
-        rest = len(self.diagnostics) - 1
-        tail = f" (and {rest} more)" if rest else ""
-        super().__init__(f"{first}{tail}")
+        super().__init__(_summary(self.diagnostics))
 
 
 @dataclass(frozen=True)
@@ -141,12 +150,6 @@ class GameSpecDocument:
 _TOKEN = re.compile(r"\S+")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# What a line parser returns for a well-formed line: (what, key,
-# declaration).  The key is unique per section in a valid file; a second
-# line with the same key is reported as "<what> '<key>' declared twice"
-# at the column of the line's first token.  A malformed line gives None.
-_Parsed = tuple[str, str, object] | None
-
 
 def _column(raw: str, index: int) -> int:
     """The 1-based column of a line's ``index``-th token.  `str.split`
@@ -157,10 +160,10 @@ def _column(raw: str, index: int) -> int:
 
 class _Scan:
     """Mutable parse state: each section's declarations by key, in file
-    order, plus diagnostics."""
+    order, under the section's document field, plus diagnostics."""
 
     def __init__(self) -> None:
-        self.decls: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
+        self.decls: dict[str, dict[str, object]] = {t.field: {} for t in _SECTIONS.values()}
         self.diagnostics: list[Diagnostic] = []
 
     def issue(self, line: int, column: int, kind: str, message: str) -> None:
@@ -190,24 +193,28 @@ def _split_named_list(
     return head_tokens[0], tuple(tail.split())
 
 
-def _state_line(scan: _Scan, lineno: int, raw: str) -> _Parsed:
+# A line parser is called as ``parse(scan, lineno, raw, what)``, with
+# ``what`` its section's label.  It returns the line's declaration, or
+# None for a malformed line.
+
+
+def _state_line(scan: _Scan, lineno: int, raw: str, what: str) -> StateDecl:
     name, *flags = raw.split()
-    scan.check_name(lineno, raw, name, "state")
+    scan.check_name(lineno, raw, name, what)
     for i, tok in enumerate(flags, 1):
         if tok not in ("initial", "goal"):
             scan.issue(lineno, _column(raw, i), "unknown-field",
                        f"unknown state flag '{tok}' (expected 'initial' or 'goal')")
-    return "state", name, StateDecl(name, "initial" in flags, "goal" in flags, lineno)
+    return StateDecl(name, "initial" in flags, "goal" in flags, lineno)
 
 
-def _action_line(scan: _Scan, lineno: int, raw: str) -> _Parsed:
+def _action_line(scan: _Scan, lineno: int, raw: str, what: str) -> ActionDecl | None:
     toks = raw.split()
     if len(toks) != 1:
         scan.issue(lineno, _column(raw, 1), "syntax", "one action name per line")
         return None
-    name = toks[0]
-    scan.check_name(lineno, raw, name, "action")
-    return "action", name, ActionDecl(name, lineno)
+    scan.check_name(lineno, raw, toks[0], what)
+    return ActionDecl(toks[0], lineno)
 
 
 def _weight_ok(value: object) -> bool:
@@ -232,7 +239,7 @@ def _parse_successor(tok: str) -> tuple[str, float | None] | None:
     return name, value
 
 
-def _transition_line(scan: _Scan, lineno: int, raw: str) -> _Parsed:
+def _transition_line(scan: _Scan, lineno: int, raw: str, what: str) -> TransitionDecl | None:
     toks = raw.split()
     if len(toks) < 3 or toks[2] != "->":
         scan.issue(lineno, 1, "syntax", "expected 'state action -> successors...'")
@@ -249,29 +256,22 @@ def _transition_line(scan: _Scan, lineno: int, raw: str) -> _Parsed:
         scan.issue(lineno, _column(raw, 3), "syntax",
                    "either every successor carries a weight or none does")
         return None
-    state, action = toks[:2]
-    # Tokens hold no whitespace, so "state action" names the pair uniquely.
-    return ("transition", f"{state} {action}",
-            TransitionDecl(state, action, tuple(successors), lineno))
+    return TransitionDecl(*toks[:2], tuple(successors), lineno)
 
 
-def _selection_line(what: str, decl: type, scan: _Scan, lineno: int, raw: str) -> _Parsed:
+def _selection_line(decl: type, scan: _Scan, lineno: int, raw: str, what: str):
     """A ``name: member ...`` line declaring a sensor (its members are
     states), a query or an attack (sensors); ``decl`` is its type."""
     parsed = _split_named_list(scan, lineno, raw, what)
     if parsed is None:
         return None
-    name, members = parsed
-    scan.check_name(lineno, raw, name, what)
-    return what, name, decl(name, members, lineno)
+    scan.check_name(lineno, raw, parsed[0], what)
+    return decl(*parsed, lineno)
 
 
-def _enabling_line(scan: _Scan, lineno: int, raw: str) -> _Parsed:
+def _enabling_line(scan: _Scan, lineno: int, raw: str, what: str) -> EnablingDecl | None:
     parsed = _split_named_list(scan, lineno, raw, "state")
-    if parsed is None:
-        return None
-    state, attacks = parsed
-    return "attack enabling for state", state, EnablingDecl(state, attacks, lineno)
+    return None if parsed is None else EnablingDecl(*parsed, lineno)
 
 
 def _format_successor(succ: tuple[str, float | None]) -> str:
@@ -294,24 +294,38 @@ def _named_list(name: str, members: tuple[str, ...]) -> str:
     return f"{name}: {' '.join(members)}".rstrip()
 
 
-# The format's one table: each section, in file order, with the document
-# field that holds its declarations, the parser of one of its lines and
-# the formatter that writes one declaration back as a line.
-_SECTIONS: dict[str, tuple[str, Callable[..., _Parsed], Callable[..., str]]] = {
-    "states": ("states", _state_line,
-               lambda s: s.name + (" initial" if s.initial else "") + (" goal" if s.goal else "")),
-    "actions": ("actions", _action_line, lambda a: a.name),
-    "transitions": ("transitions", _transition_line,
-                    lambda t: f"{t.state} {t.action} -> "
-                              f"{' '.join(map(_format_successor, t.successors))}".rstrip()),
-    "sensors": ("sensors", partial(_selection_line, "sensor", SensorDecl),
-                lambda s: _named_list(s.name, s.covers)),
-    "queries": ("queries", partial(_selection_line, "query", SelectionDecl),
-                lambda q: _named_list(q.name, q.sensors)),
-    "attacks": ("attacks", partial(_selection_line, "attack", SelectionDecl),
-                lambda a: _named_list(a.name, a.sensors)),
-    "enabled-attacks": ("enabled_attacks", _enabling_line,
-                        lambda e: _named_list(e.state, e.attacks)),
+class _Section(NamedTuple):
+    field: str  # the document field that holds the section's declarations
+    what: str  # what one declaration is, in messages
+    key: Callable[..., str]  # a declaration's key, unique in a valid section
+    parse: Callable  # the parser of one line
+    format: Callable[..., str]  # writes one declaration back as a line
+
+
+_name = attrgetter("name")
+
+# The format's one table: each section, in file order.  The parser and
+# the validator both report a declaration whose key an earlier one of its
+# section has as "<what> '<key>' declared twice".
+_SECTIONS: dict[str, _Section] = {
+    "states": _Section(
+        "states", "state", _name, _state_line,
+        lambda s: s.name + (" initial" if s.initial else "") + (" goal" if s.goal else "")),
+    "actions": _Section("actions", "action", _name, _action_line, _name),
+    # Tokens hold no whitespace, so "state action" names the pair uniquely.
+    "transitions": _Section(
+        "transitions", "transition", lambda t: f"{t.state} {t.action}", _transition_line,
+        lambda t: f"{t.state} {t.action} -> "
+                  f"{' '.join(map(_format_successor, t.successors))}".rstrip()),
+    "sensors": _Section("sensors", "sensor", _name, partial(_selection_line, SensorDecl),
+                        lambda s: _named_list(s.name, s.covers)),
+    "queries": _Section("queries", "query", _name, partial(_selection_line, SelectionDecl),
+                        lambda q: _named_list(q.name, q.sensors)),
+    "attacks": _Section("attacks", "attack", _name, partial(_selection_line, SelectionDecl),
+                        lambda a: _named_list(a.name, a.sensors)),
+    "enabled-attacks": _Section(
+        "enabled_attacks", "attack enabling for state", attrgetter("state"), _enabling_line,
+        lambda e: _named_list(e.state, e.attacks)),
 }
 
 
@@ -322,7 +336,7 @@ def parse_spec(text: str) -> GameSpecDocument:
     line or unknown section is skipped and scanning continues.
     """
     scan = _Scan()
-    section: str | None = None
+    section: _Section | None = None
     states_header_line = 0
 
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -338,22 +352,22 @@ def parse_spec(text: str) -> GameSpecDocument:
             elif name not in _SECTIONS:
                 scan.issue(lineno, 1, "unknown-field", f"unknown section '[{name}]'")
             else:
-                section = name
+                section = _SECTIONS[name]
                 if name == "states":
                     states_header_line = lineno
             continue
         if section is None:
             scan.issue(lineno, 1, "syntax", "content outside any known section")
             continue
-        parsed = _SECTIONS[section][1](scan, lineno, raw)
-        if parsed is None:
+        decl = section.parse(scan, lineno, raw, section.what)
+        if decl is None:
             continue
-        what, key, decl = parsed
-        if key in scan.decls[section]:
+        key, decls = section.key(decl), scan.decls[section.field]
+        if key in decls:
             scan.issue(lineno, _column(raw, 0), "duplicate-definition",
-                       f"{what} '{key}' declared twice")
+                       f"{section.what} '{key}' declared twice")
         else:
-            scan.decls[section][key] = decl
+            decls[key] = decl
 
     if not states_header_line:
         scan.issue(1, 1, "syntax", "missing states section")
@@ -369,8 +383,8 @@ def parse_spec(text: str) -> GameSpecDocument:
     if scan.diagnostics:
         raise SpecParseError(scan.diagnostics)
 
-    return GameSpecDocument(**{field: tuple(scan.decls[name].values())
-                               for name, (field, _, _) in _SECTIONS.items()})
+    return GameSpecDocument(**{field: tuple(decls.values())
+                               for field, decls in scan.decls.items()})
 
 
 def serialize_spec(doc: GameSpecDocument) -> str:
@@ -383,8 +397,8 @@ def serialize_spec(doc: GameSpecDocument) -> str:
     ``[enabled-attacks]`` section is left out.
     """
     out: list[str] = []
-    for name, (field, _, format_line) in _SECTIONS.items():
-        decls = getattr(doc, field)
+    for name, table in _SECTIONS.items():
+        decls = getattr(doc, table.field)
         if decls or name != "enabled-attacks":
-            out += [f"[{name}]", *map(format_line, decls), ""]
+            out += [f"[{name}]", *map(table.format, decls), ""]
     return "\n".join(out)

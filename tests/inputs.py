@@ -6,14 +6,19 @@ first 100 per-state-attack games, a block of games the jammer wins, the
 ladder and case texts and their runs, and the small hand-written games.
 Each reader is handed the same objects, so a test that needs fresh
 objects, or changes what it is given, builds its own.
+
+The runs and sub-MDPs are cached behind `shared`, so the garbage
+collections of later tests skip them instead of walking them all on
+every gen-2 pass.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 from dataclasses import replace
-from functools import cache
+from functools import cache, wraps
 from importlib import resources
 from itertools import accumulate, filterfalse
 from typing import Iterable
@@ -23,7 +28,7 @@ from hypothesis import strategies as st
 from sensorgames import bundled_game_text, run_stages, serialize_spec, validate_game
 from sensorgames.belief import BeliefMDP, BeliefNode
 from sensorgames.game import Game
-from sensorgames.oracle import GeneratorParams, generate_game, generate_spec
+from sensorgames.oracle import GeneratorParams, generate_spec
 from sensorgames.pipeline import PipelineRun
 from sensorgames.specfile import EnablingDecl, GameSpecDocument
 
@@ -105,11 +110,24 @@ x: c
 """
 
 
+def shared(build):
+    """`functools.cache`, with `gc.freeze()` after each new build, so
+    the garbage collector no longer walks what the session shares.
+    ``cache_clear`` still drops the cached values."""
+    @cache
+    @wraps(build)
+    def get(*args):
+        value = build(*args)
+        gc.freeze()
+        return value
+    return get
+
+
 def small_games():
     return st.integers(min_value=0, max_value=10_000).map(
-        lambda seed: generate_game(GeneratorParams(
+        lambda seed: validate_game(generate_spec(GeneratorParams(
             n_states=5, n_actions=3, n_sensors=3, n_queries=3, n_attacks=3,
-            max_support=2, goal_fraction=0.25, seed=seed)))
+            max_support=2, goal_fraction=0.25, seed=seed))))
 
 
 def per_state_attack_doc(seed: int, pick) -> GameSpecDocument:
@@ -136,7 +154,7 @@ def per_state_attack_games(draw):
         lambda names: draw(st.sets(st.sampled_from(names), min_size=1)))
 
 
-@cache
+@shared
 def attack_subset_runs() -> tuple[PipelineRun, ...]:
     """`run_stages` on the first 100 per-state-attack games: game k
     draws each state's attacks from ``Random(k)``."""
@@ -154,7 +172,7 @@ def load_corpus() -> dict:
     return json.loads(path.read_text())
 
 
-@cache
+@shared
 def corpus_runs(block: str | None = None) -> tuple[PipelineRun, ...]:
     """`run_stages` on each game of the corpus block ``block``, in seed
     order, or on every block's games in corpus order where ``block`` is
@@ -176,7 +194,7 @@ JAMMER_WIN_SEEDS = (
     677, 705, 730, 732, 733, 735, 750, 758, 762, 780, 785, 829)
 
 
-@cache
+@shared
 def jammer_win_runs() -> tuple[PipelineRun, ...]:
     """`run_stages` on the soundness block's generator at each of
     `JAMMER_WIN_SEEDS`, in order."""
@@ -231,7 +249,7 @@ def split_class(mdp: BeliefMDP) -> BeliefMDP | None:
     return None
 
 
-@cache
+@shared
 def split_classes(block: str | None = None) -> tuple[BeliefMDP | None, ...]:
     """`split_class` of each perceived game of ``corpus_runs(block)``,
     in the same order."""
@@ -272,7 +290,7 @@ def case_text(case) -> str:
     return bundled_game_text(case) if isinstance(case, str) else ladder_text(*case)
 
 
-@cache
+@shared
 def case_run(case) -> PipelineRun:
     """`run_stages` on ``case_text(case)``."""
     return run_stages(case_text(case))

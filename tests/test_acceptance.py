@@ -29,7 +29,8 @@ from sensorgames import (
     solve_p2_safety,
 )
 from sensorgames.belief import FINAL, node_key, node_label
-from sensorgames.oracle import GeneratorParams, generate_game
+from sensorgames.game import validate_game
+from sensorgames.oracle import GeneratorParams, generate_spec
 
 from .conftest import jammer_trans, load_corpus
 
@@ -93,7 +94,7 @@ def test_criterion_4_oracle_agreement():
         for entry in block["seeds"]:
             if not entry["within_cap"]:
                 continue
-            game = generate_game(GeneratorParams(**p, seed=entry["seed"]))
+            game = validate_game(generate_spec(GeneratorParams(**p, seed=entry["seed"])))
             mdp = build_belief_mdp(game)
             rep = solve_p1(mdp)
             result = brute_force_win1(mdp, cap=block["cap"])
@@ -115,7 +116,7 @@ def test_criterion_5_soundness_sweep():
         win1_nonempty = 0
         gap_nonempty = 0
         for seed in block["seeds"]:
-            game = generate_game(GeneratorParams(**p, seed=seed))
+            game = validate_game(generate_spec(GeneratorParams(**p, seed=seed)))
             mdp = build_belief_mdp(game)
             rep = solve_p1(mdp)
             verdict = check_soundness(mdp, rep.strategy)

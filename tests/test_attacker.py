@@ -13,8 +13,8 @@ from sensorgames import (
     solve_p2_safety,
 )
 from sensorgames.belief import FINAL, BeliefNode, node_key, node_label
-from sensorgames.game import get_observation
-from sensorgames.oracle import GeneratorParams, generate_game
+from sensorgames.game import get_observation, validate_game
+from sensorgames.oracle import GeneratorParams, generate_spec
 
 from .conftest import bnode, gap_audit_failure, jammer_trans
 from .inputs import JAMMER_WIN_SEEDS, jammer_win_runs, per_state_attack_games
@@ -175,9 +175,9 @@ def test_empty_win1_refused(fig1_nosense):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_attacker_invariants_random(seed):
-    assert_attacker_invariants(generate_game(GeneratorParams(
+    assert_attacker_invariants(validate_game(generate_spec(GeneratorParams(
         n_states=5, n_actions=2, n_sensors=3, n_queries=2, n_attacks=3,
-        max_support=2, goal_fraction=0.25, seed=seed)))
+        max_support=2, goal_fraction=0.25, seed=seed))))
 
 
 @settings(max_examples=25, deadline=None)

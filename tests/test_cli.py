@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output formats, error paths."""
 
+import hashlib
 import io
 import json
 
@@ -340,6 +341,22 @@ def test_gen_random_is_solvable_input(capsys, tmp_path):
     path.write_text(out)
     code, _, _ = run(capsys, "solve-p1", path)
     assert code == 0
+
+
+def test_gen_random_defaults(capsys):
+    code, out, err = run(capsys, "gen-random")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "55d1406d83c9aa20801b0cdfd49a9c2c6a0100d3aa22c2e314a9fd55ad2ae85d")
+
+
+def test_gen_random_every_flag(capsys):
+    code, out, err = run(capsys, "gen-random", "--states", 6, "--actions", 3, "--sensors", 3,
+                         "--queries", 1, "--attacks", 2, "--max-support", 3,
+                         "--goal-fraction", 0.3, "--seed", 11)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "73fd8ae30e6f76229cbb837cbc29a485af32d9fe0f97f581d3a3af9327e6edb4")
 
 
 # --- export-dot --------------------------------------------------------------------

@@ -16,7 +16,7 @@ from sensorgames import (
     validate_game,
 )
 from sensorgames import oracle
-from sensorgames.oracle import GeneratorParams, OracleResult, generate_game, generate_spec
+from sensorgames.oracle import GeneratorParams, OracleResult, generate_spec
 from sensorgames.specfile import SensorDecl
 
 from .conftest import plain_brute_force
@@ -54,7 +54,7 @@ def test_generated_names_and_attacks():
 
 def test_generated_goals_are_absorbing():
     for seed in range(30):
-        game = generate_game(params(seed))
+        game = validate_game(generate_spec(params(seed)))
         for s in game.goal:
             for a in range(len(game.action_names)):
                 assert dict(game.trans[(s, a)]) == {s: None}
@@ -63,7 +63,7 @@ def test_generated_goals_are_absorbing():
 
 def test_generated_games_validate():
     for seed in range(30):
-        game = generate_game(params(seed))
+        game = validate_game(generate_spec(params(seed)))
         assert game.initial == 0
         assert {s for s, _action in game.trans} == set(range(game.n_states))
 
@@ -78,7 +78,7 @@ def test_param_validation():
 
 
 def test_oracle_on_certain_win():
-    game = generate_game(params(5, n_states=1, goal_fraction=1.0, max_support=1))
+    game = validate_game(generate_spec(params(5, n_states=1, goal_fraction=1.0, max_support=1)))
     mdp = build_belief_mdp(game)
     result = brute_force_win1(mdp)
     assert result.initial_winning
@@ -87,7 +87,7 @@ def test_oracle_on_certain_win():
 
 
 def test_oracle_on_certain_loss():
-    game = generate_game(params(5, goal_fraction=0.0))
+    game = validate_game(generate_spec(params(5, goal_fraction=0.0)))
     mdp = build_belief_mdp(game)
     result = brute_force_win1(mdp)
     assert not result.initial_winning

@@ -12,11 +12,12 @@ from sensorgames import (
     solve_p1,
 )
 from sensorgames.belief import FINAL, BeliefNode, node_key, node_label
-from sensorgames.oracle import GeneratorParams, OracleResult, generate_game
+from sensorgames.game import validate_game
+from sensorgames.oracle import GeneratorParams, OracleResult, generate_spec
 from sensorgames.planner import certify_almost_sure_reach
 
 from .conftest import bnode, gap_audit_failure, node_views, plain_brute_force
-from .inputs import case_run, corpus_runs, per_state_attack_game, restricted
+from .inputs import attack_subset_runs, case_run, corpus_runs, per_state_attack_game, restricted
 
 FIG1_WIN = [
     "(s0,{s0})", "(s0,{s0,s1})", "(s0,{s0,s2})", "(s0,{s0,s4})",
@@ -242,9 +243,9 @@ def test_resolving_the_winning_region_removes_nothing(fixture, request):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_solver_invariants_random(seed):
-    game = generate_game(GeneratorParams(
+    game = validate_game(generate_spec(GeneratorParams(
         n_states=5, n_actions=2, n_sensors=2, n_queries=2, n_attacks=3,
-        max_support=2, goal_fraction=0.25, seed=seed))
+        max_support=2, goal_fraction=0.25, seed=seed)))
     mdp = build_belief_mdp(game)
     rep = solve_p1(mdp)
     assert check_soundness(mdp, rep.strategy)
@@ -362,6 +363,40 @@ def test_nested_fixpoint_agrees_on_a_restricted_rung():
     win = solve_p1(sub).win
     assert (len(sub.nodes), len(win)) == (7107, 5947)
     assert nested_fixpoint_win1(sub) == win
+
+
+# --- Win1 checks past the oracle's reach -------------------------------------
+
+def test_win1_is_monotone_under_belief_inclusion():
+    """Where (s, B') wins, every node (s, B) with B a proper subset of
+    B' wins too.
+
+    This is a checked conjecture, not a proof: nothing here shows that a
+    sharper belief can never lose where a vaguer one wins.  It is checked
+    on the corpus, the 100 attack-subset games, the 10/4/9 rung, the
+    enabled-attacks game and the four figures.
+    """
+    cases = [(10, 4, 9), "enabled-attacks", "fig1", "fig1_noattack", "fig1_nosense", "fig4"]
+    pairs = 0
+    for run in [*corpus_runs(), *attack_subset_runs(), *map(case_run, cases)]:
+        win = run.report.win
+        beliefs: dict = {}  # state -> the beliefs of its nodes
+        for q in run.mdp.nodes:
+            beliefs.setdefault(q.state, []).append(q.belief)
+        for q in win:
+            for belief in beliefs[q.state]:
+                if belief < q.belief:
+                    assert BeliefNode(q.state, belief) in win, (q, belief)
+                    pairs += 1
+    assert pairs  # 28,674 on these inputs
+
+
+@pytest.mark.parametrize("rung", [(10, 4, 9), (14, 5, 7), (16, 5, 4), (17, 5, 7), (17, 5, 4),
+                                  (18, 5, 8)], ids=lambda r: "%d-%d-%d" % r)
+def test_soundness_on_rungs(rung):
+    run = case_run(rung)
+    verdict = check_soundness(run.mdp, run.report.strategy)
+    assert verdict, verdict.reason
 
 
 # --- removing an attack can lose the start ---------------------------------
