@@ -28,14 +28,14 @@ for node in run.report.win:
 print()
 
 print("jammer's analysis over those nodes:")
-print(f"  winning nodes: {len(run.win2)}")
+print(f"  winning nodes: {len(run.attack_strategy)}")
 for node, attack in sorted(run.attack_strategy.items(),
                            key=lambda kv: node_label(game, kv[0])):
     print(f"  {node_label(game, node)}: launch {game.attacks[attack].name}")
 print()
 
-print(f"deception gap ({len(run.gap)} nodes):")
-for node, attack in run.gap.items():
+print(f"deception gap ({len(run.attack_strategy)} nodes):")
+for node, attack in run.attack_strategy.items():
     print(f"  {node_label(game, node)} (attack {game.attacks[attack].name})")
 print()
 print("killing g0 every round keeps the belief merged at {s0,s1}, where")
@@ -45,7 +45,7 @@ print()
 
 # The gap is not universal: the agent's one-node-of-certainty (s1,{s1})
 # stays out of it, because every attack there still lets her finish.
-out = [q for q in run.report.win if q not in run.win2]
+out = [q for q in run.report.win if q not in run.attack_strategy]
 print("nodes the jammer cannot hold:")
 for node in out:
     print(f"  {node_label(game, node)}")

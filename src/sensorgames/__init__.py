@@ -8,7 +8,7 @@ The package answers three questions about such a game:
 * where a jammer who knows her strategy can keep her from ever
   completing it (`solve_p2_safety`);
 * where both hold at once -- the deception gap, which is the domain of
-  the jammer's strategy (`deception_gap` returns that strategy).
+  the jammer's strategy (`solve_p2_safety` returns that strategy).
 """
 
 from .game import (

@@ -131,5 +131,6 @@ def deception_gap(strategy: AttackStrategy) -> AttackStrategy:
     does not, each mapped to the jammer's chosen attack there: the
     strategy itself.  Its domain is Win2, which lies inside Win1 because
     the jammer's game is built over Win1.  This stage stays only because
-    the benchmark in ``perfbench/`` times it by name."""
+    the benchmark in ``perfbench/`` times it by name; every other reader
+    uses the strategy."""
     return strategy

@@ -205,7 +205,7 @@ def _cmd_gen_random(args) -> int:
 def _cmd_export_dot(args) -> int:
     run = run_stages(_read(args.spec))
     if args.graph == "belief":
-        sys.stdout.write(export_belief_dot(run.mdp, shade=run.report.win))
+        sys.stdout.write(export_belief_dot(run.report))
         return 0
     if run.attacker is None:
         print("agent never wins anywhere; there is no jammer game to draw",

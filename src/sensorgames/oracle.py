@@ -4,7 +4,9 @@ The generator turns a parameter record and a seed into a game document,
 deterministically: the same inputs serialize to byte-identical text.  It
 exists to mass-produce small instances for differential testing.
 `GeneratorParams` holds the defaults, and `gen-random` builds its flags
-from its fields; a game is ``validate_game(generate_spec(params))``.
+from its fields; a record whose field has the wrong type, a bool
+included, is refused with a `TypeError` naming the field.  A game is
+``validate_game(generate_spec(params))``.
 
 The brute-force check answers one question only, by sheer enumeration:
 does the agent have *any* belief-uniform multi-strategy that completes
@@ -38,7 +40,7 @@ a loop that certifies every assignment in turn.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 from .belief import BeliefMDP
@@ -66,6 +68,10 @@ class GeneratorParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # a float field takes an int too; no field takes a bool
+            kinds, value = (int, float) if f.type == "float" else int, getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise TypeError(f"{f.name} must be of type {f.type}, not {type(value).__name__}")
         for name in ("n_states", "n_actions", "n_sensors", "n_queries", "n_attacks"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")

@@ -38,7 +38,13 @@ class PipelineError(Exception):
 
 @dataclass
 class PipelineRun:
-    """Everything the pipeline computed, in object form."""
+    """Everything the pipeline computed, in object form.
+
+    The jammer's result is ``attack_strategy``, one mapping whose domain
+    is Win2 and the deception gap; it is None where the agent wins
+    nowhere.  ``win2`` (its domain) and ``gap`` (the same mapping) stay
+    only because the benchmark in ``perfbench/`` reads them by name;
+    every other reader uses ``attack_strategy``."""
 
     doc: object
     game: Game

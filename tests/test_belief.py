@@ -256,8 +256,8 @@ def test_no_stage_builds_trans(fig4_text):
     # views are built only on a read of ``trans`` or ``classes``.
     run = run_stages(fig4_text)
     assert "trans" not in vars(run.mdp) and "classes" not in vars(run.mdp)
-    export_belief_dot(run.mdp, shade=run.report.win)
-    export_attacker_dot(run.attacker, strategy=run.attack_strategy)
+    export_belief_dot(run.report)
+    export_attacker_dot(run.attacker, run.attack_strategy)
     assert "trans" not in vars(run.mdp) and "classes" not in vars(run.mdp)
     assert run.mdp.trans is vars(run.mdp)["trans"]
     assert run.mdp.classes is vars(run.mdp)["classes"]

@@ -10,9 +10,11 @@ The DOT cases pin both Graphviz renderings.  They are the only output
 that lists the jammer's game edge by edge: every offered attack and its
 whole successor set, which the result document does not show.  Besides
 the figures and rungs they pin a game whose goal no move reaches (the
-belief view draws no sink), a generated game whose ``[enabled-attacks]``
-section varies the attack-set annotations, and renderings with
-``shade`` and ``strategy`` left at their defaults.
+belief view draws no sink) and a generated game whose
+``[enabled-attacks]`` section varies the attack-set annotations.  Each
+view takes the result it draws, the agent's `SolveReport` or the
+jammer's game and strategy, so every rendering shades the run's Win1
+or marks its jammer strategy; neither view has another form to pin.
 
 The perceived-game cases pin `build_belief_mdp` itself, read through
 ``trans``: the start node, the nodes and classes in order, each node's
@@ -93,13 +95,6 @@ DOT = {
                         "ecd8963325e3cc84a9de01fb4008b63f74a8e8c6c73b8f6eda6615a516c6af78"),
 }
 
-# Rendered with ``shade`` and ``strategy`` left at their defaults.
-DOT_DEFAULTS = {
-    "fig4": ("b2bce88c67c0905dfd89e4df24000f07c20828e47ee64fdc5f1bce1ccf1a3076",
-             "c799654d8442eff8e5e1f33308f07bc7b61a9e1f645f8f7d8206778bdb34786b"),
-    (10, 4, 9): ("31e164f26d4b467cf5640e1d34db56020222335381eb0d7cfe387b9cb3c24e24",
-                 "ccbaee633e99ee0af9cbbe8c5e3ffc65ec273384e6e19f6ad3d7b158f5a6a8a8"),
-}
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -110,10 +105,10 @@ def document_digest(text: str) -> str:
 
 
 def dot_digests(run) -> tuple[str, str | None]:
-    belief = sha256(export_belief_dot(run.mdp, shade=run.report.win))
+    belief = sha256(export_belief_dot(run.report))
     if run.attacker is None:
         return belief, None
-    return belief, sha256(export_attacker_dot(run.attacker, strategy=run.attack_strategy))
+    return belief, sha256(export_attacker_dot(run.attacker, run.attack_strategy))
 
 
 @pytest.mark.parametrize("name", sorted(FIGURES))
@@ -129,13 +124,6 @@ def test_ladder_document_frozen(rung):
 @pytest.mark.parametrize("case", list(DOT), ids=case_id)
 def test_dot_frozen(case):
     assert dot_digests(case_run(case)) == DOT[case]
-
-
-@pytest.mark.parametrize("case", list(DOT_DEFAULTS), ids=case_id)
-def test_dot_defaults_frozen(case):
-    run = case_run(case)
-    assert (sha256(export_belief_dot(run.mdp)),
-            sha256(export_attacker_dot(run.attacker))) == DOT_DEFAULTS[case]
 
 
 # figure name, "enabled-attacks" or "corpus" -> digest of `perceived_dump`
@@ -186,7 +174,7 @@ def test_perceived_game_frozen(case):
 JAMMER = "0e0a1010752076a6de1802a0d6a5d247146f37f9fc77ab594c111c7d2259eb45"
 
 
-def jammer_dump(adv, win2, strategy) -> str:
+def jammer_dump(adv, strategy) -> str:
     """The jammer's game and its solution as text: nodes by their
     position in ``adv.nodes`` (`FINAL` is ``F``), each node's attacks in
     the order offered, each attack's successors by ascending position
@@ -200,7 +188,7 @@ def jammer_dump(adv, win2, strategy) -> str:
         for att, succs in trans[q].items():
             lines.append(f"{index[q]} {att}: " + " ".join(
                 name[i] for i in sorted(map(index.__getitem__, succs))))
-    lines.append(f"win2 {sorted(map(index.__getitem__, win2))}")
+    lines.append(f"win2 {sorted(map(index.__getitem__, strategy))}")
     lines += [f"choose {index[q]} {att}" for q, att in strategy.items()]
     return "\n".join(lines) + "\n"
 
@@ -209,8 +197,8 @@ def test_jammer_game_frozen():
     digest, games, won = hashlib.sha256(), 0, 0
     for run in corpus_runs("soundness") + attack_subset_runs():
         if run.report.win:
-            digest.update(jammer_dump(run.attacker, run.win2, run.attack_strategy).encode())
-            games, won = games + 1, won + bool(run.win2)
+            digest.update(jammer_dump(run.attacker, run.attack_strategy).encode())
+            games, won = games + 1, won + bool(run.attack_strategy)
     assert (games, won) == (180 + 73, 16)
     assert digest.hexdigest() == JAMMER
 

@@ -77,6 +77,18 @@ def test_param_validation():
         params(0, goal_fraction=1.5)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_states", 4.0), ("n_states", True), ("max_support", 2.0), ("seed", 1.5),
+    ("goal_fraction", True), ("goal_fraction", "0.25")])
+def test_param_types(field, value):
+    # Each count and the seed must be an int, goal_fraction an int or a
+    # float; a bool is neither.
+    with pytest.raises(TypeError, match=field):
+        GeneratorParams(**{**SMALL, field: value})
+    assert generate_spec(params(3, goal_fraction=1)) == generate_spec(
+        params(3, goal_fraction=1.0))
+
+
 def test_oracle_on_certain_win():
     game = validate_game(generate_spec(params(5, n_states=1, goal_fraction=1.0, max_support=1)))
     mdp = build_belief_mdp(game)

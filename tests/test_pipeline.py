@@ -103,7 +103,7 @@ def test_run_stages_objects_cohere(fig1_text):
     assert run.report.mdp is run.mdp
     assert run.attacker is not None
     assert set(run.attacker.nodes) == set(run.report.win)
-    assert run.gap == {}
+    assert run.attack_strategy == {}
 
 
 def test_masks_are_built_before_the_expansion(fig1_text, monkeypatch):

@@ -16,7 +16,7 @@ from sensorgames.game import validate_game
 from sensorgames.oracle import GeneratorParams, OracleResult, generate_spec
 from sensorgames.planner import certify_almost_sure_reach
 
-from .conftest import bnode, gap_audit_failure, node_views, plain_brute_force
+from .conftest import bnode, node_views, plain_brute_force
 from .inputs import attack_subset_runs, case_run, corpus_runs, per_state_attack_game, restricted
 
 FIG1_WIN = [
@@ -391,8 +391,9 @@ def test_win1_is_monotone_under_belief_inclusion():
     assert pairs  # 28,674 on these inputs
 
 
-@pytest.mark.parametrize("rung", [(10, 4, 9), (14, 5, 7), (16, 5, 4), (17, 5, 7), (17, 5, 4),
-                                  (18, 5, 8)], ids=lambda r: "%d-%d-%d" % r)
+@pytest.mark.parametrize("rung", [(10, 4, 9), (14, 5, 7), (16, 5, 4), (16, 5, 7), (17, 5, 7),
+                                  (17, 5, 4), (18, 5, 8), (24, 5, 8)],
+                         ids=lambda r: "%d-%d-%d" % r)
 def test_soundness_on_rungs(rung):
     run = case_run(rung)
     verdict = check_soundness(run.mdp, run.report.strategy)
@@ -426,17 +427,3 @@ def test_removing_an_attack_can_lose_the_start():
     assert (len(mdp.nodes), len(report.win), report.initial_winning) == (6, 0, False)
     for referee in (brute_force_win1, plain_brute_force):
         assert referee(mdp) == OracleResult(False, 27, 3)
-
-
-# --- an audit of the deception gap in the arena ------------------------------
-
-def test_gap_audit_in_the_arena():
-    # fig4, the `enabled-attacks` case and the soundness-corpus games
-    # with a nonempty gap.
-    audited = 0
-    for run in [case_run("fig4"), case_run("enabled-attacks"), *corpus_runs("soundness")]:
-        if run.gap:
-            assert gap_audit_failure(
-                run.game, run.report.strategy, run.attack_strategy, run.gap) is None
-            audited += 1
-    assert audited == 18
