@@ -21,8 +21,10 @@ those agreement masks over the sensors in ``query minus attack``.  The
 tests hold every table to `get_observation`.  The belief expansion and
 the simulator both read `Game.masks`, so the belief update -- the
 action image filtered by the observation -- is computed one way.
-`Game.memo` holds what the simulator reads at each step, filled on
-first use and shared by every play of the game.
+`Game.memo` holds what the simulator reads at each step: one record
+per perceived node reached under each strategy, and each observation
+with its frozenset, filled on first use and shared by every play of
+the game.
 
 `validate_game` accepts documents built in code as well as parsed ones,
 so it checks again, in the parser's words, every document rule the
@@ -220,9 +222,14 @@ class PlayMemo:
     """What a play reads at each step, filled on first use and shared
     by every play of one game.
 
+    ``plays[id(p1)]`` holds the step records of plays under strategy
+    p1, one per perceived node reached, which the simulator fills; each
+    table holds p1 itself, so the id is not reused while it exists.
+    ``views[s][q][att]`` is `Masks.views`'s observation together with
+    its states as a frozenset.  A record is built from the rest:
     ``succs(s, a)`` is `weighted_successors` of that support,
-    ``image(mask, a)`` a belief mask's action image, ``states(mask)``
-    the mask's states as one frozenset, and ``attacks[s]`` the attacks
+    ``image(mask, a)`` a belief mask's action image and ``states(mask)``
+    the mask's states as one frozenset.  ``attacks[s]`` is the attacks
     enabled at s, ascending.  The tables hold the game's ``trans`` and
     `Masks`, never the game, so they go when it goes.
     """
@@ -233,6 +240,9 @@ class PlayMemo:
         self.image = cache(lambda mask, a: masks.image(states_of(mask), a))
         self.states = cache(lambda mask: frozenset(states_of(mask)))
         self.attacks = tuple(tuple(sorted(atts)) for atts in game.enabled_attacks)
+        self.views = tuple(tuple({att: (view, self.states(view)) for att, view in row.items()}
+                                 for row in per_query) for per_query in masks.views)
+        self.plays: dict[int, dict] = {}
 
 
 def weighted_successors(support: Mapping[StateId, float | None]

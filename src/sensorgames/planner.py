@@ -39,12 +39,13 @@ in the report, and the trace's `Removal`s only when it is read.
 
 The report's `MultiStrategy` holds one move set per node, and one
 accessor: `for_belief`, the moves an observation-driven player has at a
-belief, in ascending order, kept per belief once read.
+belief, in ascending order.  It keeps no cache: the simulator reads it
+once per step record it builds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping
 
 from .belief import ActionPair, BeliefMDP, BeliefNode
@@ -61,16 +62,12 @@ class MultiStrategy:
     """
 
     allowed: Mapping[BeliefNode, frozenset[ActionPair]]
-    _moves: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def for_belief(self, belief: frozenset[int]) -> tuple[ActionPair, ...]:
         """The moves kept at ``belief``, ascending, or ``()`` where there
-        are none; kept per belief after the first call."""
-        moves = self._moves.get(belief)
-        if moves is None:
-            found = (self.allowed.get(BeliefNode(s, belief)) for s in sorted(belief))
-            moves = self._moves[belief] = tuple(sorted(next(filter(None, found), ())))
-        return moves
+        are none."""
+        found = (self.allowed.get(BeliefNode(s, belief)) for s in sorted(belief))
+        return tuple(sorted(next(filter(None, found), ())))
 
 
 @dataclass(frozen=True, slots=True)

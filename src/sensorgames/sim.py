@@ -9,25 +9,27 @@ shrinks by the resulting observation.  That update reads the game's
 tables, `Game.masks`, as the belief expansion does, so the two compute
 every belief the same way.
 
-The play runs on the belief's bit mask.  Each step reads tables that
-are filled on first use and shared by every later play of the same
-objects: from `Game.memo`, each (state, action)'s sorted successors
-with their cumulative weights, each (belief mask, action)'s image, one
-frozenset per mask and each state's attacks in ascending order; from
-`MultiStrategy.for_belief`, each belief's sorted moves.  Sampling draws
-from these in the order a play without them would, so a seed gives the
-same trace either way.  The jammer's computed strategy is the plain
+The play runs on the belief's bit mask, one record per perceived node:
+`Game.memo` keeps, per strategy, each (state, belief mask)'s record,
+built on its first visit and shared by every later play of the same
+game and strategy.  A record holds the node, the belief, the kept moves
+in ascending order (read once from `MultiStrategy.for_belief`), and per
+move the sorted successors with their cumulative weights and the
+action's image of the mask, from `Game.memo`'s tables.  A step unpacks
+one record, draws, hands the attack policy the record's node, ANDs the
+move's image with the observation's mask from `Game.memo.views` and
+looks up the next record.  The jammer's computed strategy is the plain
 mapping `solve_p2_safety` returns, which `TableAttack` reads directly.
 
 Each play has its own `random.Random(seed)`.  A move, and a successor
-of an unweighted row, is drawn by `randbelow` from the generator's
+of an unweighted row, is drawn inline from the generator's
 `getrandbits` exactly as `Random.randrange` draws it,
 ``n.bit_length()`` bits at a time until the value is below ``n``; a
 choice among one still draws.  A weighted row is drawn by
 `Random.choices`.  `TRACES_DIGEST`, `SWEEP_DIGEST` and
-`test_randbelow_is_randrange` in the tests pin this.  The node handed
-to the attack policy and each `Step` are built by `tuple.__new__`: the
-same named tuple as the constructor's, without its Python-level call.
+`test_draws_follow_randbelow` in the tests pin this.  Each `Step` is
+built by `tuple.__new__`: the same named tuple as the constructor's,
+without its Python-level call.
 
 A play ends when the agent *knows* the task is complete -- her belief
 sits entirely inside the goal -- or when the step budget runs out.  If
@@ -47,7 +49,7 @@ from typing import Callable, NamedTuple
 
 from .attacker import AttackStrategy
 from .belief import BeliefNode, node_label
-from .game import AttackId, Game, Observation, StateId
+from .game import AttackId, Game, Observation, PlayMemo, StateId
 from .planner import MultiStrategy
 
 
@@ -147,15 +149,31 @@ class PromptAttack:
                 return game.attack(answer)
 
 
-def randbelow(getrandbits: Callable[[int], int], n: int) -> int:
-    """A uniform index below ``n``, drawn as `random.Random.randrange(n)`
-    draws it: ``n.bit_length()`` bits at a time until the value is below
-    ``n``.  ``n == 1`` still draws, so later draws do not shift."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
+class _Records(dict):
+    """The step records of one game's plays under one strategy: (state,
+    belief mask) -> (node, belief, n, n.bit_length(), rows), built on
+    first read.  Row i is the i-th move kept at the belief, ascending,
+    pre-joined with what a step under it reads: (action, query, move,
+    successors, cumulative weights, their count m, m.bit_length(), the
+    action's image of the mask).  The table holds the strategy, so its
+    id in `PlayMemo.plays` is not reused while the table exists."""
+
+    def __init__(self, memo: PlayMemo, p1: MultiStrategy):
+        self.memo, self.p1 = memo, p1
+
+    def __missing__(self, key):
+        state, mask = key
+        memo = self.memo
+        belief = memo.states(mask)
+        rows = []
+        for move in self.p1.for_belief(belief):
+            action, query = move
+            succs, cum_weights = memo.succs(state, action)
+            rows.append((action, query, move, succs, cum_weights, len(succs),
+                         len(succs).bit_length(), memo.image(mask, action)))
+        record = self[key] = (BeliefNode(state, belief), belief, len(rows),
+                              len(rows).bit_length(), tuple(rows))
+        return record
 
 
 def simulate(
@@ -172,43 +190,52 @@ def simulate(
     enable at the successor state.
     """
     rng = random.Random(seed)
-    memo, views = game.memo, game.masks.views
+    memo = game.memo
     outside = ~game.masks.goal
     state = game.initial
     mask = 1 << state
-    belief = memo.states(mask)
 
     if not mask & outside:
         return PlayTrace((), Outcome.TASK_KNOWN_COMPLETE, state, seed)
 
+    records = memo.plays.get(id(p1))
+    if records is None:
+        records = memo.plays[id(p1)] = _Records(memo, p1)
     # Bound once per play; `tuple.__new__` builds a named tuple without
     # its Python-level constructor.
-    getrandbits, choices, choose = rng.getrandbits, rng.choices, p2.choose
-    moves_of, succs_of, image, states = p1.for_belief, memo.succs, memo.image, memo.states
+    getrandbits, choices, choose, views = rng.getrandbits, rng.choices, p2.choose, memo.views
     new = tuple.__new__
+    node, belief, n, k, rows = records[state, mask]
     steps: list[Step] = []
     while len(steps) < max_steps:
-        moves = moves_of(belief)
-        if not moves:
-            raise StrategyGapError(game, BeliefNode(state, belief))
-        action, query = move = moves[randbelow(getrandbits, len(moves))]
-        succs, cum_weights = succs_of(state, action)
+        if not n:
+            raise StrategyGapError(game, node)
+        # Each index is drawn as `Random.randrange(n)` draws it: k bits
+        # at a time until the value is below n.
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        action, query, move, succs, cum_weights, m, j, image = rows[r]
         if cum_weights is None:
-            next_state = succs[randbelow(getrandbits, len(succs))]
+            r = getrandbits(j)
+            while r >= m:
+                r = getrandbits(j)
+            next_state = succs[r]
         else:
             next_state = choices(succs, cum_weights=cum_weights)[0]
-        attack = choose(rng, game, new(BeliefNode, (state, belief)), move, next_state)
-        view = views[next_state][query].get(attack)
-        if view is None:
+        attack = choose(rng, game, node, move, next_state)
+        seen = views[next_state][query].get(attack)
+        if seen is None:
             if attack not in range(len(game.attacks)):
                 raise ValueError(f"attack id {attack!r} is not declared "
                                  f"(the game declares {len(game.attacks)} attacks)")
             raise ValueError(
                 f"attack '{game.attacks[attack].name}' is not enabled at "
                 f"state '{game.state_names[next_state]}'")
-        mask = image(mask, action) & view
-        belief = states(mask)
-        steps.append(new(Step, (state, action, query, attack, states(view), belief)))
+        view, observation = seen
+        mask = image & view
+        node, belief, n, k, rows = records[next_state, mask]
+        steps.append(new(Step, (state, action, query, attack, observation, belief)))
         state = next_state
         if not mask & outside:
             return PlayTrace(tuple(steps), Outcome.TASK_KNOWN_COMPLETE, state, seed)

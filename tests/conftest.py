@@ -1,13 +1,15 @@
 """Shared fixtures and helpers: the bundled games solved once per
-session, read from `inputs`, and the jammer side's reference: its
+session, read from `inputs`; the jammer side's reference: its
 successors recomputed from the observation rule, one checker of every
-invariant of a jammer game, and a brute-force Win2 referee."""
+invariant of a jammer game, and a brute-force Win2 referee; and the
+simulator's draw rule, `randbelow`."""
 
 from __future__ import annotations
 
 from functools import cache, partial
 from itertools import combinations, product
 from math import prod
+from typing import Callable
 
 import pytest
 
@@ -263,3 +265,16 @@ def plain_brute_force(mdp: BeliefMDP, cap: int = 1_000_000) -> OracleResult:
         if ok:
             return OracleResult(True, checked, len(classes))
     return OracleResult(False, checked, len(classes))
+
+
+def randbelow(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform index below ``n``, drawn as `random.Random.randrange(n)`
+    draws it: ``n.bit_length()`` bits at a time until the value is below
+    ``n``.  ``n == 1`` still draws, so later draws do not shift.  The
+    simulator draws each move, and each successor of an unweighted row,
+    by this rule inline."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r

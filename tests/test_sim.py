@@ -27,9 +27,12 @@ from sensorgames import (
     validate_game,
 )
 from sensorgames.belief import BeliefNode, node_label
-from sensorgames.sim import Step, randbelow
+from sensorgames.game import weighted_successors
+from sensorgames.sim import Step
 
-from .inputs import FORBIDDEN_AT_S1, attack_subset_runs, corpus_runs, per_state_attack_games
+from .conftest import randbelow
+from .inputs import (FORBIDDEN_AT_S1, attack_subset_runs, case_run, corpus_runs,
+                     per_state_attack_games)
 
 TRIVIAL = """\
 [states]
@@ -185,6 +188,37 @@ def test_randbelow_is_randrange():
             assert ours.random() == theirs.random()
 
 
+def test_draws_follow_randbelow(fig4):
+    # Each step's move, and each successor of an unweighted row, is the
+    # one the reference rule draws from a fresh `Random(seed)`; neither
+    # policy draws.
+    runs = [fig4, case_run("enabled-attacks"),
+            *[run for run in corpus_runs("soundness") if run.report.initial_winning][:10]]
+    checked = refused = 0
+    for run in runs:
+        game, strategy = run.game, run.report.strategy
+        for policy in (TableAttack(run.attack_strategy), FixedAttack(0)):
+            for seed in range(12):
+                try:
+                    trace = simulate(game, strategy, policy, max_steps=40, seed=seed)
+                except ValueError:
+                    refused += 1
+                    continue
+                rng = random.Random(seed)
+                belief = frozenset({game.initial})
+                landed = [step.state for step in trace.steps[1:]] + [trace.final_state]
+                for step, next_state in zip(trace.steps, landed):
+                    moves = strategy.for_belief(belief)
+                    assert (step.action, step.query) == moves[randbelow(rng.getrandbits,
+                                                                        len(moves))]
+                    succs, cum_weights = weighted_successors(game.trans[step.state, step.action])
+                    assert cum_weights is None
+                    assert next_state == succs[randbelow(rng.getrandbits, len(succs))]
+                    belief = step.belief_after
+                    checked += 1
+    assert (checked, refused) == (2978, 12)
+
+
 class RecordingAttack:
     """The jammer's table, recording each node it is handed."""
 
@@ -243,6 +277,27 @@ def test_memo_belongs_to_its_game_and_strategy(fig4_text):
     assert [repr(strategy) for strategy in kept] == before
     for strategy in kept:
         assert strategy == MultiStrategy(dict(strategy.allowed))
+
+
+def test_records_of_a_dropped_strategy_are_not_reused(fig4_text):
+    # `Game.memo` keys each strategy's step records by its id.  A
+    # strategy dropped after its plays, and a different one built in
+    # its place, which may take its id, must play as on a fresh game.
+    def strategy(run, pick):
+        return MultiStrategy({q: frozenset(pick(sorted(moves)))
+                              for q, moves in run.report.strategy.allowed.items()})
+
+    def plays(game, p1):
+        return [simulate(game, p1, UniformRandomAttack(), 40, seed) for seed in range(8)]
+
+    shared, fresh = run_stages(fig4_text), run_stages(fig4_text)
+    lowest = strategy(shared, lambda moves: moves[:1])
+    plays(shared.game, lowest)
+    highest = dict(strategy(shared, lambda moves: moves[-1:]).allowed)
+    del lowest  # freed here, so the next strategy is likely to take its id
+    highest = MultiStrategy(highest)
+    assert plays(shared.game, highest) == plays(fresh.game,
+                                                strategy(fresh, lambda moves: moves[-1:]))
 
 
 def test_table_attack_falls_back_off_table(fig4):
