@@ -21,10 +21,10 @@ and their defaults are stated once, in `oracle`.
 
 Exit codes: 0 on success, 1 when a verdict requested through --expect
 does not hold or the oracle disagrees with the solver, 2 on bad input
-(syntax, validation, missing file, oversize oracle enumeration, a
-simulated play falling off the strategy or meeting an attack the arena
-does not enable, or standard input closing while a prompt waits for an
-attack).
+(syntax, validation, missing file, a negative ``--runs``,
+``--max-steps`` or ``--cap``, oversize oracle enumeration, a simulated
+play falling off the strategy or meeting an attack the arena does not
+enable, or standard input closing while a prompt waits for an attack).
 """
 
 from __future__ import annotations
@@ -132,9 +132,6 @@ def _make_p2(args, run):
 
 
 def _cmd_simulate(args) -> int:
-    for flag, value in (("--runs", args.runs), ("--max-steps", args.max_steps)):
-        if value < 0:
-            raise ValueError(f"{flag} must not be negative, got {value}")
     run = run_stages(_read(args.spec))
     p2 = _make_p2(args, run)
     game = run.game
@@ -265,6 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Simulate's counts and the oracle's cap are refused below 0.
+        for name in ("runs", "max_steps", "cap"):
+            value = getattr(args, name, 0)
+            if value < 0:
+                raise ValueError(f"--{name.replace('_', '-')} must not be negative, got {value}")
         return args.func(args)
     except (PipelineError, SpecParseError, GameValidationError, CapExceededError,
             StrategyGapError, EOFError, OSError, ValueError) as e:

@@ -21,10 +21,9 @@ those agreement masks over the sensors in ``query minus attack``.  The
 tests hold every table to `get_observation`.  The belief expansion and
 the simulator both read `Game.masks`, so the belief update -- the
 action image filtered by the observation -- is computed one way.
-`Game.memo` holds what the simulator reads at each step: one record
-per perceived node reached under each strategy, and each observation
-with its frozenset, filled on first use and shared by every play of
-the game.
+`Game.plays` is a plain dict that the simulator fills with its tables,
+by strategy id; a `Game` cannot key a table itself, since its ``trans``
+is a dict.
 
 `validate_game` accepts documents built in code as well as parsed ones,
 so it checks again, in the parser's words, every document rule the
@@ -45,7 +44,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from itertools import accumulate
 from operator import or_
 from typing import Iterable, Mapping, Sequence
@@ -140,11 +139,12 @@ class Game:
 
         # Plain loops: on rows of a few sensors they run about twice as
         # fast as `reduce` over a `map`.
-        views = []
+        views, attacks = [], []
         for s in range(self.n_states):
             # Each sensor's agreement mask at s: the states it reads the same on.
             agree = [c if c >> s & 1 else everything ^ c for c in cover]
-            atts = sorted(self.enabled_attacks[s])
+            atts = tuple(sorted(self.enabled_attacks[s]))
+            attacks.append(atts)
             per_query = []
             for row in readable:
                 view = {}
@@ -160,12 +160,13 @@ class Game:
             support=support,
             enabled=tuple(sum(1 << s for s in range(self.n_states) if (s, a) in support)
                           for a in range(len(self.action_names))),
-            views=tuple(views))
+            views=tuple(views),
+            attacks=tuple(attacks))
 
     @cached_property
-    def memo(self) -> PlayMemo:
-        """The simulator's per-step tables, built on first use."""
-        return PlayMemo(self)
+    def plays(self) -> dict:
+        """The simulator's tables for plays of this game, by strategy id."""
+        return {}
 
     def counts(self) -> dict[str, int]:
         """How many of each declaration the arena has, in file order."""
@@ -190,9 +191,6 @@ class Game:
     def attack(self, name: str) -> AttackId:
         return _lookup("attack", [a.name for a in self.attacks], name)
 
-    def state_set(self, names: Iterable[str]) -> frozenset[StateId]:
-        return frozenset(self.state(n) for n in names)
-
 
 @dataclass(frozen=True, slots=True)
 class Masks:
@@ -205,44 +203,19 @@ class Masks:
     ascending order: the AND, over the sensors q reads and att leaves
     unjammed, of the states each sensor reads the same on as at s.  It
     equals `get_observation`, the set-based rule the tests compare it to.
+    ``attacks[s]`` is the attacks enabled at s in that ascending order.
     """
 
     goal: int
     support: Mapping[tuple[StateId, ActionId], int]
     enabled: tuple[int, ...]
     views: tuple[tuple[Mapping[AttackId, int], ...], ...]
+    attacks: tuple[tuple[AttackId, ...], ...]
 
     def image(self, states: Iterable[StateId], action: ActionId) -> int:
         """The action image of a belief, before any observation; the
         action must be enabled at each of its states."""
         return reduce(or_, [self.support[(s, action)] for s in states])
-
-
-class PlayMemo:
-    """What a play reads at each step, filled on first use and shared
-    by every play of one game.
-
-    ``plays[id(p1)]`` holds the step records of plays under strategy
-    p1, one per perceived node reached, which the simulator fills; each
-    table holds p1 itself, so the id is not reused while it exists.
-    ``views[s][q][att]`` is `Masks.views`'s observation together with
-    its states as a frozenset.  A record is built from the rest:
-    ``succs(s, a)`` is `weighted_successors` of that support,
-    ``image(mask, a)`` a belief mask's action image and ``states(mask)``
-    the mask's states as one frozenset.  ``attacks[s]`` is the attacks
-    enabled at s, ascending.  The tables hold the game's ``trans`` and
-    `Masks`, never the game, so they go when it goes.
-    """
-
-    def __init__(self, game: Game):
-        trans, masks = game.trans, game.masks
-        self.succs = cache(lambda s, a: weighted_successors(trans[s, a]))
-        self.image = cache(lambda mask, a: masks.image(states_of(mask), a))
-        self.states = cache(lambda mask: frozenset(states_of(mask)))
-        self.attacks = tuple(tuple(sorted(atts)) for atts in game.enabled_attacks)
-        self.views = tuple(tuple({att: (view, self.states(view)) for att, view in row.items()}
-                                 for row in per_query) for per_query in masks.views)
-        self.plays: dict[int, dict] = {}
 
 
 def weighted_successors(support: Mapping[StateId, float | None]

@@ -8,17 +8,16 @@ carry the stage they came from.
 
 The document is plain data with one canonical JSON rendering, by
 `canonical_json`, which writes the command line's other payloads too.
-Ordering is canonical throughout and nothing run-dependent is included
-unless explicitly requested (timings), so the same input yields
-byte-identical output every run.
+Ordering is canonical throughout and nothing run-dependent is included,
+so the same input yields byte-identical output every run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, fields
+from functools import cache
 
 from . import attacker as attacker_mod
 from .belief import BeliefMDP, build_belief_mdp, move_label, node_label
@@ -72,7 +71,7 @@ class ResultDocument:
     attack_strategy: dict[str, str] | None
     gap: list[dict] | None
     trace: list[dict] | None
-    timings_ms: dict[str, float] | None
+    timings_ms: None = None  # always null: every document keeps its bytes
     version: int = 1
 
     def to_json(self) -> str:
@@ -119,21 +118,18 @@ def run_pipeline(
     text: str,
     source: str = "<memory>",
     include_trace: bool = False,
-    include_timings: bool = False,
 ) -> ResultDocument:
-    started = time.perf_counter()
     run = run_stages(text)
     digest = hashlib.sha256(serialize_spec(run.doc).encode()).hexdigest()
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     game, report = run.game, run.report
     # One label per Win1 node, in canonical order; every node field but
     # the trace names only these.
     labels = {q: node_label(game, q) for q in run.mdp.nodes if q in report.win}
-    strategy = {
-        label: [move_label(game, m) for m in sorted(report.strategy.allowed[q])]
-        for q, label in labels.items()
-    }
+    # One label list per distinct kept-move set: `solve_p1` shares one
+    # frozenset per set, and class-mates hold the same one.
+    move_labels = cache(lambda moves: [move_label(game, m) for m in sorted(moves)])
+    strategy = {label: move_labels(report.strategy.allowed[q]) for q, label in labels.items()}
     trace = None
     if include_trace:
         trace = [
@@ -175,5 +171,4 @@ def run_pipeline(
         attack_strategy=attack_strategy,
         gap=gap,
         trace=trace,
-        timings_ms={"total": round(elapsed_ms, 3)} if include_timings else None,
     )

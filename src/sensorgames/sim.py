@@ -9,17 +9,19 @@ shrinks by the resulting observation.  That update reads the game's
 tables, `Game.masks`, as the belief expansion does, so the two compute
 every belief the same way.
 
-The play runs on the belief's bit mask, one record per perceived node:
-`Game.memo` keeps, per strategy, each (state, belief mask)'s record,
-built on its first visit and shared by every later play of the same
-game and strategy.  A record holds the node, the belief, the kept moves
-in ascending order (read once from `MultiStrategy.for_belief`), and per
-move the sorted successors with their cumulative weights and the
-action's image of the mask, from `Game.memo`'s tables.  A step unpacks
-one record, draws, hands the attack policy the record's node, ANDs the
-move's image with the observation's mask from `Game.memo.views` and
-looks up the next record.  The jammer's computed strategy is the plain
-mapping `solve_p2_safety` returns, which `TableAttack` reads directly.
+The play runs on the belief's bit mask, one record per perceived node.
+`_Records` is the one step table of a game's plays under one strategy,
+kept in `Game.plays` by the strategy's id: each (state, belief mask)'s
+record, built on its first visit and shared by every later play of the
+same game and strategy.  A record holds the node, the belief, the kept
+moves in ascending order (read once from `MultiStrategy.for_belief`),
+and per move the sorted successors with their cumulative weights and
+the action's image of the mask, from the table's caches.  A step
+unpacks one record, draws, hands the attack policy the record's node,
+ANDs the move's image with the observation's mask from the table's
+views and looks up the next record.  The jammer's computed strategy is
+the plain mapping `solve_p2_safety` returns, which `TableAttack` reads
+directly.
 
 Each play has its own `random.Random(seed)`.  A move, and a successor
 of an unweighted row, is drawn inline from the generator's
@@ -45,11 +47,12 @@ import enum
 import random
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, NamedTuple
 
 from .attacker import AttackStrategy
 from .belief import BeliefNode, node_label
-from .game import AttackId, Game, Observation, PlayMemo, StateId
+from .game import AttackId, Game, Observation, StateId, states_of, weighted_successors
 from .planner import MultiStrategy
 
 
@@ -98,7 +101,7 @@ class UniformRandomAttack:
     """Sample uniformly among the attacks enabled at the successor."""
 
     def choose(self, rng, game, node, move, next_state) -> AttackId:
-        return rng.choice(game.memo.attacks[next_state])
+        return rng.choice(game.masks.attacks[next_state])
 
 
 class TableAttack:
@@ -117,7 +120,7 @@ class TableAttack:
         att = self.strategy.get(node)
         if att is not None:
             return att
-        return game.memo.attacks[next_state][0]
+        return game.masks.attacks[next_state][0]
 
 
 def _ask_on_stderr(prompt: str) -> str:
@@ -156,21 +159,33 @@ class _Records(dict):
     pre-joined with what a step under it reads: (action, query, move,
     successors, cumulative weights, their count m, m.bit_length(), the
     action's image of the mask).  The table holds the strategy, so its
-    id in `PlayMemo.plays` is not reused while the table exists."""
+    id in `Game.plays` is not reused while the table exists.
 
-    def __init__(self, memo: PlayMemo, p1: MultiStrategy):
-        self.memo, self.p1 = memo, p1
+    A record is built from the table's caches: ``succs(s, a)`` is
+    `weighted_successors` of that support, ``image(mask, a)`` a belief
+    mask's action image and ``states(mask)`` the mask's states as one
+    frozenset.  ``views[s][q][att]`` is `Masks.views`'s observation
+    together with its states as a frozenset.  The caches hold the
+    game's ``trans`` and `Masks`, never the game."""
+
+    def __init__(self, game: Game, p1: MultiStrategy):
+        trans, masks = game.trans, game.masks
+        self.p1 = p1
+        self.succs = cache(lambda s, a: weighted_successors(trans[s, a]))
+        self.image = cache(lambda mask, a: masks.image(states_of(mask), a))
+        self.states = cache(lambda mask: frozenset(states_of(mask)))
+        self.views = tuple(tuple({att: (view, self.states(view)) for att, view in row.items()}
+                                 for row in per_query) for per_query in masks.views)
 
     def __missing__(self, key):
         state, mask = key
-        memo = self.memo
-        belief = memo.states(mask)
+        belief = self.states(mask)
         rows = []
         for move in self.p1.for_belief(belief):
             action, query = move
-            succs, cum_weights = memo.succs(state, action)
+            succs, cum_weights = self.succs(state, action)
             rows.append((action, query, move, succs, cum_weights, len(succs),
-                         len(succs).bit_length(), memo.image(mask, action)))
+                         len(succs).bit_length(), self.image(mask, action)))
         record = self[key] = (BeliefNode(state, belief), belief, len(rows),
                               len(rows).bit_length(), tuple(rows))
         return record
@@ -190,7 +205,6 @@ def simulate(
     enable at the successor state.
     """
     rng = random.Random(seed)
-    memo = game.memo
     outside = ~game.masks.goal
     state = game.initial
     mask = 1 << state
@@ -198,12 +212,12 @@ def simulate(
     if not mask & outside:
         return PlayTrace((), Outcome.TASK_KNOWN_COMPLETE, state, seed)
 
-    records = memo.plays.get(id(p1))
+    records = game.plays.get(id(p1))
     if records is None:
-        records = memo.plays[id(p1)] = _Records(memo, p1)
+        records = game.plays[id(p1)] = _Records(game, p1)
     # Bound once per play; `tuple.__new__` builds a named tuple without
     # its Python-level constructor.
-    getrandbits, choices, choose, views = rng.getrandbits, rng.choices, p2.choose, memo.views
+    getrandbits, choices, choose, views = rng.getrandbits, rng.choices, p2.choose, records.views
     new = tuple.__new__
     node, belief, n, k, rows = records[state, mask]
     steps: list[Step] = []

@@ -65,7 +65,7 @@ def fig4():
 
 def bnode(game, state: str, belief: list[str]) -> BeliefNode:
     """Build a belief node from state names."""
-    return BeliefNode(game.state(state), game.state_set(belief))
+    return BeliefNode(game.state(state), frozenset(map(game.state, belief)))
 
 
 def node_views(mdp: BeliefMDP):

@@ -168,11 +168,11 @@ def test_restricted_keeps_inside_moves(fig1):
 
 def test_restricted_splits_classes(fig1):
     g, mdp = fig1.game, fig1.mdp
-    full = mdp.classes[g.state_set(["s1", "s2"])]
+    full = mdp.classes[frozenset(map(g.state, ["s1", "s2"]))]
     assert len(full) == 2
     keep = [q for q in mdp.nodes if q != full[0]]
     sub = restricted(mdp, keep)
-    assert sub.classes[g.state_set(["s1", "s2"])] == (full[1],)
+    assert sub.classes[frozenset(map(g.state, ["s1", "s2"]))] == (full[1],)
     assert list(sub.classes) == list(mdp.classes)
 
 
@@ -244,7 +244,7 @@ def test_dense_matches_trans(fixture, request):
 
 def test_dense_matches_trans_restricted(fig1):
     g, mdp = fig1.game, fig1.mdp
-    full = mdp.classes[g.state_set(["s1", "s2"])]
+    full = mdp.classes[frozenset(map(g.state, ["s1", "s2"]))]
     sub = restricted(mdp, [q for q in mdp.nodes if q != full[0]])
     assert len(sub.classes[full[0].belief]) == 1
     assert_dense_matches(sub)

@@ -322,6 +322,13 @@ def test_oracle_cap(spec_dir, capsys):
     assert code == 2 and "cap is 10" in err
 
 
+def test_oracle_refuses_negative_cap(spec_dir, capsys):
+    code, out, err = run(capsys, "oracle", spec_dir / "fig4.game", "--cap", "-1")
+    assert (code, out, err) == (2, "", "error: --cap must not be negative, got -1\n")
+    code, out, err = run(capsys, "oracle", spec_dir / "fig4.game", "--cap", "0")
+    assert (code, out) == (2, "") and err.endswith("cap is 0\n")
+
+
 # --- gen-random ------------------------------------------------------------------
 
 def test_gen_random_round_trip(capsys, tmp_path):

@@ -244,7 +244,7 @@ def test_lookups_and_enabled_actions(fig1):
     assert g.query("sigma1") == 1 and g.attack("none") == 3
     assert [a for a in range(len(g.action_names)) if (g.state("s0"), a) in g.trans] == [0, 1, 2]
     # A belief is offered the actions enabled at every state in it.
-    s1_s2 = fig1.mdp.trans[BeliefNode(g.state("s1"), g.state_set(["s1", "s2"]))]
+    s1_s2 = fig1.mdp.trans[BeliefNode(g.state("s1"), frozenset(map(g.state, ["s1", "s2"])))]
     assert sorted({action for action, _query in s1_s2}) == [0, 1]
 
 
@@ -276,6 +276,7 @@ def test_masks_match_trans_and_observation(game):
         for q in range(len(game.queries)):
             views = masks.views[s][q]
             assert list(views) == sorted(game.enabled_attacks[s])
+            assert masks.attacks[s] == tuple(sorted(game.enabled_attacks[s])) == tuple(views)
             for att, view in views.items():
                 assert frozenset(states_of(view)) == get_observation(game, s, q, att)
 
@@ -286,12 +287,12 @@ def test_observation_frozen_facts(fig1):
     g = fig1.game
     s1 = g.state("s1")
     assert get_observation(g, s1, g.query("sigma0"), g.attack("beta0")) == \
-        g.state_set(["s1", "s2"])
+        frozenset(map(g.state, ["s1", "s2"]))
     assert get_observation(g, s1, g.query("sigma0"), g.attack("none")) == \
-        g.state_set(["s1"])
+        frozenset(map(g.state, ["s1"]))
     # Reading every sensor pins s1 exactly.
     assert observation_for_sensors(g, s1, range(len(g.sensors))) == \
-        g.state_set(["s1"])
+        frozenset(map(g.state, ["s1"]))
     # Reading nothing reveals nothing.
     assert observation_for_sensors(g, s1, ()) == frozenset(range(g.n_states))
 

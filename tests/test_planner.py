@@ -102,7 +102,7 @@ def test_for_belief(fig1):
     g, rep = fig1.game, fig1.report
     q0 = fig1.mdp.initial
     assert rep.strategy.for_belief(q0.belief) == tuple(sorted(rep.strategy.allowed[q0]))
-    assert rep.strategy.for_belief(g.state_set(["s2", "s3"])) == ()
+    assert rep.strategy.for_belief(frozenset(map(g.state, ["s2", "s3"]))) == ()
 
 
 def test_levels_start_at_core_and_partition(fig1):
@@ -182,7 +182,7 @@ def test_soundness_catches_closure_breach(fig1):
     g, mdp, rep = fig1.game, fig1.mdp, fig1.report
     bad = dict(rep.strategy.allowed)
     leak = (g.action("a1"), g.query("sigma0"))
-    for member in mdp.classes[g.state_set(["s1", "s2"])]:
+    for member in mdp.classes[frozenset(map(g.state, ["s1", "s2"]))]:
         bad[member] = bad[member] | {leak}
     verdict = check_soundness(mdp, MultiStrategy(allowed=bad))
     assert not verdict

@@ -280,7 +280,7 @@ def test_memo_belongs_to_its_game_and_strategy(fig4_text):
 
 
 def test_records_of_a_dropped_strategy_are_not_reused(fig4_text):
-    # `Game.memo` keys each strategy's step records by its id.  A
+    # `Game.plays` keys each strategy's step records by its id.  A
     # strategy dropped after its plays, and a different one built in
     # its place, which may take its id, must play as on a fresh game.
     def strategy(run, pick):
@@ -303,7 +303,7 @@ def test_records_of_a_dropped_strategy_are_not_reused(fig4_text):
 def test_table_attack_falls_back_off_table(fig4):
     g = fig4.game
     jammer = TableAttack(fig4.attack_strategy)
-    off_table = BeliefNode(g.state("s2"), g.state_set(["s2"]))
+    off_table = BeliefNode(g.state("s2"), frozenset(map(g.state, ["s2"])))
     chosen = jammer.choose(None, g, off_table, (0, 0), g.state("s2"))
     assert chosen == min(g.enabled_attacks[g.state("s2")])
 
