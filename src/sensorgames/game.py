@@ -18,7 +18,11 @@ enabled, and each observation.  The observations come from one coverage
 mask per sensor: at state s a sensor reads the same on its coverage if
 s is covered, else on the complement, and an observation is the AND of
 those agreement masks over the sensors in ``query minus attack``.  The
-tests hold every table to `get_observation`.  The belief expansion and
+tests hold every table to `get_observation`.  Each state's enabled
+attacks have one form, `Game.enabled_attacks`: an ascending tuple,
+sorted once by `validate_game`.  The observation tables are keyed in
+its order, and the simulator's jammers and the jammer game read it;
+`Masks` keeps no copy.  The belief expansion and
 the simulator both read `Game.masks`, so the belief update -- the
 action image filtered by the observation -- is computed one way.
 `Game.plays` is a plain dict that the simulator fills with its tables,
@@ -36,7 +40,9 @@ specfile's section table, and the five named sections -- states,
 actions, sensors, queries, attacks -- are checked in one loop.  The
 semantic rules -- names resolve, supports are non-empty and list each
 successor once, a row's weights have a finite total, every state
-enables an action and an attack -- are the validator's alone.
+enables an action and an attack, the game declares a query (every move
+of the agent is an action paired with a query) -- are the validator's
+alone.
 """
 
 from __future__ import annotations
@@ -82,7 +88,7 @@ class SensorSelection:
 class ValidationIssue:
     kind: str  # "unknown-id" | "empty-support" | "no-enabled-action"
     #            | "empty-attack-set" | "duplicate-name" | "duplicate-initial"
-    #            | "bad-name" | "bad-weight"
+    #            | "bad-name" | "bad-weight" | "no-query"
     message: str
     line: int | None = None
 
@@ -106,7 +112,8 @@ class Game:
     ``trans`` maps an enabled (state, action) pair to its successor
     support; each successor optionally carries a positive weight used
     only by the simulator.  ``enabled_attacks`` gives, per state, the
-    attacks the attacker may launch while the agent is there.
+    attacks the attacker may launch while the agent is there, ascending
+    and each once.
     """
 
     state_names: tuple[str, ...]
@@ -117,7 +124,7 @@ class Game:
     sensors: tuple[Sensor, ...]
     queries: tuple[SensorSelection, ...]
     attacks: tuple[SensorSelection, ...]
-    enabled_attacks: tuple[frozenset[AttackId], ...]
+    enabled_attacks: tuple[tuple[AttackId, ...], ...]
     warnings: tuple[str, ...] = field(default=(), compare=False, repr=False)
 
     @property
@@ -139,12 +146,10 @@ class Game:
 
         # Plain loops: on rows of a few sensors they run about twice as
         # fast as `reduce` over a `map`.
-        views, attacks = [], []
-        for s in range(self.n_states):
+        views = []
+        for s, atts in enumerate(self.enabled_attacks):
             # Each sensor's agreement mask at s: the states it reads the same on.
             agree = [c if c >> s & 1 else everything ^ c for c in cover]
-            atts = tuple(sorted(self.enabled_attacks[s]))
-            attacks.append(atts)
             per_query = []
             for row in readable:
                 view = {}
@@ -160,8 +165,7 @@ class Game:
             support=support,
             enabled=tuple(sum(1 << s for s in range(self.n_states) if (s, a) in support)
                           for a in range(len(self.action_names))),
-            views=tuple(views),
-            attacks=tuple(attacks))
+            views=tuple(views))
 
     @cached_property
     def plays(self) -> dict:
@@ -199,18 +203,18 @@ class Masks:
     ``goal`` is the goal set, ``support[(s, a)]`` the successor support
     of each enabled (state, action) and ``enabled[a]`` the states where
     action a is enabled.  ``views[s][q][att]`` is the observation at s
-    under query q and attack att, for each attack enabled at s, in
-    ascending order: the AND, over the sensors q reads and att leaves
-    unjammed, of the states each sensor reads the same on as at s.  It
-    equals `get_observation`, the set-based rule the tests compare it to.
-    ``attacks[s]`` is the attacks enabled at s in that ascending order.
+    under query q and attack att, for each attack enabled at s, keyed
+    in the ascending order of ``Game.enabled_attacks[s]``: the AND, over
+    the sensors q reads and att leaves unjammed, of the states each
+    sensor reads the same on as at s.  It equals `get_observation`, the
+    set-based rule the tests compare it to.  The attacks enabled at s
+    are read from ``Game.enabled_attacks``, not from here.
     """
 
     goal: int
     support: Mapping[tuple[StateId, ActionId], int]
     enabled: tuple[int, ...]
     views: tuple[tuple[Mapping[AttackId, int], ...], ...]
-    attacks: tuple[tuple[AttackId, ...], ...]
 
     def image(self, states: Iterable[StateId], action: ActionId) -> int:
         """The action image of a belief, before any observation; the
@@ -406,6 +410,8 @@ def validate_game(doc: GameSpecDocument) -> Game:
 
     queries = selections(rows["queries"].values())
     attacks = selections(rows["attacks"].values())
+    if not queries:  # every move is an (action, query) pair
+        issues.append(ValidationIssue("no-query", "no query declared, so the agent has no move"))
 
     for name, sid in state_ids.items():
         if sid not in acting:
@@ -413,12 +419,12 @@ def validate_game(doc: GameSpecDocument) -> Game:
                 "no-enabled-action", f"state '{name}' has no enabled action",
                 state_rows[name].line))
 
-    enabled: list[frozenset[AttackId]] = [frozenset(range(len(attack_ids)))] * len(state_ids)
+    enabled: list[tuple[AttackId, ...]] = [tuple(range(len(attack_ids)))] * len(state_ids)
     for decl in _first_rows(doc, "enabled-attacks", issues):
         sid = _resolve(state_ids, decl.state, "state", decl.line, issues)
         listed = _resolve_all(attack_ids, decl.attacks, "attack", decl.line, issues)
         if sid is not None:
-            enabled[sid] = listed
+            enabled[sid] = tuple(sorted(listed))
     for name, sid in state_ids.items():
         if not enabled[sid]:
             line = next((e.line for e in doc.enabled_attacks if e.state == name),

@@ -6,21 +6,24 @@ reachability of the absorbing `FINAL` node, under one extra constraint:
 the agent only sees beliefs, so whatever moves she keeps available must
 be identical across every node of a belief's equivalence class.
 
-The solver interleaves two phases until stable.  First the *losing
-core*: nodes from which `FINAL` is not even graph-reachable can never
-complete, whatever the strategy.  Then an elimination sweep: any move
-that can land in an already-doomed node is unsafe and is withdrawn from
-the whole equivalence class of its source; a node whose move set
-empties out joins the doomed set.  Whenever the sweep stalls, every
-node whose surviving moves no longer connect it to `FINAL` is stranded:
-it can loop forever without completing, so its entire class is doomed
-and the sweep resumes.  What survives is the winning region together
-with the maximal permissive move sets, and every run of the induced
-chain from a winning node completes with probability one.
+The solver starts from the *losing core*: nodes from which `FINAL` is
+not even graph-reachable can never complete, whatever the strategy.
+Then one loop runs rounds, and a round dooms nodes in one of two ways.
+After a round that doomed nodes, it is an elimination sweep: any move
+that can land in one of them is unsafe and is withdrawn from the whole
+equivalence class of its source; a class whose move set empties out
+is doomed.  After a round that doomed none, the sweep has stalled, and
+the round is a stall check: every node whose surviving moves no longer
+connect it to `FINAL` is stranded, since it can loop forever without
+completing, so its entire class is doomed and the sweep resumes.  A
+stall check that finds no stranded node ends the loop.  What survives
+is the winning region together with the maximal permissive move sets,
+and every run of the induced chain from a winning node completes with
+probability one.
 
 Each withdrawal is logged, so the result can be audited move by move.
 
-Both phases, and the soundness audit, run on the perceived game's one
+The solver and the soundness audit run on the perceived game's one
 numbering, the ints `BeliefMDP` stores.  Node i is ``mdp.nodes[i]``, whose
 canonical order makes i the node's `node_key` rank, and `FINAL` is N.
 Move k is the k-th (action, query) pair in ascending order, and a
@@ -49,6 +52,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping
 
 from .belief import ActionPair, BeliefMDP, BeliefNode
+from .game import states_of
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,13 @@ def solve_p1(mdp: BeliefMDP) -> SolveReport:
     `build_belief_mdp` guarantees and a sub-MDP must keep: every
     withdrawal and every doom then applies to a whole class, so each
     member not doomed in round 0 always holds its class's moves.
+
+    Every round, sweep or stall check, runs in one loop body that
+    branches only on how the round dooms nodes, and shares one tail: the
+    round counter steps, and the nodes the round doomed, if any, are
+    the next level.  A stall check that does not end the loop always
+    dooms a node: a stranded node is not doomed, so its class still
+    holds moves.
     """
     n = len(mdp.succs)
     # back[j]: the (predecessor, move) pairs of node j in canonical
@@ -170,8 +181,10 @@ def solve_p1(mdp: BeliefMDP) -> SolveReport:
     iteration = 0
 
     while True:
+        fresh: list[int] = []
         if current:
-            next_level: list[int] = []
+            # Sweep: withdraw every move that can land in a node doomed
+            # last round; a class left without moves is doomed whole.
             for cause in current:
                 for entry in back[cause]:
                     c = cls[entry >> shift]
@@ -183,44 +196,35 @@ def solve_p1(mdp: BeliefMDP) -> SolveReport:
                         if not allowed[c]:
                             for peer in live[c]:
                                 doomed[peer] = 1
-                            next_level += live[c]
-            iteration += 1
-            current = sorted(next_level)
-            if current:
-                levels.append(current)
-            continue
-        # The sweep stalled.  A node may keep moves yet have lost every
-        # route to FINAL (only loops remain); playing there never
-        # completes, so the node -- and, since the agent cannot tell the
-        # members apart, its whole class -- is doomed as well.
-        alive = reaching_final(per_node())
-        stranded = [i for i in range(n) if not doomed[i] and not alive[i]]
-        if not stranded:
-            break
-        fresh: list[int] = []
-        for node in stranded:
-            c = cls[node]
-            kept = allowed[c]
-            if not kept:
-                continue
-            for member in live[c]:
-                for k in range(kept.bit_length()):
-                    if kept >> k & 1:
+                            fresh += live[c]
+        else:
+            # The sweep stalled.  A node may keep moves yet have lost every
+            # route to FINAL (only loops remain); playing there never
+            # completes, so the node -- and, since the agent cannot tell the
+            # members apart, its whole class -- is doomed as well.
+            alive = reaching_final(per_node())
+            stranded = [i for i in range(n) if not doomed[i] and not alive[i]]
+            if not stranded:
+                break
+            for node in stranded:
+                c = cls[node]
+                kept = states_of(allowed[c])
+                if not kept:  # a class-mate stranded earlier this round
+                    continue
+                for member in live[c]:
+                    for k in kept:
                         trace += (iteration, member, k, node)
-                doomed[member] = 1
-            allowed[c] = 0
-            fresh += live[c]
+                    doomed[member] = 1
+                allowed[c] = 0
+                fresh += live[c]
         iteration += 1
         current = sorted(fresh)
-        levels.append(current)
+        if current:
+            levels.append(current)
 
     nodes, moves = mdp.nodes, mdp.moves
     held = per_node()
-    move_sets: dict[int, frozenset[ActionPair]] = {}
-    for mask in held:
-        if mask not in move_sets:
-            move_sets[mask] = frozenset(
-                pair for k, pair in enumerate(moves) if mask >> k & 1)
+    move_sets = {mask: frozenset(moves[k] for k in states_of(mask)) for mask in set(held)}
     strategy = MultiStrategy(
         allowed={q: move_sets[held[i]] for i, q in enumerate(nodes)})
     return SolveReport(

@@ -101,7 +101,7 @@ class UniformRandomAttack:
     """Sample uniformly among the attacks enabled at the successor."""
 
     def choose(self, rng, game, node, move, next_state) -> AttackId:
-        return rng.choice(game.masks.attacks[next_state])
+        return rng.choice(game.enabled_attacks[next_state])
 
 
 class TableAttack:
@@ -120,7 +120,7 @@ class TableAttack:
         att = self.strategy.get(node)
         if att is not None:
             return att
-        return game.masks.attacks[next_state][0]
+        return game.enabled_attacks[next_state][0]
 
 
 def _ask_on_stderr(prompt: str) -> str:

@@ -60,7 +60,17 @@ def test_validate_mini():
     assert not game.has_weights
     assert game.warnings == ()
     # No enabled-attacks section: every attack is available everywhere.
-    assert game.enabled_attacks == (frozenset({0}), frozenset({0}))
+    assert game.enabled_attacks == ((0,), (0,))
+
+
+def test_enabling_row_out_of_order_and_twice():
+    # A row's attacks are kept once each, ascending, whatever order the
+    # file lists them in; a state without a row enables every attack.
+    game = validate_game(parse_spec(
+        MINI + "b1: g0\nb2: g0\n\n[enabled-attacks]\ns0: b2 none b2\n"))
+    assert game.enabled_attacks == ((0, 2), (0, 1, 2))
+    assert [tuple(views) for views in game.masks.views[0]] == [(0, 2)]
+    assert [tuple(views) for views in game.masks.views[1]] == [(0, 1, 2)]
 
 
 def test_unknown_identifiers_reported():
@@ -79,6 +89,13 @@ def test_empty_support():
 def test_no_enabled_action():
     issues = issues_of(MINI.replace("s1 a0 -> s1\n", ""))
     assert any(i.kind == "no-enabled-action" for i in issues)
+
+
+def test_no_query():
+    # Every move is an (action, query) pair: without a query the agent
+    # has no move, though the start reaches the goal in one.
+    issues = issues_of(MINI.replace("[queries]\nq0: g0\n", ""))
+    assert issues == (ValidationIssue("no-query", "no query declared, so the agent has no move"),)
 
 
 def test_empty_attack_set():
@@ -125,7 +142,8 @@ def test_document_without_states():
     with pytest.raises(GameValidationError) as err:
         validate_game(GameSpecDocument())
     assert err.value.issues == (
-        ValidationIssue("unknown-id", "no resolvable initial state", None),)
+        ValidationIssue("no-query", "no query declared, so the agent has no move"),
+        ValidationIssue("unknown-id", "no resolvable initial state", None))
 
 
 def _with_s0_a0(*successors):
@@ -275,8 +293,7 @@ def test_masks_match_trans_and_observation(game):
     for s in range(game.n_states):
         for q in range(len(game.queries)):
             views = masks.views[s][q]
-            assert list(views) == sorted(game.enabled_attacks[s])
-            assert masks.attacks[s] == tuple(sorted(game.enabled_attacks[s])) == tuple(views)
+            assert tuple(views) == game.enabled_attacks[s] == tuple(sorted({*views}))
             for att, view in views.items():
                 assert frozenset(states_of(view)) == get_observation(game, s, q, att)
 

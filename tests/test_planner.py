@@ -367,6 +367,19 @@ def test_nested_fixpoint_agrees_on_a_restricted_rung():
     assert nested_fixpoint_win1(sub) == win
 
 
+def test_nested_fixpoint_agrees_on_16_5_7_without_s1():
+    # The 16/5/7 rung wins everywhere, and so does its sub-MDP without
+    # any one of its largest classes.  Without every node at state s1 it
+    # loses somewhere.  No other test reads the rung, so it is built here
+    # and not kept for the session.
+    mdp = build_belief_mdp(validate_game(parse_spec(case_text((16, 5, 7)))))
+    s1 = mdp.game.state("s1")
+    sub = restricted(mdp, [q for q in mdp.nodes if q.state != s1])
+    win = solve_p1(sub).win
+    assert (len(sub.nodes), len(win)) == (14933, 1746)
+    assert nested_fixpoint_win1(sub) == win
+
+
 # --- Win1 checks past the oracle's reach -------------------------------------
 
 def test_win1_is_monotone_under_belief_inclusion():
