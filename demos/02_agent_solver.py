@@ -13,6 +13,7 @@ from sensorgames import (
     build_belief_mdp,
     bundled_game_text,
     check_soundness,
+    move_label,
     node_label,
     parse_spec,
     solve_p1,
@@ -27,11 +28,6 @@ def solve(name):
     return game, mdp, solve_p1(mdp)
 
 
-def move_str(game, move):
-    action, query = move
-    return f"({game.action_names[action]},{game.queries[query].name})"
-
-
 game, mdp, report = solve("fig1")
 print(f"perceived game: {len(mdp.nodes)} nodes in {len(mdp.members)} belief classes")
 print(f"start node {node_label(game, mdp.initial)} is "
@@ -41,7 +37,7 @@ print()
 
 print("moves kept at the start:")
 for move in sorted(report.strategy.allowed[mdp.initial]):
-    print(f"  {move_str(game, move)}")
+    print(f"  {move_label(game, move)}")
 print()
 print("(a0,sigma0) is gone: under jamming, that query may leave the agent")
 print("unable to tell s1 from s2, and guessing wrong falls into the trap.")
@@ -50,7 +46,7 @@ print()
 # The elimination trace is a replayable log.  Show the first few events.
 print("first eliminations:")
 for removal in report.trace[:6]:
-    print(f"  round {removal.iteration}: dropped {move_str(game, removal.move)} "
+    print(f"  round {removal.iteration}: dropped {move_label(game, removal.move)} "
           f"at {node_label(game, removal.node)} "
           f"(doomed by {node_label(game, removal.cause)})")
 print(f"  ... {len(report.trace)} eliminations total")
@@ -69,6 +65,6 @@ for name, label in (("fig1_nosense", "no sensing"),
     verdict = "winning" if report.initial_winning else "losing"
     print(f"{label:12s} start is {verdict}", end="")
     if report.initial_winning:
-        kept = sorted(move_str(game, m) for m in report.strategy.allowed[mdp.initial])
+        kept = sorted(move_label(game, m) for m in report.strategy.allowed[mdp.initial])
         print(f", keeping {' '.join(kept)}", end="")
     print()

@@ -42,7 +42,6 @@ from .planner import (
 from .attacker import (
     AttackStrategy,
     AttackerMDP,
-    EmptyWin1Error,
     build_attacker_mdp,
     deception_gap,
     solve_p2_safety,

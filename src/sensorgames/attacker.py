@@ -31,6 +31,9 @@ in ascending order, so the solver walks them as they are.
 The *deception gap* is the outcome: nodes where the agent believes she
 is sure to finish while the jammer is sure she never will.  That is the
 strategy's domain, Win2, since the jammer's game is built over Win1.
+Both stages are total: on an empty Win1 the jammer's game is the empty
+game and its Win2 is empty.  The pipeline builds no jammer game there,
+so documents report its results as null.
 """
 
 from __future__ import annotations
@@ -42,10 +45,6 @@ from typing import Mapping
 from .belief import BeliefNode
 from .game import AttackId, Game
 from .planner import SolveReport
-
-
-class EmptyWin1Error(Exception):
-    """The agent wins nowhere, so there is no attacker game to build."""
 
 
 @dataclass(frozen=True)
@@ -76,10 +75,9 @@ def build_attacker_mdp(report: SolveReport) -> AttackerMDP:
     non-goal state a kept move can reach is listed.  Each offered
     attack's successors are the listed positions it is annotated on.
     By the closure property of the agent's solution the successors all
-    lie back inside the winning region.
+    lie back inside the winning region.  An empty winning region gives
+    the empty game: no node and no edge.
     """
-    if not report.win:
-        raise EmptyWin1Error("the agent has no winning node to be deceived at")
     mdp = report.mdp
     game = mdp.game
     every = frozenset(range(len(game.attacks)))

@@ -5,7 +5,8 @@ far.  She does not model a hostile jammer; each possible jamming outcome
 is treated as an ordinary stochastic sensor fault.  Under that reading
 the perceived dynamics form a perfect-information MDP over (state,
 belief) pairs plus one absorbing node, `FINAL`, entered exactly when the
-task is surely complete.
+task is surely complete.  `FINAL` is one object, made at import and
+matched by identity; no stage copies or pickles a node.
 
 A move from node (s, B) under the pair (a, q) -- control action a, query
 q -- resolves in three steps: nature picks a successor s' of s under a;
@@ -77,13 +78,6 @@ class BeliefNode(NamedTuple):
 
 class _Final:
     """The absorbing task-complete node."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self) -> str:
         return "FINAL"
@@ -228,8 +222,7 @@ def build_belief_mdp(game: Game) -> BeliefMDP:
     counter = count()
     ids = [dict(zip(masks_of_s, counter)) for masks_of_s in by_state]
     beliefs = {mask: frozenset(states) for mask, states in keys.items()}
-    new = tuple.__new__  # builds a named tuple without its Python-level constructor
-    nodes = tuple(new(BeliefNode, (s, beliefs[mask]))
+    nodes = tuple(BeliefNode(s, beliefs[mask])
                   for s, masks_of_s in enumerate(by_state) for mask in masks_of_s)
     land_ids = {key: tuple(map(ids[key % n_states].__getitem__, found))
                 for key, found in landings.items()}

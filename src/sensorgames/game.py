@@ -25,9 +25,10 @@ its order, and the simulator's jammers and the jammer game read it;
 `Masks` keeps no copy.  The belief expansion and
 the simulator both read `Game.masks`, so the belief update -- the
 action image filtered by the observation -- is computed one way.
-`Game.plays` is a plain dict that the simulator fills with its tables,
-by strategy id; a `Game` cannot key a table itself, since its ``trans``
-is a dict.
+`Game.plays` is a dict field, empty when the game is built and left
+out of its constructor, equality and repr, that the simulator fills
+with its tables by strategy id; a `Game` cannot key a table itself,
+since its ``trans`` is a dict.
 
 `validate_game` accepts documents built in code as well as parsed ones,
 so it checks again, in the parser's words, every document rule the
@@ -126,6 +127,8 @@ class Game:
     attacks: tuple[SensorSelection, ...]
     enabled_attacks: tuple[tuple[AttackId, ...], ...]
     warnings: tuple[str, ...] = field(default=(), compare=False, repr=False)
+    # The simulator's tables for plays of this game, by strategy id.
+    plays: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n_states(self) -> int:
@@ -166,11 +169,6 @@ class Game:
             enabled=tuple(sum(1 << s for s in range(self.n_states) if (s, a) in support)
                           for a in range(len(self.action_names))),
             views=tuple(views))
-
-    @cached_property
-    def plays(self) -> dict:
-        """The simulator's tables for plays of this game, by strategy id."""
-        return {}
 
     def counts(self) -> dict[str, int]:
         """How many of each declaration the arena has, in file order."""

@@ -1,8 +1,8 @@
 """Shared fixtures and helpers: the bundled games solved once per
 session, read from `inputs`; the jammer side's reference: its
 successors recomputed from the observation rule, one checker of every
-invariant of a jammer game, and a brute-force Win2 referee; and the
-simulator's draw rule, `randbelow`."""
+invariant of a jammer game, an attractor Win2 reference and a
+brute-force Win2 referee; and the simulator's draw rule, `randbelow`."""
 
 from __future__ import annotations
 
@@ -158,9 +158,12 @@ def check_jammer_game(name, report, attacker, strategy):
     and holds no goal node.  An attack is safe at a node where its
     successors all lie in Win2, which leaves `FINAL` out.  At each Win2
     node the chosen attack is safe (the one-step rule) and is the
-    lowest safe one; no other non-goal node has a safe attack (the
-    greatest-fixpoint rule).  Last, `gap_audit_failure` finds no way out
-    of the trap.
+    lowest safe one; no non-goal node outside Win2 has an attack whose
+    successors all lie in Win2 (Win2 is closed under safe attacks).
+    Last, `gap_audit_failure` finds no way out of the trap.  None of
+    this shows that Win2 is the largest such set: an empty strategy
+    passes on every game.  `attractor_win2` and `brute_force_win2`
+    check maximality.
     """
     if not report.win:
         assert attacker is None and strategy is None, name
@@ -183,6 +186,38 @@ def check_jammer_game(name, report, attacker, strategy):
             assert node.state in game.goal or not safe, (name, node, "a safe node outside Win2")
     if strategy:
         assert gap_audit_failure(report, strategy) is None, name
+
+
+def attractor_win2(report) -> dict:
+    """The jammer's strategy as a safety game's solution: the complement
+    of the attractor to completion (Grädel, Thomas & Wilke, eds., LNCS
+    2500, 2002).
+
+    It reads only Win1, the kept moves and the enabled attacks, through
+    `reference_successors` and `offered_attacks`, never the jammer build
+    or solve.  The worklist starts from `FINAL`, the goal-state nodes
+    and the nodes offered no attack.  Each popped node strikes every
+    attack that can reach it, and a node falls once all its attacks are
+    struck.  The survivors are Win2; each is mapped to its lowest attack
+    never struck, in `node_key` order.
+    """
+    game = report.mdp.game
+    live, preds = {}, {}  # preds[q]: the (node, attack) pairs that can reach q
+    for node, successors in reference_successors(report).items():
+        offered = offered_attacks(game, successors)
+        live[node] = set(offered)
+        for att, succs in offered.items():
+            for q in succs:
+                preds.setdefault(q, []).append((node, att))
+    fallen = [FINAL, *(q for q, atts in live.items() if q.state in game.goal or not atts)]
+    out = set(fallen)
+    while fallen:
+        for node, att in preds.get(fallen.pop(), ()):
+            live[node].discard(att)
+            if not live[node] and node not in out:
+                out.add(node)
+                fallen.append(node)
+    return {q: min(live[q]) for q in sorted(live.keys() - out, key=node_key)}
 
 
 def brute_force_win2(report, cap: int = 2_000) -> frozenset | None:

@@ -1,15 +1,15 @@
 """Jammer-side solving: the safety game over the agent's winning region.
 
-Every jammer game here is checked by `conftest.check_jammer_game`, and
-its Win2 by `conftest.brute_force_win2` where the enumeration is small.
+Every jammer game here is checked by `conftest.check_jammer_game`.  Its
+Win2 and strategy are checked by `conftest.attractor_win2` on the shared
+inputs, and its Win2 by `conftest.brute_force_win2` where the
+enumeration is small.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sensorgames import (
-    EmptyWin1Error,
     build_attacker_mdp,
     build_belief_mdp,
     deception_gap,
@@ -20,7 +20,7 @@ from sensorgames.belief import FINAL, node_key, node_label
 from sensorgames.game import validate_game
 from sensorgames.oracle import GeneratorParams, generate_spec
 
-from .conftest import bnode, brute_force_win2, check_jammer_game, jammer_trans
+from .conftest import attractor_win2, bnode, brute_force_win2, check_jammer_game, jammer_trans
 from .inputs import (
     JAMMER_WIN_SEEDS,
     attack_subset_runs,
@@ -86,8 +86,11 @@ def test_fig1_attacker_loses_everywhere(fig1):
 
 
 def test_empty_win1_refused(fig1_nosense):
-    with pytest.raises(EmptyWin1Error):
-        build_attacker_mdp(fig1_nosense.report)
+    # The build is total: on an empty Win1 it gives the empty game, and
+    # the pipeline still builds no jammer game there.
+    attacker = build_attacker_mdp(fig1_nosense.report)
+    assert attacker.nodes == () and attacker.trans == {}
+    assert solve_p2_safety(attacker) == (frozenset(), {})
     assert fig1_nosense.attacker is None and fig1_nosense.attack_strategy is None
 
 
@@ -176,3 +179,21 @@ def test_win2_equals_brute_force():
             assert win2 == set(run.attack_strategy), name
             checked, won = checked + 1, won + bool(win2)
     assert checked >= 150 and won >= 5, (checked, won)
+
+
+def test_strategy_equals_attractor():
+    # Every shared input whose agent wins somewhere; the attractor
+    # reference checks that Win2 is the largest trap, which
+    # `check_jammer_game` does not.
+    runs = {case: case_run(case) for case in ("fig1", "fig1_noattack", "fig4", "enabled-attacks")}
+    runs |= {f"soundness {k}": run for k, run in enumerate(corpus_runs("soundness"))}
+    runs |= {f"seed {seed}": run for seed, run in zip(JAMMER_WIN_SEEDS, jammer_win_runs())}
+    runs |= {f"attack-subset {k}": run for k, run in enumerate(attack_subset_runs())}
+    runs["10-4-9"] = case_run((10, 4, 9))
+    checked = won = 0
+    for name, run in runs.items():
+        if run.report.win:
+            ref = attractor_win2(run.report)
+            assert list(ref.items()) == list(run.attack_strategy.items()), name
+            checked, won = checked + 1, won + bool(ref)
+    assert (checked, won) == (298, 59)

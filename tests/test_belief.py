@@ -144,7 +144,6 @@ def test_successor_keys_are_the_listed_nodes(fixture, request):
 
 
 def test_final_identity():
-    assert type(FINAL)() is FINAL
     assert repr(FINAL) == "FINAL"
 
 
