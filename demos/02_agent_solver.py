@@ -19,7 +19,6 @@ from sensorgames import (
     solve_p1,
     validate_game,
 )
-from sensorgames.belief import node_key
 
 
 def solve(name):

@@ -16,8 +16,9 @@ reports each run as it ends, before the next run's ``--p2 prompt``
 questions.  Under ``--trace``, `simulate` names every step once and both
 its views read those names.  `gen-random` and `export-dot` write a game
 file and DOT.  `gen-random` has one flag per `GeneratorParams` field,
-named after it less ``n_`` and typed and defaulted by it, so the flags
-and their defaults are stated once, in `oracle`.
+named after it less ``n_`` and typed and defaulted by it, and
+`oracle`'s ``--cap`` defaults to `brute_force_win1`'s ``cap``, so the
+flags' defaults are stated once, in `oracle`.
 
 Exit codes: 0 on success, 1 when a verdict requested through --expect
 does not hold or the oracle disagrees with the solver, 2 on bad input
@@ -33,6 +34,7 @@ import argparse
 import sys
 from collections import Counter
 from dataclasses import fields
+from inspect import signature
 
 from .game import GameValidationError, validate_game
 from .oracle import CapExceededError, GeneratorParams, brute_force_win1, generate_spec
@@ -243,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
           ("--p2", dict(default="random", help="random | table | prompt | fixed:NAME")),
           ("--trace", dict(action="store_true", help="print every step")))
     reads("oracle", _cmd_oracle, "brute-force cross-check of the agent verdict",
-          ("--cap", dict(type=int, default=1_000_000)))
+          ("--cap", dict(type=int, default=signature(brute_force_win1).parameters["cap"].default)))
 
     p = sub.add_parser("gen-random", help="emit a seeded random game file")
     for f in fields(GeneratorParams):  # n_states gives --states, and so on

@@ -260,8 +260,12 @@ def observation_for_sensors(
     sensor, either its coverage or the complement, depending on which
     side the true state is on.  Reading nothing yields the whole space.
     """
+    if not (0 <= state < game.n_states):
+        raise ValueError(f"unknown state id {state}")
     view = set(range(game.n_states))
     for i in sorted(set(sensors)):
+        if not (0 <= i < len(game.sensors)):
+            raise ValueError(f"unknown sensor id {i}")
         coverage = game.sensors[i].coverage
         if state in coverage:
             view &= coverage

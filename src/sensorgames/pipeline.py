@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields
-from functools import cache
 
 from . import attacker as attacker_mod
 from .belief import BeliefMDP, build_belief_mdp, move_label, node_label
@@ -126,10 +125,8 @@ def run_pipeline(
     # One label per Win1 node, in canonical order; every node field but
     # the trace names only these.
     labels = {q: node_label(game, q) for q in run.mdp.nodes if q in report.win}
-    # One label list per distinct kept-move set: `solve_p1` shares one
-    # frozenset per set, and class-mates hold the same one.
-    move_labels = cache(lambda moves: [move_label(game, m) for m in sorted(moves)])
-    strategy = {label: move_labels(report.strategy.allowed[q]) for q, label in labels.items()}
+    strategy = {label: [move_label(game, m) for m in sorted(report.strategy.allowed[q])]
+                for q, label in labels.items()}
     trace = None
     if include_trace:
         trace = [

@@ -3,11 +3,13 @@
 A play alternates arena moves and sensing rounds.  The agent, driven
 only by her belief, samples uniformly among the moves her multi-strategy
 keeps available; the arena samples a successor from the declared weights
-(uniformly when none are given); the attack policy, which may peek at
-everything including the true successor, picks a jam; the belief then
-shrinks by the resulting observation.  That update reads the game's
-tables, `Game.masks`, as the belief expansion does, so the two compute
-every belief the same way.
+(uniformly when none are given); the attack policy picks a jam; the
+belief then shrinks by the resulting observation.  That update reads
+the game's tables, `Game.masks`, as the belief expansion does, so the
+two compute every belief the same way.  A policy is any object with
+``choose(rng, game, node, next_state)``: it sees the pre-move node and
+the true successor, never the agent's move, since the paper's jammer
+fixes its attack per perceived node.
 
 The play runs on the belief's bit mask, one record per perceived node.
 `_Records` is the one step table of a game's plays under one strategy,
@@ -17,9 +19,9 @@ same game and strategy.  A record holds the node, the belief, the kept
 moves in ascending order (read once from `MultiStrategy.for_belief`),
 and per move the sorted successors with their cumulative weights and
 the action's image of the mask, from the table's caches.  A step
-unpacks one record, draws, hands the attack policy the record's node,
-ANDs the move's image with the observation's mask from the table's
-views and looks up the next record.  The jammer's computed strategy is
+unpacks one record, draws, hands the attack policy the record's node
+and the successor, ANDs the move's image with the observation's mask
+from the table's views and looks up the next record.  The jammer's computed strategy is
 the plain mapping `solve_p2_safety` returns, which `TableAttack` reads
 directly.
 
@@ -93,14 +95,14 @@ class FixedAttack:
     def __init__(self, attack: AttackId):
         self.attack = attack
 
-    def choose(self, rng, game, node, move, next_state) -> AttackId:
+    def choose(self, rng, game, node, next_state) -> AttackId:
         return self.attack
 
 
 class UniformRandomAttack:
     """Sample uniformly among the attacks enabled at the successor."""
 
-    def choose(self, rng, game, node, move, next_state) -> AttackId:
+    def choose(self, rng, game, node, next_state) -> AttackId:
         return rng.choice(game.enabled_attacks[next_state])
 
 
@@ -116,7 +118,7 @@ class TableAttack:
     def __init__(self, strategy: AttackStrategy):
         self.strategy = strategy
 
-    def choose(self, rng, game, node, move, next_state) -> AttackId:
+    def choose(self, rng, game, node, next_state) -> AttackId:
         att = self.strategy.get(node)
         if att is not None:
             return att
@@ -140,14 +142,13 @@ def _ask_on_stderr(prompt: str) -> str:
 class PromptAttack:
     """Ask a callable (by default, standard input) for the attack name."""
 
-    def __init__(self, ask: Callable[[str], str] | None = None):
+    def __init__(self, ask: Callable[[str], str] = _ask_on_stderr):
         self.ask = ask
 
-    def choose(self, rng, game, node, move, next_state) -> AttackId:
-        ask = self.ask if self.ask is not None else _ask_on_stderr
+    def choose(self, rng, game, node, next_state) -> AttackId:
         names = sorted(game.attacks[a].name for a in game.enabled_attacks[next_state])
         while True:
-            answer = ask(f"attack ({'/'.join(names)}): ").strip()
+            answer = self.ask(f"attack ({'/'.join(names)}): ").strip()
             if answer in names:
                 return game.attack(answer)
 
@@ -156,7 +157,7 @@ class _Records(dict):
     """The step records of one game's plays under one strategy: (state,
     belief mask) -> (node, belief, n, n.bit_length(), rows), built on
     first read.  Row i is the i-th move kept at the belief, ascending,
-    pre-joined with what a step under it reads: (action, query, move,
+    pre-joined with what a step under it reads: (action, query,
     successors, cumulative weights, their count m, m.bit_length(), the
     action's image of the mask).  The table holds the strategy, so its
     id in `Game.plays` is not reused while the table exists.
@@ -181,10 +182,9 @@ class _Records(dict):
         state, mask = key
         belief = self.states(mask)
         rows = []
-        for move in self.p1.for_belief(belief):
-            action, query = move
+        for action, query in self.p1.for_belief(belief):
             succs, cum_weights = self.succs(state, action)
-            rows.append((action, query, move, succs, cum_weights, len(succs),
+            rows.append((action, query, succs, cum_weights, len(succs),
                          len(succs).bit_length(), self.image(mask, action)))
         record = self[key] = (BeliefNode(state, belief), belief, len(rows),
                               len(rows).bit_length(), tuple(rows))
@@ -229,7 +229,7 @@ def simulate(
         r = getrandbits(k)
         while r >= n:
             r = getrandbits(k)
-        action, query, move, succs, cum_weights, m, j, image = rows[r]
+        action, query, succs, cum_weights, m, j, image = rows[r]
         if cum_weights is None:
             r = getrandbits(j)
             while r >= m:
@@ -237,7 +237,7 @@ def simulate(
             next_state = succs[r]
         else:
             next_state = choices(succs, cum_weights=cum_weights)[0]
-        attack = choose(rng, game, node, move, next_state)
+        attack = choose(rng, game, node, next_state)
         seen = views[next_state][query].get(attack)
         if seen is None:
             if attack not in range(len(game.attacks)):

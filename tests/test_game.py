@@ -328,6 +328,12 @@ def test_observation_bad_ids(fig1):
         get_observation(g, 0, 99, 0)
     with pytest.raises(ValueError):
         get_observation(g, 0, 0, 99)
+    for state in (99, -1):
+        with pytest.raises(ValueError, match="unknown state id"):
+            get_observation(g, state, 0, 0)
+    for sensor in (99, -1):
+        with pytest.raises(ValueError, match="unknown sensor id"):
+            observation_for_sensors(g, 0, [sensor])
 
 
 @settings(max_examples=60, deadline=None)

@@ -226,9 +226,9 @@ class RecordingAttack:
         self.table = TableAttack(strategy)
         self.nodes = []
 
-    def choose(self, rng, game, node, move, next_state):
+    def choose(self, rng, game, node, next_state):
         self.nodes.append(node)
-        return self.table.choose(rng, game, node, move, next_state)
+        return self.table.choose(rng, game, node, next_state)
 
 
 def test_nodes_and_steps_are_plain_named_tuples(fig4):
@@ -304,7 +304,7 @@ def test_table_attack_falls_back_off_table(fig4):
     g = fig4.game
     jammer = TableAttack(fig4.attack_strategy)
     off_table = BeliefNode(g.state("s2"), frozenset(map(g.state, ["s2"])))
-    chosen = jammer.choose(None, g, off_table, (0, 0), g.state("s2"))
+    chosen = jammer.choose(None, g, off_table, g.state("s2"))
     assert chosen == min(g.enabled_attacks[g.state("s2")])
 
 
@@ -312,7 +312,7 @@ def test_prompt_attack_reprompts_until_valid(fig4):
     g = fig4.game
     answers = iter(["bogus", " beta2 "])
     jammer = PromptAttack(ask=lambda prompt: next(answers))
-    att = jammer.choose(None, g, None, None, g.state("s0"))
+    att = jammer.choose(None, g, None, g.state("s0"))
     assert att == g.attack("beta2")
 
 
