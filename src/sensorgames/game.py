@@ -339,7 +339,8 @@ def validate_game(doc: GameSpecDocument) -> Game:
         table = _SECTIONS[section]
         issues += [ValidationIssue("bad-name", f"bad {table.what} name '{decl.name}' "
                                    f"(expected {_NAME.pattern})", decl.line)
-                   for decl in getattr(doc, table.field) if not _NAME.fullmatch(decl.name)]
+                   for decl in getattr(doc, table.field)
+                   if not (isinstance(decl.name, str) and _NAME.fullmatch(decl.name))]
         rows[section] = {decl.name: decl for decl in _first_rows(doc, section, issues)}
     state_rows = rows["states"]
     state_ids, action_ids, sensor_ids, _, attack_ids = (

@@ -3,6 +3,10 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ from sensorgames import bundled_game_text
 from sensorgames.cli import main
 
 from .inputs import FORBIDDEN_AT_S1, MINI
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +86,23 @@ def test_validate_bad_name(spec_dir, capsys):
     assert code == 2 and out == ""
     assert err == "error: line 4, col 1: bad state name 's,1' " \
         "(expected [A-Za-z_][A-Za-z0-9_]*)\n"
+
+
+def test_validate_reports_every_line(tmp_path, capsys):
+    path = tmp_path / "badflag.game"
+    path.write_text("[states]\ns0 initial shiny\n[actions]\na0 a1\n")
+    code, out, err = run(capsys, "validate", path)
+    assert (code, out) == (2, "")
+    assert err == ("error: line 2, col 12: unknown state flag 'shiny' "
+                   "(expected 'initial' or 'goal')\n"
+                   "error: line 4, col 4: one action name per line\n")
+
+
+def test_validate_no_query(tmp_path, capsys):
+    path = tmp_path / "noquery.game"
+    path.write_text(MINI.replace("[queries]\nq0: g0\n", ""))
+    code, out, err = run(capsys, "validate", path)
+    assert (code, out, err) == (2, "", "error: no query declared, so the agent has no move\n")
 
 
 def test_missing_file(capsys):
@@ -322,6 +345,14 @@ def test_oracle_cap(spec_dir, capsys):
     assert code == 2 and "cap is 10" in err
 
 
+def test_oracle_default_cap(capsys, tmp_path):
+    path = tmp_path / "g3.game"
+    path.write_text(run(capsys, "gen-random", "--seed", "3")[1])
+    code, out, err = run(capsys, "oracle", path)
+    assert (code, out, err) == (
+        2, "", "error: brute force would try about 1366875 assignments, cap is 1000000\n")
+
+
 def test_oracle_refuses_negative_cap(spec_dir, capsys):
     code, out, err = run(capsys, "oracle", spec_dir / "fig4.game", "--cap", "-1")
     assert (code, out, err) == (2, "", "error: --cap must not be negative, got -1\n")
@@ -394,3 +425,22 @@ def test_export_dot_deterministic(spec_dir, capsys):
     a = run(capsys, "export-dot", spec_dir / "fig1.game")
     b = run(capsys, "export-dot", spec_dir / "fig1.game")
     assert a == b
+
+
+# --- the module run as a program ------------------------------------------------
+
+def test_module_as_program(tmp_path):
+    # `python -m sensorgames.cli` in its own interpreter: the exit code
+    # reaches the shell through the module's `__main__` guard.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    missing = tmp_path / "nowhere.game"
+    calls = [
+        (("gap", SRC / "sensorgames" / "specs" / "fig1.game", "--expect", "nonempty"),
+         1, "deception gap: 0 nodes\n", "expected nonempty gap, got empty\n"),
+        (("validate", missing),
+         2, "", f"error: [Errno 2] No such file or directory: '{missing}'\n"),
+    ]
+    for argv, code, out, err in calls:
+        done = subprocess.run([sys.executable, "-m", "sensorgames.cli", *map(str, argv)],
+                              env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)

@@ -1,8 +1,9 @@
 """Each demo's standard output, pinned by its sha256.
 
 Every script in ``demos/`` runs in its own interpreter with the package
-from ``src`` on the path, as CI runs it; a new demo fails here until
-its digest is pinned.
+from ``src`` on the path.  This test is the only place a demo runs, on
+every Python version CI tests; a new demo fails here until its digest
+is pinned.
 """
 
 import hashlib

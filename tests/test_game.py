@@ -192,6 +192,9 @@ PARSER_RULES = {
         lambda d: replace(d, queries=(replace(d.queries[0], name='a"0'),)),
         ValidationIssue("bad-name", """bad query name 'a"0' (expected [A-Za-z_][A-Za-z0-9_]*)""",
                         16)),
+    "name-not-a-string": (
+        lambda d: replace(d, queries=(replace(d.queries[0], name=5),)),
+        ValidationIssue("bad-name", "bad query name '5' (expected [A-Za-z_][A-Za-z0-9_]*)", 16)),
 }
 
 
