@@ -35,7 +35,13 @@ image), so each such triple is joined once, and the rows are pooled:
 each distinct successor row and attack row is one tuple, shared by
 every move that has it.  Each (state, mask) pair gets one `BeliefNode`,
 each mask one frozenset, and each distinct set of attacks one
-frozenset.
+frozenset.  Each working table is dropped once its last reader is done:
+a resolved landing becomes its node ids and attack sets in place, and
+the ranking tables go before the rows are joined.  The offered moves
+and the row memo, which live until the expansion ends, hold tuples, not
+lists: a tuple is sized exactly, and the cyclic garbage collector stops
+tracking one that holds only ints.  So the expansion's peak stays near
+twice what it keeps.
 
 This module is the one home of the canonical order: `BeliefMDP.nodes`
 lists nodes by `node_key` and `BeliefMDP.members` lists the classes by
@@ -174,27 +180,31 @@ def build_belief_mdp(game: Game) -> BeliefMDP:
     in, so every (s', belief) node with s' in a found belief is
     materialized and classes are never split.  The second ranks the
     nodes by `node_key` from the sorted beliefs, turns each resolved
-    landing into a tuple of ids and a tuple of attack sets, and joins
-    those tuples into the rows of each (state, action, image) once,
-    one pooled tuple per distinct row.  Nodes and frozensets are made
-    once, when the nodes are ranked.
+    landing, in place, into a tuple of ids and a tuple of attack sets,
+    and joins those tuples into the rows of each (state, action, image)
+    once, one pooled tuple per distinct row.  Nodes and frozensets are
+    made once, when the nodes are ranked.  Each table is dropped once
+    its last reader is done, so the ranking tables are gone before the
+    rows are joined.
     """
     masks, n_states, n_queries = game.masks, game.n_states, len(game.queries)
     n_actions = len(masks.enabled)
 
     queue = [1 << game.initial]
     keys = {queue[0]: (game.initial,)}  # mask -> sorted states
-    offered: dict[int, list[tuple[ActionId, int]]] = {}  # mask -> (action, image)s
+    offered: dict[int, tuple[tuple[ActionId, int], ...]] = {}  # mask -> (action, image)s
     move_ids: dict[int, tuple[int, ...]] = {}  # mask -> its move ids, one tuple per class
     # The beliefs a move reaches when nature lands in s2 from a belief
     # whose action image is ``image``, each with the mask of the attacks
     # that produce it, keyed by (image, query, s2) packed into one int.
     # The keys depend only on the image, so each image is resolved once.
-    landings: dict[int, dict[int, int]] = {}
+    # Once the nodes are ranked, each landing becomes the pair of its
+    # node ids and its attack sets.
+    landings: dict[int, dict[int, int] | tuple[tuple[int, ...], tuple]] = {}
     resolved: set[int] = set()
     for mask in queue:
         actions = [a for a, enabled in enumerate(masks.enabled) if (mask & ~enabled) == 0]
-        offered[mask] = [(a, masks.image(keys[mask], a)) for a in actions]
+        offered[mask] = tuple([(a, masks.image(keys[mask], a)) for a in actions])
         move_ids[mask] = tuple([a * n_queries + q for a in actions for q in range(n_queries)])
         for _action, image in offered[mask]:
             if image in resolved:
@@ -224,14 +234,19 @@ def build_belief_mdp(game: Game) -> BeliefMDP:
     beliefs = {mask: frozenset(states) for mask, states in keys.items()}
     nodes = tuple(BeliefNode(s, beliefs[mask])
                   for s, masks_of_s in enumerate(by_state) for mask in masks_of_s)
-    land_ids = {key: tuple(map(ids[key % n_states].__getitem__, found))
-                for key, found in landings.items()}
+    members = tuple(tuple(ids[s][mask] for s in keys[mask]) for mask in order)
+    node_moves = tuple(move_ids[mask] for masks_of_s in by_state for mask in masks_of_s)
+    start = ids[game.initial][1 << game.initial]
     # One frozenset per distinct set of attacks, shared by every edge; a
     # mask of attack ids decodes as a mask of states does.
     attack_sets = {bits: frozenset(states_of(bits))
                    for bits in {0}.union(*(found.values() for found in landings.values()))}
-    land_attacks = {key: tuple(map(attack_sets.__getitem__, found.values()))
-                    for key, found in landings.items()}
+    # Each landing becomes its node ids and attack sets in place, which
+    # frees its dict; the ranking tables have no reader after that.
+    for key, found in landings.items():
+        landings[key] = (tuple(map(ids[key % n_states].__getitem__, found)),
+                         tuple(map(attack_sets.__getitem__, found.values())))
+    del ids, keys, beliefs, move_ids, order
     # (s, a) -> what each of its moves starts with (FINAL, where the
     # support touches the goal) and the non-goal states it lands in
     outcomes = {key: (((len(nodes),), (attack_sets[0],)) if support & masks.goal else ((), ()),
@@ -239,7 +254,7 @@ def build_belief_mdp(game: Game) -> BeliefMDP:
     # A node's rows under an action depend only on (state, action,
     # image), so each such triple is joined once, and each distinct row
     # is one tuple shared by every node that has it.
-    rows: dict[int, tuple[list, list]] = {}
+    rows: dict[int, tuple[tuple, tuple]] = {}
     pool: dict[tuple, tuple] = {}
     succs, attacks = [], []
     for s, masks_of_s in enumerate(by_state):
@@ -254,11 +269,12 @@ def build_belief_mdp(game: Game) -> BeliefMDP:
                         targets, atts = head
                         base = (image * n_queries + query) * n_states
                         for s2 in landing:
-                            targets += land_ids[base + s2]
-                            atts += land_attacks[base + s2]
+                            land_succs, land_atts = landings[base + s2]
+                            targets += land_succs
+                            atts += land_atts
                         row_succs.append(pool.setdefault(targets, targets))
                         row_attacks.append(pool.setdefault(atts, atts))
-                    row = rows[key] = (row_succs, row_attacks)
+                    row = rows[key] = (tuple(row_succs), tuple(row_attacks))
                 node_succs += row[0]
                 node_attacks += row[1]
             succs.append(tuple(node_succs))
@@ -267,7 +283,5 @@ def build_belief_mdp(game: Game) -> BeliefMDP:
     return BeliefMDP(
         game=game, nodes=nodes,
         moves=tuple((a, q) for a in range(n_actions) for q in range(n_queries)),
-        node_moves=tuple(move_ids[mask] for masks_of_s in by_state for mask in masks_of_s),
-        succs=tuple(succs), attacks=tuple(attacks),
-        members=tuple(tuple(ids[s][mask] for s in keys[mask]) for mask in order),
-        start=ids[game.initial][1 << game.initial])
+        node_moves=node_moves, succs=tuple(succs), attacks=tuple(attacks),
+        members=members, start=start)

@@ -294,7 +294,7 @@ def _resolve(
     names: Mapping[str, int], name: str, what: str, line: int,
     issues: list[ValidationIssue],
 ) -> int | None:
-    idx = names.get(name)
+    idx = names.get(str(name))
     if idx is None:
         issues.append(ValidationIssue(
             "unknown-id", f"unknown {what} '{name}'", line))
@@ -314,7 +314,7 @@ def _first_rows(doc: GameSpecDocument, section: str, issues: list[ValidationIssu
     table = _SECTIONS[section]
     seen: set[str] = set()
     for decl in getattr(doc, table.field):
-        k = table.key(decl)
+        k = str(table.key(decl))
         if k in seen:
             issues.append(ValidationIssue(
                 "duplicate-name", f"{table.what} '{k}' declared twice", decl.line))
@@ -334,6 +334,9 @@ def validate_game(doc: GameSpecDocument) -> Game:
     warnings: list[str] = []
 
     # Each named section's first row of each name, every row's name checked.
+    # Rows, ids and lookups are keyed by a name's text, so a name that is
+    # not a `str`, in a document built in code, is reported as a bad or
+    # unknown name even where it cannot be hashed.
     rows: dict[str, dict] = {}
     for section in ("states", "actions", "sensors", "queries", "attacks"):
         table = _SECTIONS[section]
@@ -341,17 +344,17 @@ def validate_game(doc: GameSpecDocument) -> Game:
                                    f"(expected {_NAME.pattern})", decl.line)
                    for decl in getattr(doc, table.field)
                    if not (isinstance(decl.name, str) and _NAME.fullmatch(decl.name))]
-        rows[section] = {decl.name: decl for decl in _first_rows(doc, section, issues)}
+        rows[section] = {str(decl.name): decl for decl in _first_rows(doc, section, issues)}
     state_rows = rows["states"]
     state_ids, action_ids, sensor_ids, _, attack_ids = (
         {name: i for i, name in enumerate(named)} for named in rows.values())
 
     initials = [s for s in state_rows.values() if s.initial]
-    initial = state_ids.get(initials[0].name) if initials else None
+    initial = state_ids.get(str(initials[0].name)) if initials else None
     issues += [ValidationIssue("duplicate-initial", f"state '{s.name}' marked initial, "
                                f"but '{initials[0].name}' already is", s.line)
                for s in initials[1:]]
-    goal = frozenset(state_ids[s.name] for s in state_rows.values() if s.goal)
+    goal = frozenset(state_ids[str(s.name)] for s in state_rows.values() if s.goal)
 
     trans: dict[tuple[StateId, ActionId], dict[StateId, float | None]] = {}
     for t in _first_rows(doc, "transitions", issues):
@@ -363,7 +366,7 @@ def validate_game(doc: GameSpecDocument) -> Game:
                 f"transition '{t.state} {t.action}' has an empty successor set",
                 t.line))
             continue
-        names = [name for name, _weight in t.successors]
+        names = [str(name) for name, _weight in t.successors]
         if len(set(names)) < len(names):
             issues += [ValidationIssue(
                 "duplicate-name", f"transition '{t.state} {t.action}' lists successor "
@@ -395,7 +398,7 @@ def validate_game(doc: GameSpecDocument) -> Game:
         if s in goal and not goal.issuperset(support):
             leaving.add(s)
     for decl in state_rows.values():
-        if state_ids[decl.name] in leaving:
+        if state_ids[str(decl.name)] in leaving:
             warnings.append(
                 f"goal state '{decl.name}' has a transition leaving the goal "
                 f"set; solver guarantees assume absorbing goal states")

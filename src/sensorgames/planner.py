@@ -38,7 +38,9 @@ those that reach `FINAL` at the start, so a withdrawal tests one bit
 once and logs one removal per live member.  Per-node masks are built
 only for each stall's `reaching_final` and for the report.  The doomed
 set is a flag list; ints become `BeliefNode` and move pairs again only
-in the report, and the trace's `Removal`s only when it is read.
+in the report, and the trace's `Removal`s only when it is read.  The
+reverse adjacency is dropped once the loop ends, before the report is
+built, so the two are never held at once.
 
 The report's `MultiStrategy` holds one move set per node, and one
 accessor: `for_belief`, the moves an observation-driven player has at a
@@ -222,6 +224,7 @@ def solve_p1(mdp: BeliefMDP) -> SolveReport:
         if current:
             levels.append(current)
 
+    del back  # its last reader is done; the report is built without it
     nodes, moves = mdp.nodes, mdp.moves
     held = per_node()
     move_sets = {mask: frozenset(moves[k] for k in states_of(mask)) for mask in set(held)}

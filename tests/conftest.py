@@ -2,10 +2,13 @@
 session, read from `inputs`; the jammer side's reference: its
 successors recomputed from the observation rule, one checker of every
 invariant of a jammer game, an attractor Win2 reference and a
-brute-force Win2 referee; and the simulator's draw rule, `randbelow`."""
+brute-force Win2 referee; the simulator's draw rule, `randbelow`; and
+`traced_memory`, which measures a call's working set."""
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from functools import cache, partial
 from itertools import combinations, product
 from math import prod
@@ -313,3 +316,18 @@ def randbelow(getrandbits: Callable[[int], int], n: int) -> int:
     while r >= n:
         r = getrandbits(k)
     return r
+
+
+def traced_memory(function: Callable, *args):
+    """``(function(*args), kept, peak)``: the bytes that the call's
+    allocations still hold when it returns, and the most they held at
+    once, as `tracemalloc` counts them.  A full collection runs first,
+    so every call starts from the same collector state."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = function(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak

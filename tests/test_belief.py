@@ -17,7 +17,7 @@ from sensorgames import (
 )
 from sensorgames.belief import FINAL, BeliefNode, node_key, node_label
 
-from .conftest import bnode
+from .conftest import bnode, traced_memory
 from .inputs import MINI, case_run, restricted, small_games
 
 
@@ -234,6 +234,16 @@ def test_rows_are_shared():
     largest = set(max(mdp.members, key=len))
     sub = restricted(mdp, [q for i, q in enumerate(mdp.nodes) if i not in largest])
     assert_rows_shared(sub, (39222, 5808, 25))
+
+
+@pytest.mark.parametrize("rung", [(14, 5, 7), (17, 5, 7)], ids=lambda r: "%d-%d-%d" % r)
+def test_expansion_working_set(rung):
+    # Each working table is freed once its last reader is done, so the
+    # expansion's peak stays near what it keeps: 2.0-2.2 times on these
+    # rungs.  Holding every table to the end reads over 3 times.
+    game = case_run(rung).mdp.game  # its tables are built
+    _, kept, peak = traced_memory(build_belief_mdp, game)
+    assert peak <= 2.5 * kept, (peak, kept)
 
 
 @pytest.mark.parametrize("fixture", ["fig1", "fig1_noattack", "fig1_nosense", "fig4"])

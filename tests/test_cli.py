@@ -13,7 +13,7 @@ import pytest
 from sensorgames import bundled_game_text
 from sensorgames.cli import main
 
-from .inputs import FORBIDDEN_AT_S1, MINI
+from .inputs import FORBIDDEN_AT_S1, MINI, case_text
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -444,3 +444,20 @@ def test_module_as_program(tmp_path):
         done = subprocess.run([sys.executable, "-m", "sensorgames.cli", *map(str, argv)],
                               env=env, capture_output=True, text=True)
         assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # Sets and dicts of ints and strs iterate in an order that may follow
+    # the interpreter's hash seed; no output may.  Each call runs in its
+    # own interpreter under two seeds, and the bytes must be equal.
+    game = tmp_path / "enabled-attacks.game"
+    game.write_text(case_text("enabled-attacks"))
+    calls = [("gap", SRC / "sensorgames" / "specs" / "fig4.game", "--format", "structured"),
+             ("solve-p1", game, "--trace", "--format", "structured")]
+    for argv in calls:
+        outs = [subprocess.run([sys.executable, "-m", "sensorgames.cli", *map(str, argv)],
+                               env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed},
+                               capture_output=True)
+                for seed in ("0", "1")]
+        assert [(done.returncode, done.stderr) for done in outs] == [(0, b"")] * 2, argv
+        assert outs[0].stdout and outs[0].stdout == outs[1].stdout, argv

@@ -211,6 +211,45 @@ def test_parser_rules_in_programmatic_document(rule):
     assert issue.message in [d.message for d in err.value.diagnostics]
 
 
+def _first(field, **changes):
+    """A function of (document, value) that rewrites the first row of the
+    document's ``field``: each keyword names a field of that row and
+    gives the function that builds its new contents from the value."""
+    return lambda d, v: replace(d, **{field: (
+        replace(getattr(d, field)[0], **{k: make(v) for k, make in changes.items()}),
+        *getattr(d, field)[1:])})
+
+
+# Every place of MINI's document where a name stands, as code can fill it.
+NAME_PLACES = {
+    "state-name": _first("states", name=lambda v: v),
+    "action-name": _first("actions", name=lambda v: v),
+    "sensor-name": _first("sensors", name=lambda v: v),
+    "query-name": _first("queries", name=lambda v: v),
+    "attack-name": _first("attacks", name=lambda v: v),
+    "transition-state": _first("transitions", state=lambda v: v),
+    "transition-action": _first("transitions", action=lambda v: v),
+    "transition-successor": _first("transitions", successors=lambda v: ((v, None), ("s1", None))),
+    "sensor-cover": _first("sensors", covers=lambda v: (v,)),
+    "query-sensor": _first("queries", sensors=lambda v: (v,)),
+    "attack-sensor": _first("attacks", sensors=lambda v: (v,)),
+    "enabling-state": lambda d, v: replace(d, enabled_attacks=(EnablingDecl(v, ("none",), 21),)),
+    "enabling-attack": lambda d, v: replace(d, enabled_attacks=(EnablingDecl("s0", (v,), 21),)),
+}
+
+
+@pytest.mark.parametrize("place", list(NAME_PLACES))
+def test_names_that_cannot_be_hashed(place):
+    # A list where a name belongs is one more name that is not a `str`:
+    # it gets the issues an int there gets, not a TypeError.
+    def kinds(value):
+        with pytest.raises(GameValidationError) as err:
+            validate_game(NAME_PLACES[place](parse_spec(MINI), value))
+        return [issue.kind for issue in err.value.issues]
+
+    assert kinds(["x"]) == kinds(5)
+
+
 def test_weight_that_is_not_a_number():
     # Written as text, 's0:2' reads back as the number 2, so this rule
     # has no text form for the round trip above.  A bool is an int to
