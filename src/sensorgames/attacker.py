@@ -15,18 +15,19 @@ that can surely or possibly finish the task contributes the absorbing
 `FINAL` successor, which no safe attack may allow.
 
 The game is read off the perceived game rather than recomputed: each
-successor in `BeliefMDP.succs` already carries the attacks that produce
-it, in `BeliefMDP.attacks`, so the jammer's successors under one attack
-are those of the kept moves annotated with it.  The observation rule
-thus has one home, game.py, reached only through the belief expansion.
-The jammer's game is stored on ints, as the perceived game is: node p
-is ``AttackerMDP.nodes[p]``, the Win1 nodes in the perceived game's
-canonical order, and `FINAL` is ``len(nodes)``.  The build lists each
-node's kept edges once, as (position, attack set) pairs, and reads both
-the offered attacks and each attack's successors from that list; the
-safety solve runs its rounds on sets of positions.  Nodes are looked up
-only for the result, the jammer's strategy.  Each node's attacks come
-in ascending order, so the solver walks them as they are.
+successor in `BeliefMDP.succs` already carries the mask of the attacks
+that produce it, in `BeliefMDP.attacks`, so the jammer's successors
+under one attack are those of the kept moves whose mask has its bit.
+The observation rule thus has one home, game.py, reached only through
+the belief expansion.  The jammer's game is stored on ints, as the
+perceived game is: node p is ``AttackerMDP.nodes[p]``, the Win1 nodes
+in the perceived game's canonical order, and `FINAL` is
+``len(nodes)``.  The build lists each node's kept edges once, as
+(position, attack mask) pairs, and reads both the offered attacks and
+each attack's successors from that list; the safety solve runs its
+rounds on sets of positions.  Nodes are looked up only for the
+result, the jammer's strategy.  Each node's attacks come in ascending
+order, so the solver walks them as they are.
 
 The *deception gap* is the outcome: nodes where the agent believes she
 is sure to finish while the jammer is sure she never will.  That is the
@@ -64,16 +65,16 @@ AttackStrategy = Mapping[BeliefNode, AttackId]
 def build_attacker_mdp(report: SolveReport) -> AttackerMDP:
     """The jammer's one-player game over the agent's winning region.
 
-    The winning nodes are taken in ``report.mdp.nodes`` order.  Each
-    one's kept edges are listed once, as (position, attack set) pairs
-    read from ``report.mdp.succs`` and ``report.mdp.attacks``; `FINAL`,
-    which some kept move may reach, is listed with every attack, as any
-    attack lets the task complete.  An attack is offered only if it is
-    enabled at the true state of every listed successor but `FINAL`, so
-    the jammer never commits to an attack the arena forbids where the
+    The winning nodes are taken in ``report.mdp.nodes`` order.  Each one's
+    kept edges are listed once, as (position, attack mask) pairs read
+    from ``report.mdp.succs`` and ``report.mdp.attacks``; `FINAL`,
+    whose mask there is 0, is listed with the mask -1, every bit set, as
+    any attack lets the task complete.  An attack is offered only if it
+    is enabled at the true state of every listed successor but `FINAL`,
+    so the jammer never commits to an attack the arena forbids where the
     play actually lands; every state has an enabled attack, so each
     non-goal state a kept move can reach is listed.  Each offered
-    attack's successors are the listed positions it is annotated on.
+    attack's successors are the listed positions whose mask has its bit.
     By the closure property of the agent's solution the successors all
     lie back inside the winning region.  An empty winning region gives
     the empty game: no node and no edge.
@@ -89,11 +90,12 @@ def build_attacker_mdp(report: SolveReport) -> AttackerMDP:
     rows = compress(zip(mdp.node_moves, mdp.succs, mdp.attacks), inside)
     for p, (ks, succs, attacks) in enumerate(rows):
         kept = report.strategy.allowed[nodes[p]]
-        edges = [(position[j], on or every)  # FINAL's set is empty: any attack completes
+        edges = [(position[j], on or -1)  # FINAL's mask is 0: any attack completes
                  for k, targets, atts in zip(ks, succs, attacks) if mdp.moves[k] in kept
                  for j, on in zip(targets, atts)]
         offered = every.intersection(*{enabled[i] for i, _ in edges})
-        trans[p] = {att: frozenset([i for i, on in edges if att in on]) for att in sorted(offered)}
+        trans[p] = {att: frozenset([i for i, on in edges if on >> att & 1])
+                    for att in sorted(offered)}
     return AttackerMDP(game=game, nodes=nodes, trans=trans)
 
 

@@ -33,15 +33,16 @@ and listing each state's beliefs in that order gives the canonical
 order.  A node's rows under an action depend only on (state, action,
 image), so each such triple is joined once, and the rows are pooled:
 each distinct successor row and attack row is one tuple, shared by
-every move that has it.  Each (state, mask) pair gets one `BeliefNode`,
-each mask one frozenset, and each distinct set of attacks one
-frozenset.  Each working table is dropped once its last reader is done:
-a resolved landing becomes its node ids and attack sets in place, and
-the ranking tables go before the rows are joined.  The offered moves
-and the row memo, which live until the expansion ends, hold tuples, not
-lists: a tuple is sized exactly, and the cyclic garbage collector stops
-tracking one that holds only ints.  So the expansion's peak stays near
-twice what it keeps.
+every move that has it.  Each (state, mask) pair gets one `BeliefNode`
+and each belief mask one frozenset; a set of attacks stays the int mask
+the expansion builds it as, with bit t set for attack t.  Each working
+table is dropped once its last reader is done: a resolved landing
+becomes its node ids and attack masks in place, and the ranking tables
+go before the rows are joined.  The offered moves and the row memo,
+which live until the expansion ends, hold tuples, not lists: a tuple is
+sized exactly, and the cyclic garbage collector stops tracking one that
+holds only ints, as every successor row and attack row does.  So the
+expansion's peak stays near twice what it keeps.
 
 This module is the one home of the canonical order: `BeliefMDP.nodes`
 lists nodes by `node_key` and `BeliefMDP.members` lists the classes by
@@ -64,11 +65,11 @@ on first read, and no stage reads them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import count, filterfalse
 from typing import NamedTuple
 
-from .game import ActionId, AttackId, Game, QueryId, StateId, states_of
+from .game import ActionId, Game, QueryId, StateId, states_of
 
 
 class BeliefNode(NamedTuple):
@@ -116,21 +117,22 @@ def move_label(game: Game, move: ActionPair) -> str:
 class BeliefMDP:
     """The perceived game, fully expanded and immutable, on ints.
 
-    ``nodes`` lists every (state, belief) node in canonical order, the
-    order of `node_key`; node i is ``nodes[i]`` and the absorbing
-    `FINAL` is ``len(nodes)``.  ``moves`` lists every (action, query)
-    pair in ascending order, so move k stands for ``moves[k]``.
+    ``nodes`` lists every (state, belief) node in canonical order, the order
+    of `node_key`; node i is ``nodes[i]`` and the absorbing `FINAL` is
+    ``len(nodes)``.  ``moves`` lists every (action, query) pair in
+    ascending order, so move k stands for ``moves[k]``.
     ``node_moves[i]`` holds the ids of node i's moves, ascending;
     class-mates share one tuple.  ``succs[i][t]`` holds the successor
-    ids of node i's t-th move and ``attacks[i][t]`` the set of attacks
-    that produce each of them, in the same order; `FINAL`'s set is
-    empty.  ``members`` holds each class's member ids, beliefs in sorted
-    order and each class's members in ``nodes`` order.  ``start`` is the
-    start node's id.  `build_belief_mdp` always sets it, but a sub-MDP
-    built from these fields, such as the winning region of a game whose
-    start loses, may leave the start node out; ``start`` is then None,
-    and so is ``initial``.  ``nodes`` and ``members`` are the one home of
-    the canonical order: every consumer walks them rather than sorting.
+    ids of node i's t-th move and ``attacks[i][t]`` the mask of the
+    attacks that produce each of them, bit t for attack t, in the same
+    order; `FINAL`'s mask is 0.  ``members`` holds each class's member
+    ids, beliefs in sorted order and each class's members in ``nodes``
+    order.  ``start`` is the start node's id.  `build_belief_mdp` always
+    sets it, but a sub-MDP built from these fields, such as the winning
+    region of a game whose start loses, may leave the start node out;
+    ``start`` is then None, and so is ``initial``.  ``nodes`` and
+    ``members`` are the one home of the canonical order: every consumer
+    walks them rather than sorting.
     """
 
     game: Game
@@ -138,7 +140,7 @@ class BeliefMDP:
     moves: tuple[ActionPair, ...]
     node_moves: tuple[tuple[int, ...], ...]
     succs: tuple[tuple[tuple[int, ...], ...], ...]
-    attacks: tuple[tuple[tuple[frozenset[AttackId], ...], ...], ...]
+    attacks: tuple[tuple[tuple[int, ...], ...], ...]
     members: tuple[tuple[int, ...], ...]
     start: int | None
 
@@ -157,13 +159,17 @@ class BeliefMDP:
     def trans(self) -> dict[BeliefNode, dict[ActionPair, dict]]:
         """The game keyed by nodes and moves, built on first read.
 
-        ``trans[q][(a, qr)]`` maps each successor to the set of attacks
-        that produce it; each node's moves are in ascending order and
-        each move's successors in ``succs`` order.  Every key is the
-        very node object listed in ``nodes``.
+        ``trans[q][(a, qr)]`` maps each successor to the frozenset of
+        attacks that produce it, its mask in ``attacks`` decoded;
+        `FINAL`'s is empty.  Each distinct mask is decoded once per view,
+        and its frozenset shared by every edge that has it.  Each node's
+        moves are in ascending order and each move's successors in
+        ``succs`` order.  Every key is the very node object listed in
+        ``nodes``.
         """
         moves, node_of = self.moves, self.nodes + (FINAL,)
-        return {q: {moves[k]: dict(zip(map(node_of.__getitem__, targets), atts))
+        attack_set = cache(lambda on: frozenset(states_of(on)))
+        return {q: {moves[k]: dict(zip(map(node_of.__getitem__, targets), map(attack_set, atts)))
                     for k, targets, atts in zip(*rows)}
                 for q, *rows in zip(self.nodes, self.node_moves, self.succs, self.attacks)}
 
@@ -180,12 +186,13 @@ def build_belief_mdp(game: Game) -> BeliefMDP:
     in, so every (s', belief) node with s' in a found belief is
     materialized and classes are never split.  The second ranks the
     nodes by `node_key` from the sorted beliefs, turns each resolved
-    landing, in place, into a tuple of ids and a tuple of attack sets,
+    landing, in place, into a tuple of ids and a tuple of attack masks,
     and joins those tuples into the rows of each (state, action, image)
-    once, one pooled tuple per distinct row.  Nodes and frozensets are
-    made once, when the nodes are ranked.  Each table is dropped once
-    its last reader is done, so the ranking tables are gone before the
-    rows are joined.
+    once, one pooled tuple per distinct row.  Nodes and belief
+    frozensets are made once, when the nodes are ranked; each attack
+    set is stored as the mask the first pass built, and `FINAL`'s as 0.
+    Each table is dropped once its last reader is done, so the ranking
+    tables are gone before the rows are joined.
     """
     masks, n_states, n_queries = game.masks, game.n_states, len(game.queries)
     n_actions = len(masks.enabled)
@@ -199,8 +206,8 @@ def build_belief_mdp(game: Game) -> BeliefMDP:
     # that produce it, keyed by (image, query, s2) packed into one int.
     # The keys depend only on the image, so each image is resolved once.
     # Once the nodes are ranked, each landing becomes the pair of its
-    # node ids and its attack sets.
-    landings: dict[int, dict[int, int] | tuple[tuple[int, ...], tuple]] = {}
+    # node ids and its attack masks.
+    landings: dict[int, dict[int, int] | tuple[tuple[int, ...], tuple[int, ...]]] = {}
     resolved: set[int] = set()
     for mask in queue:
         actions = [a for a, enabled in enumerate(masks.enabled) if (mask & ~enabled) == 0]
@@ -237,19 +244,14 @@ def build_belief_mdp(game: Game) -> BeliefMDP:
     members = tuple(tuple(ids[s][mask] for s in keys[mask]) for mask in order)
     node_moves = tuple(move_ids[mask] for masks_of_s in by_state for mask in masks_of_s)
     start = ids[game.initial][1 << game.initial]
-    # One frozenset per distinct set of attacks, shared by every edge; a
-    # mask of attack ids decodes as a mask of states does.
-    attack_sets = {bits: frozenset(states_of(bits))
-                   for bits in {0}.union(*(found.values() for found in landings.values()))}
-    # Each landing becomes its node ids and attack sets in place, which
+    # Each landing becomes its node ids and attack masks in place, which
     # frees its dict; the ranking tables have no reader after that.
     for key, found in landings.items():
-        landings[key] = (tuple(map(ids[key % n_states].__getitem__, found)),
-                         tuple(map(attack_sets.__getitem__, found.values())))
+        landings[key] = (tuple(map(ids[key % n_states].__getitem__, found)), tuple(found.values()))
     del ids, keys, beliefs, move_ids, order
     # (s, a) -> what each of its moves starts with (FINAL, where the
     # support touches the goal) and the non-goal states it lands in
-    outcomes = {key: (((len(nodes),), (attack_sets[0],)) if support & masks.goal else ((), ()),
+    outcomes = {key: (((len(nodes),), (0,)) if support & masks.goal else ((), ()),
                    states_of(support & ~masks.goal)) for key, support in masks.support.items()}
     # A node's rows under an action depend only on (state, action,
     # image), so each such triple is joined once, and each distinct row

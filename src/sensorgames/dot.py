@@ -8,14 +8,16 @@ jammer's game with its strategy marked.
 One walk, `_render`, draws both views.  Each exporter hands it only
 what differs: the graph's name, each node's attributes (the start
 outline, grey shading, or red over the jammer's strategy's domain),
-each node's edge groups (a move's successors with their attack-set
-annotations, or an attack's successors, bold where the jammer's
-strategy chose it) and the sink's name and label.  The walk works on
-positions: a node is its position in the order handed in and `FINAL`
-the position after the last.  Both games are stored on those positions
-already, `BeliefMDP` and `AttackerMDP.trans`, so neither view ranks or
-hashes a node per edge.  Each move label and each distinct attack
-set's label is made once per render, not once per edge.
+each node's edge groups (a move's successors, each labelled with the
+set of attacks its mask in `BeliefMDP.attacks` holds, or an attack's
+successors, bold where the jammer's strategy chose it) and the sink's
+name and label.  The walk works on positions: a node is its position
+in the order handed in and `FINAL` the position after the last.  Both
+games are stored on those positions already, `BeliefMDP` and
+`AttackerMDP.trans`, so neither view ranks or hashes a node per
+edge.  Each move label and each distinct attack mask's label is made
+once per render, not once per edge; a mask is decoded with
+`states_of`, so its attacks are named in ascending order.
 
 Output is deterministic: nodes appear in the canonical order they are
 handed in and are named ``n<i>`` by their position there, successors
@@ -31,12 +33,12 @@ from typing import Iterable
 
 from .attacker import AttackerMDP, AttackStrategy
 from .belief import move_label, node_label
-from .game import Game
+from .game import Game, states_of
 from .planner import SolveReport
 
 
-def _attack_set_label(game: Game, attacks: frozenset[int]) -> str:
-    return "{" + ",".join(game.attacks[a].name for a in sorted(attacks)) + "}" if attacks else "·"
+def _attack_set_label(game: Game, mask: int) -> str:
+    return "{" + ",".join(game.attacks[a].name for a in states_of(mask)) + "}" if mask else "·"
 
 
 def _render(graph: str, nodes: list[str], edge_groups: Iterable, sink: tuple[str, str]) -> str:

@@ -433,7 +433,7 @@ def validate_game(doc: GameSpecDocument) -> Game:
             enabled[sid] = tuple(sorted(listed))
     for name, sid in state_ids.items():
         if not enabled[sid]:
-            line = next((e.line for e in doc.enabled_attacks if e.state == name),
+            line = next((e.line for e in doc.enabled_attacks if str(e.state) == name),
                         state_rows[name].line)
             issues.append(ValidationIssue(
                 "empty-attack-set", f"state '{name}' has no enabled attack", line))

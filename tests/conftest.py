@@ -1,8 +1,9 @@
 """Shared fixtures and helpers: the bundled games solved once per
 session, read from `inputs`; the jammer side's reference: its
 successors recomputed from the observation rule, one checker of every
-invariant of a jammer game, an attractor Win2 reference and a
-brute-force Win2 referee; the simulator's draw rule, `randbelow`; and
+invariant of a jammer game, which also shuts each way out of the
+jammer's trap, an attractor Win2 reference and a brute-force Win2
+referee; the simulator's draw rule, `randbelow`; and
 `traced_memory`, which measures a call's working set."""
 
 from __future__ import annotations
@@ -126,47 +127,26 @@ def offered_attacks(game, successors):
             if all(att in game.enabled_attacks[q.state] for q in succs if q is not FINAL)}
 
 
-def gap_audit_failure(report, choice):
-    """The first way the jammer's trap fails, or None.
-
-    At each node of ``choice``'s domain it takes the successors of the
-    attack ``choice`` picks there from `reference_successors`, so it
-    shares no code with the expansion, `Game.masks` or the jammer
-    build.  A failure is ("goal", node, attack) where a kept move can
-    complete the task, ("disabled", node, attack, state) where the
-    attack is not enabled at a landing state, and ("outside", node,
-    attack, successor) where a successor lies outside the domain.
-    """
-    game, reference = report.mdp.game, reference_successors(report)
-    for node, attack in choice.items():
-        succs = reference[node][attack]
-        if FINAL in succs:
-            return ("goal", node, attack)
-        for succ in sorted(succs, key=node_key):
-            if attack not in game.enabled_attacks[succ.state]:
-                return ("disabled", node, attack, succ.state)
-            if succ not in choice:
-                return ("outside", node, attack, succ)
-    return None
-
-
 def check_jammer_game(name, report, attacker, strategy):
     """Assert every invariant of the jammer's game and its solution on
     one game; each failure names the game by ``name``.  ``attacker`` and
     ``strategy`` are a run's objects, None where Win1 is empty.
 
     The game's nodes are Win1, and each node's offered attacks, in
-    order, and their successors equal those `offered_attacks` reads off
-    `reference_successors`, all of them `FINAL` or in Win1.  The strategy's domain, Win2, lies inside Win1
+    order, and their successors, as sets of nodes, equal those
+    `offered_attacks` reads off `reference_successors`, all of them
+    `FINAL` or in Win1.  The strategy's domain, Win2, lies inside Win1
     and holds no goal node.  An attack is safe at a node where its
     successors all lie in Win2, which leaves `FINAL` out.  At each Win2
     node the chosen attack is safe (the one-step rule) and is the
     lowest safe one; no non-goal node outside Win2 has an attack whose
     successors all lie in Win2 (Win2 is closed under safe attacks).
-    Last, `gap_audit_failure` finds no way out of the trap.  None of
-    this shows that Win2 is the largest such set: an empty strategy
-    passes on every game.  `attractor_win2` and `brute_force_win2`
-    check maximality.
+    So the trap has no way out: a chosen attack is offered, hence
+    enabled at every state the play can land in, and none of its
+    successors completes the task or leaves Win2.  None of this shows
+    that Win2 is the largest such set: an empty strategy passes on
+    every game.  `attractor_win2` and `brute_force_win2` check
+    maximality.
     """
     if not report.win:
         assert attacker is None and strategy is None, name
@@ -187,8 +167,6 @@ def check_jammer_game(name, report, attacker, strategy):
             assert strategy[node] == safe[0], (name, node, "a lower attack is safe")
         else:
             assert node.state in game.goal or not safe, (name, node, "a safe node outside Win2")
-    if strategy:
-        assert gap_audit_failure(report, strategy) is None, name
 
 
 def attractor_win2(report) -> dict:

@@ -1,5 +1,6 @@
 """Perceived-game expansion: structure, closure, determinism."""
 
+import gc
 from itertools import product
 
 import pytest
@@ -16,6 +17,7 @@ from sensorgames import (
     validate_game,
 )
 from sensorgames.belief import FINAL, BeliefNode, node_key, node_label
+from sensorgames.game import states_of
 
 from .conftest import bnode, traced_memory
 from .inputs import MINI, case_run, restricted, small_games
@@ -194,20 +196,26 @@ def test_restricted_class_mates_keep_the_same_moves(fig1_noattack):
 
 def assert_dense_matches(mdp):
     """``trans`` is the stored int game keyed by nodes and moves,
-    successor by successor and in order, each with its attack set, and
-    each node's moves ascending.  ``mdp.moves`` lists every (action,
-    query) pair; ``classes`` and ``initial`` are ``members`` and
-    ``start`` as nodes."""
+    successor by successor and in order, each with its attack mask
+    decoded to a frozenset, one per distinct mask, and each node's moves
+    ascending.  ``mdp.moves`` lists every (action, query) pair;
+    ``classes`` and ``initial`` are ``members`` and ``start`` as
+    nodes."""
     game = mdp.game
     assert mdp.trans is mdp.trans and mdp.classes is mdp.classes
     node_of = mdp.nodes + (FINAL,)
     assert mdp.moves == tuple(product(range(len(game.action_names)), range(len(game.queries))))
     assert len(mdp.node_moves) == len(mdp.succs) == len(mdp.attacks) == len(mdp.nodes)
     for q, ks, succs, attacks in zip(mdp.nodes, mdp.node_moves, mdp.succs, mdp.attacks):
-        assert [(mdp.moves[k], [(node_of[j], on) for j, on in zip(targets, atts, strict=True)])
+        assert [(mdp.moves[k], [(node_of[j], frozenset(states_of(on)))
+                                for j, on in zip(targets, atts, strict=True)])
                 for k, targets, atts in zip(ks, succs, attacks, strict=True)] == [
             (move, list(targets.items())) for move, targets in mdp.trans[q].items()]
         assert list(ks) == sorted(set(ks))
+    decoded = [atts for moves in mdp.trans.values() for succs in moves.values()
+               for atts in succs.values()]
+    assert len(set(map(id, decoded))) == len({on for rows in mdp.attacks for row in rows
+                                              for on in row})
     assert [[node_of[i] for i in members] for members in mdp.members] == [
         list(members) for members in mdp.classes.values()]
     assert node_of[mdp.start] == mdp.initial
@@ -234,6 +242,16 @@ def test_rows_are_shared():
     largest = set(max(mdp.members, key=len))
     sub = restricted(mdp, [q for i, q in enumerate(mdp.nodes) if i not in largest])
     assert_rows_shared(sub, (39222, 5808, 25))
+
+
+def test_rows_are_untracked(fig4_text):
+    # Every successor row and attack row holds only ints, so one full
+    # collection untracks it and later ones do not walk it.  The game is
+    # built afresh: the shared inputs are frozen out of collection.
+    mdp = build_belief_mdp(validate_game(parse_spec(fig4_text)))
+    gc.collect()
+    rows = [row for table in (mdp.succs, mdp.attacks) for node_rows in table for row in node_rows]
+    assert rows and [row for row in rows if gc.is_tracked(row)] == []
 
 
 @pytest.mark.parametrize("rung", [(14, 5, 7), (17, 5, 7)], ids=lambda r: "%d-%d-%d" % r)

@@ -102,6 +102,16 @@ def test_empty_attack_set():
     issues = issues_of(MINI + "\n[enabled-attacks]\ns1:\n")
     assert [i.kind for i in issues] == ["empty-attack-set"]
     assert "'s1'" in issues[0].message
+    # A state named by an int, in a document built in code, is found by
+    # its text: the issue points at its enabling row, line 21, not at its
+    # state row.
+    doc = parse_spec(MINI + "[enabled-attacks]\ns0: bogus\n")
+    doc = replace(doc, states=(replace(doc.states[0], name=5), *doc.states[1:]),
+                  enabled_attacks=(replace(doc.enabled_attacks[0], state=5),))
+    with pytest.raises(GameValidationError) as err:
+        validate_game(doc)
+    assert [(i.message, i.line) for i in err.value.issues if i.kind == "empty-attack-set"] == [
+        ("state '5' has no enabled attack", 21)]
 
 
 def test_duplicate_names_in_programmatic_document():
