@@ -36,23 +36,31 @@ key of a declaration, unique per section in a valid file, the parser of
 one of its lines and the formatter that writes one declaration back.
 `parse_spec` and `serialize_spec` both walk it.  A line parser returns
 only the declaration; one check per section then reports a key declared
-twice, as "<label> '<key>' declared twice".
+twice, as "<label> '<key>' declared twice".  `parse_spec` looks a
+section's entry up once, at its header, not on every line.
 
 The validator checks again every rule the parser checks here, since a
 document built in code never passes through the parser: the name
 pattern, `_NAME`, the weight bound, `_weight_ok`, and each section's
 label and key, from `_SECTIONS`, are taken from this module, and one
 initial state and no key declared twice are checked there too, in the
-same words.  `_summary` writes the message of both `SpecParseError` and
-the validator's `GameValidationError`: the first finding, and how many
-more there are.
+same words.  Both test a name with `str.isascii` and `str.isidentifier`,
+which hold of exactly the names `_NAME` matches, at a fraction of the
+match's cost.  `_summary` writes the message of both `SpecParseError`
+and the validator's `GameValidationError`: the first finding, and how
+many more there are.
 
 Parsing never stops at the first problem.  Every malformed line is
 recorded as a `Diagnostic` with its line and column, and `parse_spec`
 raises a `SpecParseError` carrying the whole list once the scan is done.
-A line's tokens are what `str.split` gives.  Columns are found only for
-a diagnostic, by `_column`, which counts ``\\S+`` matches: the two split
-a line at the same places, so a well-formed line costs no column work.
+Lines end at ``\\n``, ``\\r\\n`` and ``\\r`` only: the other separators
+`str.splitlines` knows (``\\x85``, ``\\u2028``, ``\\v``, ...) end neither
+a line nor a comment.  A line's tokens are what `str.split` gives, which
+takes those separators for whitespace.  Columns are found only for a
+diagnostic, by `_column`, which counts ``\\S+`` matches: the two split a
+line at the same places, so a well-formed line costs no column work.  A
+transition line without a ``:`` has no weights, so its successors are
+its tokens after ``->``.
 """
 
 from __future__ import annotations
@@ -169,12 +177,11 @@ class _Scan:
     def issue(self, line: int, column: int, kind: str, message: str) -> None:
         self.diagnostics.append(Diagnostic(line, column, kind, message))
 
-    def check_name(self, line: int, raw: str, name: str, what: str) -> None:
-        """Flag a declared name, the first token of line ``raw``, outside
-        ``[A-Za-z_][A-Za-z0-9_]*``."""
-        if not _NAME.fullmatch(name):
-            self.issue(line, _column(raw, 0), "syntax",
-                       f"bad {what} name '{name}' (expected {_NAME.pattern})")
+    def bad_name(self, line: int, raw: str, name: str, what: str) -> None:
+        """Flag a declared name, the first token of line ``raw``, that
+        is not an ASCII identifier, the names `_NAME` matches."""
+        self.issue(line, _column(raw, 0), "syntax",
+                   f"bad {what} name '{name}' (expected {_NAME.pattern})")
 
 
 def _split_named_list(
@@ -200,7 +207,8 @@ def _split_named_list(
 
 def _state_line(scan: _Scan, lineno: int, raw: str, what: str) -> StateDecl:
     name, *flags = raw.split()
-    scan.check_name(lineno, raw, name, what)
+    if not (name.isascii() and name.isidentifier()):
+        scan.bad_name(lineno, raw, name, what)
     for i, tok in enumerate(flags, 1):
         if tok not in ("initial", "goal"):
             scan.issue(lineno, _column(raw, i), "unknown-field",
@@ -213,7 +221,8 @@ def _action_line(scan: _Scan, lineno: int, raw: str, what: str) -> ActionDecl | 
     if len(toks) != 1:
         scan.issue(lineno, _column(raw, 1), "syntax", "one action name per line")
         return None
-    scan.check_name(lineno, raw, toks[0], what)
+    if not (toks[0].isascii() and toks[0].isidentifier()):
+        scan.bad_name(lineno, raw, toks[0], what)
     return ActionDecl(toks[0], lineno)
 
 
@@ -244,6 +253,8 @@ def _transition_line(scan: _Scan, lineno: int, raw: str, what: str) -> Transitio
     if len(toks) < 3 or toks[2] != "->":
         scan.issue(lineno, 1, "syntax", "expected 'state action -> successors...'")
         return None
+    if ":" not in raw:  # no weights
+        return TransitionDecl(toks[0], toks[1], tuple([(tok, None) for tok in toks[3:]]), lineno)
     successors: list[tuple[str, float | None]] = []
     for i, tok in enumerate(toks[3:], 3):
         succ = _parse_successor(tok)
@@ -256,7 +267,7 @@ def _transition_line(scan: _Scan, lineno: int, raw: str, what: str) -> Transitio
         scan.issue(lineno, _column(raw, 3), "syntax",
                    "either every successor carries a weight or none does")
         return None
-    return TransitionDecl(*toks[:2], tuple(successors), lineno)
+    return TransitionDecl(toks[0], toks[1], tuple(successors), lineno)
 
 
 def _selection_line(decl: type, scan: _Scan, lineno: int, raw: str, what: str):
@@ -265,7 +276,8 @@ def _selection_line(decl: type, scan: _Scan, lineno: int, raw: str, what: str):
     parsed = _split_named_list(scan, lineno, raw, what)
     if parsed is None:
         return None
-    scan.check_name(lineno, raw, parsed[0], what)
+    if not (parsed[0].isascii() and parsed[0].isidentifier()):
+        scan.bad_name(lineno, raw, parsed[0], what)
     return decl(*parsed, lineno)
 
 
@@ -336,36 +348,37 @@ def parse_spec(text: str) -> GameSpecDocument:
     line or unknown section is skipped and scanning continues.
     """
     scan = _Scan()
-    section: _Section | None = None
+    parse = None  # the current section's line parser, with its label, key and declarations
     states_header_line = 0
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        raw = line.split("#", 1)[0].rstrip()
-        stripped = raw.strip()
-        if not stripped:
+    for lineno, line in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
+        raw = (line[:line.index("#")] if "#" in line else line).rstrip()
+        if not raw:
             continue
-        if stripped.startswith("["):
-            section = None
+        stripped = raw.lstrip()
+        if stripped[0] == "[":
+            parse = None
             name = stripped[1:-1].strip()
-            if not stripped.endswith("]"):
+            if stripped[-1] != "]":
                 scan.issue(lineno, 1, "syntax", "unterminated section header")
             elif name not in _SECTIONS:
                 scan.issue(lineno, 1, "unknown-field", f"unknown section '[{name}]'")
             else:
-                section = _SECTIONS[name]
+                field, what, key_of, parse, _ = _SECTIONS[name]
+                decls = scan.decls[field]
                 if name == "states":
                     states_header_line = lineno
             continue
-        if section is None:
+        if parse is None:
             scan.issue(lineno, 1, "syntax", "content outside any known section")
             continue
-        decl = section.parse(scan, lineno, raw, section.what)
+        decl = parse(scan, lineno, raw, what)
         if decl is None:
             continue
-        key, decls = section.key(decl), scan.decls[section.field]
+        key = key_of(decl)
         if key in decls:
             scan.issue(lineno, _column(raw, 0), "duplicate-definition",
-                       f"{section.what} '{key}' declared twice")
+                       f"{what} '{key}' declared twice")
         else:
             decls[key] = decl
 

@@ -300,12 +300,17 @@ def traced_memory(function: Callable, *args):
     """``(function(*args), kept, peak)``: the bytes that the call's
     allocations still hold when it returns, and the most they held at
     once, as `tracemalloc` counts them.  A full collection runs first,
-    so every call starts from the same collector state."""
+    so every call starts from the same collector state, and another one
+    runs before ``kept`` is read, which empties the interpreter's free
+    lists: a freed object parked there does not count as kept, however
+    long ago the collector last ran."""
     gc.collect()
     tracemalloc.start()
     try:
         result = function(*args)
-        kept, peak = tracemalloc.get_traced_memory()
+        peak = tracemalloc.get_traced_memory()[1]
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     return result, kept, peak

@@ -257,7 +257,7 @@ def test_rows_are_untracked(fig4_text):
 @pytest.mark.parametrize("rung", [(14, 5, 7), (17, 5, 7)], ids=lambda r: "%d-%d-%d" % r)
 def test_expansion_working_set(rung):
     # Each working table is freed once its last reader is done, so the
-    # expansion's peak stays near what it keeps: 2.0-2.2 times on these
+    # expansion's peak stays near what it keeps: 2.35-2.40 times on these
     # rungs.  Holding every table to the end reads over 3 times.
     game = case_run(rung).mdp.game  # its tables are built
     _, kept, peak = traced_memory(build_belief_mdp, game)

@@ -1,7 +1,10 @@
 """Validation and the observation channel."""
 
+import hashlib
 import math
-from dataclasses import replace
+import random
+from collections import Counter
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from sensorgames import (
     get_observation,
     observation_for_sensors,
     SpecParseError,
+    bundled_game_text,
     parse_spec,
     serialize_spec,
     validate_game,
@@ -22,7 +26,15 @@ from sensorgames.game import states_of
 from sensorgames.oracle import GeneratorParams, generate_spec
 from sensorgames.specfile import EnablingDecl, GameSpecDocument, SelectionDecl
 
-from .inputs import MINI, per_state_attack_games, small_games
+from .inputs import (
+    FORBIDDEN_AT_S1,
+    MINI,
+    UNREACHABLE_GOAL,
+    enabled_attacks_text,
+    ladder_text,
+    per_state_attack_games,
+    small_games,
+)
 
 
 def issues_of(text):
@@ -425,3 +437,104 @@ def test_jamming_never_sharpens(game):
                 jammed = get_observation(game, s, q, a)
                 clear = observation_for_sensors(game, s, game.queries[q].sensors)
                 assert clear <= jammed
+
+
+# The front end's findings on seeded mutations of ten games: each text's
+# parse diagnostics, or its validation issues, or its accepted game and
+# masks, all hashed to one frozen digest.  Each mutation drops,
+# duplicates, swaps or moves a line, swaps or repeats a token, adds a bad
+# weight or a bad or unknown name, or adds a comment.  Each document that
+# parses is validated once more with one of its rows repeated later on,
+# as only code can build it, which pins where each repeat is reported.
+FRONT_END_BASES = (
+    *map(bundled_game_text, ("fig1", "fig1_noattack", "fig1_nosense", "fig4")),
+    MINI, MINI.replace("s0 a0 -> s0 s1", "s0 a0 -> s0:1 s1:2.5"),
+    FORBIDDEN_AT_S1, UNREACHABLE_GOAL, enabled_attacks_text(5, 3, 4), ladder_text(5, 3, 2))
+FRONT_END_DIGEST = "f4ea2a136c9f92fa96c17897444e68997ce2c306db5fc20ca907b9d974e76525"
+
+
+def _mutate(lines: list[str], rng: random.Random) -> None:
+    kind, i = rng.randrange(9), rng.randrange(len(lines))
+    rows = [j for j, line in enumerate(lines) if "->" in line]
+    if kind in (5, 7) and rows:  # a weight or a repeated successor
+        i = rng.choice(rows)
+    toks = lines[i].split()
+    if kind == 0:
+        del lines[i]
+    elif kind == 1:
+        lines.insert(i, lines[i])
+    elif kind == 2:
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == 3:
+        lines.insert(rng.randrange(len(lines)), lines.pop(i))
+    elif kind == 4 and len(toks) > 1:
+        j, k = rng.sample(range(len(toks)), 2)
+        toks[j], toks[k] = toks[k], toks[j]
+        lines[i] = " ".join(toks)
+    elif kind == 5 and "->" in toks[:-1]:
+        weight = rng.choice((":0", ":-1", ":x", ":1e999", ":1e308", ":nan", ":0.5", ":2"))
+        succs = range(toks.index("->") + 1, len(toks))
+        for j in succs if rng.random() < 0.5 else [rng.choice(succs)]:
+            toks[j] = toks[j].partition(":")[0] + weight
+        lines[i] = " ".join(toks)
+    elif kind == 6 and toks:
+        toks[rng.randrange(len(toks))] = rng.choice(("9x", "s-1", "a(0", "ghost", "s0", "g0"))
+        lines[i] = " ".join(toks)
+    elif kind == 7 and toks:
+        lines[i] += " " + rng.choice(toks)
+    else:
+        lines[i] += rng.choice(("  # s0 a0 -> s1", "#[states]", " # note"))
+
+
+def _repeat_row(doc: GameSpecDocument, rng: random.Random) -> GameSpecDocument:
+    name = rng.choice([f.name for f in fields(doc) if getattr(doc, f.name)])
+    rows = list(getattr(doc, name))
+    i = rng.randrange(len(rows))
+    rows.insert(rng.randrange(i + 1, len(rows) + 1), rows[i])
+    return replace(doc, **{name: tuple(rows)})
+
+
+def _canon(value):
+    """A form of ``value`` whose repr does not depend on hash order."""
+    if isinstance(value, (frozenset, set)):
+        return type(value).__name__, sorted(map(_canon, value))
+    if isinstance(value, dict):
+        return "dict", [(_canon(k), _canon(v)) for k, v in value.items()]
+    if isinstance(value, (tuple, list)):
+        return type(value).__name__, [_canon(v) for v in value]
+    if is_dataclass(value):
+        return type(value).__name__, [_canon(getattr(value, f.name)) for f in fields(value)]
+    return repr(value)
+
+
+def _front_end_outcomes(seed: int) -> list[tuple]:
+    rng = random.Random(seed)
+    outcomes = []
+    for base in FRONT_END_BASES:
+        for _ in range(40):
+            lines = base.split("\n")
+            for _ in range(rng.randint(1, 3)):
+                _mutate(lines, rng)
+            try:
+                doc = parse_spec("\n".join(lines))
+            except SpecParseError as err:
+                outcomes.append(("parse", [(d.line, d.column, d.kind, d.message)
+                                           for d in err.diagnostics]))
+                continue
+            for variant in doc, _repeat_row(doc, rng):
+                try:
+                    game = validate_game(variant)
+                except GameValidationError as err:
+                    outcomes.append(("validate", [(i.kind, i.message, i.line)
+                                                  for i in err.issues]))
+                else:
+                    outcomes.append(("game", _canon(game), _canon(game.masks)))
+    return outcomes
+
+
+def test_front_end_findings_frozen():
+    outcomes = _front_end_outcomes(30)
+    assert Counter(kind for kind, *_ in outcomes) == Counter(parse=222, game=95, validate=261)
+    digest = hashlib.sha256("\n".join(map(repr, outcomes)).encode()).hexdigest()
+    assert digest == FRONT_END_DIGEST

@@ -11,7 +11,7 @@ from sensorgames import (
     serialize_spec,
 )
 from sensorgames.oracle import GeneratorParams, generate_spec
-from sensorgames.specfile import _TOKEN, _column
+from sensorgames.specfile import _NAME, _TOKEN, _column
 
 from .inputs import MINI
 
@@ -46,6 +46,24 @@ def test_parse_weights_and_enabling():
 def test_comments_and_blank_lines_ignored():
     noisy = "# banner\n\n" + MINI.replace("[actions]", "# pre\n[actions]")
     assert serialize_spec(parse_spec(noisy)) == serialize_spec(parse_spec(MINI))
+
+
+@pytest.mark.parametrize("sep", ["\x85", "\u2028", "\u2029", "\v", "\f", "\x1c", "\x1d", "\x1e"],
+                         ids=lambda sep: f"U+{ord(sep):04X}")
+def test_only_newlines_end_a_line(sep):
+    # `str.splitlines` would end a line at each of these, even inside a
+    # comment; a line's tokens already take them for whitespace.
+    commented = MINI.replace("s0 a0 -> s0 s1", f"s0 a0 -> s0 s1  # via s1{sep}s0 a0 -> s1")
+    assert parse_spec(commented) == parse_spec(MINI)
+    assert diags(commented + "[bogus]\n") == diags(MINI + "[bogus]\n")
+    assert parse_spec(MINI.replace("s0 a0 -> s0", f"s0{sep}a0 ->{sep}s0")) == parse_spec(MINI)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_other_newlines(newline):
+    assert parse_spec(MINI.replace("\n", newline)) == parse_spec(MINI)
+    text = MINI.replace("\n", newline) + f"[bogus]{newline}"
+    assert diags(text) == diags(MINI + "[bogus]\n")
 
 
 def test_missing_states_section():
@@ -204,6 +222,15 @@ def test_split_matches_token_pattern(line):
     assert tokens == _TOKEN.findall(line)
     for i, token in enumerate(tokens):
         assert line.startswith(token, _column(line, i) - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(st.one_of(st.characters(), st.sampled_from("aZ_09$-\xe9\u0661\xb2\u210c")),
+               max_size=4))
+def test_names_are_ascii_identifiers(name):
+    # The parser and the validator test a name with `str.isascii` and
+    # `str.isidentifier`, which hold of exactly the names `_NAME` matches.
+    assert (name.isascii() and name.isidentifier()) == bool(_NAME.fullmatch(name))
 
 
 # Malformed files and every diagnostic each one gives, in order, as

@@ -1,0 +1,110 @@
+"""Run the benchmark on two trees in alternated pairs and compare them.
+
+    python tools/bench_pairs.py BASE CHANGE --workload NAME --seeds 8 9 10 ...
+                                [--seconds 8] [--trace 0|1] [--json FILE]
+
+BASE and CHANGE are checkouts (``git archive`` gives one of a commit).
+Pair i runs ``perfbench/run.py --workload NAME --seed SEEDS[i]`` once on
+each tree, BASE first in even pairs and CHANGE first in odd ones.  Every
+run gets a fresh copy of its tree without ``__pycache__``, so no run
+reads bytecode that another one compiled, and the copy is deleted after
+the run.  Both trees run with this interpreter and the same arguments.
+
+The tool prints each pair's metrics, then, per metric, each side's
+median and quartiles (inclusive method), the difference of the medians,
+the spread of BASE's runs (the distance between its quartiles) and the
+number of pairs CHANGE won, ties counting for neither.  Which way is
+better comes from BENCHMARK.json in BASE.  A metric is marked ``gain``
+when CHANGE won at least nine tenths of the pairs and the medians differ
+by more than BASE's spread, the rule for claiming a gain; a run that is
+not ``correct`` or fails stops the tool.  ``--json`` also writes every
+run's metrics to FILE.  Only the standard library is needed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SKIP = shutil.ignore_patterns("__pycache__", ".git", ".pytest_cache", ".hypothesis", "traces")
+
+
+def run_once(tree: Path, args: list[str]) -> dict:
+    """One benchmark run on a fresh copy of ``tree``; its metrics by name."""
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        copy = Path(scratch) / "tree"
+        shutil.copytree(tree, copy, ignore=SKIP)
+        done = subprocess.run([sys.executable, "perfbench/run.py", *args], cwd=copy,
+                              capture_output=True, text=True, check=False)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        sys.exit(f"benchmark failed on {tree} (exit {done.returncode}):\n{done.stderr}")
+    result = json.loads(lines[-1])
+    if not result["correct"] or result["failed"]:
+        sys.exit(f"benchmark run on {tree} is not correct: {lines[-1]}")
+    return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def main(argv: list[str]) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("base", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    ap.add_argument("--seconds", type=float, default=8)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--json", type=Path, help="write every run's metrics here")
+    args = ap.parse_args(argv)
+    if len(args.seeds) < 2:
+        ap.error("quartiles need at least two pairs")
+
+    spec = json.loads((args.base / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    runs: dict[str, list[dict]] = {"base": [], "change": []}
+    for i, seed in enumerate(args.seeds):
+        bench = ["--workload", args.workload, "--seed", str(seed),
+                 "--seconds", str(args.seconds), "--trace", str(args.trace)]
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for side in order:
+            runs[side].append(run_once(getattr(args, side), bench))
+        print(f"pair {i + 1} (seed {seed}, {order[0]} first):", flush=True)
+        for name, value in runs["base"][-1].items():
+            print(f"  {name:32} {value:14.6g} -> {runs['change'][-1].get(name, float('nan')):14.6g}",
+                  flush=True)
+
+    pairs = len(args.seeds)
+    print(f"\n{args.workload}, {pairs} pairs, --seconds {args.seconds} --trace {args.trace}: "
+          "base median [q1, q3] -> change median [q1, q3]; change wins")
+    for name in runs["base"][0]:
+        base = [run[name] for run in runs["base"]]
+        change = [run[name] for run in runs["change"]]
+        (b1, bm, b3), (c1, cm, c3) = quartiles(base), quartiles(change)
+        line = (f"  {name:32} {bm:.6g} [{b1:.6g}, {b3:.6g}] -> {cm:.6g} [{c1:.6g}, {c3:.6g}]"
+                f"; spread {b3 - b1:.3g}")
+        if name in better:
+            sign = 1 if better[name] == "higher" else -1
+            wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+            gain = wins >= 0.9 * pairs and sign * (cm - bm) > b3 - b1
+            line += (f"; median {100 * (cm - bm) / bm if bm else float('nan'):+.1f}%"
+                     f"; wins {wins}/{pairs}{'; gain' if gain else ''}")
+        print(line)
+    if args.json:
+        args.json.write_text(json.dumps({"workload": args.workload, "seeds": args.seeds,
+                                         "seconds": args.seconds, "trace": args.trace,
+                                         **runs}, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
