@@ -45,16 +45,8 @@ enables an action and an attack, the game declares a query (every move
 of the agent is an action paired with a query) -- are the validator's
 alone.
 
-`validate_game` runs once per game, and on 4-state games it costs more
-than `solve_p1`, so the common case does the least work; the issues
-and their order are the same either way.  A section whose names are
-all distinct takes its rows in one comprehension, and only a section
-where a name repeats walks its rows for the later ones.  A transition
-row resolves its successors in one pass.  It counts them by name only
-when a name can repeat, that is when one is unknown or the support
-came out short, and it reports its unknown successors after its other
-issues.  A list of members (a sensor's states, a selection's sensors)
-is resolved in one `map`, and read again only to report a miss.
+A transition row reports its issues in one order: each successor it
+lists twice, its weights, then each successor that does not resolve.
 """
 
 from __future__ import annotations
@@ -67,7 +59,8 @@ from itertools import accumulate
 from operator import or_
 from typing import Iterable, Mapping, Sequence
 
-from .specfile import _NAME, _SECTIONS, GameSpecDocument, _format_successor, _summary, _weight_ok
+from .specfile import (_NAME, _SECTIONS, GameSpecDocument, _format_successor, _name_ok, _summary,
+                       _weight_ok)
 
 StateId = int
 ActionId = int
@@ -335,8 +328,8 @@ def _resolve_all(names: Mapping[str, int], members, what: str, line: int,
 
 
 def _first_rows(doc: GameSpecDocument, section: str, issues: list[ValidationIssue]):
-    """The rows of ``section`` without each row whose key an earlier row
-    has; each such row is reported as the parser reports it."""
+    """Each row of ``section`` whose key no earlier row has, with its key's
+    text; each other row is reported as the parser reports it."""
     table = _SECTIONS[section]
     seen: set[str] = set()
     for decl in getattr(doc, table.field):
@@ -346,7 +339,7 @@ def _first_rows(doc: GameSpecDocument, section: str, issues: list[ValidationIssu
                 "duplicate-name", f"{table.what} '{k}' declared twice", decl.line))
         else:
             seen.add(k)
-            yield decl
+            yield k, decl
 
 
 def validate_game(doc: GameSpecDocument) -> Game:
@@ -366,14 +359,11 @@ def validate_game(doc: GameSpecDocument) -> Game:
     rows: dict[str, dict] = {}
     for section in ("states", "actions", "sensors", "queries", "attacks"):
         table = _SECTIONS[section]
-        decls = getattr(doc, table.field)
         issues += [ValidationIssue("bad-name", f"bad {table.what} name '{decl.name}' "
                                    f"(expected {_NAME.pattern})", decl.line)
-                   for decl in decls if not (isinstance(decl.name, str) and decl.name.isascii()
-                                             and decl.name.isidentifier())]
-        rows[section] = {str(decl.name): decl for decl in decls}
-        if len(rows[section]) < len(decls):  # a name repeats
-            rows[section] = {str(d.name): d for d in _first_rows(doc, section, issues)}
+                   for decl in getattr(doc, table.field)
+                   if not (isinstance(decl.name, str) and _name_ok(decl.name))]
+        rows[section] = dict(_first_rows(doc, section, issues))
     state_rows = rows["states"]
     state_ids, action_ids, sensor_ids, _, attack_ids = (
         {name: i for i, name in enumerate(named)} for named in rows.values())
@@ -388,7 +378,7 @@ def validate_game(doc: GameSpecDocument) -> Game:
     trans: dict[tuple[StateId, ActionId], dict[StateId, float | None]] = {}
     acting: set[StateId] = set()  # the states with an outgoing row
     leaving: set[StateId] = set()  # the goal states with a row leaving the goal
-    for t in _first_rows(doc, "transitions", issues):
+    for _, t in _first_rows(doc, "transitions", issues):
         s = _resolve(state_ids, t.state, "state", t.line, issues)
         a = _resolve(action_ids, t.action, "action", t.line, issues)
         if not t.successors:
@@ -460,7 +450,7 @@ def validate_game(doc: GameSpecDocument) -> Game:
                 state_rows[name].line))
 
     enabled: list[tuple[AttackId, ...]] = [tuple(range(len(attack_ids)))] * len(state_ids)
-    for decl in _first_rows(doc, "enabled-attacks", issues):
+    for _, decl in _first_rows(doc, "enabled-attacks", issues):
         sid = _resolve(state_ids, decl.state, "state", decl.line, issues)
         listed = _resolve_all(attack_ids, decl.attacks, "attack", decl.line, issues)
         if sid is not None:

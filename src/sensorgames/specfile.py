@@ -36,19 +36,16 @@ key of a declaration, unique per section in a valid file, the parser of
 one of its lines and the formatter that writes one declaration back.
 `parse_spec` and `serialize_spec` both walk it.  A line parser returns
 only the declaration; one check per section then reports a key declared
-twice, as "<label> '<key>' declared twice".  `parse_spec` looks a
-section's entry up once, at its header, not on every line.
+twice, as "<label> '<key>' declared twice".
 
 The validator checks again every rule the parser checks here, since a
 document built in code never passes through the parser: the name
-pattern, `_NAME`, the weight bound, `_weight_ok`, and each section's
-label and key, from `_SECTIONS`, are taken from this module, and one
-initial state and no key declared twice are checked there too, in the
-same words.  Both test a name with `str.isascii` and `str.isidentifier`,
-which hold of exactly the names `_NAME` matches, at a fraction of the
-match's cost.  `_summary` writes the message of both `SpecParseError`
-and the validator's `GameValidationError`: the first finding, and how
-many more there are.
+test, `_name_ok`, and its pattern, `_NAME`, the weight bound,
+`_weight_ok`, and each section's label and key, from `_SECTIONS`, are
+taken from this module, and one initial state and no key declared twice
+are checked there too, in the same words.  `_summary` writes the message
+of both `SpecParseError` and the validator's `GameValidationError`: the
+first finding, and how many more there are.
 
 Parsing never stops at the first problem.  Every malformed line is
 recorded as a `Diagnostic` with its line and column, and `parse_spec`
@@ -58,9 +55,7 @@ Lines end at ``\\n``, ``\\r\\n`` and ``\\r`` only: the other separators
 a line nor a comment.  A line's tokens are what `str.split` gives, which
 takes those separators for whitespace.  Columns are found only for a
 diagnostic, by `_column`, which counts ``\\S+`` matches: the two split a
-line at the same places, so a well-formed line costs no column work.  A
-transition line without a ``:`` has no weights, so its successors are
-its tokens after ``->``.
+line at the same places, so a well-formed line costs no column work.
 """
 
 from __future__ import annotations
@@ -159,6 +154,12 @@ _TOKEN = re.compile(r"\S+")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
+def _name_ok(name: str) -> bool:
+    """Whether ``name`` is one `_NAME` matches: an ASCII identifier,
+    tested without the cost of a match."""
+    return name.isascii() and name.isidentifier()
+
+
 def _column(raw: str, index: int) -> int:
     """The 1-based column of a line's ``index``-th token.  `str.split`
     and ``\\S+`` split a line at the same places, so this is the column
@@ -177,11 +178,12 @@ class _Scan:
     def issue(self, line: int, column: int, kind: str, message: str) -> None:
         self.diagnostics.append(Diagnostic(line, column, kind, message))
 
-    def bad_name(self, line: int, raw: str, name: str, what: str) -> None:
-        """Flag a declared name, the first token of line ``raw``, that
-        is not an ASCII identifier, the names `_NAME` matches."""
-        self.issue(line, _column(raw, 0), "syntax",
-                   f"bad {what} name '{name}' (expected {_NAME.pattern})")
+    def check_name(self, line: int, raw: str, name: str, what: str) -> None:
+        """Flag a declared name, the first token of line ``raw``, outside
+        ``[A-Za-z_][A-Za-z0-9_]*``."""
+        if not _name_ok(name):
+            self.issue(line, _column(raw, 0), "syntax",
+                       f"bad {what} name '{name}' (expected {_NAME.pattern})")
 
 
 def _split_named_list(
@@ -207,8 +209,7 @@ def _split_named_list(
 
 def _state_line(scan: _Scan, lineno: int, raw: str, what: str) -> StateDecl:
     name, *flags = raw.split()
-    if not (name.isascii() and name.isidentifier()):
-        scan.bad_name(lineno, raw, name, what)
+    scan.check_name(lineno, raw, name, what)
     for i, tok in enumerate(flags, 1):
         if tok not in ("initial", "goal"):
             scan.issue(lineno, _column(raw, i), "unknown-field",
@@ -221,8 +222,7 @@ def _action_line(scan: _Scan, lineno: int, raw: str, what: str) -> ActionDecl | 
     if len(toks) != 1:
         scan.issue(lineno, _column(raw, 1), "syntax", "one action name per line")
         return None
-    if not (toks[0].isascii() and toks[0].isidentifier()):
-        scan.bad_name(lineno, raw, toks[0], what)
+    scan.check_name(lineno, raw, toks[0], what)
     return ActionDecl(toks[0], lineno)
 
 
@@ -276,8 +276,7 @@ def _selection_line(decl: type, scan: _Scan, lineno: int, raw: str, what: str):
     parsed = _split_named_list(scan, lineno, raw, what)
     if parsed is None:
         return None
-    if not (parsed[0].isascii() and parsed[0].isidentifier()):
-        scan.bad_name(lineno, raw, parsed[0], what)
+    scan.check_name(lineno, raw, parsed[0], what)
     return decl(*parsed, lineno)
 
 

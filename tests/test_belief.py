@@ -258,10 +258,10 @@ def test_rows_are_untracked(fig4_text):
 def test_expansion_working_set(rung):
     # Each working table is freed once its last reader is done, so the
     # expansion's peak stays near what it keeps: 2.35-2.40 times on these
-    # rungs.  Holding every table to the end reads over 3 times.
+    # rungs.  Holding every table to the end reads 3.6-3.75 times.
     game = case_run(rung).mdp.game  # its tables are built
     _, kept, peak = traced_memory(build_belief_mdp, game)
-    assert peak <= 2.5 * kept, (peak, kept)
+    assert peak <= 2.7 * kept, (peak, kept)
 
 
 @pytest.mark.parametrize("fixture", ["fig1", "fig1_noattack", "fig1_nosense", "fig4"])

@@ -355,15 +355,16 @@ def test_nested_fixpoint_agrees_on_rungs(rung):
     assert nested_fixpoint_win1(mdp) == win
 
 
-@pytest.mark.parametrize("rung", [(17, 5, 7), (18, 5, 8)], ids=lambda r: "%d-%d-%d" % r)
-def test_solver_working_set(rung):
+@pytest.mark.parametrize("rung, bound", [((17, 5, 7), 1.20), ((18, 5, 8), 1.17)],
+                         ids=["17-5-7", "18-5-8"])
+def test_solver_working_set(rung, bound):
     # The reverse adjacency is dropped before the report is built, so the
     # solve's peak stays near what the expansion keeps for the same game:
-    # 1.02-1.15 times on these rungs.  Keeping the adjacency while the
-    # report is built reads over 1.4 times.
+    # 1.11-1.15 times on 17/5/7 and 1.02-1.06 on 18/5/8.  Keeping the
+    # adjacency while the report is built reads 1.38-1.48 times.
     mdp, kept, _ = traced_memory(build_belief_mdp, case_run(rung).mdp.game)
     _, _, peak = traced_memory(solve_p1, mdp)
-    assert peak <= 1.25 * kept, (peak, kept)
+    assert peak <= bound * kept, (peak, kept)
 
 
 def test_nested_fixpoint_agrees_on_a_restricted_rung():

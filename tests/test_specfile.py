@@ -11,7 +11,7 @@ from sensorgames import (
     serialize_spec,
 )
 from sensorgames.oracle import GeneratorParams, generate_spec
-from sensorgames.specfile import _NAME, _TOKEN, _column
+from sensorgames.specfile import _NAME, _TOKEN, _column, _name_ok
 
 from .inputs import MINI
 
@@ -228,9 +228,9 @@ def test_split_matches_token_pattern(line):
 @given(st.text(st.one_of(st.characters(), st.sampled_from("aZ_09$-\xe9\u0661\xb2\u210c")),
                max_size=4))
 def test_names_are_ascii_identifiers(name):
-    # The parser and the validator test a name with `str.isascii` and
-    # `str.isidentifier`, which hold of exactly the names `_NAME` matches.
-    assert (name.isascii() and name.isidentifier()) == bool(_NAME.fullmatch(name))
+    # The parser and the validator test a name with `_name_ok`, which
+    # holds of exactly the names `_NAME` matches.
+    assert _name_ok(name) == bool(_NAME.fullmatch(name))
 
 
 # Malformed files and every diagnostic each one gives, in order, as
