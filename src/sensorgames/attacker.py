@@ -9,25 +9,26 @@ successor, and the next node follows from the jammed observation.
 
 The jammer wants to keep the play away from task completion forever.
 That is a safety objective, and almost-sure safety against stochastic
-opposition coincides with sure safety on supports, so a greatest
-fixpoint over one-step support containment settles it.  Any kept move
-that can surely or possibly finish the task contributes the absorbing
-`FINAL` successor, which no safe attack may allow.
+opposition coincides with sure safety on supports, so the jammer wins
+exactly outside the attractor to completion (Grädel, Thomas & Wilke,
+eds., *Automata, Logics, and Infinite Games*, LNCS 2500, 2002).  Any
+kept move that can surely or possibly finish the task contributes the
+absorbing `FINAL` successor, which no safe attack may allow.
 
 The game is read off the perceived game rather than recomputed: each
 successor in `BeliefMDP.succs` already carries the mask of the attacks
 that produce it, in `BeliefMDP.attacks`, so the jammer's successors
 under one attack are those of the kept moves whose mask has its bit.
 The observation rule thus has one home, game.py, reached only through
-the belief expansion.  The jammer's game is stored on ints, as the
-perceived game is: node p is ``AttackerMDP.nodes[p]``, the Win1 nodes
-in the perceived game's canonical order, and `FINAL` is
-``len(nodes)``.  The build lists each node's kept edges once, as
-(position, attack mask) pairs, and reads both the offered attacks and
-each attack's successors from that list; the safety solve runs its
-rounds on sets of positions.  Nodes are looked up only for the
-result, the jammer's strategy.  Each node's attacks come in ascending
-order, so the solver walks them as they are.
+the belief expansion.  The jammer's game is stored on ints only: node
+p is ``AttackerMDP.nodes[p]``, the Win1 nodes in the perceived game's
+canonical order, and `FINAL` is ``len(nodes)``.  The build reads each
+kept edge once and files it under its target, as one int holding its
+source and its attack mask; the solve is one worklist over those
+incoming edges, and an attack is a bit throughout.  Nodes are looked up
+only for the result, the jammer's strategy.  The game keyed by
+attacks, ``AttackerMDP.trans``, is a view built on first read; no stage
+reads it.
 
 The *deception gap* is the outcome: nodes where the agent believes she
 is sure to finish while the jammer is sure she never will.  That is the
@@ -40,11 +41,12 @@ so documents report its results as null.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import accumulate, compress
 from typing import Mapping
 
 from .belief import BeliefNode
-from .game import AttackId, Game
+from .game import AttackId, Game, states_of
 from .planner import SolveReport
 
 
@@ -52,9 +54,32 @@ from .planner import SolveReport
 class AttackerMDP:
     game: Game
     nodes: tuple[BeliefNode, ...]  # Win1, in the perceived game's canonical order
-    # trans[p][att]: the successor positions of attack att at node p, with
-    # `FINAL` as len(nodes), for each offered attack in ascending order.
-    trans: Mapping[int, Mapping[AttackId, frozenset[int]]]
+    # offered[p]: the mask of the attacks offered at node p, bit t for attack t.
+    offered: tuple[int, ...]
+    # incoming[i]: one int ``p << len(game.attacks) | mask`` per kept edge from
+    # node p into position i, `FINAL` as len(nodes), launched by the attacks
+    # of mask; an edge two kept moves share is listed twice.
+    incoming: tuple[list[int], ...]
+
+    def successors(self) -> list[list[tuple[AttackId, list[int]]]]:
+        """``successors()[p]``: each attack offered at node p, ascending,
+        with its successor positions, `FINAL` included, ascending; a
+        successor that two kept moves reach is listed twice."""
+        width, offered = len(self.game.attacks), self.offered
+        attacks_of = cache(states_of)
+        succs = [[[] for _ in range(width)] for _ in offered]
+        for i, edges in enumerate(self.incoming):
+            for edge in edges:
+                p = edge >> width
+                for att in attacks_of(edge & offered[p]):
+                    succs[p][att].append(i)
+        return [[(att, row[att]) for att in attacks_of(mask)] for row, mask in zip(succs, offered)]
+
+    @cached_property
+    def trans(self) -> dict[int, dict[AttackId, frozenset[int]]]:
+        """``trans[p][att]``: `successors` as sets, built on first read."""
+        return {p: {att: frozenset(succs) for att, succs in row}
+                for p, row in enumerate(self.successors())}
 
 
 # One attack per node of the jammer's winning region, in the jammer
@@ -63,67 +88,70 @@ AttackStrategy = Mapping[BeliefNode, AttackId]
 
 
 def build_attacker_mdp(report: SolveReport) -> AttackerMDP:
-    """The jammer's one-player game over the agent's winning region.
+    """The jammer's one-player game over the agent's winning region, on ints.
 
     The winning nodes are taken in ``report.mdp.nodes`` order.  Each one's
-    kept edges are listed once, as (position, attack mask) pairs read
-    from ``report.mdp.succs`` and ``report.mdp.attacks``; `FINAL`,
-    whose mask there is 0, is listed with the mask -1, every bit set, as
-    any attack lets the task complete.  An attack is offered only if it
-    is enabled at the true state of every listed successor but `FINAL`,
-    so the jammer never commits to an attack the arena forbids where the
-    play actually lands; every state has an enabled attack, so each
-    non-goal state a kept move can reach is listed.  Each offered
-    attack's successors are the listed positions whose mask has its bit.
-    By the closure property of the agent's solution the successors all
-    lie back inside the winning region.  An empty winning region gives
-    the empty game: no node and no edge.
+    kept edges are read once from ``report.mdp.succs`` and
+    ``report.mdp.attacks``; `FINAL`'s mask there, 0, becomes every
+    attack's, as any attack lets the task complete.  An attack is
+    offered only if it is enabled at the true state of every successor
+    but `FINAL`, so the jammer never commits to an attack the arena
+    forbids where the play actually lands; every state has an enabled
+    attack, so each non-goal state a kept move can reach is a successor.
+    Each edge is filed under its target, as the int
+    ``p << len(game.attacks) | mask``.  By the closure property of the
+    agent's solution the successors all lie back inside the winning
+    region.  An empty winning region gives the empty game: no node and
+    no edge.
     """
-    mdp = report.mdp
-    game = mdp.game
-    every = frozenset(range(len(game.attacks)))
+    mdp, game = report.mdp, report.mdp.game
+    width, full = len(game.attacks), (1 << len(game.attacks)) - 1
     inside = [q in report.win for q in mdp.nodes]
     position = list(accumulate(inside, initial=0))  # by perceived-game id, FINAL last
-    nodes, trans = tuple(compress(mdp.nodes, inside)), {}
-    # enabled[i]: the attacks enabled at node i's state; `FINAL` bars none.
-    enabled = [game.enabled_attacks[q.state] for q in nodes] + [every]
+    nodes = tuple(compress(mdp.nodes, inside))
+    by_state = [sum(1 << att for att in atts) for atts in game.enabled_attacks]
+    enabled = [by_state[q.state] for q in nodes] + [full]  # `FINAL` bars none
+    incoming: tuple[list[int], ...] = tuple([] for _ in range(len(nodes) + 1))
+    offered, allowed, moves = [], report.strategy.allowed, mdp.moves
     rows = compress(zip(mdp.node_moves, mdp.succs, mdp.attacks), inside)
-    for p, (ks, succs, attacks) in enumerate(rows):
-        kept = report.strategy.allowed[nodes[p]]
-        edges = [(position[j], on or -1)  # FINAL's mask is 0: any attack completes
-                 for k, targets, atts in zip(ks, succs, attacks) if mdp.moves[k] in kept
-                 for j, on in zip(targets, atts)]
-        offered = every.intersection(*{enabled[i] for i, _ in edges})
-        trans[p] = {att: frozenset([i for i, on in edges if on >> att & 1])
-                    for att in sorted(offered)}
-    return AttackerMDP(game=game, nodes=nodes, trans=trans)
+    for p, (q, (ks, succs, attacks)) in enumerate(zip(nodes, rows)):
+        kept, mask, source = allowed[q], full, p << width
+        for k, targets, atts in zip(ks, succs, attacks):
+            if moves[k] in kept:
+                for j, on in zip(targets, atts):
+                    i = position[j]
+                    mask &= enabled[i]
+                    incoming[i].append(source | (on or full))
+        offered.append(mask)
+    return AttackerMDP(game=game, nodes=nodes, offered=tuple(offered), incoming=incoming)
 
 
 def solve_p2_safety(attacker: AttackerMDP) -> tuple[frozenset[BeliefNode], AttackStrategy]:
-    """Greatest fixpoint of one-step safe containment.
+    """The complement of the attractor to completion, by one worklist.
 
-    Start from all nodes whose true state is outside the goal and shrink:
-    a node survives a round only if some offered attack keeps the whole
-    successor support inside the surviving set, which never holds
-    `FINAL`.  Each round records the lowest such attack at every
-    surviving node; once a round removes nothing, its record is the
-    jammer's stationary strategy, and its domain is Win2.  The rounds
-    run on positions; the result is keyed by nodes.
+    ``good[p]`` starts as the mask of the attacks offered at node p.  The
+    worklist is seeded with `FINAL`, the goal-state nodes and the nodes
+    offered no attack.  Each popped position clears, at every edge into
+    it, that edge's attacks from its source's ``good``; a source falls,
+    and is pushed, once its ``good`` is 0.  The nodes that never fall are
+    Win2, the largest set the jammer can keep the play in, and the
+    attacks left in ``good`` are those whose successors all lie in
+    Win2.  Each Win2 node is mapped to its lowest such attack, in
+    ``nodes`` order.
     """
-    goal, nodes = attacker.game.goal, attacker.nodes
-    safe = {p for p, q in enumerate(nodes) if q.state not in goal}
-    while True:
-        choice: dict[int, AttackId] = {}
-        for p, offered in attacker.trans.items():
-            if p in safe:
-                for att, succs in offered.items():
-                    if succs <= safe:
-                        choice[p] = att
-                        break
-        if len(choice) == len(safe):
-            won = {nodes[p]: att for p, att in choice.items()}
-            return frozenset(won), won
-        safe = set(choice)
+    nodes, goal = attacker.nodes, attacker.game.goal
+    width, incoming = len(attacker.game.attacks), attacker.incoming
+    good = [0 if q.state in goal else mask for q, mask in zip(nodes, attacker.offered)]
+    fallen = [len(nodes), *(p for p, mask in enumerate(good) if not mask)]
+    while fallen:
+        for edge in incoming[fallen.pop()]:
+            p = edge >> width
+            if good[p]:
+                good[p] &= ~edge
+                if not good[p]:
+                    fallen.append(p)
+    won = {q: (mask & -mask).bit_length() - 1 for q, mask in zip(nodes, good) if mask}
+    return frozenset(won), won
 
 
 def deception_gap(strategy: AttackStrategy) -> AttackStrategy:

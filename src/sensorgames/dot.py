@@ -14,10 +14,13 @@ successors, bold where the jammer's strategy chose it) and the sink's
 name and label.  The walk works on positions: a node is its position
 in the order handed in and `FINAL` the position after the last.  Both
 games are stored on those positions already, `BeliefMDP` and
-`AttackerMDP.trans`, so neither view ranks or hashes a node per
-edge.  Each move label and each distinct attack mask's label is made
-once per render, not once per edge; a mask is decoded with
-`states_of`, so its attacks are named in ascending order.
+`AttackerMDP`, so neither view ranks or hashes a node per edge.  The
+jammer's view reads `AttackerMDP.successors`, the lists its lazy
+``trans`` view is built from, and never builds that view's frozensets.
+Each move label and each distinct attack mask's label is made once per
+render, and each edge source's name once per group, not once per edge;
+a mask is decoded with `states_of`, so its attacks are named in
+ascending order.
 
 Output is deterministic: nodes appear in the canonical order they are
 handed in and are named ``n<i>`` by their position there, successors
@@ -54,7 +57,8 @@ def _render(graph: str, nodes: list[str], edge_groups: Iterable, sink: tuple[str
     edges, reached = [], False
     for i, group in edge_groups:
         reached = reached or len(nodes) in group
-        edges += [f"  n{i} -> {names[j]} [{group[j]}];" for j in sorted(group)]
+        head = f"  n{i} -> "
+        edges += [f"{head}{names[j]} [{group[j]}];" for j in sorted(group)]
     if reached:
         lines.append(f'  {sink[0]} [label="{sink[1]}" shape=doublecircle];')
     return "\n".join(lines + edges + ["}"]) + "\n"
@@ -86,5 +90,5 @@ def export_attacker_dot(attacker: AttackerMDP, strategy: AttackStrategy) -> str:
              + ("" if att is None else " style=filled fillcolor=lightcoral")
              for q, att in zip(attacker.nodes, chosen)]
     groups = ((p, dict.fromkeys(succs, labels[att] + (" penwidth=2" if chosen[p] == att else "")))
-              for p, offered in attacker.trans.items() for att, succs in offered.items())
+              for p, row in enumerate(attacker.successors()) for att, succs in row)
     return _render("jammer", nodes, groups, ("complete", "task complete"))

@@ -2,8 +2,8 @@
 session, read from `inputs`; the jammer side's reference: its
 successors recomputed from the observation rule, one checker of every
 invariant of a jammer game, which also shuts each way out of the
-jammer's trap, an attractor Win2 reference and a brute-force Win2
-referee; the simulator's draw rule, `randbelow`; and
+jammer's trap, an attractor Win2 reference, a round-based one and a
+brute-force Win2 referee; the simulator's draw rule, `randbelow`; and
 `traced_memory`, which measures a call's working set."""
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Callable
 
 import pytest
 
+from sensorgames.attacker import AttackerMDP
 from sensorgames.belief import FINAL, BeliefMDP, BeliefNode, node_key
 from sensorgames.game import get_observation
 from sensorgames.oracle import CapExceededError, OracleResult
@@ -80,6 +81,12 @@ def node_views(mdp: BeliefMDP):
     return BeliefMDP.trans.func(mdp), BeliefMDP.classes.func(mdp)
 
 
+def jammer_view(adv) -> dict:
+    """``adv.trans``, built afresh and not cached on ``adv``, for the
+    reason `node_views` gives."""
+    return AttackerMDP.trans.func(adv)
+
+
 def jammer_trans(adv):
     """The jammer's game keyed by nodes: ``jammer_trans(adv)[q][att]`` is
     the set of successor nodes, `FINAL` included, of attack att at node
@@ -88,7 +95,7 @@ def jammer_trans(adv):
     node_of = adv.nodes + (FINAL,)
     return {node_of[p]: {att: frozenset(map(node_of.__getitem__, succs))
                          for att, succs in offered.items()}
-            for p, offered in adv.trans.items()}
+            for p, offered in jammer_view(adv).items()}
 
 
 def reference_successors(report):
@@ -199,6 +206,35 @@ def attractor_win2(report) -> dict:
                 out.add(node)
                 fallen.append(node)
     return {q: min(live[q]) for q in sorted(live.keys() - out, key=node_key)}
+
+
+def rounds_win2(adv) -> dict:
+    """The jammer's strategy as a greatest fixpoint run in rounds over
+    ``adv.trans``, which holds positions in ``adv.nodes``.
+
+    Start from every node whose true state is outside the goal and
+    shrink: a node survives a round only if some offered attack keeps all
+    its successors inside the surviving set, which never holds `FINAL`.
+    Each round records the lowest such attack at every survivor; once a
+    round removes nothing, its record is the strategy, in ``adv.nodes``
+    order.  A round costs a pass over the whole game, so a long chain of
+    falling nodes costs a pass per link, where the worklist of
+    `solve_p2_safety` visits each edge once.
+    """
+    goal, nodes = adv.game.goal, adv.nodes
+    safe = {p for p, q in enumerate(nodes) if q.state not in goal}
+    trans = jammer_view(adv)
+    while True:
+        choice = {}
+        for p, offered in trans.items():
+            if p in safe:
+                for att, succs in offered.items():
+                    if succs <= safe:
+                        choice[p] = att
+                        break
+        if len(choice) == len(safe):
+            return {nodes[p]: att for p, att in choice.items()}
+        safe = set(choice)
 
 
 def brute_force_win2(report, cap: int = 2_000) -> frozenset | None:

@@ -1,10 +1,12 @@
 """Jammer-side solving: the safety game over the agent's winning region.
 
 Every jammer game here is checked by `conftest.check_jammer_game`.  Its
-Win2 and strategy are checked by `conftest.attractor_win2` on the shared
-inputs, and its Win2 by `conftest.brute_force_win2` where the
-enumeration is small.
+Win2 and strategy are checked by `conftest.attractor_win2` and
+`conftest.rounds_win2` on the shared inputs, and its Win2 by
+`conftest.brute_force_win2` where the enumeration is small.
 """
+
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,10 +19,19 @@ from sensorgames import (
     solve_p2_safety,
 )
 from sensorgames.belief import FINAL, node_key, node_label
+from sensorgames.dot import export_attacker_dot
 from sensorgames.game import validate_game
 from sensorgames.oracle import GeneratorParams, generate_spec
+from sensorgames.pipeline import run_stages
 
-from .conftest import attractor_win2, bnode, brute_force_win2, check_jammer_game, jammer_trans
+from .conftest import (
+    attractor_win2,
+    bnode,
+    brute_force_win2,
+    check_jammer_game,
+    jammer_trans,
+    rounds_win2,
+)
 from .inputs import (
     JAMMER_WIN_SEEDS,
     attack_subset_runs,
@@ -85,7 +96,7 @@ def test_fig1_attacker_loses_everywhere(fig1):
     assert fig1.attack_strategy == {}
 
 
-def test_empty_win1_refused(fig1_nosense):
+def test_empty_win1_gives_the_empty_game(fig1_nosense):
     # The build is total: on an empty Win1 it gives the empty game, and
     # the pipeline still builds no jammer game there.
     attacker = build_attacker_mdp(fig1_nosense.report)
@@ -182,18 +193,49 @@ def test_win2_equals_brute_force():
 
 
 def test_strategy_equals_attractor():
-    # Every shared input whose agent wins somewhere; the attractor
-    # reference checks that Win2 is the largest trap, which
-    # `check_jammer_game` does not.
+    # Every shared input whose agent wins somewhere, and the 14/5/7 rung;
+    # the attractor reference checks that Win2 is the largest trap, which
+    # `check_jammer_game` does not.  The round-based fixpoint must agree
+    # too, strategy and order.  enabled-attacks has 5 nodes offered no
+    # attack and 12 goal-state nodes, each a seed of the worklist.
     runs = {case: case_run(case) for case in ("fig1", "fig1_noattack", "fig4", "enabled-attacks")}
     runs |= {f"soundness {k}": run for k, run in enumerate(corpus_runs("soundness"))}
     runs |= {f"seed {seed}": run for seed, run in zip(JAMMER_WIN_SEEDS, jammer_win_runs())}
     runs |= {f"attack-subset {k}": run for k, run in enumerate(attack_subset_runs())}
     runs["10-4-9"] = case_run((10, 4, 9))
+    runs["14-5-7"] = case_run((14, 5, 7))
     checked = won = 0
     for name, run in runs.items():
         if run.report.win:
             ref = attractor_win2(run.report)
             assert list(ref.items()) == list(run.attack_strategy.items()), name
+            assert list(rounds_win2(run.attacker).items()) == list(ref.items()), name
             checked, won = checked + 1, won + bool(ref)
-    assert (checked, won) == (298, 59)
+    assert (checked, won) == (299, 60)
+    assert len(runs["14-5-7"].attack_strategy) == 91
+    adv = runs["enabled-attacks"].attacker
+    assert sum(not mask for mask in adv.offered) == 5
+    assert sum(q.state in adv.game.goal for q in adv.nodes) == 12
+
+
+def test_goal_state_nodes_never_win(fig4):
+    # A node at a goal state is lost to the jammer even where an attack
+    # keeps the play inside Win2.  The generated games' goal states are
+    # absorbing, so their goal-state nodes reach `FINAL` anyway; marking
+    # a state of fig4's Win2 as goal makes nodes that do not.
+    adv = fig4.attacker
+    for s in sorted({q.state for q in fig4.attack_strategy}):
+        marked = replace(adv, game=replace(adv.game, goal=adv.game.goal | {s}))
+        win2, strategy = solve_p2_safety(marked)
+        assert all(q.state != s for q in win2), s
+        assert list(strategy.items()) == list(rounds_win2(marked).items()), s
+
+
+def test_stages_never_build_the_jammer_view(fig4_text):
+    # The stages and the jammer DOT read the stored ints; ``trans`` is
+    # built only on a read.
+    run = run_stages(fig4_text)
+    assert "trans" not in vars(run.attacker)
+    export_attacker_dot(run.attacker, run.attack_strategy)
+    assert "trans" not in vars(run.attacker)
+    assert run.attacker.trans is vars(run.attacker)["trans"]

@@ -16,8 +16,14 @@ the spread of BASE's runs (the distance between its quartiles) and the
 number of pairs CHANGE won, ties counting for neither.  Which way is
 better comes from BENCHMARK.json in BASE.  A metric is marked ``gain``
 when CHANGE won at least nine tenths of the pairs and the medians differ
-by more than BASE's spread, the rule for claiming a gain; a run that is
-not ``correct`` or fails stops the tool.  ``--json`` also writes every
+by more than BASE's spread, the rule for claiming a gain.  An end-to-end
+metric is also marked ``worse`` when CHANGE's median is worse than
+BASE's by more than the metric's bound in BENCHMARK.json, as a fraction
+of BASE's median, and ``unresolved`` when BASE's spread, as a fraction
+of its median, is wider than that bound and not every run of CHANGE is
+better than every run of BASE: a shift within the bound then cannot be
+told from noise.  A run that is not ``correct`` or fails stops the
+tool.  ``--json`` also writes every
 run's metrics to FILE.  Only the standard library is needed.
 """
 
@@ -56,6 +62,29 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def summarize(base: list[float], change: list[float], better: str | None = None,
+              bound: float | None = None) -> dict:
+    """One metric's summary over paired runs: each side's quartiles,
+    BASE's spread, CHANGE's wins and the marks.  ``better`` is ``higher``
+    or ``lower``, or None for a metric with no direction, which gets no
+    wins and no marks; ``bound`` is an end-to-end metric's bound."""
+    (b1, bm, b3), (c1, cm, c3) = quartiles(base), quartiles(change)
+    row = {"base": (b1, bm, b3), "change": (c1, cm, c3), "spread": b3 - b1, "marks": []}
+    if better is None:
+        return row
+    sign = 1 if better == "higher" else -1
+    row["wins"] = wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+    if wins >= 0.9 * len(base) and sign * (cm - bm) > b3 - b1:
+        row["marks"].append("gain")
+    if bound is not None:
+        if sign * (bm - cm) > bound * abs(bm):
+            row["marks"].append("worse")
+        beats_all = min(sign * c for c in change) > max(sign * b for b in base)
+        if b3 - b1 > bound * abs(bm) and not beats_all:
+            row["marks"].append("unresolved")
+    return row
+
+
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", type=Path)
@@ -71,6 +100,7 @@ def main(argv: list[str]) -> int:
 
     spec = json.loads((args.base / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     runs: dict[str, list[dict]] = {"base": [], "change": []}
     for i, seed in enumerate(args.seeds):
         bench = ["--workload", args.workload, "--seed", str(seed),
@@ -87,17 +117,14 @@ def main(argv: list[str]) -> int:
     print(f"\n{args.workload}, {pairs} pairs, --seconds {args.seconds} --trace {args.trace}: "
           "base median [q1, q3] -> change median [q1, q3]; change wins")
     for name in runs["base"][0]:
-        base = [run[name] for run in runs["base"]]
-        change = [run[name] for run in runs["change"]]
-        (b1, bm, b3), (c1, cm, c3) = quartiles(base), quartiles(change)
+        row = summarize([run[name] for run in runs["base"]],
+                        [run[name] for run in runs["change"]], better.get(name), bounds.get(name))
+        (b1, bm, b3), (c1, cm, c3) = row["base"], row["change"]
         line = (f"  {name:32} {bm:.6g} [{b1:.6g}, {b3:.6g}] -> {cm:.6g} [{c1:.6g}, {c3:.6g}]"
-                f"; spread {b3 - b1:.3g}")
-        if name in better:
-            sign = 1 if better[name] == "higher" else -1
-            wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
-            gain = wins >= 0.9 * pairs and sign * (cm - bm) > b3 - b1
+                f"; spread {row['spread']:.3g}")
+        if "wins" in row:
             line += (f"; median {100 * (cm - bm) / bm if bm else float('nan'):+.1f}%"
-                     f"; wins {wins}/{pairs}{'; gain' if gain else ''}")
+                     f"; wins {row['wins']}/{pairs}" + "".join(f"; {m}" for m in row["marks"]))
         print(line)
     if args.json:
         args.json.write_text(json.dumps({"workload": args.workload, "seeds": args.seeds,
