@@ -90,14 +90,15 @@ AttackStrategy = Mapping[BeliefNode, AttackId]
 def build_attacker_mdp(report: SolveReport) -> AttackerMDP:
     """The jammer's one-player game over the agent's winning region, on ints.
 
-    The winning nodes are taken in ``report.mdp.nodes`` order.  Each one's
-    kept edges are read once from ``report.mdp.succs`` and
-    ``report.mdp.attacks``; `FINAL`'s mask there, 0, becomes every
-    attack's, as any attack lets the task complete.  An attack is
-    offered only if it is enabled at the true state of every successor
-    but `FINAL`, so the jammer never commits to an attack the arena
-    forbids where the play actually lands; every state has an enabled
-    attack, so each non-goal state a kept move can reach is a successor.
+    The winning nodes, the domain of ``report.strategy``, are taken in
+    ``report.mdp.nodes`` order.  Each one's kept edges are read once
+    from ``report.mdp.succs`` and ``report.mdp.attacks``; `FINAL`'s
+    mask there, 0, becomes every attack's, as any attack lets the task
+    complete.  An attack is offered only if it is enabled at the true
+    state of every successor but `FINAL`, so the jammer never commits to
+    an attack the arena forbids where the play actually lands; every
+    state has an enabled attack, so each non-goal state a kept move can
+    reach is a successor.
     Each edge is filed under its target, as the int
     ``p << len(game.attacks) | mask``.  By the closure property of the
     agent's solution the successors all lie back inside the winning
@@ -106,7 +107,7 @@ def build_attacker_mdp(report: SolveReport) -> AttackerMDP:
     """
     mdp, game = report.mdp, report.mdp.game
     width, full = len(game.attacks), (1 << len(game.attacks)) - 1
-    inside = [q in report.win for q in mdp.nodes]
+    inside = [q in report.strategy.allowed for q in mdp.nodes]
     position = list(accumulate(inside, initial=0))  # by perceived-game id, FINAL last
     nodes = tuple(compress(mdp.nodes, inside))
     by_state = [sum(1 << att for att in atts) for atts in game.enabled_attacks]

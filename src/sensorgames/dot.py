@@ -66,11 +66,11 @@ def _render(graph: str, nodes: list[str], edge_groups: Iterable, sink: tuple[str
 
 def export_belief_dot(report: SolveReport) -> str:
     """Render the perceived game, ``report.mdp``; the agent's winning
-    region, ``report.win``, is filled grey."""
+    region, the domain of ``report.strategy``, is filled grey."""
     mdp, game = report.mdp, report.mdp.game
     moves, attack_sets = cache(partial(move_label, game)), cache(partial(_attack_set_label, game))
     nodes = [f'label="{node_label(game, q)}"' + (" penwidth=2" if i == mdp.start else "")
-             + (" style=filled fillcolor=lightgrey" if q in report.win else "")
+             + (" style=filled fillcolor=lightgrey" if q in report.strategy.allowed else "")
              for i, q in enumerate(mdp.nodes)]
     groups = ((i, {j: f'label="{moves(mdp.moves[k])}, {attack_sets(on)}"'
                    for j, on in zip(*edges)})

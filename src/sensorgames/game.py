@@ -27,8 +27,9 @@ the simulator both read `Game.masks`, so the belief update -- the
 action image filtered by the observation -- is computed one way.
 `Game.plays` is a dict field, empty when the game is built and left
 out of its constructor, equality and repr, that the simulator fills
-with its tables by strategy id; a `Game` cannot key a table itself,
-since its ``trans`` is a dict.
+with its tables by strategy id and empties of each table when its
+strategy is freed; a `Game` cannot key a table itself, since its
+``trans`` is a dict.
 
 `validate_game` accepts documents built in code as well as parsed ones,
 so it checks again, in the parser's words, every document rule the
@@ -131,7 +132,8 @@ class Game:
     attacks: tuple[SensorSelection, ...]
     enabled_attacks: tuple[tuple[AttackId, ...], ...]
     warnings: tuple[str, ...] = field(default=(), compare=False, repr=False)
-    # The simulator's tables for plays of this game, by strategy id.
+    # The simulator's tables for plays of this game, by strategy id; each
+    # goes when its strategy is freed.
     plays: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property

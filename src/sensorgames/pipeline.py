@@ -104,7 +104,7 @@ def run_stages(text: str) -> PipelineRun:
     mdp = _stage("expand", build_belief_mdp, game)
     report = _stage("solve-agent", solve_p1, mdp)
     adversary = win2 = strategy = gap = None
-    if report.win:
+    if report.strategy.allowed:
         adversary = _stage("solve-jammer", attacker_mod.build_attacker_mdp, report)
         win2, strategy = _stage("solve-jammer", attacker_mod.solve_p2_safety, adversary)
         gap = _stage("solve-jammer", attacker_mod.deception_gap, strategy)
@@ -122,11 +122,11 @@ def run_pipeline(
     digest = hashlib.sha256(serialize_spec(run.doc).encode()).hexdigest()
 
     game, report = run.game, run.report
-    # One label per Win1 node, in canonical order; every node field but
-    # the trace names only these.
-    labels = {q: node_label(game, q) for q in run.mdp.nodes if q in report.win}
-    strategy = {label: [move_label(game, m) for m in sorted(report.strategy.allowed[q])]
-                for q, label in labels.items()}
+    # One label per Win1 node, the strategy's domain, in canonical order;
+    # every node field but the trace names only these.
+    labels = {q: node_label(game, q) for q in report.strategy.allowed}
+    strategy = {labels[q]: [move_label(game, m) for m in sorted(moves)]
+                for q, moves in report.strategy.allowed.items()}
     trace = None
     if include_trace:
         trace = [
@@ -151,7 +151,7 @@ def run_pipeline(
         **game.counts(),
         "belief_nodes": len(run.mdp.nodes),
         "belief_classes": len(run.mdp.members),
-        "win1": len(report.win),
+        "win1": len(labels),
         "win2": None if win2 is None else len(win2),
         "gap": None if gap is None else len(gap),
     }

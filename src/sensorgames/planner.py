@@ -42,15 +42,19 @@ in the report, and the trace's `Removal`s only when it is read.  The
 reverse adjacency is dropped once the loop ends, before the report is
 built, so the two are never held at once.
 
-The report's `MultiStrategy` holds one move set per node, and one
-accessor: `for_belief`, the moves an observation-driven player has at a
-belief, in ascending order.  It keeps no cache: the simulator reads it
-once per step record it builds.
+The report's `MultiStrategy` maps each node of the winning region, Win1,
+in canonical order, to its nonempty move set; a node it does not list
+keeps no move.  So Win1 is stated once, as the mapping's domain, and
+`SolveReport.win` is a view of it, built on first read.  The strategy
+has one accessor: `for_belief`, the moves an observation-driven player
+has at a belief, in ascending order.  It keeps no cache: the simulator
+reads it once per step record it builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping
 
 from .belief import ActionPair, BeliefMDP, BeliefNode
@@ -59,21 +63,22 @@ from .game import states_of
 
 @dataclass(frozen=True)
 class MultiStrategy:
-    """Per-node sets of moves the agent keeps available.
+    """The moves the agent keeps available, per node of her winning region.
 
-    The map covers every node of the perceived game; the set is empty
-    exactly at nodes outside the winning region.  Sets agree across each
-    equivalence class, so `for_belief` is well defined and is what an
-    observation-driven player actually uses.
+    The solver's map lists exactly the winning nodes, in canonical order,
+    each with a nonempty set; a node it does not list keeps no move.
+    Sets agree across each equivalence class, so `for_belief` is well
+    defined and is what an observation-driven player actually uses.
     """
 
     allowed: Mapping[BeliefNode, frozenset[ActionPair]]
 
     def for_belief(self, belief: frozenset[int]) -> tuple[ActionPair, ...]:
         """The moves kept at ``belief``, ascending, or ``()`` where there
-        are none."""
-        found = (self.allowed.get(BeliefNode(s, belief)) for s in sorted(belief))
-        return tuple(sorted(next(filter(None, found), ())))
+        are none.  Every (s, B) with s in B is a node and class-mates
+        keep one set, so the least member's set is the class's; no node
+        has state -1, so an empty belief finds none."""
+        return tuple(sorted(self.allowed.get(BeliefNode(min(belief, default=-1), belief), ())))
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,9 +96,11 @@ class Removal:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """The agent's result: her strategy, whose domain is her winning
+    region, Win1, and how the other nodes were doomed."""
+
     mdp: BeliefMDP
-    win: frozenset[BeliefNode]
-    strategy: MultiStrategy
+    strategy: MultiStrategy  # its domain is Win1
     levels: tuple[tuple[BeliefNode, ...], ...]  # doomed nodes, by round found
     # (round, node, move, cause) of each withdrawal in order, on the
     # perceived game's ids, run together into one flat tuple of ints.
@@ -107,11 +114,16 @@ class SolveReport:
         return tuple(Removal(r, nodes[i], moves[k], nodes[c])
                      for r, i, k, c in zip(ints, ints, ints, ints))
 
+    @cached_property
+    def win(self) -> frozenset[BeliefNode]:
+        """Win1, the strategy's domain, as a set, built on first read."""
+        return frozenset(self.strategy.allowed)
+
     @property
     def initial_winning(self) -> bool:
         """The headline verdict: can the agent, from the start, be sure
         (in her own model) of completing the task?"""
-        return self.mdp.initial in self.win
+        return self.mdp.initial in self.strategy.allowed
 
 
 def solve_p1(mdp: BeliefMDP) -> SolveReport:
@@ -226,14 +238,11 @@ def solve_p1(mdp: BeliefMDP) -> SolveReport:
 
     del back  # its last reader is done; the report is built without it
     nodes, moves = mdp.nodes, mdp.moves
-    held = per_node()
+    held = per_node()  # 0 exactly at the doomed nodes
     move_sets = {mask: frozenset(moves[k] for k in states_of(mask)) for mask in set(held)}
-    strategy = MultiStrategy(
-        allowed={q: move_sets[held[i]] for i, q in enumerate(nodes)})
     return SolveReport(
         mdp=mdp,
-        win=frozenset(q for i, q in enumerate(nodes) if not doomed[i]),
-        strategy=strategy,
+        strategy=MultiStrategy({q: move_sets[mask] for q, mask in zip(nodes, held) if mask}),
         levels=tuple(tuple(nodes[i] for i in level) for level in levels),
         _removals=tuple(trace))
 
@@ -258,7 +267,8 @@ def certify_almost_sure_reach(
     with probability one: the target must stay graph-reachable from
     every node the chain can visit.  Returns (ok, offending node), the
     offending node being the least stuck one, so nodes must be mutually
-    ordered (both referees pass node ids).
+    ordered: `check_soundness` passes node ids, as does the plain brute
+    force in the tests, its one other caller.
 
     The forward walk calls ``successors`` once per reached non-target
     node and files each edge under its successor; the backward sweep

@@ -13,17 +13,17 @@ fixes its attack per perceived node.
 
 The play runs on the belief's bit mask, one record per perceived node.
 `_Records` is the one step table of a game's plays under one strategy,
-kept in `Game.plays` by the strategy's id: each (state, belief mask)'s
-record, built on its first visit and shared by every later play of the
-same game and strategy.  A record holds the node, the belief, the kept
-moves in ascending order (read once from `MultiStrategy.for_belief`),
-and per move the sorted successors with their cumulative weights and
-the action's image of the mask, from the table's caches.  A step
-unpacks one record, draws, hands the attack policy the record's node
-and the successor, ANDs the move's image with the observation's mask
-from the table's views and looks up the next record.  The jammer's computed strategy is
-the plain mapping `solve_p2_safety` returns, which `TableAttack` reads
-directly.
+kept in `Game.plays` by the strategy's id while the strategy lives:
+each (state, belief mask)'s record, built on its first visit and shared
+by every later play of the same game and strategy.  A record holds the
+node, the belief, the kept moves in ascending order (read once from
+`MultiStrategy.for_belief`), and per move the sorted successors with
+their cumulative weights and the action's image of the mask, from the
+table's caches.  A step unpacks one record, draws, hands the attack
+policy the record's node and the successor, ANDs the move's image with
+the observation's mask from the table's views and looks up the next
+record.  The jammer's computed strategy is the plain mapping
+`solve_p2_safety` returns, which `TableAttack` reads directly.
 
 Each play has its own `random.Random(seed)`.  A move, and a successor
 of an unweighted row, is drawn inline from the generator's
@@ -48,6 +48,7 @@ from __future__ import annotations
 import enum
 import random
 import sys
+import weakref
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, NamedTuple
@@ -159,8 +160,13 @@ class _Records(dict):
     first read.  Row i is the i-th move kept at the belief, ascending,
     pre-joined with what a step under it reads: (action, query,
     successors, cumulative weights, their count m, m.bit_length(), the
-    action's image of the mask).  The table holds the strategy, so its
-    id in `Game.plays` is not reused while the table exists.
+    action's image of the mask).  The table holds the strategy's
+    mapping in a `MultiStrategy` of its own, never the strategy, so a
+    dropped strategy is freed, and a weak reference to the strategy then
+    drops the table from `Game.plays`, before another object can take
+    its id.  The reference lives in the table, so a game freed before
+    its strategy takes its tables along (at the next collection, as the
+    callback holds `Game.plays`).
 
     A record is built from the table's caches: ``succs(s, a)`` is
     `weighted_successors` of that support, ``image(mask, a)`` a belief
@@ -171,7 +177,8 @@ class _Records(dict):
 
     def __init__(self, game: Game, p1: MultiStrategy):
         trans, masks = game.trans, game.masks
-        self.p1 = p1
+        self.p1 = MultiStrategy(p1.allowed)
+        self.owner = weakref.ref(p1, lambda _, plays=game.plays, key=id(p1): plays.pop(key, None))
         self.succs = cache(lambda s, a: weighted_successors(trans[s, a]))
         self.image = cache(lambda mask, a: masks.image(states_of(mask), a))
         self.states = cache(lambda mask: frozenset(states_of(mask)))

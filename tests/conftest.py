@@ -1,10 +1,12 @@
 """Shared fixtures and helpers: the bundled games solved once per
-session, read from `inputs`; the jammer side's reference: its
-successors recomputed from the observation rule, one checker of every
-invariant of a jammer game, which also shuts each way out of the
-jammer's trap, an attractor Win2 reference, a round-based one and a
-brute-force Win2 referee; the simulator's draw rule, `randbelow`; and
-`traced_memory`, which measures a call's working set."""
+session, read from `inputs`; one checker of every invariant of the
+agent's result, with the audit on both forms of a strategy; the jammer
+side's reference: its successors recomputed from the observation rule,
+one checker of every invariant of a jammer game, which also shuts each
+way out of the jammer's trap, an attractor Win2 reference, a
+round-based one and a brute-force Win2 referee; the simulator's draw
+rule, `randbelow`; and `traced_memory`, which measures a call's
+working set."""
 
 from __future__ import annotations
 
@@ -21,9 +23,10 @@ from sensorgames.attacker import AttackerMDP
 from sensorgames.belief import FINAL, BeliefMDP, BeliefNode, node_key
 from sensorgames.game import get_observation
 from sensorgames.oracle import CapExceededError, OracleResult
-from sensorgames.planner import certify_almost_sure_reach
+from sensorgames.planner import (MultiStrategy, SoundnessVerdict, certify_almost_sure_reach,
+                                 check_soundness, solve_p1)
 
-from .inputs import case_run, case_text, load_corpus, release
+from .inputs import case_run, case_text, load_corpus, release, restricted
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -73,6 +76,65 @@ def bnode(game, state: str, belief: list[str]) -> BeliefNode:
     return BeliefNode(game.state(state), frozenset(map(game.state, belief)))
 
 
+def audit(mdp: BeliefMDP, allowed) -> SoundnessVerdict:
+    """`check_soundness` on ``allowed``, a node-to-moves map, which must
+    give the same verdict on the map's all-node form: ``frozenset()`` at
+    every node it does not list, as perfbench's `audit_document` builds
+    it."""
+    verdict = check_soundness(mdp, MultiStrategy(allowed))
+    every = {q: allowed.get(q, frozenset()) for q in mdp.nodes}
+    assert check_soundness(mdp, MultiStrategy(every)) == verdict
+    return verdict
+
+
+def check_agent_result(name, report) -> None:
+    """Assert every invariant of the agent's result, one `SolveReport`;
+    each failure names the report by ``name``.  It reads the perceived
+    game's ints, never its node-keyed views.
+
+    - The audit passes, on both forms of the strategy (`audit`).
+    - The strategy's domain is Win1: it lists nodes in canonical order,
+      each with a nonempty set, and ``report.win`` is that domain.
+    - Class-mates keep one set, a node the strategy does not list
+      keeping none.
+    - The levels partition the other nodes, each level in canonical
+      order and none but level 0 empty, and no move leaves level 0, so
+      `FINAL` is unreachable from it.
+    - Replaying the trace from the offered moves, level 0 keeping none,
+      withdraws only kept moves, in rounds that never go back and each
+      on account of a doomed node, and leaves exactly the strategy.
+    - Solving again on Win1 removes nothing and keeps the strategy.
+    """
+    mdp, allowed = report.mdp, report.strategy.allowed
+    verdict = audit(mdp, allowed)
+    assert verdict, (name, verdict.reason)
+    index = {q: i for i, q in enumerate(mdp.nodes)}
+    move_id = {move: k for k, move in enumerate(mdp.moves)}
+    kept = {index[q]: frozenset(map(move_id.__getitem__, moves)) for q, moves in allowed.items()}
+    assert list(kept) == sorted(kept) and all(kept.values()) and report.win == set(allowed), (
+        name, "the domain is not Win1")
+    assert all(len({kept.get(i) for i in ids}) == 1 for ids in mdp.members), (name, "not uniform")
+
+    levels = [[index[q] for q in level] for level in report.levels]
+    assert levels and all(levels[1:]) and all(level == sorted(level) for level in levels), name
+    doomed = [i for level in levels for i in level]
+    assert sorted(doomed + list(kept)) == list(range(len(mdp.nodes))), (name, "not a partition")
+    core = set(levels[0])
+    assert all(j in core for i in core for row in mdp.succs[i] for j in row), (name, "level 0")
+
+    replay = [set() if i in core else set(ks) for i, ks in enumerate(mdp.node_moves)]
+    removals, fallen = report._removals, set(doomed)
+    assert list(removals[::4]) == sorted(removals[::4]), (name, "rounds go back")
+    for r, i, k, cause in zip(*[iter(removals)] * 4):
+        assert k in replay[i] and cause in fallen, (name, "removal", r, i, k, cause)
+        replay[i].remove(k)
+    assert {i: frozenset(ks) for i, ks in enumerate(replay) if ks} == kept, (name, "replay")
+
+    again = solve_p1(restricted(mdp, allowed))
+    assert (again._removals, again.levels) == ((), ((),)), (name, "solving Win1 again removes")
+    assert list(again.strategy.allowed.items()) == list(allowed.items()), name
+
+
 def node_views(mdp: BeliefMDP):
     """``(mdp.trans, mdp.classes)``, built afresh and not cached on
     ``mdp``.  The shared inputs live for the whole session, so a cached
@@ -113,9 +175,9 @@ def reference_successors(report):
     game = report.mdp.game
     observe = cache(partial(get_observation, game))
     out = {}
-    for node in report.win:
+    for node, kept in report.strategy.allowed.items():
         out[node] = succs = {attack: set() for attack in range(len(game.attacks))}
-        for action, query in report.strategy.allowed[node]:
+        for action, query in kept:
             support = frozenset(game.trans[(node.state, action)])
             image = frozenset().union(*(game.trans[(s, action)] for s in node.belief))
             for attack, reached in succs.items():

@@ -18,7 +18,6 @@ from sensorgames import (
     build_attacker_mdp,
     build_belief_mdp,
     bundled_game_text,
-    check_soundness,
     export_attacker_dot,
     export_belief_dot,
     run_pipeline,
@@ -31,7 +30,7 @@ from sensorgames.belief import node_key, node_label
 from sensorgames.game import validate_game
 from sensorgames.oracle import GeneratorParams, generate_spec
 
-from .conftest import check_jammer_game, load_corpus
+from .conftest import check_agent_result, check_jammer_game, load_corpus
 
 
 @contextmanager
@@ -119,9 +118,8 @@ def test_criterion_5_soundness_sweep():
             game = validate_game(generate_spec(GeneratorParams(**p, seed=seed)))
             mdp = build_belief_mdp(game)
             rep = solve_p1(mdp)
-            verdict = check_soundness(mdp, rep.strategy)
-            assert verdict, f"seed {seed}: {verdict.reason}"
-            if not rep.win:
+            check_agent_result(f"seed {seed}", rep)
+            if not rep.strategy.allowed:
                 continue
             win1_nonempty += 1
             adv = build_attacker_mdp(rep)

@@ -45,9 +45,8 @@ CASES = ["fig1", "fig1_noattack", "fig1_nosense", "fig4", "enabled-attacks"]
 
 
 def test_fig4_attacker_nodes_are_win1(fig4):
-    adv, rep = fig4.attacker, fig4.report
-    assert set(adv.nodes) == set(rep.win)
-    assert adv.nodes == tuple(sorted(rep.win, key=node_key))
+    # Both list Win1 in canonical order.
+    assert fig4.attacker.nodes == tuple(fig4.report.strategy.allowed)
 
 
 def test_fig4_attacker_moves_exact(fig4):

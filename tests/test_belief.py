@@ -7,15 +7,19 @@ import pytest
 from hypothesis import given, settings
 
 from sensorgames import (
+    TableAttack,
     build_belief_mdp,
     check_soundness,
     export_attacker_dot,
     export_belief_dot,
     parse_spec,
+    run_pipeline,
     run_stages,
+    simulate,
     solve_p1,
     validate_game,
 )
+from sensorgames import pipeline
 from sensorgames.belief import FINAL, BeliefNode, node_key, node_label
 from sensorgames.game import states_of
 
@@ -278,16 +282,24 @@ def test_dense_matches_trans_restricted(fig1):
     assert_interned(sub)
 
 
-def test_no_stage_builds_trans(fig4_text):
-    # The stages and both DOT views read the stored ints; the node-keyed
-    # views are built only on a read of ``trans`` or ``classes``.
+def test_no_stage_builds_trans(fig4_text, monkeypatch):
+    # The stages, the document, both DOT views and the simulator read the
+    # stored ints and the strategy's mapping; the node-keyed views and
+    # ``report.win`` are built only on a read.  `run_pipeline`'s report
+    # is caught by swapping the stage it comes from.  A view once built
+    # stays in ``vars``, so one look after the last step covers them all.
+    reports, solve = [], pipeline.solve_p1
+    monkeypatch.setattr(pipeline, "solve_p1", lambda mdp: reports.append(solve(mdp)) or reports[-1])
     run = run_stages(fig4_text)
-    assert "trans" not in vars(run.mdp) and "classes" not in vars(run.mdp)
+    run_pipeline(fig4_text, include_trace=True)
     export_belief_dot(run.report)
     export_attacker_dot(run.attacker, run.attack_strategy)
+    simulate(run.game, run.report.strategy, TableAttack(run.attack_strategy), 20, 0)
     assert "trans" not in vars(run.mdp) and "classes" not in vars(run.mdp)
+    assert len(reports) == 2 and all("win" not in vars(report) for report in reports)
     assert run.mdp.trans is vars(run.mdp)["trans"]
     assert run.mdp.classes is vars(run.mdp)["classes"]
+    assert run.report.win is vars(run.report)["win"] == frozenset(run.report.strategy.allowed)
 
 
 @settings(max_examples=25, deadline=None)

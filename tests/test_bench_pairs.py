@@ -1,7 +1,10 @@
-"""`tools/bench_pairs.py`'s summary of paired runs, on made-up run lists:
-no benchmark runs and no process starts."""
+"""`tools/bench_pairs.py`'s summary of paired runs and its ``--json``
+record, on made-up run lists: no benchmark runs and no process
+starts."""
 
+import argparse
 import importlib.util
+import json
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location(
@@ -61,3 +64,14 @@ def test_unresolved_where_the_base_spreads_wider_than_the_bound():
 def test_no_direction_no_marks():
     row = summarize(BASE, [v * 2 for v in BASE])
     assert row["marks"] == [] and "wins" not in row
+
+
+def test_record_holds_the_pairs_run_so_far():
+    # The second pair's base run is done, its change run is not: the
+    # record holds the first pair only.
+    args = argparse.Namespace(workload="corpus-sweep", seeds=[5, 6, 7], seconds=8.0, trace=0)
+    runs = {"base": [{"games_per_s": 100.0}, {"games_per_s": 101.0}],
+            "change": [{"games_per_s": 102.0}]}
+    assert json.loads(bench_pairs.record(args, runs)) == {
+        "workload": "corpus-sweep", "seeds": [5], "seconds": 8.0, "trace": 0,
+        "base": runs["base"][:1], "change": runs["change"]}

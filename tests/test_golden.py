@@ -213,14 +213,15 @@ SOLVER = "938f3989278f685d379cb0ae4c897c2cdf9f1a6e0007a22535587243331378c4"
 def report_dump(report) -> str:
     """A `SolveReport` as text on the perceived game's ids: each round's
     doomed nodes, the removals in order, the Win1 ids and each node's
-    kept move ids, ascending."""
+    kept move ids, ascending, none at a node the strategy does not
+    list."""
     mdp = report.mdp
     index = {q: i for i, q in enumerate(mdp.nodes)}
     move_id = {move: k for k, move in enumerate(mdp.moves)}
     lines = [f"level {[index[q] for q in level]}" for level in report.levels]
     lines.append(f"removals {list(report._removals)}")
     lines.append(f"win {sorted(map(index.__getitem__, report.win))}")
-    lines += [f"{i} {sorted(map(move_id.__getitem__, report.strategy.allowed[q]))}"
+    lines += [f"{i} {sorted(map(move_id.__getitem__, report.strategy.allowed.get(q, ())))}"
               for i, q in enumerate(mdp.nodes)]
     return "\n".join(lines) + "\n"
 

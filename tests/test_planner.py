@@ -1,11 +1,11 @@
-"""Agent-side solving: elimination, certificates, idempotence."""
+"""Agent-side solving: elimination, certificates, and the agent's result
+checked whole on every input group."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sensorgames import (
-    MultiStrategy,
     brute_force_win1,
     build_belief_mdp,
     check_soundness,
@@ -17,9 +17,10 @@ from sensorgames.game import validate_game
 from sensorgames.oracle import GeneratorParams, OracleResult, generate_spec
 from sensorgames.planner import certify_almost_sure_reach
 
-from .conftest import bnode, node_views, plain_brute_force, traced_memory
+from .conftest import (audit, bnode, check_agent_result, node_views, plain_brute_force,
+                       traced_memory)
 from .inputs import (attack_subset_runs, case_run, case_text, corpus_runs, per_state_attack_game,
-                     restricted)
+                     restricted, split_classes)
 
 FIG1_WIN = [
     "(s0,{s0})", "(s0,{s0,s1})", "(s0,{s0,s2})", "(s0,{s0,s4})",
@@ -51,8 +52,7 @@ def test_fig1_verdict(fig1):
 def test_fig1_nosense_verdict(fig1_nosense):
     rep = fig1_nosense.report
     assert not rep.initial_winning
-    assert rep.win == frozenset()
-    assert not any(rep.strategy.allowed.values())
+    assert rep.strategy.allowed == {}
 
 
 def test_fig1_noattack_verdict(fig1_noattack):
@@ -85,48 +85,30 @@ def test_losing_core_fig1(fig1):
     assert bnode(g, "s3", ["s2", "s3"]) in core
 
 
-def test_strategy_is_class_uniform(fig1):
-    mdp, strat = fig1.mdp, fig1.report.strategy
-    for members in mdp.classes.values():
-        assert len({strat.allowed[q] for q in members}) == 1
-
-
-def test_strategy_covers_all_nodes(fig1):
-    rep = fig1.report
-    assert set(rep.strategy.allowed) == set(fig1.mdp.nodes)
-    for q in fig1.mdp.nodes:
-        assert bool(rep.strategy.allowed[q]) == (q in rep.win)
-
-
 def test_for_belief(fig1):
     g, rep = fig1.game, fig1.report
     q0 = fig1.mdp.initial
     assert rep.strategy.for_belief(q0.belief) == tuple(sorted(rep.strategy.allowed[q0]))
     assert rep.strategy.for_belief(frozenset(map(g.state, ["s2", "s3"]))) == ()
+    assert rep.strategy.for_belief(frozenset()) == ()
 
 
-def test_levels_start_at_core_and_partition(fig1):
-    rep = fig1.report
-    core = rep.levels[0]
-    assert core == tuple(sorted(core, key=node_key))
-    # No move leads out of the core, so FINAL is unreachable from it.
-    assert all(succ in core for q in core
-               for succs in fig1.mdp.trans[q].values() for succ in succs)
-    doomed = [q for level in rep.levels for q in level]
-    assert len(doomed) == len(set(doomed))
-    assert set(doomed) == set(fig1.mdp.nodes) - rep.win
+# --- the agent's result, checked whole ---------------------------------------
 
-
-def test_trace_replay_reproduces_strategy(fig1):
-    mdp, rep = fig1.mdp, fig1.report
-    core = set(rep.levels[0])
-    allowed = {q: (set() if q in core else set(mdp.trans[q])) for q in mdp.nodes}
-    rounds = [r.iteration for r in rep.trace]
-    assert rounds == sorted(rounds)
-    for r in rep.trace:
-        assert r.move in allowed[r.node]
-        allowed[r.node].discard(r.move)
-    assert {q: frozenset(m) for q, m in allowed.items()} == dict(rep.strategy.allowed)
+def test_agent_result_on_shared_inputs():
+    # Each group's count of reports and of those with a nonempty Win1:
+    # the four figures and enabled-attacks, the 350 corpus games, and
+    # the 236 split-class sub-MDPs among them.
+    cases = ("fig1", "fig1_nosense", "fig1_noattack", "fig4", "enabled-attacks")
+    groups = {"cases": [case_run(case).report for case in cases],
+              "corpus": [run.report for run in corpus_runs()],
+              "split": [solve_p1(sub) for sub in split_classes() if sub is not None]}
+    for group, reports in groups.items():
+        for i, report in enumerate(reports):
+            check_agent_result(f"{group} {i}", report)
+    assert {group: (len(reports), sum(bool(r.strategy.allowed) for r in reports))
+            for group, reports in groups.items()} == {
+        "cases": (5, 4), "corpus": (350, 300), "split": (236, 198)}
 
 
 # --- certificates ---------------------------------------------------------
@@ -170,25 +152,17 @@ def test_certify_start_is_target():
     assert certify({}, "t", "t") == (True, None)
 
 
-@pytest.mark.parametrize("fixture", ["fig1", "fig1_nosense", "fig1_noattack", "fig4"])
-def test_soundness_of_bundled_solutions(fixture, request):
-    run = request.getfixturevalue(fixture)
-    verdict = check_soundness(run.mdp, run.report.strategy)
-    assert verdict
-    assert verdict.ok and verdict.witness is None
-
-
 def test_soundness_catches_closure_breach(fig1):
     g, mdp, rep = fig1.game, fig1.mdp, fig1.report
     bad = dict(rep.strategy.allowed)
     leak = (g.action("a1"), g.query("sigma0"))
     for member in mdp.classes[frozenset(map(g.state, ["s1", "s2"]))]:
-        bad[member] = bad[member] | {leak}
-    verdict = check_soundness(mdp, MultiStrategy(allowed=bad))
+        bad[member] = bad.get(member, frozenset()) | {leak}
+    verdict = audit(mdp, bad)
     assert not verdict
     node, move, succ = verdict.witness
     assert move == leak
-    assert succ is FINAL or not bad[succ]
+    assert succ is FINAL or not bad.get(succ)
 
 
 def test_soundness_catches_completion_breach(fig4):
@@ -201,7 +175,7 @@ def test_soundness_catches_completion_breach(fig4):
         for q, moves in rep.strategy.allowed.items()
     }
     assert all(bad[q] for q in rep.win)
-    verdict = check_soundness(mdp, MultiStrategy(allowed=bad))
+    verdict = audit(mdp, bad)
     assert not verdict
     assert "completion" in verdict.reason
 
@@ -216,7 +190,7 @@ def test_soundness_catches_split_class(fig4):
     bad = dict(rep.strategy.allowed)
     bad[q0] = bad[q0] - {move}
     assert bad[q0] and move in bad[q1]
-    verdict = check_soundness(mdp, MultiStrategy(allowed=bad))
+    verdict = audit(mdp, bad)
     assert not verdict
     assert verdict.reason == f"class-mates {q0} and {q1} keep different moves"
     assert verdict.witness == (q0, q1)
@@ -226,35 +200,20 @@ def test_soundness_catches_unoffered_move(fig4):
     mdp, rep = fig4.mdp, fig4.report
     bad = dict(rep.strategy.allowed)
     bad[mdp.initial] = bad[mdp.initial] | {(99, 99)}
-    verdict = check_soundness(mdp, MultiStrategy(allowed=bad))
+    verdict = audit(mdp, bad)
     assert not verdict and "never offered" in verdict.reason
 
 
-# --- idempotence -----------------------------------------------------------
-
-@pytest.mark.parametrize("fixture", ["fig1", "fig1_noattack", "fig4"])
-def test_resolving_the_winning_region_removes_nothing(fixture, request):
-    run = request.getfixturevalue(fixture)
-    rep = run.report
-    again = solve_p1(restricted(run.mdp, rep.win))
-    assert again.trace == ()
-    assert again.win == rep.win
-    assert again.levels == ((),)
-
+# --- random games -----------------------------------------------------------
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_solver_invariants_random(seed):
+    # One report per example; hypothesis picks how many examples run.
     game = validate_game(generate_spec(GeneratorParams(
         n_states=5, n_actions=2, n_sensors=2, n_queries=2, n_attacks=3,
         max_support=2, goal_fraction=0.25, seed=seed)))
-    mdp = build_belief_mdp(game)
-    rep = solve_p1(mdp)
-    assert check_soundness(mdp, rep.strategy)
-    for members in mdp.classes.values():
-        assert len({rep.strategy.allowed[q] for q in members}) == 1
-    again = solve_p1(restricted(mdp, rep.win))
-    assert again.trace == () and again.win == rep.win
+    check_agent_result(f"seed {seed}", solve_p1(build_belief_mdp(game)))
 
 
 # --- identity ----------------------------------------------------------------
@@ -421,6 +380,9 @@ def test_win1_is_monotone_under_belief_inclusion():
 # No other test reads the 16/5/7 and 24/5/8 rungs, so they are solved
 # here without the jammer's game and not kept for the session.
 UNSHARED_RUNGS = {(16, 5, 7), (24, 5, 8)}
+# Each rung's Win1 size.
+RUNG_WIN1 = {(10, 4, 9): 347, (14, 5, 7): 7120, (16, 5, 4): 437, (16, 5, 7): 16625,
+             (17, 5, 7): 383, (17, 5, 4): 6276, (18, 5, 8): 735, (24, 5, 8): 5101}
 
 
 @pytest.mark.parametrize("rung", [(10, 4, 9), (14, 5, 7), (16, 5, 4), (16, 5, 7), (17, 5, 7),
@@ -431,8 +393,10 @@ def test_soundness_on_rungs(rung):
         report = solve_p1(build_belief_mdp(validate_game(parse_spec(case_text(rung)))))
     else:
         report = case_run(rung).report
-    verdict = check_soundness(report.mdp, report.strategy)
-    assert verdict, verdict.reason
+    check_agent_result(rung, report)
+    assert len(report.strategy.allowed) == RUNG_WIN1[rung]
+    # The checker reads the ints: it builds neither node-keyed view.
+    assert "trans" not in vars(report.mdp) and "classes" not in vars(report.mdp)
 
 
 # --- removing an attack can lose the start ---------------------------------

@@ -1,7 +1,9 @@
 """Play engine: determinism, trace consistency, policy behavior."""
 
+import gc
 import hashlib
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -280,9 +282,10 @@ def test_memo_belongs_to_its_game_and_strategy(fig4_text):
 
 
 def test_records_of_a_dropped_strategy_are_not_reused(fig4_text):
-    # `Game.plays` keys each strategy's step records by its id.  A
-    # strategy dropped after its plays, and a different one built in
-    # its place, which may take its id, must play as on a fresh game.
+    # `Game.plays` keys each strategy's step records by its id and drops
+    # them when the strategy is freed.  A strategy dropped after its
+    # plays, and a different one built in its place, which may take its
+    # id, must play as on a fresh game.
     def strategy(run, pick):
         return MultiStrategy({q: frozenset(pick(sorted(moves)))
                               for q, moves in run.report.strategy.allowed.items()})
@@ -298,6 +301,23 @@ def test_records_of_a_dropped_strategy_are_not_reused(fig4_text):
     highest = MultiStrategy(highest)
     assert plays(shared.game, highest) == plays(fresh.game,
                                                 strategy(fresh, lambda moves: moves[-1:]))
+
+
+def test_a_dropped_strategy_leaves_no_table(fig4_text):
+    # A table lives no longer than its strategy or its game: 50
+    # strategies, each played once and dropped, leave none; a kept one
+    # keeps its own until the game goes.
+    run = run_stages(fig4_text)
+    kept = run.report.strategy
+    for seed in range(50):
+        simulate(run.game, MultiStrategy(dict(kept.allowed)), UniformRandomAttack(), 20, seed)
+    assert run.game.plays == {}
+    simulate(run.game, kept, UniformRandomAttack(), 20, 0)
+    assert list(run.game.plays) == [id(kept)] and run.game.plays[id(kept)].p1 is not kept
+    table = weakref.ref(run.game.plays[id(kept)])
+    del run
+    gc.collect()
+    assert table() is None
 
 
 def test_table_attack_falls_back_off_table(fig4):

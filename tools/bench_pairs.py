@@ -23,8 +23,10 @@ of BASE's median, and ``unresolved`` when BASE's spread, as a fraction
 of its median, is wider than that bound and not every run of CHANGE is
 better than every run of BASE: a shift within the bound then cannot be
 told from noise.  A run that is not ``correct`` or fails stops the
-tool.  ``--json`` also writes every
-run's metrics to FILE.  Only the standard library is needed.
+tool with a message naming the pair, its seed and the tree.  ``--json``
+also writes every run's metrics to FILE, rewritten after each pair, so
+the pairs run before a failure are kept.  Only the standard library is
+needed.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ from pathlib import Path
 SKIP = shutil.ignore_patterns("__pycache__", ".git", ".pytest_cache", ".hypothesis", "traces")
 
 
-def run_once(tree: Path, args: list[str]) -> dict:
-    """One benchmark run on a fresh copy of ``tree``; its metrics by name."""
+def run_once(tree: Path, args: list[str], where: str) -> dict:
+    """One benchmark run on a fresh copy of ``tree``; its metrics by name.
+    A failure's message starts with ``where``, which names the pair."""
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         copy = Path(scratch) / "tree"
         shutil.copytree(tree, copy, ignore=SKIP)
@@ -50,16 +53,25 @@ def run_once(tree: Path, args: list[str]) -> dict:
                               capture_output=True, text=True, check=False)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
-        sys.exit(f"benchmark failed on {tree} (exit {done.returncode}):\n{done.stderr}")
+        sys.exit(f"{where}: benchmark failed on {tree} (exit {done.returncode}):\n{done.stderr}")
     result = json.loads(lines[-1])
     if not result["correct"] or result["failed"]:
-        sys.exit(f"benchmark run on {tree} is not correct: {lines[-1]}")
+        sys.exit(f"{where}: benchmark run on {tree} is not correct: {lines[-1]}")
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, median, q3
+
+
+def record(args: argparse.Namespace, runs: dict[str, list[dict]]) -> str:
+    """The ``--json`` file's text: the options, the seeds of the pairs
+    run so far and every run's metrics, each side's in pair order."""
+    pairs = min(map(len, runs.values()))
+    return json.dumps({"workload": args.workload, "seeds": args.seeds[:pairs],
+                       "seconds": args.seconds, "trace": args.trace,
+                       **{side: done[:pairs] for side, done in runs.items()}}, indent=1) + "\n"
 
 
 def summarize(base: list[float], change: list[float], better: str | None = None,
@@ -107,7 +119,9 @@ def main(argv: list[str]) -> int:
                  "--seconds", str(args.seconds), "--trace", str(args.trace)]
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
-            runs[side].append(run_once(getattr(args, side), bench))
+            runs[side].append(run_once(getattr(args, side), bench, f"pair {i + 1} (seed {seed})"))
+        if args.json:
+            args.json.write_text(record(args, runs))
         print(f"pair {i + 1} (seed {seed}, {order[0]} first):", flush=True)
         for name, value in runs["base"][-1].items():
             print(f"  {name:32} {value:14.6g} -> {runs['change'][-1].get(name, float('nan')):14.6g}",
@@ -126,10 +140,6 @@ def main(argv: list[str]) -> int:
             line += (f"; median {100 * (cm - bm) / bm if bm else float('nan'):+.1f}%"
                      f"; wins {row['wins']}/{pairs}" + "".join(f"; {m}" for m in row["marks"]))
         print(line)
-    if args.json:
-        args.json.write_text(json.dumps({"workload": args.workload, "seeds": args.seeds,
-                                         "seconds": args.seconds, "trace": args.trace,
-                                         **runs}, indent=1) + "\n")
     return 0
 
 
