@@ -85,12 +85,50 @@ def test_losing_core_fig1(fig1):
     assert bnode(g, "s3", ["s2", "s3"]) in core
 
 
+def test_strategy_is_class_uniform(fig1):
+    mdp, strat = fig1.mdp, fig1.report.strategy
+    for members in mdp.classes.values():
+        assert len({strat.allowed.get(q) for q in members}) == 1
+
+
+def test_strategy_covers_all_nodes(fig1):
+    # Every node is either listed, with a nonempty set, or losing.
+    rep = fig1.report
+    assert list(rep.strategy.allowed) == [q for q in fig1.mdp.nodes if q in rep.win]
+    for q in fig1.mdp.nodes:
+        assert bool(rep.strategy.allowed.get(q)) == (q in rep.win)
+
+
 def test_for_belief(fig1):
     g, rep = fig1.game, fig1.report
     q0 = fig1.mdp.initial
     assert rep.strategy.for_belief(q0.belief) == tuple(sorted(rep.strategy.allowed[q0]))
     assert rep.strategy.for_belief(frozenset(map(g.state, ["s2", "s3"]))) == ()
     assert rep.strategy.for_belief(frozenset()) == ()
+
+
+def test_levels_start_at_core_and_partition(fig1):
+    rep = fig1.report
+    core = rep.levels[0]
+    assert core == tuple(sorted(core, key=node_key))
+    # No move leads out of the core, so FINAL is unreachable from it.
+    assert all(succ in core for q in core
+               for succs in fig1.mdp.trans[q].values() for succ in succs)
+    doomed = [q for level in rep.levels for q in level]
+    assert len(doomed) == len(set(doomed))
+    assert set(doomed) == set(fig1.mdp.nodes) - rep.win
+
+
+def test_trace_replay_reproduces_strategy(fig1):
+    mdp, rep = fig1.mdp, fig1.report
+    core = set(rep.levels[0])
+    allowed = {q: (set() if q in core else set(mdp.trans[q])) for q in mdp.nodes}
+    rounds = [r.iteration for r in rep.trace]
+    assert rounds == sorted(rounds)
+    for r in rep.trace:
+        assert r.move in allowed[r.node]
+        allowed[r.node].discard(r.move)
+    assert {q: frozenset(m) for q, m in allowed.items() if m} == dict(rep.strategy.allowed)
 
 
 # --- the agent's result, checked whole ---------------------------------------
@@ -152,6 +190,14 @@ def test_certify_start_is_target():
     assert certify({}, "t", "t") == (True, None)
 
 
+@pytest.mark.parametrize("fixture", ["fig1", "fig1_nosense", "fig1_noattack", "fig4"])
+def test_soundness_of_bundled_solutions(fixture, request):
+    run = request.getfixturevalue(fixture)
+    verdict = audit(run.mdp, run.report.strategy.allowed)
+    assert verdict
+    assert verdict.ok and verdict.witness is None
+
+
 def test_soundness_catches_closure_breach(fig1):
     g, mdp, rep = fig1.game, fig1.mdp, fig1.report
     bad = dict(rep.strategy.allowed)
@@ -202,6 +248,18 @@ def test_soundness_catches_unoffered_move(fig4):
     bad[mdp.initial] = bad[mdp.initial] | {(99, 99)}
     verdict = audit(mdp, bad)
     assert not verdict and "never offered" in verdict.reason
+
+
+# --- idempotence -----------------------------------------------------------
+
+@pytest.mark.parametrize("fixture", ["fig1", "fig1_noattack", "fig4"])
+def test_resolving_the_winning_region_removes_nothing(fixture, request):
+    run = request.getfixturevalue(fixture)
+    rep = run.report
+    again = solve_p1(restricted(run.mdp, rep.win))
+    assert again.trace == ()
+    assert again.win == rep.win
+    assert again.levels == ((),)
 
 
 # --- random games -----------------------------------------------------------
