@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .belief import ActionPair, BeliefMDP, BeliefNode
 from .game import states_of
@@ -259,43 +259,45 @@ class SoundnessVerdict:
 
 
 def certify_almost_sure_reach(
-    start: Hashable,
-    successors: Callable[[Hashable], Iterable[Hashable]],
-    target: Hashable,
-) -> tuple[bool, Hashable | None]:
+    start: int, successors: Callable[[int], Iterable[int]], target: int,
+) -> tuple[bool, int | None]:
     """Certificate that a finite chain from ``start`` reaches ``target``
     with probability one: the target must stay graph-reachable from
-    every node the chain can visit.  Returns (ok, offending node), the
-    offending node being the least stuck one, so nodes must be mutually
-    ordered: `check_soundness` passes node ids, as does the plain brute
-    force in the tests, its one other caller.
+    every node the chain can visit.  The nodes are the ids 0 to
+    ``target``, as `check_soundness` numbers them, with `FINAL` the
+    target; the plain brute force in the tests is the one other caller.
+    Returns (ok, offending node), the offending node being the least
+    stuck id.
 
     The forward walk calls ``successors`` once per reached non-target
-    node and files each edge under its successor; the backward sweep
-    from the target then runs on those lists alone.
+    node and files each edge under its successor, in a list indexed by
+    id that holds None for each id not reached; the backward sweep from
+    the target then runs on those lists alone, flagging in a bytearray
+    the ids that can finish.
     """
-    preds: dict = {start: []}
+    preds: list[list[int] | None] = [None] * (target + 1)
+    preds[start] = []
     queue = [start]
     for node in queue:
         if node == target:
             continue
         for succ in successors(node):
-            if succ in preds:
-                preds[succ].append(node)
-            else:
+            if preds[succ] is None:
                 preds[succ] = [node]
                 queue.append(succ)
+            else:
+                preds[succ].append(node)
 
-    can_finish: set = {target} if target in preds else set()
-    queue = list(can_finish)
-    for node in queue:
+    can_finish = bytearray(target + 1)
+    can_finish[target] = 1
+    back = [] if preds[target] is None else [target]
+    for node in back:
         for pred in preds[node]:
-            if pred not in can_finish:
-                can_finish.add(pred)
-                queue.append(pred)
-    if len(can_finish) == len(preds):
-        return True, None
-    return False, min(node for node in preds if node not in can_finish)
+            if not can_finish[pred]:
+                can_finish[pred] = 1
+                back.append(pred)
+    stuck = [node for node in queue if not can_finish[node]]
+    return (False, min(stuck)) if stuck else (True, None)
 
 
 def check_soundness(mdp: BeliefMDP, strategy: MultiStrategy) -> SoundnessVerdict:

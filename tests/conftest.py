@@ -1,12 +1,12 @@
 """Shared fixtures and helpers: the bundled games solved once per
-session, read from `inputs`; one checker of every invariant of the
-agent's result, with the audit on both forms of a strategy; the jammer
-side's reference: its successors recomputed from the observation rule,
-one checker of every invariant of a jammer game, which also shuts each
-way out of the jammer's trap, an attractor Win2 reference, a
-round-based one and a brute-force Win2 referee; the simulator's draw
-rule, `randbelow`; and `traced_memory`, which measures a call's
-working set."""
+session, read from `inputs`; one checker per stage, of every invariant
+of a full expansion and of the agent's result, with the audit on both
+forms of a strategy; the jammer side's reference: its successors
+recomputed from the observation rule, one checker of every invariant
+of a jammer game, which also shuts each way out of the jammer's trap,
+an attractor Win2 reference, a round-based one and a brute-force Win2
+referee; the simulator's draw rule, `randbelow`; and `traced_memory`,
+which measures a call's working set."""
 
 from __future__ import annotations
 
@@ -84,7 +84,58 @@ def audit(mdp: BeliefMDP, allowed) -> SoundnessVerdict:
     verdict = check_soundness(mdp, MultiStrategy(allowed))
     every = {q: allowed.get(q, frozenset()) for q in mdp.nodes}
     assert check_soundness(mdp, MultiStrategy(every)) == verdict
+    assert (verdict.witness is None) == verdict.ok, verdict
     return verdict
+
+
+def check_perceived_game(name, mdp: BeliefMDP) -> None:
+    """Assert every invariant of a full expansion, on its ints; each
+    failure names the game by ``name``.
+
+    - ``nodes`` is in `node_key` order, each node's state in its belief.
+    - ``moves`` is every (action, query) pair, ascending.
+    - ``members`` partitions the ids, classes in sorted-belief order,
+      and the class of B is (s, B) for each s in sorted(B).
+    - Class-mates hold one ``node_moves`` tuple: every move, ascending,
+      of each action enabled at every state of B.
+    - ``start`` is the (s0, {s0}) node.
+    - Every row equals one recomputed from ``game.trans`` and
+      `get_observation`, as `reference_successors` computes it: `FINAL`
+      with mask 0 first where the support touches the goal, then, for
+      each non-goal successor state in ascending order, the beliefs
+      its enabled attacks make, each with the mask of those attacks,
+      in the order the attacks first make them.
+    """
+    game, nodes = mdp.game, mdp.nodes
+    keys = list(map(node_key, nodes))
+    assert keys == sorted(set(keys)) and all(q.state in q.belief for q in nodes), (name, "order")
+    moves = tuple(product(range(len(game.action_names)), range(len(game.queries))))
+    assert mdp.moves == moves, (name, "moves")
+    beliefs = [keys[ids[0]][1] for ids in mdp.members]
+    assert beliefs == sorted(beliefs) and sorted(i for ids in mdp.members for i in ids) == list(
+        range(len(nodes))), (name, "classes")
+    for ids, belief in zip(mdp.members, beliefs):
+        assert [keys[i] for i in ids] == [(s, belief) for s in belief], (name, "classes", ids)
+        ks = mdp.node_moves[ids[0]]
+        assert ks == tuple(k for k, (a, _) in enumerate(moves) if all(
+            (s, a) in game.trans for s in belief)), (name, "node_moves", ids)
+        assert all(mdp.node_moves[i] is ks for i in ids), (name, "node_moves", ids)
+    assert nodes[mdp.start] == BeliefNode(game.initial, frozenset({game.initial})), (name, "start")
+    index = {q: i for i, q in enumerate(nodes)}
+    observe = cache(partial(get_observation, game))
+    for i, q in enumerate(nodes):
+        rows = []
+        for a, query in map(moves.__getitem__, mdp.node_moves[i]):
+            support = frozenset(game.trans[(q.state, a)])
+            image = frozenset().union(*(game.trans[(s, a)] for s in q.belief))
+            found = {len(nodes): 0} if support & game.goal else {}
+            for s2 in sorted(support - game.goal):
+                for att in game.enabled_attacks[s2]:
+                    j = index.get(BeliefNode(s2, image & observe(s2, query, att)))
+                    found[j] = found.get(j, 0) | 1 << att
+            rows.append(found)
+        assert (mdp.succs[i], mdp.attacks[i]) == (tuple(map(tuple, rows)), tuple(
+            tuple(found.values()) for found in rows)), (name, "row", i)
 
 
 def check_agent_result(name, report) -> None:
@@ -201,15 +252,15 @@ def check_jammer_game(name, report, attacker, strategy):
     one game; each failure names the game by ``name``.  ``attacker`` and
     ``strategy`` are a run's objects, None where Win1 is empty.
 
-    The game's nodes are Win1, and each node's offered attacks, in
-    order, and their successors, as sets of nodes, equal those
-    `offered_attacks` reads off `reference_successors`, all of them
-    `FINAL` or in Win1.  The strategy's domain, Win2, lies inside Win1
-    and holds no goal node.  An attack is safe at a node where its
-    successors all lie in Win2, which leaves `FINAL` out.  At each Win2
-    node the chosen attack is safe (the one-step rule) and is the
-    lowest safe one; no non-goal node outside Win2 has an attack whose
-    successors all lie in Win2 (Win2 is closed under safe attacks).
+    The game's nodes are Win1, in the strategy's order, and each node's
+    offered attacks, in order, and their successors, as sets of nodes,
+    equal those `offered_attacks` reads off `reference_successors`, all
+    of them `FINAL` or in Win1.  The strategy's domain, Win2, lies
+    inside Win1 and holds no goal node.  An attack is safe at a node
+    where its successors all lie in Win2, which leaves `FINAL` out.  At
+    each Win2 node the chosen attack is safe (the one-step rule) and is
+    the lowest safe one; no non-goal node outside Win2 has an attack
+    whose successors all lie in Win2 (Win2 is closed under safe attacks).
     So the trap has no way out: a chosen attack is offered, hence
     enabled at every state the play can land in, and none of its
     successors completes the task or leaves Win2.  None of this shows
@@ -221,7 +272,7 @@ def check_jammer_game(name, report, attacker, strategy):
         assert attacker is None and strategy is None, name
         return
     domain = frozenset(strategy)
-    assert set(attacker.nodes) == report.win, name
+    assert attacker.nodes == tuple(report.strategy.allowed), name
     assert domain <= report.win, name
     game, reference = report.mdp.game, reference_successors(report)
     for node, attacks in jammer_trans(attacker).items():

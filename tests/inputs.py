@@ -7,6 +7,9 @@ ladder and case texts and their runs, and the small hand-written games.
 Each reader is handed the same objects, so a test that needs fresh
 objects, or changes what it is given, builds its own.
 
+It imports neither pytest nor hypothesis, so the builders run without
+the test dependencies; the hypothesis strategies live in `strategies`.
+
 The runs and sub-MDPs are cached behind `shared`, so the garbage
 collections of later tests skip them instead of walking them all on
 every gen-2 pass.
@@ -22,8 +25,6 @@ from functools import cache, wraps
 from importlib import resources
 from itertools import accumulate, filterfalse
 from typing import Iterable
-
-from hypothesis import strategies as st
 
 from sensorgames import bundled_game_text, run_stages, serialize_spec, validate_game
 from sensorgames.belief import BeliefMDP, BeliefNode
@@ -123,13 +124,6 @@ def shared(build):
     return get
 
 
-def small_games():
-    return st.integers(min_value=0, max_value=10_000).map(
-        lambda seed: validate_game(generate_spec(GeneratorParams(
-            n_states=5, n_actions=3, n_sensors=3, n_queries=3, n_attacks=3,
-            max_support=2, goal_fraction=0.25, seed=seed))))
-
-
 def per_state_attack_doc(seed: int, pick) -> GameSpecDocument:
     """A small generated game whose ``[enabled-attacks]`` section gives
     each state ``pick(attack names)``, a non-empty subset."""
@@ -144,14 +138,6 @@ def per_state_attack_doc(seed: int, pick) -> GameSpecDocument:
 def per_state_attack_game(seed: int, pick) -> Game:
     """`per_state_attack_doc`, validated."""
     return validate_game(per_state_attack_doc(seed, pick))
-
-
-@st.composite
-def per_state_attack_games(draw):
-    """`per_state_attack_game` with a drawn seed and attack subsets."""
-    return per_state_attack_game(
-        draw(st.integers(0, 10_000)),
-        lambda names: draw(st.sets(st.sampled_from(names), min_size=1)))
 
 
 @shared

@@ -1,6 +1,10 @@
-"""Perceived-game expansion: structure, closure, determinism."""
+"""Perceived-game expansion: frozen structure on the figures, the
+node-keyed views held to the stored ints, shared rows and working sets,
+and the expansion checked whole on every input group by
+`conftest.check_perceived_game`."""
 
 import gc
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -20,19 +24,18 @@ from sensorgames import (
     validate_game,
 )
 from sensorgames import pipeline
-from sensorgames.belief import FINAL, BeliefNode, node_key, node_label
+from sensorgames.belief import FINAL, BeliefNode, node_label
 from sensorgames.game import states_of
 
-from .conftest import bnode, traced_memory
-from .inputs import MINI, case_run, restricted, small_games
+from .conftest import bnode, check_perceived_game, traced_memory
+from .inputs import MINI, case_run, corpus_runs, restricted
+from .strategies import small_games
 
 
 def test_fig1_shape(fig1):
     mdp = fig1.mdp
     assert len(mdp.nodes) == 52
     assert len(mdp.classes) == 23
-    assert mdp.initial == bnode(fig1.game, "s0", ["s0"])
-    assert mdp.nodes == tuple(sorted(mdp.nodes, key=node_key))
 
 
 def test_fig4_nodes_exact(fig4):
@@ -85,50 +88,43 @@ def test_mixed_support_offers_final_alongside():
     assert others == {BeliefNode(0, frozenset({0}))}
 
 
-def test_offered_depends_only_on_belief(fig1):
-    mdp = fig1.mdp
-    for belief, members in mdp.classes.items():
-        offers = {tuple(mdp.trans[q]) for q in members}
-        assert len(offers) == 1
+# --- the perceived game, checked whole --------------------------------------
+
+def test_perceived_game_on_shared_inputs():
+    # Each group's count of games and of their nodes: the four figures
+    # and enabled-attacks, the 350 corpus games, and the 10/4/9 and
+    # 17/5/7 rungs.
+    cases = ("fig1", "fig1_nosense", "fig1_noattack", "fig4", "enabled-attacks")
+    groups = {"cases": [case_run(case).mdp for case in cases],
+              "corpus": [run.mdp for run in corpus_runs()],
+              "rungs": [case_run(rung).mdp for rung in ((10, 4, 9), (17, 5, 7))]}
+    for group, mdps in groups.items():
+        for i, mdp in enumerate(mdps):
+            check_perceived_game(f"{group} {i}", mdp)
+    assert {group: (len(mdps), sum(len(mdp.nodes) for mdp in mdps))
+            for group, mdps in groups.items()} == {
+        "cases": (5, 347), "corpus": (350, 9414), "rungs": (2, 6211)}
 
 
-def test_offered_sorted(fig1):
-    mdp = fig1.mdp
-    for q in mdp.nodes:
-        assert list(mdp.trans[q]) == sorted(mdp.trans[q])
-
-
-def test_classes_partition_nodes(fig1):
-    mdp = fig1.mdp
-    scattered = [q for members in mdp.classes.values() for q in members]
-    assert sorted(scattered, key=node_key) == list(mdp.nodes)
-    assert len(scattered) == len(set(scattered))
-    for belief, members in mdp.classes.items():
-        assert members == tuple(BeliefNode(s, belief) for s in sorted(belief))
-
-
-def test_node_state_inside_belief(fig1):
-    assert all(q.state in q.belief for q in fig1.mdp.nodes)
-
-
-def test_closure_under_equivalence(fig1):
-    # Every belief reached by any move has its full class materialized.
-    mdp = fig1.mdp
-    for q in mdp.nodes:
-        for succs in mdp.trans[q].values():
-            for succ in succs:
-                if succ is FINAL:
-                    continue
-                assert succ in mdp.trans
-                for peer in mdp.classes[succ.belief]:
-                    assert peer in mdp.trans
-
-
-def test_predecessors_invert_transitions(fig1):
-    g, mdp = fig1.game, fig1.mdp
-    source = bnode(g, "s1", ["s1", "s2"])
-    move = (g.action("a1"), g.query("sigma0"))
-    assert bnode(g, "s5", ["s4", "s5"]) in mdp.trans[source][move]
+@pytest.mark.parametrize("defect, check", [
+    ("attack bit flipped", "row"), ("successor dropped", "row"),
+    ("class-mate move missing", "node_moves")])
+def test_perceived_game_checker_catches(defect, check, fig4):
+    # A copy of fig4's perceived game with one defect, in the first row
+    # of node 0 or at node 2, the second member of the class {s0,s1}.
+    mdp = fig4.mdp
+    succs, attacks, node_moves = mdp.succs[0][0], mdp.attacks[0][0], mdp.node_moves
+    if defect == "attack bit flipped":
+        attacks = (attacks[0] ^ 1,) + attacks[1:]
+    elif defect == "successor dropped":
+        succs, attacks = succs[1:], attacks[1:]
+    else:
+        node_moves = node_moves[:2] + (node_moves[2][1:],) + node_moves[3:]
+    bad = replace(mdp, node_moves=node_moves,
+                  succs=((succs,) + mdp.succs[0][1:],) + mdp.succs[1:],
+                  attacks=((attacks,) + mdp.attacks[0][1:],) + mdp.attacks[1:])
+    with pytest.raises(AssertionError, match=f"'{check}'"):
+        check_perceived_game("fig4", bad)
 
 
 def assert_interned(mdp):
@@ -312,17 +308,5 @@ def test_dense_matches_trans_random(game):
 @given(small_games())
 def test_expansion_invariants_random(game):
     mdp = build_belief_mdp(game)
-    assert mdp.nodes == tuple(sorted(mdp.nodes, key=node_key))
-    for q in mdp.nodes:
-        assert q.state in q.belief
-        for (action, query), succs in mdp.trans[q].items():
-            for succ, attacks in succs.items():
-                if succ is FINAL:
-                    assert attacks == frozenset()
-                    continue
-                assert succ.state in succ.belief
-                assert attacks
-                # The whole class of the successor belief exists.
-                for peer in mdp.classes[succ.belief]:
-                    assert peer in mdp.trans
+    check_perceived_game("the drawn game", mdp)
     assert_interned(mdp)

@@ -32,9 +32,8 @@ from .inputs import (
     UNREACHABLE_GOAL,
     enabled_attacks_text,
     ladder_text,
-    per_state_attack_games,
-    small_games,
 )
+from .strategies import per_state_attack_games, small_games
 
 
 def issues_of(text):

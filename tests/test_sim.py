@@ -33,8 +33,8 @@ from sensorgames.game import weighted_successors
 from sensorgames.sim import Step
 
 from .conftest import randbelow
-from .inputs import (FORBIDDEN_AT_S1, attack_subset_runs, case_run, corpus_runs,
-                     per_state_attack_games)
+from .inputs import FORBIDDEN_AT_S1, attack_subset_runs, case_run, corpus_runs
+from .strategies import per_state_attack_games
 
 TRIVIAL = """\
 [states]
