@@ -18,22 +18,30 @@ each (state, belief mask)'s record, built on its first visit and shared
 by every later play of the same game and strategy.  A record holds the
 node, the belief, the kept moves in ascending order (read once from
 `MultiStrategy.for_belief`), and per move the sorted successors with
-their cumulative weights and the action's image of the mask, from the
-table's caches.  A step unpacks one record, draws, hands the attack
-policy the record's node and the successor, ANDs the move's image with
-the observation's mask from the table's views and looks up the next
-record.  The jammer's computed strategy is the plain mapping
+their cumulative weights, the action's image of the mask, from the
+table's caches, and a memo per successor, made at its first miss.  A
+step unpacks one record, draws a move and a successor index, and hands
+the attack policy the record's node and the successor.  The
+successor's memo maps the attack the policy returned to the finished
+transition: the `Step`, whether the play is now known complete, and the
+next record.  Only a miss ANDs the move's image with the observation's
+mask from the table's views, looks up the next record and checks the
+attack; so a hit is that very attack object, already accepted at that
+successor, and every later play of the game and strategy shares the
+`Step`.  The jammer's computed strategy is the plain mapping
 `solve_p2_safety` returns, which `TableAttack` reads directly.
 
-Each play has its own `random.Random(seed)`.  A move, and a successor
-of an unweighted row, is drawn inline from the generator's
-`getrandbits` exactly as `Random.randrange` draws it,
+A play that starts inside the goal draws nothing and seeds no
+generator; every other play has its own `random.Random(seed)`.  A move,
+and a successor index of an unweighted row, is drawn inline from the
+generator's `getrandbits` exactly as `Random.randrange` draws it,
 ``n.bit_length()`` bits at a time until the value is below ``n``; a
-choice among one still draws.  A weighted row is drawn by
-`Random.choices`.  `TRACES_DIGEST`, `SWEEP_DIGEST` and
+choice among one still draws.  A weighted row's index is drawn by
+`Random.choices` over ``range(m)``, which uses the generator as a draw
+over the successors would.  `TRACES_DIGEST`, `SWEEP_DIGEST` and
 `test_draws_follow_randbelow` in the tests pin this.  Each `Step` is
-built by `tuple.__new__`: the same named tuple as the constructor's,
-without its Python-level call.
+built once, by `tuple.__new__`: the same named tuple as the
+constructor's, without its Python-level call.
 
 A play ends when the agent *knows* the task is complete -- her belief
 sits entirely inside the goal -- or when the step budget runs out.  If
@@ -51,6 +59,7 @@ import sys
 import weakref
 from dataclasses import dataclass
 from functools import cache
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from .attacker import AttackStrategy
@@ -154,13 +163,22 @@ class PromptAttack:
                 return game.attack(answer)
 
 
+# Each successor's memo until its first miss: an empty mapping that
+# cannot be written, shared by every row, so a record costs no dict per
+# successor it never reaches.
+_UNSEEN = MappingProxyType({})
+
+
 class _Records(dict):
     """The step records of one game's plays under one strategy: (state,
     belief mask) -> (node, belief, n, n.bit_length(), rows), built on
     first read.  Row i is the i-th move kept at the belief, ascending,
-    pre-joined with what a step under it reads: (action, query,
-    successors, cumulative weights, their count m, m.bit_length(), the
-    action's image of the mask).  The table holds the strategy's
+    pre-joined with what a step under it reads: (successors, cumulative
+    weights, their count m, m.bit_length(), memos, action, query, the
+    action's image of the mask).  ``memos[r]`` is successor r's memo:
+    the shared, empty `_UNSEEN` until `simulate` first misses there,
+    then a dict from each accepted attack to (that attack, its `Step`,
+    whether the step's belief lies inside the goal, the next record).  The table holds the strategy's
     mapping in a `MultiStrategy` of its own, never the strategy, so a
     dropped strategy is freed, and a weak reference to the strategy then
     drops the table from `Game.plays`, before another object can take
@@ -191,8 +209,8 @@ class _Records(dict):
         rows = []
         for action, query in self.p1.for_belief(belief):
             succs, cum_weights = self.succs(state, action)
-            rows.append((action, query, succs, cum_weights, len(succs),
-                         len(succs).bit_length(), self.image(mask, action)))
+            rows.append((succs, cum_weights, len(succs), len(succs).bit_length(),
+                         [_UNSEEN] * len(succs), action, query, self.image(mask, action)))
         record = self[key] = (BeliefNode(state, belief), belief, len(rows),
                               len(rows).bit_length(), tuple(rows))
         return record
@@ -211,7 +229,6 @@ def simulate(
     when ``p2`` picks an attack the game does not declare or does not
     enable at the successor state.
     """
-    rng = random.Random(seed)
     outside = ~game.masks.goal
     state = game.initial
     mask = 1 << state
@@ -219,6 +236,7 @@ def simulate(
     if not mask & outside:
         return PlayTrace((), Outcome.TASK_KNOWN_COMPLETE, state, seed)
 
+    rng = random.Random(seed)
     records = game.plays.get(id(p1))
     if records is None:
         records = game.plays[id(p1)] = _Records(game, p1)
@@ -226,7 +244,7 @@ def simulate(
     # its Python-level constructor.
     getrandbits, choices, choose, views = rng.getrandbits, rng.choices, p2.choose, records.views
     new = tuple.__new__
-    node, belief, n, k, rows = records[state, mask]
+    node, _, n, k, rows = records[state, mask]
     steps: list[Step] = []
     while len(steps) < max_steps:
         if not n:
@@ -236,29 +254,39 @@ def simulate(
         r = getrandbits(k)
         while r >= n:
             r = getrandbits(k)
-        action, query, succs, cum_weights, m, j, image = rows[r]
+        succs, cum_weights, m, j, memos, action, query, image = rows[r]
         if cum_weights is None:
             r = getrandbits(j)
             while r >= m:
                 r = getrandbits(j)
-            next_state = succs[r]
         else:
-            next_state = choices(succs, cum_weights=cum_weights)[0]
+            r = choices(range(m), cum_weights=cum_weights)[0]
+        next_state = succs[r]
         attack = choose(rng, game, node, next_state)
-        seen = views[next_state][query].get(attack)
-        if seen is None:
-            if attack not in range(len(game.attacks)):
-                raise ValueError(f"attack id {attack!r} is not declared "
-                                 f"(the game declares {len(game.attacks)} attacks)")
-            raise ValueError(
-                f"attack '{game.attacks[attack].name}' is not enabled at "
-                f"state '{game.state_names[next_state]}'")
-        view, observation = seen
-        mask = image & view
-        node, belief, n, k, rows = records[next_state, mask]
-        steps.append(new(Step, (state, action, query, attack, observation, belief)))
+        memo = memos[r]
+        hit = memo.get(attack)
+        # A hit is this very object, already accepted at this successor:
+        # an equal one of another type (True for 1) would print otherwise.
+        if hit is None or hit[0] is not attack:
+            seen = views[next_state][query].get(attack)
+            if seen is None:
+                if attack not in range(len(game.attacks)):
+                    raise ValueError(f"attack id {attack!r} is not declared "
+                                     f"(the game declares {len(game.attacks)} attacks)")
+                raise ValueError(
+                    f"attack '{game.attacks[attack].name}' is not enabled at "
+                    f"state '{game.state_names[next_state]}'")
+            view, observation = seen
+            mask = image & view
+            record = records[next_state, mask]
+            step = new(Step, (state, action, query, attack, observation, record[1]))
+            if memo is _UNSEEN:
+                memo = memos[r] = {}
+            hit = memo[attack] = (attack, step, not mask & outside, record)
+        _, step, complete, (node, _, n, k, rows) = hit
+        steps.append(step)
         state = next_state
-        if not mask & outside:
+        if complete:
             return PlayTrace(tuple(steps), Outcome.TASK_KNOWN_COMPLETE, state, seed)
 
     return PlayTrace(tuple(steps), Outcome.STEP_LIMIT, state, seed)

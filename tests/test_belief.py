@@ -298,15 +298,10 @@ def test_no_stage_builds_trans(fig4_text, monkeypatch):
     assert run.report.win is vars(run.report)["win"] == frozenset(run.report.strategy.allowed)
 
 
-@settings(max_examples=25, deadline=None)
-@given(small_games())
-def test_dense_matches_trans_random(game):
-    assert_dense_matches(build_belief_mdp(game))
-
-
 @settings(max_examples=40, deadline=None)
 @given(small_games())
 def test_expansion_invariants_random(game):
     mdp = build_belief_mdp(game)
     check_perceived_game("the drawn game", mdp)
     assert_interned(mdp)
+    assert_dense_matches(mdp)

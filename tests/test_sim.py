@@ -173,8 +173,10 @@ def test_undeclared_attack_is_refused(fig4, attack):
                  max_steps=10, seed=0)
 
 
-def test_start_inside_goal_ends_immediately():
+def test_start_inside_goal_ends_immediately(monkeypatch):
+    # Such a play draws nothing, so it seeds no generator.
     game = validate_game(parse_spec(TRIVIAL))
+    monkeypatch.setattr(random, "Random", None)
     trace = simulate(game, None, None, max_steps=10, seed=3)
     assert trace.outcome is Outcome.TASK_KNOWN_COMPLETE
     assert trace.steps == () and trace.final_state == game.initial
@@ -318,6 +320,68 @@ def test_a_dropped_strategy_leaves_no_table(fig4_text):
     del run
     gc.collect()
     assert table() is None
+
+
+class ScriptedAttack:
+    """Answers each call with the next of ``answers``."""
+
+    def __init__(self, *answers):
+        self.answers = iter(answers)
+
+    def choose(self, rng, game, node, next_state):
+        return next(self.answers)
+
+
+def test_warm_table_still_refuses():
+    # A warm memo serves only the attacks it accepted: a different answer
+    # at the same record, move and successor is refused with the cold
+    # table's message, word for word.  s0's one move lands on s1, which
+    # enables `none` and `hush` (ids 0 and 2) but not `jam` (1); both
+    # enabled ids are warm before each refusal, so a memo keyed by an
+    # int computed from the answer, such as 99 % 3 or -1 % 3, lets a
+    # refusal through.
+    game = validate_game(parse_spec(FORBIDDEN_AT_S1.replace(
+        "jam: g0\n", "jam: g0\nhush:\n").replace("s1: none", "s1: none hush")))
+    strategy = solve_p1(build_belief_mdp(game)).strategy
+    enabled = game.enabled_attacks[game.state("s1")]
+    assert enabled == (game.attack("none"), game.attack("hush"))
+    for bad, message in ((game.attack("jam"), "attack 'jam' is not enabled at state 's1'"),
+                         (99, "attack id 99 is not declared (the game declares 3 attacks)"),
+                         (-1, "attack id -1 is not declared (the game declares 3 attacks)")):
+        for attack in enabled:
+            warm = simulate(game, strategy, ScriptedAttack(attack), 1, seed=0)
+            assert [step.attack for step in warm.steps] == [attack]
+            assert warm.final_state == game.state("s1")
+        with pytest.raises(ValueError) as err:
+            simulate(game, strategy, ScriptedAttack(bad), 1, seed=0)
+        assert str(err.value) == message
+
+
+class TrueOrOne:
+    """Attack 1 where the successor enables it, answered as ``True`` on
+    odd seeds and as ``1`` on even ones; else the lowest enabled."""
+
+    def __init__(self, seed):
+        self.one = True if seed % 2 else 1
+
+    def choose(self, rng, game, node, next_state):
+        enabled = game.enabled_attacks[next_state]
+        return self.one if 1 in enabled else enabled[0]
+
+
+def test_steps_hold_the_returned_object(fig4_text):
+    # `True == 1` and they hash alike, but each step holds the object its
+    # policy returned, so a warm table prints the plays as fresh games do.
+    shared = run_stages(fig4_text)
+    answered_true = 0
+    for seed in range(8):
+        trace = simulate(shared.game, shared.report.strategy, TrueOrOne(seed), 40, seed)
+        fresh = run_stages(fig4_text)
+        assert trace_line(trace) == trace_line(
+            simulate(fresh.game, fresh.report.strategy, TrueOrOne(seed), 40, seed))
+        answered_true += sum(step.attack is True for step in trace.steps)
+        assert all(step.attack is not True for step in trace.steps if not seed % 2)
+    assert answered_true > 0
 
 
 def test_table_attack_falls_back_off_table(fig4):
