@@ -58,7 +58,7 @@ import random
 import sys
 import weakref
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
@@ -169,6 +169,13 @@ class PromptAttack:
 _UNSEEN = MappingProxyType({})
 
 
+def _drop(plays: dict, key: int, _ref) -> None:
+    """Pop a freed strategy's table from ``plays`` and empty its memos."""
+    for *_, rows in plays.pop(key, {}).values():
+        for row in rows:
+            row[4].clear()
+
+
 class _Records(dict):
     """The step records of one game's plays under one strategy: (state,
     belief mask) -> (node, belief, n, n.bit_length(), rows), built on
@@ -178,13 +185,15 @@ class _Records(dict):
     action's image of the mask).  ``memos[r]`` is successor r's memo:
     the shared, empty `_UNSEEN` until `simulate` first misses there,
     then a dict from each accepted attack to (that attack, its `Step`,
-    whether the step's belief lies inside the goal, the next record).  The table holds the strategy's
-    mapping in a `MultiStrategy` of its own, never the strategy, so a
-    dropped strategy is freed, and a weak reference to the strategy then
-    drops the table from `Game.plays`, before another object can take
-    its id.  The reference lives in the table, so a game freed before
-    its strategy takes its tables along (at the next collection, as the
-    callback holds `Game.plays`).
+    whether the step's belief lies inside the goal, the next record).
+    The memos link the records into cycles.  The table holds the
+    strategy's mapping in a `MultiStrategy` of its own, never the
+    strategy, so a dropped strategy is freed, and a weak reference to
+    the strategy then drops the table from `Game.plays`, before another
+    object can take its id, and empties each row's memo list, so the
+    records go by reference counting.  The reference lives in the
+    table, so a game freed before its strategy takes its tables along,
+    but only at the next collection, as the callback holds `Game.plays`.
 
     A record is built from the table's caches: ``succs(s, a)`` is
     `weighted_successors` of that support, ``image(mask, a)`` a belief
@@ -196,7 +205,7 @@ class _Records(dict):
     def __init__(self, game: Game, p1: MultiStrategy):
         trans, masks = game.trans, game.masks
         self.p1 = MultiStrategy(p1.allowed)
-        self.owner = weakref.ref(p1, lambda _, plays=game.plays, key=id(p1): plays.pop(key, None))
+        self.owner = weakref.ref(p1, partial(_drop, game.plays, id(p1)))
         self.succs = cache(lambda s, a: weighted_successors(trans[s, a]))
         self.image = cache(lambda mask, a: masks.image(states_of(mask), a))
         self.states = cache(lambda mask: frozenset(states_of(mask)))

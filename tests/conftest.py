@@ -1,12 +1,14 @@
 """Shared fixtures and helpers: the bundled games solved once per
 session, read from `inputs`; one checker per stage, of every invariant
-of a full expansion and of the agent's result, with the audit on both
-forms of a strategy; the jammer side's reference: its successors
-recomputed from the observation rule, one checker of every invariant
-of a jammer game, which also shuts each way out of the jammer's trap,
-an attractor Win2 reference, a round-based one and a brute-force Win2
-referee; the simulator's draw rule, `randbelow`; and `traced_memory`,
-which measures a call's working set."""
+of a full expansion, of the agent's result, with the audit on both
+forms of a strategy, and of the jammer's game, which shuts each way out
+of the jammer's trap, holds Win2 to an attractor reference and a
+round-based one, and hands back the successors it recomputed from the
+observation rule for the brute-force Win2 referee; `check_stages`,
+which puts one game through every checker, with the views of its
+expansion held to the stored ints; the simulator's draw
+rule, `randbelow`; and `traced_memory`, which measures a call's working
+set."""
 
 from __future__ import annotations
 
@@ -19,9 +21,9 @@ from typing import Callable
 
 import pytest
 
-from sensorgames.attacker import AttackerMDP
-from sensorgames.belief import FINAL, BeliefMDP, BeliefNode, node_key
-from sensorgames.game import get_observation
+from sensorgames.attacker import AttackerMDP, build_attacker_mdp, solve_p2_safety
+from sensorgames.belief import FINAL, BeliefMDP, BeliefNode, build_belief_mdp, node_key
+from sensorgames.game import get_observation, states_of
 from sensorgames.oracle import CapExceededError, OracleResult
 from sensorgames.planner import (MultiStrategy, SoundnessVerdict, certify_almost_sure_reach,
                                  check_soundness, solve_p1)
@@ -138,6 +140,46 @@ def check_perceived_game(name, mdp: BeliefMDP) -> None:
             tuple(found.values()) for found in rows)), (name, "row", i)
 
 
+def assert_interned(mdp):
+    """Every node reference in ``mdp`` is the object listed in ``nodes``."""
+    listed = {q: q for q in mdp.nodes}
+    assert listed[mdp.initial] is mdp.initial
+    for q, moves in mdp.trans.items():
+        assert listed[q] is q
+        for succs in moves.values():
+            for succ in succs:
+                assert succ is FINAL or succ is listed[succ]
+    for members in mdp.classes.values():
+        assert all(listed[q] is q for q in members)
+
+
+def assert_dense_matches(mdp):
+    """``trans`` is the stored int game keyed by nodes and moves,
+    successor by successor and in order, each with its attack mask
+    decoded to a frozenset, one per distinct mask, and each node's moves
+    ascending.  ``mdp.moves`` lists every (action, query) pair;
+    ``classes`` and ``initial`` are ``members`` and ``start`` as
+    nodes."""
+    game = mdp.game
+    assert mdp.trans is mdp.trans and mdp.classes is mdp.classes
+    node_of = mdp.nodes + (FINAL,)
+    assert mdp.moves == tuple(product(range(len(game.action_names)), range(len(game.queries))))
+    assert len(mdp.node_moves) == len(mdp.succs) == len(mdp.attacks) == len(mdp.nodes)
+    for q, ks, succs, attacks in zip(mdp.nodes, mdp.node_moves, mdp.succs, mdp.attacks):
+        assert [(mdp.moves[k], [(node_of[j], frozenset(states_of(on)))
+                                for j, on in zip(targets, atts, strict=True)])
+                for k, targets, atts in zip(ks, succs, attacks, strict=True)] == [
+            (move, list(targets.items())) for move, targets in mdp.trans[q].items()]
+        assert list(ks) == sorted(set(ks))
+    decoded = [atts for moves in mdp.trans.values() for succs in moves.values()
+               for atts in succs.values()]
+    assert len(set(map(id, decoded))) == len({on for rows in mdp.attacks for row in rows
+                                              for on in row})
+    assert [[node_of[i] for i in members] for members in mdp.members] == [
+        list(members) for members in mdp.classes.values()]
+    assert node_of[mdp.start] == mdp.initial
+
+
 def check_agent_result(name, report) -> None:
     """Assert every invariant of the agent's result, one `SolveReport`;
     each failure names the report by ``name``.  It reads the perceived
@@ -249,8 +291,10 @@ def offered_attacks(game, successors):
 
 def check_jammer_game(name, report, attacker, strategy):
     """Assert every invariant of the jammer's game and its solution on
-    one game; each failure names the game by ``name``.  ``attacker`` and
-    ``strategy`` are a run's objects, None where Win1 is empty.
+    one game, and return the `reference_successors` it built, or None
+    where Win1 is empty; each failure names the game by ``name``.
+    ``attacker`` and ``strategy`` are a run's objects, None where Win1
+    is empty.
 
     The game's nodes are Win1, in the strategy's order, and each node's
     offered attacks, in order, and their successors, as sets of nodes,
@@ -263,14 +307,13 @@ def check_jammer_game(name, report, attacker, strategy):
     whose successors all lie in Win2 (Win2 is closed under safe attacks).
     So the trap has no way out: a chosen attack is offered, hence
     enabled at every state the play can land in, and none of its
-    successors completes the task or leaves Win2.  None of this shows
-    that Win2 is the largest such set: an empty strategy passes on
-    every game.  `attractor_win2` and `brute_force_win2` check
-    maximality.
+    successors completes the task or leaves Win2.  Win2 is the largest
+    such trap: the strategy equals, item by item and in order, both
+    `attractor_win2` on the reference and `rounds_win2` on the game.
     """
     if not report.win:
         assert attacker is None and strategy is None, name
-        return
+        return None
     domain = frozenset(strategy)
     assert attacker.nodes == tuple(report.strategy.allowed), name
     assert domain <= report.win, name
@@ -287,24 +330,42 @@ def check_jammer_game(name, report, attacker, strategy):
             assert strategy[node] == safe[0], (name, node, "a lower attack is safe")
         else:
             assert node.state in game.goal or not safe, (name, node, "a safe node outside Win2")
+    items = list(strategy.items())
+    assert items == list(attractor_win2(game, reference).items()), (name, "not the attractor's")
+    assert items == list(rounds_win2(attacker).items()), (name, "not the rounds'")
+    return reference
 
 
-def attractor_win2(report) -> dict:
+def check_stages(game) -> None:
+    """Every stage checker on one expansion of ``game``: the perceived
+    game, its interned nodes and stored ints, the agent's result and
+    the jammer's game."""
+    mdp = build_belief_mdp(game)
+    check_perceived_game("the drawn game", mdp)
+    assert_interned(mdp)
+    assert_dense_matches(mdp)
+    report = solve_p1(mdp)
+    check_agent_result("the drawn game", report)
+    attacker = build_attacker_mdp(report) if report.win else None
+    strategy = solve_p2_safety(attacker)[1] if report.win else None
+    check_jammer_game("the drawn game", report, attacker, strategy)
+
+
+def attractor_win2(game, reference) -> dict:
     """The jammer's strategy as a safety game's solution: the complement
     of the attractor to completion (Grädel, Thomas & Wilke, eds., LNCS
     2500, 2002).
 
-    It reads only Win1, the kept moves and the enabled attacks, through
-    `reference_successors` and `offered_attacks`, never the jammer build
-    or solve.  The worklist starts from `FINAL`, the goal-state nodes
-    and the nodes offered no attack.  Each popped node strikes every
-    attack that can reach it, and a node falls once all its attacks are
-    struck.  The survivors are Win2; each is mapped to its lowest attack
-    never struck, in `node_key` order.
+    It reads only ``reference``, a game's `reference_successors`, and
+    the enabled attacks, through `offered_attacks`, never the jammer
+    build or solve.  The worklist starts from `FINAL`, the goal-state
+    nodes and the nodes offered no attack.  Each popped node strikes
+    every attack that can reach it, and a node falls once all its
+    attacks are struck.  The survivors are Win2; each is mapped to its
+    lowest attack never struck, in `node_key` order.
     """
-    game = report.mdp.game
     live, preds = {}, {}  # preds[q]: the (node, attack) pairs that can reach q
-    for node, successors in reference_successors(report).items():
+    for node, successors in reference.items():
         offered = offered_attacks(game, successors)
         live[node] = set(offered)
         for att, succs in offered.items():
@@ -350,24 +411,24 @@ def rounds_win2(adv) -> dict:
         safe = set(choice)
 
 
-def brute_force_win2(report, cap: int = 2_000) -> frozenset | None:
+def brute_force_win2(game, reference, cap: int = 2_000) -> frozenset | None:
     """Win2 by enumeration, or None where more than ``cap`` assignments
     would be checked.
 
-    It reads only Win1, the kept moves and the enabled attacks, through
-    `reference_successors` and `offered_attacks`, never the jammer build
-    or solve.  Memoryless strategies suffice in safety games (Grädel,
-    Thomas & Wilke, eds., LNCS 2500, 2002), so Win2 is the union, over
-    every stationary choice of an offered attack at the non-goal Win1
-    nodes, of the largest set closed under the chosen successors.  Two
-    reductions leave that union unchanged.  An attack with `FINAL` among
-    its successors never keeps its node in a closed set, and a set
-    closed under one choice stays closed when only that node's choice
-    changes, so such attacks are left out.  Attacks with equal successor
-    sets count as one choice.
+    It reads only ``reference``, a game's `reference_successors`, and
+    the enabled attacks, through `offered_attacks`, never the jammer
+    build or solve.  Memoryless strategies suffice in safety games
+    (Grädel, Thomas & Wilke, eds., LNCS 2500, 2002), so Win2 is the
+    union, over every stationary choice of an offered attack at the
+    non-goal Win1 nodes, of the largest set closed under the chosen
+    successors.  Two reductions leave that union unchanged.  An attack
+    with `FINAL` among its successors never keeps its node in a closed
+    set, and a set closed under one choice stays closed when only that
+    node's choice changes, so such attacks are left out.  Attacks with
+    equal successor sets count as one choice.
     """
-    game, options = report.mdp.game, {}
-    for node, successors in reference_successors(report).items():
+    options = {}
+    for node, successors in reference.items():
         if node.state not in game.goal:
             offered = offered_attacks(game, successors).values()
             if safe := {succs for succs in offered if FINAL not in succs}:

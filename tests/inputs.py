@@ -3,7 +3,8 @@
 Test modules read these instead of building them again: the corpus
 blocks' games through `run_stages` and their split-class sub-MDPs, the
 first 100 per-state-attack games, a block of games the jammer wins, the
-ladder and case texts and their runs, and the small hand-written games.
+ladder and case texts and their runs, the small hand-written games and
+the command line's game files.
 Each reader is handed the same objects, so a test that needs fresh
 objects, or changes what it is given, builds its own.
 
@@ -26,7 +27,8 @@ from importlib import resources
 from itertools import accumulate, filterfalse
 from typing import Iterable
 
-from sensorgames import bundled_game_text, run_stages, serialize_spec, validate_game
+from sensorgames import (BUNDLED_GAMES, bundled_game_text, run_stages, serialize_spec,
+                         validate_game)
 from sensorgames.belief import BeliefMDP, BeliefNode
 from sensorgames.game import Game
 from sensorgames.oracle import GeneratorParams, generate_spec
@@ -109,6 +111,18 @@ q0: c
 none:
 x: c
 """
+
+
+# The games the command-line tests write to files, by file stem: the
+# four figures, MINI, FORBIDDEN_AT_S1, a file that does not parse and
+# one that does not validate.
+CLI_GAMES = {
+    **{name: bundled_game_text(name) for name in BUNDLED_GAMES},
+    "mini": MINI,
+    "forbidden": FORBIDDEN_AT_S1,
+    "broken": "[actions]\na0\n",
+    "invalid": MINI.replace("s1 a0 -> s1", "s1 a0 -> ghost"),
+}
 
 
 def shared(build):

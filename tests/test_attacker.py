@@ -1,45 +1,27 @@
 """Jammer-side solving: the safety game over the agent's winning region.
 
-Every jammer game here is checked by `conftest.check_jammer_game`.  Its
-Win2 and strategy are checked by `conftest.attractor_win2` and
-`conftest.rounds_win2` on the shared inputs, and its Win2 by
-`conftest.brute_force_win2` where the enumeration is small.
+Every jammer game here is checked by `conftest.check_jammer_game`,
+which holds its strategy to `conftest.attractor_win2` and
+`conftest.rounds_win2`; on the shared inputs, run once through the
+checker by the `jammer_groups` fixture, its Win2 is also checked by
+`conftest.brute_force_win2` where the enumeration is small.  The
+random games go through every stage checker (`conftest.check_stages`).
 """
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from sensorgames import (
-    build_attacker_mdp,
-    build_belief_mdp,
-    deception_gap,
-    solve_p1,
-    solve_p2_safety,
-)
+from sensorgames import build_attacker_mdp, deception_gap, solve_p2_safety
 from sensorgames.belief import FINAL, node_key, node_label
 from sensorgames.dot import export_attacker_dot
-from sensorgames.game import validate_game
-from sensorgames.oracle import GeneratorParams, generate_spec
 from sensorgames.pipeline import run_stages
 
-from .conftest import (
-    attractor_win2,
-    bnode,
-    brute_force_win2,
-    check_jammer_game,
-    jammer_trans,
-    rounds_win2,
-)
-from .inputs import (
-    JAMMER_WIN_SEEDS,
-    attack_subset_runs,
-    case_run,
-    corpus_runs,
-    jammer_win_runs,
-)
-from .strategies import per_state_attack_games
+from .conftest import (bnode, brute_force_win2, check_jammer_game, check_stages, jammer_trans,
+                       rounds_win2)
+from .inputs import JAMMER_WIN_SEEDS, attack_subset_runs, case_run, corpus_runs, jammer_win_runs
+from .strategies import generated_games, per_state_attack_games
 
 CASES = ["fig1", "fig1_noattack", "fig1_nosense", "fig4", "enabled-attacks"]
 
@@ -115,39 +97,6 @@ def test_perfbench_names_alias_the_strategy():
     assert case_run("fig1_nosense").attack_strategy is None
 
 
-def test_jammer_checker_on_cases():
-    for case in CASES:
-        run = case_run(case)
-        check_jammer_game(case, run.report, run.attacker, run.attack_strategy)
-    # fig4 and enabled-attacks are the cases whose jammer wins somewhere.
-    assert [case for case in CASES if case_run(case).attack_strategy] == [
-        "fig4", "enabled-attacks"]
-
-
-def check_built(name, game):
-    """`check_jammer_game` on the objects the stages build for ``game``."""
-    report = solve_p1(build_belief_mdp(game))
-    attacker = strategy = None
-    if report.win:
-        attacker = build_attacker_mdp(report)
-        _win2, strategy = solve_p2_safety(attacker)
-    check_jammer_game(name, report, attacker, strategy)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_attacker_invariants_random(seed):
-    check_built(f"seed {seed}", validate_game(generate_spec(GeneratorParams(
-        n_states=5, n_actions=2, n_sensors=3, n_queries=2, n_attacks=3,
-        max_support=2, goal_fraction=0.25, seed=seed))))
-
-
-@settings(max_examples=25, deadline=None)
-@given(per_state_attack_games())
-def test_attacker_invariants_per_state_attacks(game):
-    check_built("the drawn game", game)
-
-
 # (seed, |Win1|, |Win2|) of each game of `jammer_win_runs`.
 JAMMER_WINS = [
     (210, 72, 20), (221, 157, 2), (265, 75, 8), (270, 130, 76), (285, 107, 24),
@@ -161,55 +110,77 @@ JAMMER_WINS = [
 ]
 
 
-def test_jammer_win_block():
+@pytest.fixture(scope="module")
+def jammer_groups():
+    """Each group of shared inputs, the checker run once on every game
+    of it, and `brute_force_win2` on every reference the checker
+    returns: the runs, per group the count of games whose agent wins
+    somewhere and of those whose jammer does, and the count of games
+    within the referee's cap and of those with a nonempty Win2."""
+    groups = {"cases": [case_run(case) for case in CASES],
+              "soundness": corpus_runs("soundness"),
+              "jammer-win": jammer_win_runs(),
+              "attack-subset": attack_subset_runs(),
+              "rungs": [case_run(rung) for rung in ((10, 4, 9), (14, 5, 7))]}
+    counts, checked, won = {}, 0, 0
+    for group, runs in groups.items():
+        wins = []
+        for i, run in enumerate(runs):
+            name, strategy = f"{group} {i}", run.attack_strategy
+            reference = check_jammer_game(name, run.report, run.attacker, strategy)
+            if reference is not None:
+                wins.append(bool(strategy))
+                if (win2 := brute_force_win2(run.game, reference)) is not None:
+                    assert win2 == set(strategy), name
+                    checked, won = checked + 1, won + bool(win2)
+        counts[group] = (len(wins), sum(wins))
+    return groups, counts, (checked, won)
+
+
+def test_jammer_checker_on_cases(jammer_groups):
+    # fig4 and enabled-attacks are the cases whose jammer wins somewhere.
+    assert [case for case, run in zip(CASES, jammer_groups[0]["cases"]) if run.attack_strategy] == [
+        "fig4", "enabled-attacks"]
+
+
+def test_jammer_win_block(jammer_groups):
     # Only 16 soundness games have a nonempty Win2; this block is 40
     # more, each put through the checker.
-    runs = jammer_win_runs()
     assert [(seed, len(run.report.win), len(run.attack_strategy))
-            for seed, run in zip(JAMMER_WIN_SEEDS, runs)] == JAMMER_WINS
-    for seed, run in zip(JAMMER_WIN_SEEDS, runs):
-        check_jammer_game(f"seed {seed}", run.report, run.attacker, run.attack_strategy)
+            for seed, run in zip(JAMMER_WIN_SEEDS, jammer_groups[0]["jammer-win"])] == JAMMER_WINS
 
 
-def test_win2_equals_brute_force():
-    # Every jammer game of these inputs whose enumeration stays within
-    # the referee's cap: 177 of them, 5 with a nonempty Win2.
-    runs = {f"attack-subset {k}": run for k, run in enumerate(attack_subset_runs())}
-    runs |= {f"soundness {k}": run for k, run in enumerate(corpus_runs("soundness"))}
-    runs |= {f"seed {seed}": run for seed, run in zip(JAMMER_WIN_SEEDS, jammer_win_runs())}
-    runs |= {case: case_run(case) for case in ("fig4", "enabled-attacks")}
-    checked = won = 0
-    for name, run in runs.items():
-        if run.report.win and (win2 := brute_force_win2(run.report)) is not None:
-            assert win2 == set(run.attack_strategy), name
-            checked, won = checked + 1, won + bool(win2)
-    assert checked >= 150 and won >= 5, (checked, won)
-
-
-def test_strategy_equals_attractor():
-    # Every shared input whose agent wins somewhere, and the 14/5/7 rung;
-    # the attractor reference checks that Win2 is the largest trap, which
-    # `check_jammer_game` does not.  The round-based fixpoint must agree
-    # too, strategy and order.  enabled-attacks has 5 nodes offered no
-    # attack and 12 goal-state nodes, each a seed of the worklist.
-    runs = {case: case_run(case) for case in ("fig1", "fig1_noattack", "fig4", "enabled-attacks")}
-    runs |= {f"soundness {k}": run for k, run in enumerate(corpus_runs("soundness"))}
-    runs |= {f"seed {seed}": run for seed, run in zip(JAMMER_WIN_SEEDS, jammer_win_runs())}
-    runs |= {f"attack-subset {k}": run for k, run in enumerate(attack_subset_runs())}
-    runs["10-4-9"] = case_run((10, 4, 9))
-    runs["14-5-7"] = case_run((14, 5, 7))
-    checked = won = 0
-    for name, run in runs.items():
-        if run.report.win:
-            ref = attractor_win2(run.report)
-            assert list(ref.items()) == list(run.attack_strategy.items()), name
-            assert list(rounds_win2(run.attacker).items()) == list(ref.items()), name
-            checked, won = checked + 1, won + bool(ref)
-    assert (checked, won) == (299, 60)
-    assert len(runs["14-5-7"].attack_strategy) == 91
-    adv = runs["enabled-attacks"].attacker
+def test_strategy_equals_attractor(jammer_groups):
+    # The checker holds each strategy to the attractor reference, which
+    # shows Win2 is the largest trap, and to the round-based fixpoint,
+    # strategy and order: (299, 60) games in all.  enabled-attacks has 5
+    # nodes offered no attack and 12 goal-state nodes, each a seed of
+    # the attractor's worklist.
+    groups, counts, _ = jammer_groups
+    assert counts == {"cases": (4, 2), "soundness": (180, 16), "jammer-win": (40, 40),
+                      "attack-subset": (73, 0), "rungs": (2, 2)}
+    assert len(groups["rungs"][1].attack_strategy) == 91
+    adv = case_run("enabled-attacks").attacker
     assert sum(not mask for mask in adv.offered) == 5
     assert sum(q.state in adv.game.goal for q in adv.nodes) == 12
+
+
+def test_win2_equals_brute_force(jammer_groups):
+    # Every jammer game of these inputs whose enumeration stays within
+    # the referee's cap: 179 of them, 5 with a nonempty Win2.
+    assert jammer_groups[2] == (179, 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_games(n_actions=2, n_queries=2))
+def test_attacker_invariants_random(game):
+    check_stages(game)
+
+
+@settings(max_examples=40, deadline=None)
+@given(per_state_attack_games())
+def test_attacker_invariants_per_state_attacks(game):
+    check_stages(game)
 
 
 def test_goal_state_nodes_never_win(fig4):

@@ -1,11 +1,12 @@
 """Perceived-game expansion: frozen structure on the figures, the
 node-keyed views held to the stored ints, shared rows and working sets,
 and the expansion checked whole on every input group by
-`conftest.check_perceived_game`."""
+`conftest.check_perceived_game`.  Each random game, here and in
+`test_planner.py` and `test_attacker.py`, is expanded once and put
+through every stage checker by `conftest.check_stages`."""
 
 import gc
 from dataclasses import replace
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -25,11 +26,11 @@ from sensorgames import (
 )
 from sensorgames import pipeline
 from sensorgames.belief import FINAL, BeliefNode, node_label
-from sensorgames.game import states_of
 
-from .conftest import bnode, check_perceived_game, traced_memory
+from .conftest import (assert_dense_matches, assert_interned, bnode, check_perceived_game,
+                       check_stages, traced_memory)
 from .inputs import MINI, case_run, corpus_runs, restricted
-from .strategies import small_games
+from .strategies import generated_games
 
 
 def test_fig1_shape(fig1):
@@ -127,19 +128,6 @@ def test_perceived_game_checker_catches(defect, check, fig4):
         check_perceived_game("fig4", bad)
 
 
-def assert_interned(mdp):
-    """Every node reference in ``mdp`` is the object listed in ``nodes``."""
-    listed = {q: q for q in mdp.nodes}
-    assert listed[mdp.initial] is mdp.initial
-    for q, moves in mdp.trans.items():
-        assert listed[q] is q
-        for succs in moves.values():
-            for succ in succs:
-                assert succ is FINAL or succ is listed[succ]
-    for members in mdp.classes.values():
-        assert all(listed[q] is q for q in members)
-
-
 @pytest.mark.parametrize("fixture", ["fig1", "fig1_noattack", "fig1_nosense", "fig4"])
 def test_successor_keys_are_the_listed_nodes(fixture, request):
     assert_interned(request.getfixturevalue(fixture).mdp)
@@ -193,33 +181,6 @@ def test_restricted_class_mates_keep_the_same_moves(fig1_noattack):
 
 
 # --- the stored ints and their views -----------------------------------------
-
-def assert_dense_matches(mdp):
-    """``trans`` is the stored int game keyed by nodes and moves,
-    successor by successor and in order, each with its attack mask
-    decoded to a frozenset, one per distinct mask, and each node's moves
-    ascending.  ``mdp.moves`` lists every (action, query) pair;
-    ``classes`` and ``initial`` are ``members`` and ``start`` as
-    nodes."""
-    game = mdp.game
-    assert mdp.trans is mdp.trans and mdp.classes is mdp.classes
-    node_of = mdp.nodes + (FINAL,)
-    assert mdp.moves == tuple(product(range(len(game.action_names)), range(len(game.queries))))
-    assert len(mdp.node_moves) == len(mdp.succs) == len(mdp.attacks) == len(mdp.nodes)
-    for q, ks, succs, attacks in zip(mdp.nodes, mdp.node_moves, mdp.succs, mdp.attacks):
-        assert [(mdp.moves[k], [(node_of[j], frozenset(states_of(on)))
-                                for j, on in zip(targets, atts, strict=True)])
-                for k, targets, atts in zip(ks, succs, attacks, strict=True)] == [
-            (move, list(targets.items())) for move, targets in mdp.trans[q].items()]
-        assert list(ks) == sorted(set(ks))
-    decoded = [atts for moves in mdp.trans.values() for succs in moves.values()
-               for atts in succs.values()]
-    assert len(set(map(id, decoded))) == len({on for rows in mdp.attacks for row in rows
-                                              for on in row})
-    assert [[node_of[i] for i in members] for members in mdp.members] == [
-        list(members) for members in mdp.classes.values()]
-    assert node_of[mdp.start] == mdp.initial
-
 
 def assert_rows_shared(mdp, counts):
     """Each distinct successor row and attack row is one tuple, shared
@@ -299,9 +260,6 @@ def test_no_stage_builds_trans(fig4_text, monkeypatch):
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_games())
+@given(generated_games())
 def test_expansion_invariants_random(game):
-    mdp = build_belief_mdp(game)
-    check_perceived_game("the drawn game", mdp)
-    assert_interned(mdp)
-    assert_dense_matches(mdp)
+    check_stages(game)

@@ -10,10 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from sensorgames import bundled_game_text
 from sensorgames.cli import main
 
-from .inputs import FORBIDDEN_AT_S1, MINI, case_text
+from .inputs import CLI_GAMES, MINI, case_text
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -21,14 +20,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 @pytest.fixture(scope="module")
 def spec_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("specs")
-    for name in ("fig1", "fig1_nosense", "fig1_noattack", "fig4"):
-        (root / f"{name}.game").write_text(bundled_game_text(name))
-    (root / "mini.game").write_text(MINI)
-    (root / "forbidden.game").write_text(FORBIDDEN_AT_S1)
-    (root / "broken.game").write_text("[actions]\na0\n")
-    (root / "invalid.game").write_text(
-        MINI.replace("s1 a0 -> s1", "s1 a0 -> ghost"))
-    (root / "badname.game").write_text(MINI.replace("s1 goal", "s1 goal\ns,1"))
+    for name, text in (CLI_GAMES | {"badname": MINI.replace("s1 goal", "s1 goal\ns,1")}).items():
+        (root / f"{name}.game").write_text(text)
     return root
 
 

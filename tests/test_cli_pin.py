@@ -4,12 +4,12 @@
 sha256 of each call's exit code, standard output and standard error.
 The calls are grouped by game file and subcommand, and each group has
 one digest, so a change shows which file and command it touched.  The
-matrix covers the four figures, MINI, a game whose arena forbids an
-attack at one state, a file that does not parse and one that does not
-validate; every subcommand in both formats; ``--trace``; both
-``--expect`` values; the attack policies, an unknown attack and an
-unknown policy among them; the oracle's cap; both DOT views; and a
-missing file.  Every call reads a fixed standard input, so the
+matrix covers `inputs.CLI_GAMES` (the four figures, MINI, a game whose
+arena forbids an attack at one state, a file that does not parse and
+one that does not validate); every subcommand in both formats;
+``--trace``; both ``--expect`` values; the attack policies, an unknown
+attack and an unknown policy among them; the oracle's cap; both DOT
+views; and a missing file.  Every call reads a fixed standard input, so the
 ``prompt`` policy is covered too.  The temporary directory the files
 live in is written as ``SPECS`` before hashing.
 
@@ -25,21 +25,11 @@ import re
 import shlex
 from pathlib import Path
 
-from sensorgames import bundled_game_text
 from sensorgames.cli import main
 
-from .inputs import FORBIDDEN_AT_S1, MINI
+from .inputs import CLI_GAMES
 
 REPO = Path(__file__).resolve().parents[1]
-
-GAMES = {
-    **{name: bundled_game_text(name)
-       for name in ("fig1", "fig1_nosense", "fig1_noattack", "fig4")},
-    "mini": MINI,
-    "forbidden": FORBIDDEN_AT_S1,
-    "broken": "[actions]\na0\n",
-    "invalid": MINI.replace("s1 a0 -> s1", "s1 a0 -> ghost"),
-}
 
 # (subcommand, options, standard input) for every game and both formats.
 FORMATTED = [
@@ -145,7 +135,7 @@ PINNED = {
 
 def calls():
     """Every call of the matrix as (group, argv, standard input)."""
-    for name in GAMES:
+    for name in CLI_GAMES:
         for fmt in ("text", "structured"):
             for command, options, stdin in FORMATTED:
                 if (name, command, options) == ("fig4", "oracle", ()):
@@ -159,7 +149,7 @@ def calls():
 
 
 def test_cli_bytes_frozen(tmp_path, capsys, monkeypatch):
-    for name, text in GAMES.items():
+    for name, text in CLI_GAMES.items():
         (tmp_path / f"{name}.game").write_text(text)
     digests = {}
     for group, argv, stdin in calls():

@@ -33,7 +33,7 @@ from .inputs import (
     enabled_attacks_text,
     ladder_text,
 )
-from .strategies import per_state_attack_games, small_games
+from .strategies import generated_games, per_state_attack_games
 
 
 def issues_of(text):
@@ -337,7 +337,7 @@ def test_unknown_name_is_named(fig1, kind):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(small_games(), per_state_attack_games(), wide_sensor_games()))
+@given(st.one_of(generated_games(), per_state_attack_games(), wide_sensor_games()))
 def test_masks_match_trans_and_observation(game):
     masks = game.masks
     assert game.masks is masks
@@ -400,7 +400,7 @@ def test_observation_bad_ids(fig1):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_games())
+@given(generated_games())
 def test_observation_classes_partition(game):
     # Under any fixed query and attack, "same observation" is an
     # equivalence: each state's observation is exactly the set of
@@ -414,7 +414,7 @@ def test_observation_classes_partition(game):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_games(), st.data())
+@given(generated_games(), st.data())
 def test_more_sensors_refine_the_view(game, data):
     n = len(game.sensors)
     smaller = data.draw(st.sets(st.integers(0, n - 1)))
@@ -426,7 +426,7 @@ def test_more_sensors_refine_the_view(game, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_games())
+@given(generated_games())
 def test_jamming_never_sharpens(game):
     # An attack can only blunt a query: the jammed view is a superset
     # of the unjammed one.

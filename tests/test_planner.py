@@ -1,10 +1,10 @@
 """Agent-side solving: frozen verdicts on the figures, the chain
 certificate on int graphs, the audit's failures, and the agent's result
-checked whole on every input group by `conftest.check_agent_result`."""
+checked whole on every input group by `conftest.check_agent_result`,
+and every stage checker on random games (`conftest.check_stages`)."""
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sensorgames import (
     brute_force_win1,
@@ -15,13 +15,14 @@ from sensorgames import (
 )
 from sensorgames.belief import FINAL, BeliefNode, node_key, node_label
 from sensorgames.game import validate_game
-from sensorgames.oracle import GeneratorParams, OracleResult, generate_spec
+from sensorgames.oracle import OracleResult
 from sensorgames.planner import certify_almost_sure_reach
 
-from .conftest import (audit, bnode, check_agent_result, node_views, plain_brute_force,
-                       traced_memory)
+from .conftest import (audit, bnode, check_agent_result, check_stages, node_views,
+                       plain_brute_force, traced_memory)
 from .inputs import (attack_subset_runs, case_run, case_text, corpus_runs, per_state_attack_game,
                      restricted, split_classes)
+from .strategies import generated_games
 
 FIG1_WIN = [
     "(s0,{s0})", "(s0,{s0,s1})", "(s0,{s0,s2})", "(s0,{s0,s4})",
@@ -204,14 +205,10 @@ def test_soundness_catches_unoffered_move(fig4):
 
 # --- random games -----------------------------------------------------------
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_solver_invariants_random(seed):
-    # One report per example; hypothesis picks how many examples run.
-    game = validate_game(generate_spec(GeneratorParams(
-        n_states=5, n_actions=2, n_sensors=2, n_queries=2, n_attacks=3,
-        max_support=2, goal_fraction=0.25, seed=seed)))
-    check_agent_result(f"seed {seed}", solve_p1(build_belief_mdp(game)))
+@settings(max_examples=40, deadline=None)
+@given(generated_games(n_actions=2, n_sensors=2, n_queries=2))
+def test_solver_invariants_random(game):
+    check_stages(game)
 
 
 # --- identity ----------------------------------------------------------------

@@ -322,6 +322,21 @@ def test_a_dropped_strategy_leaves_no_table(fig4_text):
     assert table() is None
 
 
+def test_a_dropped_table_waits_for_no_collection(fig4):
+    # The memos link a table's records into cycles; freeing the strategy
+    # empties them, so the table goes by reference counting alone.
+    p1 = MultiStrategy(dict(fig4.report.strategy.allowed))
+    gc.collect()
+    gc.disable()
+    try:
+        for seed in range(50):
+            simulate(fig4.game, p1, UniformRandomAttack(), 20, seed)
+        del p1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class ScriptedAttack:
     """Answers each call with the next of ``answers``."""
 
